@@ -13,12 +13,20 @@ with z[k] i.i.d. standard normal.  Reproducibility contract:
 * ensemble path i draws from the substream seed
   ``substream_seed(seed, i)``, a SplitMix64 mix that is injective in the
   path index, so substreams never collide;
-* ensemble statistics are reduced in fixed chunk order with a pairwise
-  mean/M2 merge, so the results do not depend on worker count or
-  evaluation order.
+* an ensemble is cut into fixed chunks of CHUNK_SIZE paths.  All chunks
+  of a contiguous range advance in lockstep as one array, each chunk
+  seeing exactly the floating-point operations it would see alone, and
+  each path draws its normals a block of time steps at a time (blocked
+  draws from one generator equal one long draw);
+* per-chunk mean and M2 are computed only at the grid indices asked for
+  (``record``) and reduced in fixed chunk order with a pairwise merge,
+  so the output bytes do not depend on worker count, draw block length
+  or which indices are recorded.
 """
 from __future__ import annotations
 
+import logging
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -32,6 +40,14 @@ from .moments import grid_steps
 # Paths per reduction chunk.  Fixed: changing it would change the (still
 # deterministic) floating-point reduction order, and worker counts must not.
 CHUNK_SIZE = 256
+
+# Cap on the normals buffered at once, summed over all paths of an ensemble
+# (2**20 doubles, 8 MB): each path draws this many // n_paths steps at a
+# time.  Draws are sequential per substream, so the cap changes memory and
+# speed only, never the numbers.
+DRAW_BUFFER = 1 << 20
+
+logger = logging.getLogger(__name__)
 
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -68,6 +84,8 @@ class PathConfig:
 
     def __post_init__(self):
         grid_steps(self.dt, self.t_end)  # validates dt, t_end
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.system not in ("nonlinear", "bilinear"):
             raise ValueError(f"unknown system selector {self.system!r}")
 
@@ -78,12 +96,12 @@ class PathConfig:
 
 @dataclass(frozen=True)
 class EnsembleStats:
-    """Per-component sample mean/variance over an ensemble, on the time grid."""
+    """Per-component sample mean/variance over an ensemble at the recorded grid times."""
 
     n_paths: int
-    t: np.ndarray
-    mean: np.ndarray  # (n_grid, d)
-    var: np.ndarray  # (n_grid, d), unbiased
+    t: np.ndarray  # (n_record,)
+    mean: np.ndarray  # (n_record, d)
+    var: np.ndarray  # (n_record, d), unbiased
     stderr: np.ndarray  # sqrt(var / n_paths)
 
 
@@ -148,35 +166,92 @@ def simulate_path(cfg: PathConfig, x0, dynamics, increments: np.ndarray | None =
     return np.arange(n_steps + 1) * cfg.dt, out
 
 
-def _chunk_stats(cfg: PathConfig, x0: np.ndarray, dynamics, start: int, count: int):
-    """Simulate paths [start, start+count) together; return per-time mean and M2."""
+@dataclass
+class _Lockstep:
+    """Equal-sized chunks advanced as one array.
+
+    ``x`` is (n_chunks, CHUNK_SIZE, d) for full chunks or (size, d) for the
+    uneven last chunk; reductions run over axis -2, so each chunk is
+    reduced exactly as it would be alone.
+    """
+
+    first: int  # ensemble index of the first path
+    x: np.ndarray
+    z: np.ndarray  # this block's normals, x.shape[:-1] + (block,)
+    mean: np.ndarray  # x.shape[:-2] + (n_record, d)
+    m2: np.ndarray
+
+    @classmethod
+    def start(cls, first: int, x0: np.ndarray, z: np.ndarray, n_record: int) -> "_Lockstep":
+        """All paths at ``x0``; the path shape is that of ``z`` without its step axis."""
+        shape = z.shape[:-1]
+        stats = (*shape[:-1], n_record, x0.size)
+        return cls(first, np.tile(x0, (*shape, 1)), z, np.empty(stats), np.empty(stats))
+
+    def save(self, r: int):
+        mu = self.x.mean(axis=-2, keepdims=True)
+        self.mean[..., r, :] = mu[..., 0, :]
+        self.m2[..., r, :] = ((self.x - mu) ** 2).sum(axis=-2)
+
+    def chunks(self) -> list:
+        if self.x.ndim == 2:
+            return [(self.x.shape[0], self.mean, self.m2)]
+        return [(CHUNK_SIZE, mean, m2) for mean, m2 in zip(self.mean, self.m2)]
+
+
+def _lockstep_stats(cfg: PathConfig, x0: np.ndarray, dynamics, start: int, count: int,
+                    record: np.ndarray, block: int, progress: bool):
+    """Advance paths [start, start+count) in lockstep; per-chunk mean and M2 at ``record``.
+
+    Path i draws its normals from its own substream, ``block`` steps at a
+    time, and every floating-point operation on it is the one a lone
+    chunk would do.  Returns (chunks, failure): the (count, mean, m2) of
+    each chunk in chunk order, and None or the (step, path) of the
+    earliest step at which a path left the finite range.
+    """
     drift_fn, noise_fn = _dynamics_fns(cfg, dynamics)
-    n_steps = cfg.n_steps
-    z = np.empty((count, n_steps))
-    for i in range(count):
-        gen = np.random.Generator(np.random.PCG64(substream_seed(cfg.seed, start + i)))
-        z[i] = gen.standard_normal(n_steps)
+    n_steps, d = cfg.n_steps, x0.size
+    n_full, rest = divmod(count, CHUNK_SIZE)
+    split = n_full * CHUNK_SIZE
+    gens = [np.random.Generator(np.random.PCG64(substream_seed(cfg.seed, start + i))) for i in range(count)]
+    z = np.empty((count, min(block, n_steps)))
+    groups = []
+    if n_full:
+        groups.append(_Lockstep.start(start, x0, z[:split].reshape(n_full, CHUNK_SIZE, z.shape[1]), record.size))
+    if rest:
+        groups.append(_Lockstep.start(start + split, x0, z[split:], record.size))
+
+    r = 0
+    if record.size and record[0] == 0:
+        for g in groups:
+            g.save(0)
+        r = 1
     sqdt = np.sqrt(cfg.dt)
-    x = np.tile(x0, (count, 1))
-    d = x0.size
-    mean = np.empty((n_steps + 1, d))
-    m2 = np.empty((n_steps + 1, d))
-
-    def record(k):
-        mu = x.mean(axis=0)
-        mean[k] = mu
-        m2[k] = ((x - mu) ** 2).sum(axis=0)
-
-    record(0)
+    log_every = -(-n_steps // 10)
+    t_start = time.perf_counter()
     for k in range(n_steps):
-        x = x + drift_fn(x) * cfg.dt + noise_fn(x) * (sqdt * z[:, k, None])
-        if not np.all(np.isfinite(x)):
-            bad = int(np.where(~np.isfinite(x).all(axis=1))[0][0])
-            raise SimulationError(
-                f"path {start + bad} non-finite at step {k + 1} (t={(k + 1) * cfg.dt:.6g})"
-            )
-        record(k + 1)
-    return count, mean, m2
+        j = k % block
+        if j == 0:
+            n_draw = min(block, n_steps - k)
+            for i, gen in enumerate(gens):
+                gen.standard_normal(out=z[i, :n_draw])
+        for g in groups:
+            step = drift_fn(g.x) * cfg.dt
+            noise = noise_fn(g.x) * (sqdt * g.z[..., j, None])
+            g.x += step
+            g.x += noise
+            if not np.isfinite(g.x).all():
+                bad = np.flatnonzero(~np.isfinite(g.x).reshape(-1, d).all(axis=1))[0]
+                return None, (k + 1, g.first + int(bad))
+        if r < record.size and record[r] == k + 1:
+            for g in groups:
+                g.save(r)
+            r += 1
+        if progress and ((k + 1) % log_every == 0 or k + 1 == n_steps):
+            elapsed = time.perf_counter() - t_start
+            logger.info("MC ensemble: step %d/%d (%.0f%%), ETA %.1f s", k + 1, n_steps,
+                        100.0 * (k + 1) / n_steps, elapsed * (n_steps - k - 1) / (k + 1))
+    return [c for g in groups for c in g.chunks()], None
 
 
 def _merge_stats(acc, chunk):
@@ -190,34 +265,61 @@ def _merge_stats(acc, chunk):
     return n, mean, m2
 
 
-def ensemble_moments(cfg: PathConfig, x0, n_paths: int, dynamics, n_workers: int = 1) -> EnsembleStats:
+def ensemble_moments(
+    cfg: PathConfig, x0, n_paths: int, dynamics, n_workers: int = 1, record=None
+) -> EnsembleStats:
     """Sample mean and unbiased variance over a seeded ensemble.
 
     Path i uses the substream seed ``substream_seed(cfg.seed, i)``.  Paths
-    are simulated in fixed chunks of CHUNK_SIZE and the chunk statistics
-    are merged in chunk order, so the result is independent of
-    ``n_workers``.
+    are grouped in fixed chunks of CHUNK_SIZE; ``n_workers`` splits the
+    chunk list into contiguous ranges, each advanced in lockstep on a
+    thread, and the chunk statistics are merged in chunk order, so the
+    result is independent of ``n_workers``.  ``record`` lists the grid
+    indices at which statistics are kept (default: the whole grid); row r
+    of the result belongs to grid index ``record[r]``.
     """
     if n_paths < 2:
         raise ValueError("ensemble needs at least 2 paths")
     x0 = _initial_state(cfg, x0, dynamics)
-    starts = list(range(0, n_paths, CHUNK_SIZE))
-    jobs = [(s, min(CHUNK_SIZE, n_paths - s)) for s in starts]
-
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(lambda j: _chunk_stats(cfg, x0, dynamics, *j), jobs))
+    n_steps = cfg.n_steps
+    if record is None:
+        record = np.arange(n_steps + 1)
     else:
-        results = [_chunk_stats(cfg, x0, dynamics, *j) for j in jobs]
+        record = np.asarray(record) if len(record) else np.empty(0, dtype=int)
+        if record.ndim != 1 or not np.issubdtype(record.dtype, np.integer):
+            raise ValueError("record must be a 1-D sequence of grid indices")
+        if record.size and (record.min() < 0 or record.max() > n_steps):
+            raise ValueError(f"record indices must lie in [0, {n_steps}]")
+    steps, rows = np.unique(record, return_inverse=True)
 
-    acc = results[0]
-    for chunk in results[1:]:
+    n_chunks = -(-n_paths // CHUNK_SIZE)
+    n_ranges = max(1, min(n_workers, n_chunks))
+    bounds = [CHUNK_SIZE * (n_chunks * w // n_ranges) for w in range(n_ranges + 1)]
+    bounds[-1] = n_paths
+    block = max(1, DRAW_BUFFER // n_paths)
+
+    def run(w):
+        first, last = bounds[w], bounds[w + 1]
+        return _lockstep_stats(cfg, x0, dynamics, first, last - first, steps, block, progress=w == 0)
+
+    if n_ranges > 1:
+        with ThreadPoolExecutor(max_workers=n_ranges) as pool:
+            results = list(pool.map(run, range(n_ranges)))
+    else:
+        results = [run(0)]
+    failures = [f for _, f in results if f is not None]
+    if failures:
+        step, path = min(failures)
+        raise SimulationError(f"path {path} non-finite at step {step} (t={step * cfg.dt:.6g})")
+
+    chunks = [c for cs, _ in results for c in cs]
+    acc = chunks[0]
+    for chunk in chunks[1:]:
         acc = _merge_stats(acc, chunk)
     n, mean, m2 = acc
     assert n == n_paths
-    var = m2 / (n_paths - 1)
-    t = np.arange(cfg.n_steps + 1) * cfg.dt
-    return EnsembleStats(n_paths=n_paths, t=t, mean=mean, var=var, stderr=np.sqrt(var / n_paths))
+    mean, var = mean[rows], m2[rows] / (n_paths - 1)
+    return EnsembleStats(n_paths=n_paths, t=record * cfg.dt, mean=mean, var=var, stderr=np.sqrt(var / n_paths))
 
 
 def em_mean_reference(sys: BilinearSystem, x0, dt: float, t_end: float) -> tuple[np.ndarray, np.ndarray]:

@@ -175,7 +175,9 @@ def check_mc_mean_validation() -> CheckResult:
     sys = build_vandevusse(p)
     x0 = s.x0.as_array()
     cfg = PathConfig(dt=0.005, t_end=10.0, seed=s.seed, system="bilinear")
-    stats = ensemble_moments(cfg, x0, 10000, sys)
+    times = (1.0, 5.0, 10.0)
+    ks = [grid_index(cfg.dt, t) for t in times]
+    stats = ensemble_moments(cfg, x0, 10000, sys, record=ks)
     _, em_ode = em_mean_reference(sys, x0, cfg.dt, cfg.t_end)
     xi0 = np.concatenate([x0, reduce_square(x0)])
     t_grid, rk4_ode = integrate(lambda y: augmented_mean_rhs(sys, y), xi0, cfg.dt, cfg.t_end)
@@ -183,14 +185,13 @@ def check_mc_mean_validation() -> CheckResult:
     bias_floor = 2.0 * cfg.dt * rates.max(axis=0)
 
     worst_ratio, where, floored_ok = 0.0, "", True
-    for t in (1.0, 5.0, 10.0):
-        k = grid_index(cfg.dt, t)
-        ratio = np.abs(stats.mean[k] - em_ode[k]) / (3.0 * stats.stderr[k])
+    for r, (t, k) in enumerate(zip(times, ks)):
+        ratio = np.abs(stats.mean[r] - em_ode[k]) / (3.0 * stats.stderr[r])
         j = int(np.argmax(ratio))
         if ratio[j] > worst_ratio:
             worst_ratio, where = float(ratio[j]), f"component {j} at t={t:g}"
-        bound = np.maximum(3.0 * stats.stderr[k], bias_floor)
-        floored_ok &= bool(np.all(np.abs(stats.mean[k] - rk4_ode[k]) <= bound))
+        bound = np.maximum(3.0 * stats.stderr[r], bias_floor)
+        floored_ok &= bool(np.all(np.abs(stats.mean[r] - rk4_ode[k]) <= bound))
     ok = worst_ratio <= 1.0 and floored_ok
     detail = (f"10^4 paths, dt=0.005: worst |mc mean - em ode| = {worst_ratio:.2f} of its "
               f"3-stderr allowance ({where}); vs RK4 ode with scheme-bias floor: "
@@ -262,21 +263,20 @@ def check_determinism() -> CheckResult:
     scenario = replace(
         builtin_scenario("set1"), t_end=20.0, checkpoints=(1.0, 5.0, 10.0, 20.0), mc_paths=400
     )
-    outputs = []
-    for workers in (1, 4):
-        report = run_scenario(scenario, methods=("carleman", "ekf", "mc"), mc_workers=workers)
-        out = tempfile.mkdtemp(prefix=f"vdv_det_{workers}_")
-        emit_csv(report, out)
-        outputs.append(out)
-    worst = 0.0
-    identical = True
-    for name in ("trajectories.csv", "checkpoints.csv", "mc_validation.csv"):
-        a, b = f"{outputs[0]}/{name}", f"{outputs[1]}/{name}"
-        try:
-            worst = max(worst, _compare_csv(a, b, tol=1e-12))
-        except AssertionError as exc:
-            return CheckResult(10, "determinism across worker counts", False, str(exc))
-        identical &= filecmp.cmp(a, b, shallow=False)
+    with tempfile.TemporaryDirectory(prefix="vdv_det_1_") as out_1, \
+            tempfile.TemporaryDirectory(prefix="vdv_det_4_") as out_4:
+        for workers, out in ((1, out_1), (4, out_4)):
+            report = run_scenario(scenario, methods=("carleman", "ekf", "mc"), mc_workers=workers)
+            emit_csv(report, out)
+        worst = 0.0
+        identical = True
+        for name in ("trajectories.csv", "checkpoints.csv", "mc_validation.csv"):
+            a, b = f"{out_1}/{name}", f"{out_4}/{name}"
+            try:
+                worst = max(worst, _compare_csv(a, b, tol=1e-12))
+            except AssertionError as exc:
+                return CheckResult(10, "determinism across worker counts", False, str(exc))
+            identical &= filecmp.cmp(a, b, shallow=False)
     detail = f"1 vs 4 workers: max numeric field diff {worst:.1e} (need <= 1e-12)"
     if identical:
         detail += "; files are byte-identical"

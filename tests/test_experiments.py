@@ -15,7 +15,10 @@ from vdvcarleman.experiments import (
     load_scenario,
     run_scenario,
 )
+from vdvcarleman.carleman import build_vandevusse
 from vdvcarleman.model import PARAM_SET1
+from vdvcarleman.moments import grid_index
+from vdvcarleman.montecarlo import PathConfig, ensemble_moments
 
 
 def small_scenario(**overrides):
@@ -46,6 +49,10 @@ def test_scenario_validation():
         small_scenario(checkpoints=(6.0,))  # beyond t_end
     with pytest.raises(ValueError):
         small_scenario(mc_paths=1)
+    with pytest.raises(ValueError, match="seed"):
+        small_scenario(seed=-1)
+    with pytest.raises(ValueError, match="seed"):
+        Scenario.from_dict({**small_scenario().to_dict(), "seed": -1})
 
 
 def test_run_scenario_rejects_unknown_method():
@@ -141,6 +148,22 @@ def test_mc_validation_rows_and_report_metadata(tmp_path):
     assert meta["scenario"]["seed"] == meta["seed"] == 42
     assert any("t=150" in note for note in meta["notes"])
     assert "carleman" in meta["psd_min_eig_at_checkpoints"]
+
+
+def test_mc_rows_read_the_ensemble_at_each_checkpoint():
+    # Unsorted, repeated checkpoints: each row reads the full-grid ensemble
+    # statistics at its own grid index.
+    s = small_scenario(checkpoints=(5.0, 0.5, 5.0))
+    report = run_scenario(s, methods=("mc",))
+    cfg = PathConfig(dt=s.dt, t_end=s.t_end, seed=s.seed, system="bilinear")
+    full = ensemble_moments(cfg, s.x0.as_array(), s.mc_paths, build_vandevusse(s.params))
+    rows = report.mc.rows
+    assert [r["t"] for r in rows[::9]] == [5.0, 0.5, 5.0]
+    for row in rows:
+        k = grid_index(s.dt, row["t"])
+        j = [r["component"] for r in rows[:9]].index(row["component"])
+        assert row["mc_mean"] == float(full.mean[k, j])
+        assert row["stderr"] == float(full.stderr[k, j])
 
 
 def test_charts_full_and_reduced_sets(tmp_path, caplog):

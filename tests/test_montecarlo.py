@@ -1,6 +1,10 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
+from vdvcarleman import montecarlo
 from vdvcarleman.carleman import build_vandevusse
 from vdvcarleman.kronecker import reduce_square
 from vdvcarleman.model import PARAM_SET1, ReactorParams, X0_SET1, diffusion, drift
@@ -10,6 +14,8 @@ from vdvcarleman.montecarlo import (
     EnsembleStats,
     PathConfig,
     SimulationError,
+    _dynamics_fns,
+    _initial_state,
     em_mean_reference,
     ensemble_moments,
     simulate_path,
@@ -33,6 +39,8 @@ def test_substream_seeds_distinct_and_stable():
 def test_path_config_validation():
     with pytest.raises(ValueError):
         PathConfig(dt=-0.01, t_end=1.0, seed=0)
+    with pytest.raises(ValueError, match="seed"):
+        PathConfig(dt=0.01, t_end=1.0, seed=-1)
     with pytest.raises(ValueError):
         PathConfig(dt=0.01, t_end=1.0, seed=0, system="exact")
     assert PathConfig(dt=0.01, t_end=1.0, seed=0).n_steps == 100
@@ -202,3 +210,137 @@ def test_ensemble_stats_container_shape():
     assert isinstance(stats, EnsembleStats)
     assert stats.mean.shape == stats.var.shape == stats.stderr.shape == (11, 3)
     assert stats.t[-1] == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: one chunk at a time through the whole grid, merged in chunk order.
+# ---------------------------------------------------------------------------
+
+
+def _oracle_chunk_stats(cfg, x0, dynamics, start, count):
+    drift_fn, noise_fn = _dynamics_fns(cfg, dynamics)
+    n_steps = cfg.n_steps
+    z = np.empty((count, n_steps))
+    for i in range(count):
+        gen = np.random.Generator(np.random.PCG64(substream_seed(cfg.seed, start + i)))
+        z[i] = gen.standard_normal(n_steps)
+    sqdt = np.sqrt(cfg.dt)
+    x = np.tile(x0, (count, 1))
+    mean = np.empty((n_steps + 1, x0.size))
+    m2 = np.empty((n_steps + 1, x0.size))
+
+    def record(k):
+        mu = x.mean(axis=0)
+        mean[k] = mu
+        m2[k] = ((x - mu) ** 2).sum(axis=0)
+
+    record(0)
+    for k in range(n_steps):
+        x = x + drift_fn(x) * cfg.dt + noise_fn(x) * (sqdt * z[:, k, None])
+        record(k + 1)
+    return count, mean, m2
+
+
+def _oracle_ensemble(cfg, x0, n_paths, dynamics):
+    x0 = _initial_state(cfg, x0, dynamics)
+    acc = None
+    for start in range(0, n_paths, CHUNK_SIZE):
+        n_b, mean_b, m2_b = _oracle_chunk_stats(cfg, x0, dynamics, start, min(CHUNK_SIZE, n_paths - start))
+        if acc is None:
+            acc = (n_b, mean_b, m2_b)
+            continue
+        n_a, mean_a, m2_a = acc
+        n = n_a + n_b
+        delta = mean_b - mean_a
+        acc = (n, mean_a + delta * (n_b / n), m2_a + m2_b + delta * delta * (n_a * n_b / n))
+    _, mean, m2 = acc
+    return mean, m2 / (n_paths - 1)
+
+
+@pytest.mark.parametrize("system", ["bilinear", "nonlinear"])
+@pytest.mark.parametrize("n_paths", [2, 100, CHUNK_SIZE, CHUNK_SIZE + 37, 3 * CHUNK_SIZE])
+def test_lockstep_ensemble_is_bit_identical_to_chunk_loop(monkeypatch, system, n_paths):
+    # 60 steps drawn 7 at a time: the last draw block is partial.
+    monkeypatch.setattr(montecarlo, "DRAW_BUFFER", 7 * n_paths)
+    cfg = PathConfig(dt=0.05, t_end=3.0, seed=17, system=system)
+    dynamics = SYS1 if system == "bilinear" else PARAM_SET1
+    mean, var = _oracle_ensemble(cfg, X0, n_paths, dynamics)
+    for workers in (1, 2, 3):
+        stats = ensemble_moments(cfg, X0, n_paths, dynamics, n_workers=workers)
+        assert np.array_equal(stats.mean, mean)
+        assert np.array_equal(stats.var, var)
+
+
+def test_default_draw_block_is_bit_identical_to_chunk_loop():
+    cfg = PathConfig(dt=0.01, t_end=2.0, seed=5, system="bilinear")
+    n = 2 * CHUNK_SIZE + 1
+    mean, var = _oracle_ensemble(cfg, X0, n, SYS1)
+    stats = ensemble_moments(cfg, X0, n, SYS1, n_workers=2)
+    assert np.array_equal(stats.mean, mean)
+    assert np.array_equal(stats.var, var)
+
+
+def test_recorded_rows_equal_full_grid_rows():
+    cfg = PathConfig(dt=0.05, t_end=3.0, seed=8, system="bilinear")
+    n = CHUNK_SIZE + 37
+    full = ensemble_moments(cfg, X0, n, SYS1)
+    record = [60, 0, 17, 17, 33]
+    for workers in (1, 2):
+        part = ensemble_moments(cfg, X0, n, SYS1, n_workers=workers, record=record)
+        assert np.array_equal(part.t, full.t[record])
+        assert np.array_equal(part.mean, full.mean[record])
+        assert np.array_equal(part.var, full.var[record])
+        assert np.array_equal(part.stderr, full.stderr[record])
+    empty = ensemble_moments(cfg, X0, n, SYS1, record=[])
+    assert empty.mean.shape == (0, 9) and empty.t.shape == (0,)
+
+
+def test_record_rejects_bad_indices():
+    cfg = PathConfig(dt=0.05, t_end=3.0, seed=8, system="bilinear")
+    for bad in ([61], [-1], [0.5], [[1, 2]]):
+        with pytest.raises(ValueError, match="record"):
+            ensemble_moments(cfg, X0, 4, SYS1, record=bad)
+
+
+def test_blocked_draws_equal_one_long_draw():
+    n = 1000
+    long = np.random.Generator(np.random.PCG64(substream_seed(3, 7))).standard_normal(n)
+    gen = np.random.Generator(np.random.PCG64(substream_seed(3, 7)))
+    buf = np.empty(7)
+    blocks = []
+    for k in range(0, n, buf.size):
+        part = buf[: min(buf.size, n - k)]
+        gen.standard_normal(out=part)
+        blocks.append(part.copy())
+    assert np.array_equal(np.concatenate(blocks), long)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_ensemble_blowup_reports_earliest_step_over_all_chunks():
+    # The unstable OU factor (1 - alpha dt = -1.5) makes every path diverge
+    # at a step set by its own noise.  For this seed the first divergence
+    # is in the second chunk, one step before any path of the first chunk.
+    unstable = ReactorParams(k1=0.01, k2=0.01, k3=0.01, caf=1.0, v=1.0, alpha=0.25, beta=1.0)
+    cfg = PathConfig(dt=10.0, t_end=300.0, seed=33, system="nonlinear")
+    x0 = np.array([1.0, 0.0, 0.0])
+    n = 2 * CHUNK_SIZE + 37
+    failures = []
+    for i in range(n):
+        z = np.random.Generator(np.random.PCG64(substream_seed(cfg.seed, i))).standard_normal(cfg.n_steps)
+        with pytest.raises(SimulationError) as exc:
+            simulate_path(cfg, x0, unstable, increments=z)
+        failures.append((int(re.search(r"step (\d+)", str(exc.value)).group(1)), i))
+    step, path = min(failures)
+    assert path >= CHUNK_SIZE and step < min(failures[:CHUNK_SIZE])[0]
+    for workers in (1, 3):
+        with pytest.raises(SimulationError, match=rf"path {path} non-finite at step {step} \("):
+            ensemble_moments(cfg, x0, n, unstable, n_workers=workers)
+
+
+def test_ensemble_progress_is_logged(caplog):
+    cfg = PathConfig(dt=0.01, t_end=2.0, seed=1, system="bilinear")
+    with caplog.at_level(logging.INFO, logger="vdvcarleman.montecarlo"):
+        ensemble_moments(cfg, X0, 2 * CHUNK_SIZE, SYS1, n_workers=2)
+    lines = [r.message for r in caplog.records if r.name == "vdvcarleman.montecarlo"]
+    assert 1 <= len(lines) <= 10
+    assert "step 200/200 (100%)" in lines[-1] and "ETA" in lines[-1]
