@@ -317,14 +317,6 @@ def build_vandevusse(p: ReactorParams) -> BilinearSystem:
     return BilinearSystem(n=3, a0=a0, a=a, d=d, g=g)
 
 
-def augmented_drift(sys: BilinearSystem, xi: np.ndarray) -> np.ndarray:
-    """Drift of the augmented state: a0 + a @ xi."""
-    xi = np.asarray(xi, dtype=float)
-    if not np.all(np.isfinite(xi)):
-        raise ValueError("augmented state must be finite")
-    return sys.a0 + sys.a @ xi
-
-
 _BLOCK_NAMES = ("a01", "a02", "a11", "a12", "a21", "a22", "d11", "d12", "d21", "d22", "g1", "g2")
 
 

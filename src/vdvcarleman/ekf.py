@@ -12,34 +12,15 @@ set matches the Carleman moment path.  No measurement updates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import model
 from .model import ReactorParams
-from .moments import MomentSeries, integrate
+from .moments import MomentSeries, _checked_moments, _integrate_mean_cov
 
 
-@dataclass(frozen=True)
-class EkfState:
-    """Predicted mean and covariance of the 3-state reactor."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
-        if mean.shape != (3,) or cov.shape != (3, 3):
-            raise ValueError("EkfState needs a 3-vector mean and 3x3 covariance")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-            raise ValueError("EKF state must be finite")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", 0.5 * (cov + cov.T))
-
-
-def _ekf_rhs_flat(y: np.ndarray, p: ReactorParams) -> np.ndarray:
+def ekf_rhs(y: np.ndarray, p: ReactorParams) -> np.ndarray:
+    """Time derivative of the flat EKF state (mean, row-major covariance)."""
     m = y[:3]
     cov = y[3:].reshape(3, 3)
     f = model.drift(m, p)
@@ -49,22 +30,7 @@ def _ekf_rhs_flat(y: np.ndarray, p: ReactorParams) -> np.ndarray:
     return np.concatenate([f, dcov.ravel()])
 
 
-def ekf_rhs(s: EkfState, p: ReactorParams) -> EkfState:
-    """Time derivative of the EKF prediction state (same container)."""
-    dy = _ekf_rhs_flat(np.concatenate([s.mean, s.cov.ravel()]), p)
-    return EkfState(mean=dy[:3], cov=dy[3:].reshape(3, 3))
-
-
-def ekf_predict(p: ReactorParams, x0: np.ndarray, cov0: np.ndarray, dt: float, t_end: float) -> MomentSeries:
+def ekf_predict(p: ReactorParams, x0, cov0, dt: float, t_end: float) -> MomentSeries:
     """Deterministic EKF prediction series on the shared fixed-step grid."""
-    x0 = np.asarray(x0, dtype=float)
-    cov0 = np.asarray(cov0, dtype=float)
-    y0 = np.concatenate([x0, cov0.ravel()])
-
-    def symmetrize(y):
-        cov = y[3:].reshape(3, 3)
-        y[3:] = (0.5 * (cov + cov.T)).ravel()
-        return y
-
-    t, ys = integrate(lambda y: _ekf_rhs_flat(y, p), y0, dt, t_end, post_step=symmetrize)
-    return MomentSeries(dt=dt, t=t, mean=ys[:, :3], cov=ys[:, 3:].reshape(t.size, 3, 3))
+    x0, cov0 = _checked_moments(x0, cov0, 3)
+    return _integrate_mean_cov(lambda y: ekf_rhs(y, p), x0, cov0, dt, t_end)

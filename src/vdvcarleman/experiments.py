@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import json
 import logging
+import math
+import numbers
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -40,7 +42,6 @@ from .model import (
 from .moments import (
     IntegrationError,
     MomentSeries,
-    PhysicalMoments,
     augmented_mean_rhs,
     grid_index,
     grid_steps,
@@ -95,9 +96,9 @@ class Scenario:
             raise ValueError("mc_paths must be at least 2")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-
-    def initial_moments(self) -> PhysicalMoments:
-        return PhysicalMoments.from_mean_cov(self.x0.as_array(), np.diag(self.p0_diag))
+        if not _is_p0_diag(self.p0_diag):
+            raise ValueError(f"p0_diag must be three finite nonnegative numbers, got {self.p0_diag!r}")
+        object.__setattr__(self, "p0_diag", tuple(self.p0_diag))
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -109,17 +110,41 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
+        _check_keys("scenario", d, {f.name for f in fields(cls)})
+        _check_keys("params", d["params"], {f.name for f in fields(ReactorParams)})
         return cls(
             name=d["name"],
             params=ReactorParams(**d["params"]),
             x0=PhysicalState(*d["x0"]),
-            p0_diag=tuple(d["p0_diag"]),
+            p0_diag=d["p0_diag"],
             dt=float(d["dt"]),
             t_end=float(d["t_end"]),
             checkpoints=tuple(d["checkpoints"]),
             seed=int(d["seed"]),
             mc_paths=int(d["mc_paths"]),
         )
+
+
+def _is_p0_diag(value) -> bool:
+    try:
+        entries = list(value)
+    except TypeError:
+        return False
+    return len(entries) == 3 and all(
+        isinstance(x, numbers.Real) and math.isfinite(x) and x >= 0.0 for x in entries
+    )
+
+
+def _check_keys(what: str, d, expected: set) -> None:
+    """Reject a mapping whose keys are not exactly ``expected``, naming the culprits."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
+    missing = sorted(expected - d.keys())
+    if missing:
+        raise ValueError(f"{what} is missing keys: {', '.join(missing)}")
+    unknown = sorted(d.keys() - expected)
+    if unknown:
+        raise ValueError(f"{what} has unknown keys: {', '.join(unknown)}")
 
 
 def builtin_scenario(name: str) -> Scenario:
@@ -197,6 +222,8 @@ def run_scenario(scenario: Scenario, methods, mc_workers: int = 1) -> Comparison
     unknown = requested - set(METHODS)
     if unknown:
         raise ValueError(f"unknown methods: {sorted(unknown)}")
+    if mc_workers < 1:
+        raise ValueError(f"ensemble n_workers (mc_workers) must be at least 1, got {mc_workers}")
     methods = tuple(m for m in METHODS if m in requested)
     p = scenario.params
     dt, t_end = scenario.dt, scenario.t_end
@@ -222,7 +249,7 @@ def run_scenario(scenario: Scenario, methods, mc_workers: int = 1) -> Comparison
     report.true_path = true_path
 
     if "carleman" in methods:
-        series = run("carleman", lambda: integrate_physical(p, scenario.initial_moments(), dt, t_end))
+        series = run("carleman", lambda: integrate_physical(p, x0, np.diag(scenario.p0_diag), dt, t_end))
         report.carleman = series
         report.errors["carleman"] = np.abs(true_path[:, :2] - series.mean[:, :2])
         report.psd_min_eig["carleman"] = _psd_at_checkpoints(series, scenario)

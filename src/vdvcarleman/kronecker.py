@@ -48,8 +48,7 @@ class MonomialIndexMap:
     """Ordered basis of the distinct degree-``order`` monomials over ``n`` variables.
 
     ``pairs`` holds 0-based nondecreasing index tuples in lexicographic
-    order.  Positions are 0-based throughout; ``index_of_pair`` accepts the
-    conventional 1-based variable subscripts for convenience.
+    order.  Positions are 0-based throughout.
     """
 
     n: int
@@ -73,17 +72,6 @@ class MonomialIndexMap:
             return self._pos[key]
         except KeyError:
             raise IndexError(f"indices {indices} out of range for n={self.n}, order={self.order}") from None
-
-    def index_of_pair(self, i: int, j: int) -> int:
-        """0-based slot of the product x_i*x_j, with 1-based subscripts i, j.
-
-        Symmetric in (i, j); requires ``order == 2``.
-        """
-        if self.order != 2:
-            raise ValueError("index_of_pair is defined for order-2 maps only")
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise IndexError(f"subscripts ({i}, {j}) out of range 1..{self.n}")
-        return self.position((i - 1, j - 1))
 
 
 def reduce_square(v: np.ndarray) -> np.ndarray:

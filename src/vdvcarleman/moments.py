@@ -13,17 +13,18 @@ The two MEAN systems are the same linear ODE written in different
 coordinates; `crosscheck_mean_paths` integrates both and reports the
 maximum discrepancy, which should sit at integrator-noise level.  The two
 COVARIANCE notions differ by construction (the augmented covariance
-treats each product slot as an independent coordinate); their gap is
-measured by `covariance_notion_gap` and logged, never reconciled.
+treats each product slot as an independent coordinate) and are never
+reconciled.
 
-Covariances are symmetrized after every integrator step.  No
-positive-semidefiniteness repair is applied: order-2 truncation can
-legitimately drive the physical covariance indefinite, and that behaviour
-must stay observable.
+Every moment path takes the same initial data: a plain mean vector and
+covariance matrix of the physical state, checked for shape and
+finiteness and symmetrized on entry.  Covariances are symmetrized after
+every integrator step.  No positive-semidefiniteness repair is applied:
+order-2 truncation can legitimately drive the physical covariance
+indefinite, and that behaviour must stay observable.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,6 @@ import numpy as np
 from .carleman import BilinearSystem
 from .kronecker import MonomialIndexMap
 from .model import ReactorParams
-
-logger = logging.getLogger(__name__)
 
 # Canonical order of the distinct covariance entries of a 3-state system.
 PAIRS = MonomialIndexMap(3, 2).pairs
@@ -110,47 +109,43 @@ class MomentSeries:
         return self.mean[k], self.cov[k]
 
 
-def _pack_cov(cov: np.ndarray) -> np.ndarray:
-    return np.array([cov[i, j] for (i, j) in PAIRS])
+def _checked_moments(mean, cov, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Initial mean and covariance of an n-state system as float arrays.
+
+    Rejects wrong shapes and non-finite entries; the covariance is
+    replaced by its symmetric part 0.5 * (cov + cov^T).
+    """
+    mean = np.asarray(mean, dtype=float)
+    cov = np.asarray(cov, dtype=float)
+    if mean.shape != (n,) or cov.shape != (n, n):
+        raise ValueError(f"initial moments need a {n}-vector mean and a {n}x{n} covariance, "
+                         f"got shapes {mean.shape} and {cov.shape}")
+    cov = 0.5 * (cov + cov.T)
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+        raise ValueError("moments must be finite")
+    return mean, cov
 
 
-def _unpack_cov(packed: np.ndarray) -> np.ndarray:
-    cov = np.empty((3, 3))
-    for k, (i, j) in enumerate(PAIRS):
-        cov[i, j] = packed[k]
-        cov[j, i] = packed[k]
-    return cov
+def _integrate_mean_cov(rhs, mean0: np.ndarray, cov0: np.ndarray, dt: float, t_end: float) -> MomentSeries:
+    """RK4 on the flat state (mean, row-major covariance), symmetrized after every step."""
+    n = mean0.size
+
+    def symmetrize(y):
+        cov = y[n:].reshape(n, n)
+        y[n:] = (0.5 * (cov + cov.T)).ravel()
+        return y
+
+    y0 = np.concatenate([mean0, cov0.ravel()])
+    t, ys = integrate(rhs, y0, dt, t_end, post_step=symmetrize)
+    return MomentSeries(dt=dt, t=t, mean=ys[:, :n], cov=ys[:, n:].reshape(t.size, n, n))
 
 
-@dataclass(frozen=True)
-class PhysicalMoments:
-    """Mean and covariance of (C_A, C_B, F_r); six distinct covariance entries stored."""
+def physical_rhs(y: np.ndarray, p: ReactorParams) -> np.ndarray:
+    """Time derivative of the flat physical moment state.
 
-    mean: np.ndarray
-    cov_packed: np.ndarray  # order: P11, P12, P13, P22, P23, P33
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        packed = np.asarray(self.cov_packed, dtype=float)
-        if mean.shape != (3,) or packed.shape != (6,):
-            raise ValueError("PhysicalMoments needs a 3-vector mean and 6 covariance entries")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(packed))):
-            raise ValueError("moments must be finite")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov_packed", packed)
-
-    @property
-    def cov(self) -> np.ndarray:
-        return _unpack_cov(self.cov_packed)
-
-    @classmethod
-    def from_mean_cov(cls, mean, cov) -> "PhysicalMoments":
-        cov = np.asarray(cov, dtype=float)
-        cov = 0.5 * (cov + cov.T)
-        return cls(mean=np.asarray(mean, dtype=float), cov_packed=_pack_cov(cov))
-
-
-def _physical_rhs_flat(y: np.ndarray, p: ReactorParams) -> np.ndarray:
+    State order: m1, m2, m3, then the covariance entries P11, P12, P13,
+    P22, P23, P33.
+    """
     m1, m2, m3, p11, p12, p13, p22, p23, p33 = y.tolist()
     k1, k2, k3 = p.k1, p.k2, p.k3
     caf, v, a, b = p.caf, p.v, p.alpha, p.beta
@@ -171,17 +166,11 @@ def _physical_rhs_flat(y: np.ndarray, p: ReactorParams) -> np.ndarray:
     return np.array([dm1, dm2, dm3, dp11, dp12, dp13, dp22, dp23, dp33])
 
 
-def physical_rhs(m: PhysicalMoments, p: ReactorParams) -> PhysicalMoments:
-    """Time derivative of the physical moments (returned in the same container)."""
-    y = np.concatenate([m.mean, m.cov_packed])
-    dy = _physical_rhs_flat(y, p)
-    return PhysicalMoments(mean=dy[:3], cov_packed=dy[3:])
-
-
-def integrate_physical(p: ReactorParams, m0: PhysicalMoments, dt: float, t_end: float) -> MomentSeries:
+def integrate_physical(p: ReactorParams, mean0, cov0, dt: float, t_end: float) -> MomentSeries:
     """Propagate the physical moment ODEs with fixed-step RK4."""
-    y0 = np.concatenate([m0.mean, m0.cov_packed])
-    t, ys = integrate(lambda y: _physical_rhs_flat(y, p), y0, dt, t_end)
+    mean0, cov0 = _checked_moments(mean0, cov0, 3)
+    y0 = np.concatenate([mean0, [cov0[i, j] for (i, j) in PAIRS]])
+    t, ys = integrate(lambda y: physical_rhs(y, p), y0, dt, t_end)
     mean = ys[:, :3]
     cov = np.empty((t.size, 3, 3))
     for k, (i, j) in enumerate(PAIRS):
@@ -190,55 +179,39 @@ def integrate_physical(p: ReactorParams, m0: PhysicalMoments, dt: float, t_end: 
     return MomentSeries(dt=dt, t=t, mean=mean, cov=cov)
 
 
-@dataclass(frozen=True)
-class AugmentedMoments:
-    """Mean and covariance of the 9-dim augmented state."""
+def gaussian_lift(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lift physical moments to the augmented state under Gaussian closure.
 
-    mean: np.ndarray
-    cov: np.ndarray
+    The product-slot means are the exact second moments
+    E[x_i x_j] = P_ij + m_i m_j.  Product-slot covariances use the
+    Isserlis identities for jointly Gaussian states:
 
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
-        if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
-            raise ValueError("inconsistent augmented moment shapes")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-            raise ValueError("moments must be finite")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", 0.5 * (cov + cov.T))
+        Cov(x_k, x_i x_j)       = m_i P_kj + m_j P_ki
+        Cov(x_i x_j, x_k x_l)   = P_ik P_jl + P_il P_jk
+                                  + m_i m_k P_jl + m_i m_l P_jk
+                                  + m_j m_k P_il + m_j m_l P_ik
 
-    @classmethod
-    def from_physical(cls, phys: PhysicalMoments) -> "AugmentedMoments":
-        """Lift physical moments to the augmented state under Gaussian closure.
+    ``cov`` must be symmetric; the lifted covariance is symmetrized.
+    """
+    m, P = mean, cov
+    n = m.size
+    pairs = MonomialIndexMap(n, 2).pairs
+    second = P + np.outer(m, m)
+    lifted_mean = np.concatenate([m, np.array([second[i, j] for (i, j) in pairs])])
 
-        The product-slot means are the exact second moments
-        E[x_i x_j] = P_ij + m_i m_j.  Product-slot covariances use the
-        Isserlis identities for jointly Gaussian states:
-
-            Cov(x_k, x_i x_j)       = m_i P_kj + m_j P_ki
-            Cov(x_i x_j, x_k x_l)   = P_ik P_jl + P_il P_jk
-                                      + m_i m_k P_jl + m_i m_l P_jk
-                                      + m_j m_k P_il + m_j m_l P_ik
-        """
-        m = phys.mean
-        P = phys.cov
-        second = P + np.outer(m, m)
-        mean = np.concatenate([m, np.array([second[i, j] for (i, j) in PAIRS])])
-
-        n2 = len(PAIRS)
-        cov = np.zeros((3 + n2, 3 + n2))
-        cov[:3, :3] = P
-        for b, (i, j) in enumerate(PAIRS):
-            for k in range(3):
-                c = m[i] * P[k, j] + m[j] * P[k, i]
-                cov[k, 3 + b] = c
-                cov[3 + b, k] = c
-        for a, (i, j) in enumerate(PAIRS):
-            for b, (k, l) in enumerate(PAIRS):
-                cov[3 + a, 3 + b] = (P[i, k] * P[j, l] + P[i, l] * P[j, k]
-                                     + m[i] * m[k] * P[j, l] + m[i] * m[l] * P[j, k]
-                                     + m[j] * m[k] * P[i, l] + m[j] * m[l] * P[i, k])
-        return cls(mean=mean, cov=cov)
+    lifted = np.zeros((n + len(pairs), n + len(pairs)))
+    lifted[:n, :n] = P
+    for b, (i, j) in enumerate(pairs):
+        for k in range(n):
+            c = m[i] * P[k, j] + m[j] * P[k, i]
+            lifted[k, n + b] = c
+            lifted[n + b, k] = c
+    for a, (i, j) in enumerate(pairs):
+        for b, (k, l) in enumerate(pairs):
+            lifted[n + a, n + b] = (P[i, k] * P[j, l] + P[i, l] * P[j, k]
+                                    + m[i] * m[k] * P[j, l] + m[i] * m[l] * P[j, k]
+                                    + m[j] * m[k] * P[i, l] + m[j] * m[l] * P[i, k])
+    return lifted_mean, 0.5 * (lifted + lifted.T)
 
 
 def augmented_mean_rhs(sys: BilinearSystem, mean: np.ndarray) -> np.ndarray:
@@ -259,80 +232,21 @@ def _augmented_cov_rhs(sys: BilinearSystem, mean: np.ndarray, cov: np.ndarray) -
     return ap + ap.T + sys.qw * diff
 
 
-def augmented_rhs(m: AugmentedMoments, sys: BilinearSystem) -> AugmentedMoments:
-    """Time derivative of the augmented moments (same container)."""
-    return AugmentedMoments(
-        mean=augmented_mean_rhs(sys, m.mean),
-        cov=_augmented_cov_rhs(sys, m.mean, m.cov),
-    )
+def integrate_augmented(sys: BilinearSystem, mean0, cov0, dt: float, t_end: float) -> MomentSeries:
+    """Propagate augmented mean and covariance with fixed-step RK4.
 
-
-def augmented_cov_rhs_blocks(sys: BilinearSystem, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Covariance dynamics assembled block by block.
-
-    Writes out the four partitioned blocks of the full-matrix form, with
-    the physical (x) and product (y) coordinates kept separate.  Exists as
-    an independent cross-check of `_augmented_cov_rhs`; the two must agree
-    to machine precision on any state.
+    ``mean0`` and ``cov0`` are the physical moments; the augmented initial
+    state is their `gaussian_lift`.
     """
-    n = sys.n
-    x, y = mean[:n], mean[n:]
-    pxx, pxy = cov[:n, :n], cov[:n, n:]
-    pyx, pyy = cov[n:, :n], cov[n:, n:]
-    a11, a12, a21, a22 = sys.a11, sys.a12, sys.a21, sys.a22
-    d11, d12, d21, d22 = sys.d11, sys.d12, sys.d21, sys.d22
-    g1, g2 = sys.g1, sys.g2
-    qw = sys.qw
-
-    xx, xy = np.outer(x, x), np.outer(x, y)
-    yx, yy = np.outer(y, x), np.outer(y, y)
-
-    dxx = (pxx @ a11.T + pxy @ a12.T + a11 @ pxx + a12 @ pyx
-           + qw * (np.outer(g1, g1)
-                   + np.outer(d11 @ x, g1) + np.outer(d12 @ y, g1)
-                   + np.outer(g1, d11 @ x) + np.outer(g1, d12 @ y)
-                   + d11 @ (pxx @ d11.T + pxy @ d12.T) + d12 @ (pyx @ d11.T + pyy @ d12.T)
-                   + d11 @ (xx @ d11.T + xy @ d12.T) + d12 @ (yx @ d11.T + yy @ d12.T)))
-    dxy = (pxx @ a21.T + pxy @ a22.T + a11 @ pxy + a12 @ pyy
-           + qw * (np.outer(g1, g2)
-                   + np.outer(d11 @ x, g2) + np.outer(d12 @ y, g2)
-                   + np.outer(g1, d21 @ x) + np.outer(g1, d22 @ y)
-                   + d11 @ (pxx @ d21.T + pxy @ d22.T) + d12 @ (pyx @ d21.T + pyy @ d22.T)
-                   + d11 @ (xx @ d21.T + xy @ d22.T) + d12 @ (yx @ d21.T + yy @ d22.T)))
-    dyx = (pyx @ a11.T + pyy @ a12.T + a21 @ pxx + a22 @ pyx
-           + qw * (np.outer(g2, g1)
-                   + np.outer(d21 @ x, g1) + np.outer(d22 @ y, g1)
-                   + np.outer(g2, d11 @ x) + np.outer(g2, d12 @ y)
-                   + d21 @ (pxx @ d11.T + pxy @ d12.T) + d22 @ (pyx @ d11.T + pyy @ d12.T)
-                   + d21 @ (xx @ d11.T + xy @ d12.T) + d22 @ (yx @ d11.T + yy @ d12.T)))
-    dyy = (pyx @ a21.T + pyy @ a22.T + a21 @ pxy + a22 @ pyy
-           + qw * (np.outer(g2, g2)
-                   + np.outer(d21 @ x, g2) + np.outer(d22 @ y, g2)
-                   + np.outer(g2, d21 @ x) + np.outer(g2, d22 @ y)
-                   + d21 @ (pxx @ d21.T + pxy @ d22.T) + d22 @ (pyx @ d21.T + pyy @ d22.T)
-                   + d21 @ (xx @ d21.T + xy @ d22.T) + d22 @ (yx @ d21.T + yy @ d22.T)))
-    return np.block([[dxx, dxy], [dyx, dyy]])
-
-
-def integrate_augmented(sys: BilinearSystem, m0: AugmentedMoments, dt: float, t_end: float) -> MomentSeries:
-    """Propagate augmented mean and covariance with fixed-step RK4."""
+    mean0, cov0 = _checked_moments(mean0, cov0, sys.n)
     dim = sys.dim
-    if m0.mean.size != dim:
-        raise ValueError(f"initial moments have dimension {m0.mean.size}, system has {dim}")
-    y0 = np.concatenate([m0.mean, m0.cov.ravel()])
 
     def rhs(y):
         mean = y[:dim]
         cov = y[dim:].reshape(dim, dim)
         return np.concatenate([augmented_mean_rhs(sys, mean), _augmented_cov_rhs(sys, mean, cov).ravel()])
 
-    def symmetrize(y):
-        cov = y[dim:].reshape(dim, dim)
-        y[dim:] = (0.5 * (cov + cov.T)).ravel()
-        return y
-
-    t, ys = integrate(rhs, y0, dt, t_end, post_step=symmetrize)
-    return MomentSeries(dt=dt, t=t, mean=ys[:, :dim], cov=ys[:, dim:].reshape(t.size, dim, dim))
+    return _integrate_mean_cov(rhs, *gaussian_lift(mean0, cov0), dt, t_end)
 
 
 @dataclass(frozen=True)
@@ -348,7 +262,8 @@ class CrosscheckReport:
 def crosscheck_mean_paths(
     sys: BilinearSystem,
     p: ReactorParams,
-    m0: PhysicalMoments,
+    mean0,
+    cov0,
     dt: float,
     t_end: float,
     augmented_mean0: np.ndarray | None = None,
@@ -361,8 +276,8 @@ def crosscheck_mean_paths(
     (P_ij = s_ij - m_i m_j) the trajectories must coincide up to
     integrator round-off.
     """
-    second = m0.cov + np.outer(m0.mean, m0.mean)
-    consistent = np.concatenate([m0.mean, np.array([second[i, j] for (i, j) in PAIRS])])
+    mean0, cov0 = _checked_moments(mean0, cov0, 3)
+    consistent, _ = gaussian_lift(mean0, cov0)
     if augmented_mean0 is None:
         augmented_mean0 = consistent
     else:
@@ -373,7 +288,7 @@ def crosscheck_mean_paths(
                              "(second block must equal cov + mean outer mean)")
 
     t, aug = integrate(lambda y: augmented_mean_rhs(sys, y), augmented_mean0, dt, t_end)
-    phys = integrate_physical(p, m0, dt, t_end)
+    phys = integrate_physical(p, mean0, cov0, dt, t_end)
 
     mean_diff = np.abs(phys.mean - aug[:, :3])
     implied = np.empty((t.size, len(PAIRS)))
@@ -390,21 +305,6 @@ def crosscheck_mean_paths(
         max_mean_discrepancy=float(mean_diff.max()),
         max_cov_discrepancy=float(cov_diff.max()),
     )
-
-
-def covariance_notion_gap(
-    sys: BilinearSystem, p: ReactorParams, m0: PhysicalMoments, dt: float, t_end: float
-) -> float:
-    """Max |physical covariance - augmented-path physical block| over the grid.
-
-    The two covariance notions are genuinely different objects; the gap is
-    informational and is logged, not asserted.
-    """
-    phys = integrate_physical(p, m0, dt, t_end)
-    aug = integrate_augmented(sys, AugmentedMoments.from_physical(m0), dt, t_end)
-    gap = float(np.abs(phys.cov - aug.cov[:, :3, :3]).max())
-    logger.info("covariance notion gap over [0, %g]: %.6g", t_end, gap)
-    return gap
 
 
 def ou_mean(x0: float, alpha: float, t: np.ndarray) -> np.ndarray:

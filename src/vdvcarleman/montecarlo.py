@@ -280,6 +280,8 @@ def ensemble_moments(
     """
     if n_paths < 2:
         raise ValueError("ensemble needs at least 2 paths")
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be at least 1, got {n_workers}")
     x0 = _initial_state(cfg, x0, dynamics)
     n_steps = cfg.n_steps
     if record is None:

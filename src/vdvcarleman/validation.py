@@ -20,14 +20,7 @@ from .carleman import QuadraticSde, build_vandevusse, embed_order2, vandevusse_c
 from .ekf import ekf_predict
 from .kronecker import MonomialIndexMap
 from .model import PARAM_SET1, PARAM_SET2
-from .moments import (
-    AugmentedMoments,
-    PhysicalMoments,
-    crosscheck_mean_paths,
-    integrate_augmented,
-    integrate_physical,
-    ou_variance,
-)
+from .moments import crosscheck_mean_paths, integrate_augmented, integrate_physical, ou_variance
 from .montecarlo import PathConfig, ensemble_moments
 from .experiments import builtin_scenario, emit_csv, run_scenario
 
@@ -44,15 +37,16 @@ class CheckResult:
 
 
 def _scenario_pieces(name: str):
+    """Scenario, parameters, initial mean and initial covariance of a builtin."""
     s = builtin_scenario(name)
-    return s, s.params, s.initial_moments()
+    return s, s.params, s.x0.as_array(), np.diag(s.p0_diag)
 
 
 def check_table2_anchor() -> CheckResult:
     """Early-time variance anchor for the first parameter set."""
-    _, p, m0 = _scenario_pieces("set1")
+    _, p, x0, p0 = _scenario_pieces("set1")
     t0 = time.perf_counter()
-    series = integrate_physical(p, m0, dt=0.01, t_end=0.5)
+    series = integrate_physical(p, x0, p0, dt=0.01, t_end=0.5)
     elapsed = time.perf_counter() - t0
     _, cov = series.at_time(0.5)
     p1, p2 = cov[0, 0], cov[1, 1]
@@ -64,8 +58,8 @@ def check_table2_anchor() -> CheckResult:
 
 def check_table2_trend() -> CheckResult:
     """Mid-horizon variance trend for the first parameter set, +-10%."""
-    _, p, m0 = _scenario_pieces("set1")
-    series = integrate_physical(p, m0, dt=0.01, t_end=20.0)
+    _, p, x0, p0 = _scenario_pieces("set1")
+    series = integrate_physical(p, x0, p0, dt=0.01, t_end=20.0)
     ref_x1 = {5.0: 1.62, 10.0: 1.97, 20.0: 2.19}
     ref_x2 = {5.0: 0.77, 10.0: 0.63, 20.0: 0.50}
     parts, ok = [], True
@@ -85,8 +79,8 @@ def check_table2_trend() -> CheckResult:
 
 def check_table4_anchor() -> CheckResult:
     """Early- and late-time variance anchors for the second parameter set."""
-    _, p, m0 = _scenario_pieces("set2")
-    series = integrate_physical(p, m0, dt=0.01, t_end=400.0)
+    _, p, x0, p0 = _scenario_pieces("set2")
+    series = integrate_physical(p, x0, p0, dt=0.01, t_end=400.0)
     early = series.at_time(0.5)[1][0, 0]
     late = series.at_time(400.0)[1][0, 0]
     early_ok = 0.95 <= early <= 0.99
@@ -105,13 +99,13 @@ def check_ou_analytic() -> CheckResult:
     worst = 0.0
     where = ""
     for name in ("set1", "set2"):
-        s, p, m0 = _scenario_pieces(name)
+        s, p, x0, p0 = _scenario_pieces(name)
         sys = build_vandevusse(p)
         exact = ou_variance(s.p0_diag[2], p.alpha, p.beta, np.arange(round(s.t_end / s.dt) + 1) * s.dt)
         paths = {
-            "physical": integrate_physical(p, m0, s.dt, s.t_end).cov[:, 2, 2],
-            "augmented": integrate_augmented(sys, AugmentedMoments.from_physical(m0), s.dt, s.t_end).cov[:, 2, 2],
-            "ekf": ekf_predict(p, s.x0.as_array(), np.diag(s.p0_diag), s.dt, s.t_end).cov[:, 2, 2],
+            "physical": integrate_physical(p, x0, p0, s.dt, s.t_end).cov[:, 2, 2],
+            "augmented": integrate_augmented(sys, x0, p0, s.dt, s.t_end).cov[:, 2, 2],
+            "ekf": ekf_predict(p, x0, p0, s.dt, s.t_end).cov[:, 2, 2],
         }
         for path_name, got in paths.items():
             rel = float(np.max(np.abs(got - exact) / np.abs(exact)))
@@ -149,8 +143,8 @@ def check_mean_path_identity() -> CheckResult:
     """Physical and augmented mean systems must agree to 1e-9 over the horizon."""
     worst, where = 0.0, ""
     for name in ("set1", "set2"):
-        s, p, m0 = _scenario_pieces(name)
-        rep = crosscheck_mean_paths(build_vandevusse(p), p, m0, s.dt, s.t_end)
+        s, p, x0, p0 = _scenario_pieces(name)
+        rep = crosscheck_mean_paths(build_vandevusse(p), p, x0, p0, s.dt, s.t_end)
         if rep.max_discrepancy > worst:
             worst, where = rep.max_discrepancy, f"{name} at t={rep.t_at_max:g}"
     ok = worst <= 1e-9
@@ -171,9 +165,8 @@ def check_mc_mean_validation() -> CheckResult:
     from .moments import augmented_mean_rhs, grid_index, integrate
     from .montecarlo import em_mean_reference
 
-    s, p, _ = _scenario_pieces("set1")
+    s, p, x0, _ = _scenario_pieces("set1")
     sys = build_vandevusse(p)
-    x0 = s.x0.as_array()
     cfg = PathConfig(dt=0.005, t_end=10.0, seed=s.seed, system="bilinear")
     times = (1.0, 5.0, 10.0)
     ks = [grid_index(cfg.dt, t) for t in times]
@@ -201,9 +194,9 @@ def check_mc_mean_validation() -> CheckResult:
 
 def check_ekf_ordering() -> CheckResult:
     """Moment-path variances strictly below EKF variances at the set-1 checkpoints."""
-    s, p, m0 = _scenario_pieces("set1")
-    carleman = integrate_physical(p, m0, s.dt, 50.0)
-    ekf = ekf_predict(p, s.x0.as_array(), np.diag(s.p0_diag), s.dt, 50.0)
+    s, p, x0, p0 = _scenario_pieces("set1")
+    carleman = integrate_physical(p, x0, p0, s.dt, 50.0)
+    ekf = ekf_predict(p, x0, p0, s.dt, 50.0)
     ok = True
     parts = []
     for t in (5.0, 10.0, 20.0, 50.0):
@@ -221,12 +214,10 @@ def check_zero_noise_exactness() -> CheckResult:
     """With no noise and no initial spread, both covariance paths stay at zero."""
     p = replace(PARAM_SET1, beta=0.0)
     sys = build_vandevusse(p)
-    m0 = PhysicalMoments.from_mean_cov(
-        builtin_scenario("set1").x0.as_array(), np.zeros((3, 3))
-    )
-    aug = integrate_augmented(sys, AugmentedMoments.from_physical(m0), 0.01, 200.0)
+    x0 = builtin_scenario("set1").x0.as_array()
+    aug = integrate_augmented(sys, x0, np.zeros((3, 3)), 0.01, 200.0)
     aug_max = float(np.abs(aug.cov).max())
-    ekf = ekf_predict(p, m0.mean, np.zeros((3, 3)), 0.01, 200.0)
+    ekf = ekf_predict(p, x0, np.zeros((3, 3)), 0.01, 200.0)
     ekf_max = float(np.abs(ekf.cov).max())
     ok = aug_max <= 1e-14 and ekf_max <= 1e-14
     return CheckResult(

@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
 
-from vdvcarleman.ekf import EkfState, ekf_predict, ekf_rhs
+from vdvcarleman.ekf import ekf_predict, ekf_rhs
 from vdvcarleman.model import PARAM_SET1, ReactorParams, X0_SET1, drift
-from vdvcarleman.moments import PhysicalMoments, integrate, integrate_physical, ou_mean
+from vdvcarleman.moments import integrate, integrate_physical, ou_mean
 
 P0_SET1 = np.diag([1.0, 1.0, 0.01])
 
 
+def flat_ekf(mean, cov):
+    return np.concatenate([mean, np.asarray(cov).ravel()])
+
+
 def test_ekf_state_symmetrizes_and_validates():
-    s = EkfState(mean=np.zeros(3), cov=np.array([[1.0, 0.4, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
-    assert s.cov[0, 1] == s.cov[1, 0] == 0.2
-    with pytest.raises(ValueError):
-        EkfState(mean=np.zeros(2), cov=np.eye(3))
+    skew = np.array([[1.0, 0.4, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    first = ekf_predict(PARAM_SET1, np.zeros(3), skew, 0.01, 0.0).cov[0]
+    assert first[0, 1] == first[1, 0] == 0.2
+    with pytest.raises(ValueError, match=r"3-vector mean"):
+        ekf_predict(PARAM_SET1, np.zeros(2), np.eye(3), 0.01, 1.0)
 
 
 def test_flow_rate_row_decouples():
@@ -22,15 +27,16 @@ def test_flow_rate_row_decouples():
     for _ in range(10):
         c = rng.normal(size=(3, 3))
         cov = c @ c.T
-        d = ekf_rhs(EkfState(mean=rng.normal(size=3), cov=cov), p)
-        assert np.isclose(d.cov[2, 2], p.beta**2 - 2 * p.alpha * cov[2, 2], rtol=1e-12)
+        d = ekf_rhs(flat_ekf(rng.normal(size=3), cov), p)[3:].reshape(3, 3)
+        assert np.isclose(d[2, 2], p.beta**2 - 2 * p.alpha * cov[2, 2], rtol=1e-12)
 
 
 def test_ekf_rhs_initial_variance_rate():
-    d = ekf_rhs(EkfState(mean=X0_SET1.as_array(), cov=P0_SET1), PARAM_SET1)
-    # 2*F11*P11 with F13 contribution zero because P13(0) = 0.
-    assert np.isclose(d.cov[0, 0], 2 * (-0.0315008) * 1.0, rtol=1e-10)
-    assert np.isclose(d.cov[0, 0], -0.0630016, rtol=1e-10)
+    d = ekf_rhs(flat_ekf(X0_SET1.as_array(), P0_SET1), PARAM_SET1)
+    # dP11 sits right after the 3-vector mean: 2*F11*P11, with no F13
+    # contribution because P13(0) = 0.
+    assert np.isclose(d[3], 2 * (-0.0315008) * 1.0, rtol=1e-10)
+    assert np.isclose(d[3], -0.0630016, rtol=1e-10)
 
 
 def test_zero_noise_zero_cov_stays_zero():
@@ -60,9 +66,7 @@ def test_ekf_flow_mean_and_stationary_variance():
 def test_ekf_p33_identical_to_moment_path():
     p = PARAM_SET1
     ekf = ekf_predict(p, X0_SET1.as_array(), P0_SET1, 0.01, 20.0)
-    phys = integrate_physical(
-        p, PhysicalMoments.from_mean_cov(X0_SET1.as_array(), P0_SET1), 0.01, 20.0
-    )
+    phys = integrate_physical(p, X0_SET1.as_array(), P0_SET1, 0.01, 20.0)
     assert np.abs(ekf.cov[:, 2, 2] - phys.cov[:, 2, 2]).max() <= 1e-12
 
 

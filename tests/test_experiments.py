@@ -6,6 +6,10 @@ import pytest
 
 from dataclasses import replace
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vdvcarleman import cli
 from vdvcarleman.experiments import (
     ComparisonReport,
     Scenario,
@@ -16,7 +20,7 @@ from vdvcarleman.experiments import (
     run_scenario,
 )
 from vdvcarleman.carleman import build_vandevusse
-from vdvcarleman.model import PARAM_SET1
+from vdvcarleman.model import PARAM_SET1, PhysicalState, ReactorParams
 from vdvcarleman.moments import grid_index
 from vdvcarleman.montecarlo import PathConfig, ensemble_moments
 
@@ -53,6 +57,87 @@ def test_scenario_validation():
         small_scenario(seed=-1)
     with pytest.raises(ValueError, match="seed"):
         Scenario.from_dict({**small_scenario().to_dict(), "seed": -1})
+
+
+@pytest.mark.parametrize(
+    "p0_diag",
+    [
+        (-1.0, 1.0, 0.01),
+        (1.0, float("nan"), 0.01),
+        (1.0, 1.0, float("inf")),
+        (1.0, 1.0),
+        (1.0, 1.0, 0.01, 1.0),
+        ("1", 1.0, 0.01),
+        1.0,
+    ],
+)
+def test_scenario_rejects_bad_p0_diag(p0_diag):
+    with pytest.raises(ValueError, match="p0_diag"):
+        small_scenario(p0_diag=p0_diag)
+    with pytest.raises(ValueError, match="p0_diag"):
+        Scenario.from_dict({**small_scenario().to_dict(), "p0_diag": p0_diag})
+
+
+def test_scenario_accepts_zero_p0_diag_as_tuple():
+    s = small_scenario(p0_diag=[0.0, 0, 0.5])
+    assert s.p0_diag == (0.0, 0, 0.5)
+
+
+def test_from_dict_names_missing_and_unknown_keys():
+    d = small_scenario().to_dict()
+    with pytest.raises(ValueError, match="missing keys: params"):
+        Scenario.from_dict({k: v for k, v in d.items() if k != "params"})
+    with pytest.raises(ValueError, match="missing keys: dt, seed"):
+        Scenario.from_dict({k: v for k, v in d.items() if k not in ("dt", "seed")})
+    with pytest.raises(ValueError, match="unknown keys: mc_path"):
+        Scenario.from_dict({**d, "mc_path": 5})
+    with pytest.raises(ValueError, match="params has unknown keys: kk"):
+        Scenario.from_dict({**d, "params": {**d["params"], "kk": 1.0}})
+    with pytest.raises(ValueError, match="params is missing keys: beta"):
+        Scenario.from_dict({**d, "params": {k: v for k, v in d["params"].items() if k != "beta"}})
+    with pytest.raises(ValueError, match="params must be a JSON object"):
+        Scenario.from_dict({**d, "params": [1.0, 2.0]})
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=1e-6, max_value=1e6)
+_nonnegative = st.floats(min_value=0.0, max_value=1e6)
+
+
+@st.composite
+def scenarios(draw):
+    dt = draw(st.floats(min_value=1e-4, max_value=1.0))
+    n_steps = draw(st.integers(min_value=0, max_value=10_000))
+    ks = draw(st.lists(st.integers(min_value=0, max_value=n_steps), max_size=8))
+    return Scenario(
+        name=draw(st.text(max_size=12)),
+        params=ReactorParams(
+            k1=draw(_positive), k2=draw(_positive), k3=draw(_positive), caf=draw(_finite),
+            v=draw(_positive), alpha=draw(_positive), beta=draw(_nonnegative),
+        ),
+        x0=PhysicalState(draw(_finite), draw(_finite), draw(_finite)),
+        p0_diag=(draw(_nonnegative), draw(_nonnegative), draw(_nonnegative)),
+        dt=dt,
+        t_end=n_steps * dt,
+        checkpoints=tuple(k * dt for k in ks),
+        seed=draw(st.integers(min_value=0, max_value=2**63 - 1)),
+        mc_paths=draw(st.integers(min_value=2, max_value=10**6)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenarios())
+def test_scenario_json_roundtrip_property(s):
+    assert Scenario.from_dict(json.loads(json.dumps(s.to_dict()))) == s
+
+
+def test_worker_count_below_one_is_rejected_before_any_work(tmp_path):
+    with pytest.raises(ValueError, match="n_workers"):
+        run_scenario(small_scenario(), methods=("carleman",), mc_workers=0)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="n_workers"):
+        cli.main(["run", "--scenario", "builtin:set1", "--mc-workers", "-3", "--out", str(out)])
+    assert not out.exists()
 
 
 def test_run_scenario_rejects_unknown_method():

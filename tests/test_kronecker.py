@@ -55,28 +55,26 @@ def test_every_multiset_appears_exactly_once():
 
 def test_index_of_pair_examples():
     imap = MonomialIndexMap(3, 2)
-    assert imap.index_of_pair(1, 1) == 0
-    assert imap.index_of_pair(3, 3) == 5
-    assert imap.index_of_pair(3, 1) == 2  # symmetry with (1, 3)
+    assert imap.position((0, 0)) == 0
+    assert imap.position((2, 2)) == 5
+    assert imap.position((2, 0)) == 2  # symmetry with (0, 2)
 
 
 def test_index_of_pair_roundtrip_and_symmetry():
     imap = MonomialIndexMap(3, 2)
-    for i in range(1, 4):
-        for j in range(1, 4):
-            k = imap.index_of_pair(i, j)
-            assert imap.pairs[k] == (min(i, j) - 1, max(i, j) - 1)
-            assert k == imap.index_of_pair(j, i)
+    for i in range(3):
+        for j in range(3):
+            k = imap.position((i, j))
+            assert imap.pairs[k] == (min(i, j), max(i, j))
+            assert k == imap.position((j, i))
 
 
-def test_index_of_pair_rejects_out_of_range():
+def test_position_rejects_out_of_range():
     imap = MonomialIndexMap(3, 2)
     with pytest.raises(IndexError):
-        imap.index_of_pair(0, 1)
+        imap.position((0, 3))
     with pytest.raises(IndexError):
-        imap.index_of_pair(1, 4)
-    with pytest.raises(ValueError):
-        MonomialIndexMap(2, 3).index_of_pair(1, 1)
+        imap.position((-1, 0))
 
 
 def test_reduce_square_unit_and_ones():

@@ -1,21 +1,16 @@
-import logging
-
 import numpy as np
 import pytest
 
 from vdvcarleman.carleman import build_vandevusse
+from vdvcarleman.ekf import ekf_predict
 from vdvcarleman.kronecker import reduce_square
 from vdvcarleman.model import PARAM_SET1, PARAM_SET2, ReactorParams, X0_SET1
 from vdvcarleman.moments import (
     PAIRS,
-    AugmentedMoments,
     IntegrationError,
-    PhysicalMoments,
-    augmented_cov_rhs_blocks,
     augmented_mean_rhs,
-    augmented_rhs,
-    covariance_notion_gap,
     crosscheck_mean_paths,
+    gaussian_lift,
     grid_index,
     integrate,
     integrate_augmented,
@@ -26,29 +21,105 @@ from vdvcarleman.moments import (
 )
 from vdvcarleman.moments import _augmented_cov_rhs
 
-SET1_M0 = PhysicalMoments.from_mean_cov(X0_SET1.as_array(), np.diag([1.0, 1.0, 0.01]))
+SET1_X0 = X0_SET1.as_array()
+SET1_P0 = np.diag([1.0, 1.0, 0.01])
+
+# Positions of the variances in the flat physical state
+# (m1, m2, m3, P11, P12, P13, P22, P23, P33).
+P11, P22, P33 = 3, 6, 8
+
+
+def flat_physical(mean, cov):
+    return np.concatenate([mean, [cov[i][j] for (i, j) in PAIRS]])
+
+
+def augmented_cov_rhs_blocks(sys, mean, cov):
+    """Covariance dynamics of the bilinear state assembled block by block.
+
+    Writes out the four partitioned blocks of the full-matrix form, with
+    the physical (x) and product (y) coordinates kept separate: an
+    independent derivation to check `_augmented_cov_rhs` against.
+    """
+    n = sys.n
+    x, y = mean[:n], mean[n:]
+    pxx, pxy = cov[:n, :n], cov[:n, n:]
+    pyx, pyy = cov[n:, :n], cov[n:, n:]
+    a11, a12, a21, a22 = sys.a11, sys.a12, sys.a21, sys.a22
+    d11, d12, d21, d22 = sys.d11, sys.d12, sys.d21, sys.d22
+    g1, g2 = sys.g1, sys.g2
+    qw = sys.qw
+
+    xx, xy = np.outer(x, x), np.outer(x, y)
+    yx, yy = np.outer(y, x), np.outer(y, y)
+
+    dxx = (pxx @ a11.T + pxy @ a12.T + a11 @ pxx + a12 @ pyx
+           + qw * (np.outer(g1, g1)
+                   + np.outer(d11 @ x, g1) + np.outer(d12 @ y, g1)
+                   + np.outer(g1, d11 @ x) + np.outer(g1, d12 @ y)
+                   + d11 @ (pxx @ d11.T + pxy @ d12.T) + d12 @ (pyx @ d11.T + pyy @ d12.T)
+                   + d11 @ (xx @ d11.T + xy @ d12.T) + d12 @ (yx @ d11.T + yy @ d12.T)))
+    dxy = (pxx @ a21.T + pxy @ a22.T + a11 @ pxy + a12 @ pyy
+           + qw * (np.outer(g1, g2)
+                   + np.outer(d11 @ x, g2) + np.outer(d12 @ y, g2)
+                   + np.outer(g1, d21 @ x) + np.outer(g1, d22 @ y)
+                   + d11 @ (pxx @ d21.T + pxy @ d22.T) + d12 @ (pyx @ d21.T + pyy @ d22.T)
+                   + d11 @ (xx @ d21.T + xy @ d22.T) + d12 @ (yx @ d21.T + yy @ d22.T)))
+    dyx = (pyx @ a11.T + pyy @ a12.T + a21 @ pxx + a22 @ pyx
+           + qw * (np.outer(g2, g1)
+                   + np.outer(d21 @ x, g1) + np.outer(d22 @ y, g1)
+                   + np.outer(g2, d11 @ x) + np.outer(g2, d12 @ y)
+                   + d21 @ (pxx @ d11.T + pxy @ d12.T) + d22 @ (pyx @ d11.T + pyy @ d12.T)
+                   + d21 @ (xx @ d11.T + xy @ d12.T) + d22 @ (yx @ d11.T + yy @ d12.T)))
+    dyy = (pyx @ a21.T + pyy @ a22.T + a21 @ pxy + a22 @ pyy
+           + qw * (np.outer(g2, g2)
+                   + np.outer(d21 @ x, g2) + np.outer(d22 @ y, g2)
+                   + np.outer(g2, d21 @ x) + np.outer(g2, d22 @ y)
+                   + d21 @ (pxx @ d21.T + pxy @ d22.T) + d22 @ (pyx @ d21.T + pyy @ d22.T)
+                   + d21 @ (xx @ d21.T + xy @ d22.T) + d22 @ (yx @ d21.T + yy @ d22.T)))
+    return np.block([[dxx, dxy], [dyx, dyy]])
 
 
 def test_physical_moments_symmetric_storage():
     cov = np.array([[1.0, 0.2, 0.3], [0.2, 2.0, 0.4], [0.3, 0.4, 3.0]])
-    m = PhysicalMoments.from_mean_cov([1.0, 2.0, 3.0], cov)
-    assert np.array_equal(m.cov, m.cov.T)
-    assert np.array_equal(m.cov, cov)
+    first = integrate_physical(PARAM_SET1, [1.0, 2.0, 3.0], cov, 0.01, 0.0).cov[0]
+    assert np.array_equal(first, first.T)
+    assert np.array_equal(first, cov)
     # asymmetric input is averaged
     skew = cov.copy()
     skew[0, 1] = 0.0
-    m2 = PhysicalMoments.from_mean_cov([0.0, 0.0, 0.0], skew)
-    assert m2.cov[0, 1] == m2.cov[1, 0] == 0.1
+    first = integrate_physical(PARAM_SET1, [0.0, 0.0, 0.0], skew, 0.01, 0.0).cov[0]
+    assert first[0, 1] == first[1, 0] == 0.1
+
+
+@pytest.mark.parametrize("path", ["physical", "augmented", "ekf"])
+def test_moment_paths_reject_bad_initial_moments(path):
+    def start(mean, cov):
+        if path == "physical":
+            return integrate_physical(PARAM_SET1, mean, cov, 0.01, 0.1)
+        if path == "augmented":
+            return integrate_augmented(build_vandevusse(PARAM_SET1), mean, cov, 0.01, 0.1)
+        return ekf_predict(PARAM_SET1, mean, cov, 0.01, 0.1)
+
+    with pytest.raises(ValueError, match=r"3-vector mean .* shapes \(2,\) and \(3, 3\)"):
+        start(np.zeros(2), np.eye(3))
+    with pytest.raises(ValueError, match=r"3x3 covariance, got shapes \(3,\) and \(9,\)"):
+        start(np.zeros(3), np.eye(3).ravel())
+    bad = np.eye(3)
+    bad[1, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        start(np.zeros(3), bad)
+    with pytest.raises(ValueError, match="finite"):
+        start([0.0, np.inf, 0.0], np.eye(3))
 
 
 def test_physical_rhs_operating_point_terms():
-    d = physical_rhs(SET1_M0, PARAM_SET1)
+    d = physical_rhs(flat_physical(SET1_X0, SET1_P0), PARAM_SET1)
     # Term-by-term evaluation of the covariance rates at the initial moments.
-    assert np.isclose(d.cov[0, 0], -0.02776 + 0.016668 + 0.150012 + 0.0171504, rtol=1e-12)
-    assert np.isclose(d.cov[0, 0], 0.1560704, rtol=1e-9)
-    assert np.isclose(d.cov[1, 1], -0.05556 + 0.0023903846, rtol=1e-7)
-    assert np.isclose(d.cov[1, 1], -0.0531696, rtol=1e-5)
-    assert np.isclose(d.cov[2, 2], 0.044**2 - 2 * 0.1 * 0.01, rtol=1e-14)
+    assert np.isclose(d[P11], -0.02776 + 0.016668 + 0.150012 + 0.0171504, rtol=1e-12)
+    assert np.isclose(d[P11], 0.1560704, rtol=1e-9)
+    assert np.isclose(d[P22], -0.05556 + 0.0023903846, rtol=1e-7)
+    assert np.isclose(d[P22], -0.0531696, rtol=1e-5)
+    assert np.isclose(d[P33], 0.044**2 - 2 * 0.1 * 0.01, rtol=1e-14)
 
 
 def test_physical_rhs_truncation_residual_only():
@@ -56,19 +127,16 @@ def test_physical_rhs_truncation_residual_only():
     # deleted-cubic residual expressed through the means.
     p = ReactorParams(k1=0.01388, k2=0.02778, k3=0.002778, caf=0.0027, v=10.0, alpha=0.1, beta=0.0)
     m1, m2, m3 = 1.7, -0.4, 0.25
-    m = PhysicalMoments.from_mean_cov([m1, m2, m3], np.zeros((3, 3)))
-    d = physical_rhs(m, p)
-    assert np.isclose(d.cov[0, 0], 2 * p.k3 * m1**3 + (2 / p.v) * m1 * m1 * m3, rtol=1e-12)
-    assert np.isclose(d.cov[1, 1], (2 / p.v) * m2 * m2 * m3, rtol=1e-12)
-    assert np.isclose(d.cov[2, 2], 0.0, atol=1e-300)
+    d = physical_rhs(flat_physical([m1, m2, m3], np.zeros((3, 3))), p)
+    assert np.isclose(d[P11], 2 * p.k3 * m1**3 + (2 / p.v) * m1 * m1 * m3, rtol=1e-12)
+    assert np.isclose(d[P22], (2 / p.v) * m2 * m2 * m3, rtol=1e-12)
+    assert np.isclose(d[P33], 0.0, atol=1e-300)
 
 
 def test_physical_rhs_origin_fixed_point():
     p = ReactorParams(k1=0.01388, k2=0.02778, k3=0.002778, caf=0.0027, v=10.0, alpha=0.1, beta=0.0)
-    m = PhysicalMoments.from_mean_cov(np.zeros(3), np.zeros((3, 3)))
-    d = physical_rhs(m, p)
-    assert not np.any(d.mean)
-    assert not np.any(d.cov_packed)
+    d = physical_rhs(np.zeros(9), p)
+    assert not np.any(d)
 
 
 def test_integrate_constant_for_zero_rhs():
@@ -94,7 +162,7 @@ def test_integrate_aborts_on_blowup_with_time():
 
 
 def test_flow_rate_moments_match_ou_analytics():
-    series = integrate_physical(PARAM_SET1, SET1_M0, 0.01, 10.0)
+    series = integrate_physical(PARAM_SET1, SET1_X0, SET1_P0, 0.01, 10.0)
     exact_var = ou_variance(0.01, 0.1, 0.044, series.t)
     exact_mean = ou_mean(0.009528, 0.1, series.t)
     assert np.max(np.abs(series.cov[:, 2, 2] - exact_var) / exact_var) <= 1e-8
@@ -108,21 +176,25 @@ def test_flow_rate_moments_match_ou_analytics():
 def test_augmented_initialization_gaussian_closure():
     m = np.array([1.5, -0.5, 2.0])
     P = np.array([[1.0, 0.1, 0.2], [0.1, 2.0, 0.3], [0.2, 0.3, 0.5]])
-    aug = AugmentedMoments.from_physical(PhysicalMoments.from_mean_cov(m, P))
+    aug_mean, aug_cov = gaussian_lift(m, P)
     second = P + np.outer(m, m)
     for k, (i, j) in enumerate(PAIRS):
-        assert np.isclose(aug.mean[3 + k], second[i, j], rtol=1e-14)
-    assert np.allclose(aug.cov[:3, :3], P)
+        assert np.isclose(aug_mean[3 + k], second[i, j], rtol=1e-14)
+    assert np.allclose(aug_cov[:3, :3], P)
     # product-slot variance: Var(x_i x_j) for a Gaussian vector
     for k, (i, j) in enumerate(PAIRS):
         var = (P[i, i] * P[j, j] + P[i, j] ** 2 + m[i] ** 2 * P[j, j]
                + m[j] ** 2 * P[i, i] + 2 * m[i] * m[j] * P[i, j])
-        assert np.isclose(aug.cov[3 + k, 3 + k], var, rtol=1e-12)
+        assert np.isclose(aug_cov[3 + k, 3 + k], var, rtol=1e-12)
     # cross block: Cov(x_k, x_i x_j) = m_i P_kj + m_j P_ki
     for b, (i, j) in enumerate(PAIRS):
         for k in range(3):
-            assert np.isclose(aug.cov[k, 3 + b], m[i] * P[k, j] + m[j] * P[k, i], rtol=1e-12)
-    assert np.array_equal(aug.cov, aug.cov.T)
+            assert np.isclose(aug_cov[k, 3 + b], m[i] * P[k, j] + m[j] * P[k, i], rtol=1e-12)
+    assert np.array_equal(aug_cov, aug_cov.T)
+    # the augmented path starts from the lift
+    series = integrate_augmented(build_vandevusse(PARAM_SET1), m, P, 0.01, 0.0)
+    assert np.array_equal(series.mean[0], aug_mean)
+    assert np.array_equal(series.cov[0], aug_cov)
 
 
 def test_augmented_cov_rhs_lyapunov_when_noiseless():
@@ -177,24 +249,16 @@ def test_blockwise_covariance_equals_full_matrix_form():
             assert np.abs(full - blocks).max() <= 1e-12 * (1.0 + np.abs(full).max())
 
 
-def test_augmented_rhs_container_roundtrip():
-    sys = build_vandevusse(PARAM_SET1)
-    aug = AugmentedMoments.from_physical(SET1_M0)
-    d = augmented_rhs(aug, sys)
-    assert np.array_equal(d.mean, augmented_mean_rhs(sys, aug.mean))
-    assert np.allclose(d.cov, _augmented_cov_rhs(sys, aug.mean, aug.cov), atol=1e-300)
-
-
 def test_augmented_covariance_stays_symmetric():
     sys = build_vandevusse(PARAM_SET1)
-    series = integrate_augmented(sys, AugmentedMoments.from_physical(SET1_M0), 0.01, 5.0)
+    series = integrate_augmented(sys, SET1_X0, SET1_P0, 0.01, 5.0)
     asym = np.abs(series.cov - series.cov.transpose(0, 2, 1)).max()
     assert asym == 0.0  # post-step symmetrization is exact
 
 
 def test_augmented_flow_moments_match_ou():
     sys = build_vandevusse(PARAM_SET1)
-    series = integrate_augmented(sys, AugmentedMoments.from_physical(SET1_M0), 0.01, 10.0)
+    series = integrate_augmented(sys, SET1_X0, SET1_P0, 0.01, 10.0)
     exact_var = ou_variance(0.01, 0.1, 0.044, series.t)
     exact_mean = ou_mean(0.009528, 0.1, series.t)
     assert np.max(np.abs(series.cov[:, 2, 2] - exact_var) / exact_var) <= 1e-8
@@ -203,11 +267,10 @@ def test_augmented_flow_moments_match_ou():
 
 def test_zero_noise_zero_cov_augmented_stays_zero_physical_stays_finite():
     p = ReactorParams(k1=0.01388, k2=0.02778, k3=0.002778, caf=0.0027, v=10.0, alpha=0.1, beta=0.0)
-    m0 = PhysicalMoments.from_mean_cov(X0_SET1.as_array(), np.zeros((3, 3)))
     sys = build_vandevusse(p)
-    aug = integrate_augmented(sys, AugmentedMoments.from_physical(m0), 0.01, 20.0)
+    aug = integrate_augmented(sys, SET1_X0, np.zeros((3, 3)), 0.01, 20.0)
     assert np.abs(aug.cov).max() == 0.0
-    phys = integrate_physical(p, m0, 0.01, 20.0)
+    phys = integrate_physical(p, SET1_X0, np.zeros((3, 3)), 0.01, 20.0)
     assert np.all(np.isfinite(phys.cov))
     assert np.abs(phys.cov).max() > 0.0  # truncation residual does grow
 
@@ -215,8 +278,8 @@ def test_zero_noise_zero_cov_augmented_stays_zero_physical_stays_finite():
 def test_crosscheck_short_horizon():
     for p in (PARAM_SET1, PARAM_SET2):
         p0_33 = 0.01 if p is PARAM_SET1 else 0.09
-        m0 = PhysicalMoments.from_mean_cov(X0_SET1.as_array(), np.diag([1.0, 1.0, p0_33]))
-        rep = crosscheck_mean_paths(build_vandevusse(p), p, m0, 0.01, 20.0)
+        p0 = np.diag([1.0, 1.0, p0_33])
+        rep = crosscheck_mean_paths(build_vandevusse(p), p, SET1_X0, p0, 0.01, 20.0)
         assert rep.max_discrepancy <= 1e-9
         assert rep.max_mean_discrepancy <= rep.max_discrepancy
         assert 0.0 <= rep.t_at_max <= 20.0
@@ -224,8 +287,7 @@ def test_crosscheck_short_horizon():
 
 def test_crosscheck_zero_state_trivial():
     p = ReactorParams(k1=0.01388, k2=0.02778, k3=0.002778, caf=0.0027, v=10.0, alpha=0.1, beta=0.0)
-    m0 = PhysicalMoments.from_mean_cov(np.zeros(3), np.zeros((3, 3)))
-    rep = crosscheck_mean_paths(build_vandevusse(p), p, m0, 0.01, 5.0)
+    rep = crosscheck_mean_paths(build_vandevusse(p), p, np.zeros(3), np.zeros((3, 3)), 0.01, 5.0)
     assert rep.max_discrepancy == 0.0
 
 
@@ -233,12 +295,4 @@ def test_crosscheck_rejects_inconsistent_initialization():
     sys = build_vandevusse(PARAM_SET1)
     bad = np.ones(9)  # product slots do not match cov + mean products
     with pytest.raises(ValueError, match="inconsistent"):
-        crosscheck_mean_paths(sys, PARAM_SET1, SET1_M0, 0.01, 1.0, augmented_mean0=bad)
-
-
-def test_covariance_notion_gap_is_logged_and_finite(caplog):
-    sys = build_vandevusse(PARAM_SET1)
-    with caplog.at_level(logging.INFO, logger="vdvcarleman.moments"):
-        gap = covariance_notion_gap(sys, PARAM_SET1, SET1_M0, 0.01, 5.0)
-    assert np.isfinite(gap) and gap > 0.0
-    assert any("covariance notion gap" in r.message for r in caplog.records)
+        crosscheck_mean_paths(sys, PARAM_SET1, SET1_X0, SET1_P0, 0.01, 1.0, augmented_mean0=bad)

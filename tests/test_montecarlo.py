@@ -136,6 +136,13 @@ def test_worker_count_does_not_change_results():
     assert np.array_equal(a.var, b.var)
 
 
+def test_worker_count_below_one_is_rejected():
+    cfg = PathConfig(dt=0.01, t_end=0.1, seed=6, system="bilinear")
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="n_workers"):
+            ensemble_moments(cfg, X0, 4, SYS1, n_workers=bad)
+
+
 def test_nonlinear_ensemble_flow_rate_statistics():
     # The flow coordinate is an exact OU process started at a point, so the
     # analytic mean and variance are an independent oracle for the sampler.
