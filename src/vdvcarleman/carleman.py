@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kronecker import MonomialIndexMap, reduced_dim
+from .kronecker import MonomialIndexMap, reduce_square, reduced_dim
 from .model import ReactorParams
 
 
@@ -75,48 +75,16 @@ class QuadraticSde:
         x = np.asarray(x, dtype=float)
         return self.c + self.lin @ x + np.einsum("ijk,j,k->i", self.quad, x, x)
 
-    @classmethod
-    def from_callable(cls, n: int, drift, g) -> "QuadraticSde":
-        """Fit coefficients from a drift callable; rejects drift of degree > 2.
-
-        The fit uses exact interpolation on axis and pair points; the
-        candidate is then verified on a scaled probe, which any monomial of
-        degree three or more fails.
-        """
-        e = np.eye(n)
-        c = np.asarray(drift(np.zeros(n)), dtype=float)
-        lin = np.empty((n, n))
-        quad = np.zeros((n, n, n))
-        fp = [np.asarray(drift(e[i]), dtype=float) for i in range(n)]
-        fm = [np.asarray(drift(-e[i]), dtype=float) for i in range(n)]
-        for i in range(n):
-            lin[:, i] = 0.5 * (fp[i] - fm[i])
-            quad[:, i, i] = 0.5 * (fp[i] + fm[i]) - c
-        for i in range(n):
-            for j in range(i + 1, n):
-                fij = np.asarray(drift(e[i] + e[j]), dtype=float)
-                mixed = fij - c - lin[:, i] - lin[:, j] - quad[:, i, i] - quad[:, j, j]
-                quad[:, i, j] = 0.5 * mixed
-                quad[:, j, i] = 0.5 * mixed
-        sde = cls(c=c, lin=lin, quad=quad, g=np.asarray(g, dtype=float))
-        probe = 1.0 + np.arange(n, dtype=float)
-        for s in (1.0, 2.0, -3.0):
-            x = s * probe
-            fx = np.asarray(drift(x), dtype=float)
-            scale = 1.0 + np.abs(fx)
-            if np.any(np.abs(fx - sde.drift(x)) > 1e-9 * scale):
-                raise ValueError("drift has coefficients of degree > 2; order-2 embedding only")
-        return sde
-
 
 @dataclass(frozen=True)
 class BilinearSystem:
     """Augmented bilinear SDE  d xi = (a0 + a xi) dt + (g + d xi) dB.
 
+    B is one unit Brownian motion: the ensemble draws standard normals
+    and the augmented covariance equations assume unit intensity.
     ``n`` is the physical dimension; the augmented dimension is
-    n + n(n+1)/2.  Block accessors slice the matrices into the physical
-    (first n) and product (remaining) coordinates.  ``qw`` is the white
-    noise intensity (unit Brownian motion by default).
+    n + n(n+1)/2.  `blocks` slices the matrices into the physical (first
+    n) and product (remaining) coordinates.
     """
 
     n: int
@@ -124,7 +92,6 @@ class BilinearSystem:
     a: np.ndarray
     d: np.ndarray
     g: np.ndarray
-    qw: float = 1.0
 
     def __post_init__(self):
         m = self.dim
@@ -143,67 +110,36 @@ class BilinearSystem:
     def dim(self) -> int:
         return self.n + reduced_dim(self.n, 2)
 
-    # Block views: 1 = physical coordinates, 2 = product coordinates.
-    @property
-    def a01(self) -> np.ndarray:
-        return self.a0[: self.n]
+    def blocks(self) -> dict[str, np.ndarray]:
+        """Read-only block views: suffix 1 = physical coordinates, 2 = product coordinates.
 
-    @property
-    def a02(self) -> np.ndarray:
-        return self.a0[self.n :]
-
-    @property
-    def a11(self) -> np.ndarray:
-        return self.a[: self.n, : self.n]
-
-    @property
-    def a12(self) -> np.ndarray:
-        return self.a[: self.n, self.n :]
-
-    @property
-    def a21(self) -> np.ndarray:
-        return self.a[self.n :, : self.n]
-
-    @property
-    def a22(self) -> np.ndarray:
-        return self.a[self.n :, self.n :]
-
-    @property
-    def d11(self) -> np.ndarray:
-        return self.d[: self.n, : self.n]
-
-    @property
-    def d12(self) -> np.ndarray:
-        return self.d[: self.n, self.n :]
-
-    @property
-    def d21(self) -> np.ndarray:
-        return self.d[self.n :, : self.n]
-
-    @property
-    def d22(self) -> np.ndarray:
-        return self.d[self.n :, self.n :]
-
-    @property
-    def g1(self) -> np.ndarray:
-        return self.g[: self.n]
-
-    @property
-    def g2(self) -> np.ndarray:
-        return self.g[self.n :]
+        Keys in order: a01, a02, a11, a12, a21, a22, d11, d12, d21, d22,
+        g1, g2.
+        """
+        n = self.n
+        views = {"a01": self.a0[:n], "a02": self.a0[n:]}
+        for name, m in (("a", self.a), ("d", self.d)):
+            views.update({f"{name}11": m[:n, :n], f"{name}12": m[:n, n:],
+                          f"{name}21": m[n:, :n], f"{name}22": m[n:, n:]})
+        views.update({"g1": self.g[:n], "g2": self.g[n:]})
+        return views
 
 
-def embed_order2(sde: QuadraticSde, imap: MonomialIndexMap) -> BilinearSystem:
+def point_lift(x: np.ndarray) -> np.ndarray:
+    """Augmented state (x, distinct pairwise products of x) of a physical point."""
+    return np.concatenate([x, reduce_square(x)])
+
+
+def embed_order2(sde: QuadraticSde) -> BilinearSystem:
     """Order-2 Carleman embedding of a quadratic SDE.
 
     Expands d(x_i x_j) by the Ito product rule, classifies every drift
     monomial by total degree, deletes degree >= 3, and keeps all diffusion
-    terms plus the Ito correction g_i*g_j.  `dropped_cubic_terms` lists
-    exactly what the truncation removed.
+    terms plus the Ito correction g_i*g_j.  Product slots follow
+    ``MonomialIndexMap(sde.n, 2)``.
     """
     n = sde.n
-    if imap.n != n or imap.order != 2:
-        raise ValueError(f"index map must be built for (n={n}, order=2)")
+    imap = MonomialIndexMap(n, 2)
     m2 = len(imap)
     dim = n + m2
     a0 = np.zeros(dim)
@@ -232,27 +168,6 @@ def embed_order2(sde: QuadraticSde, imap: MonomialIndexMap) -> BilinearSystem:
         a0[row] += sde.g[i] * sde.g[j]
 
     return BilinearSystem(n=n, a0=a0, a=a, d=d, g=g)
-
-
-def dropped_cubic_terms(sde: QuadraticSde, imap: MonomialIndexMap) -> dict[int, dict[tuple[int, int, int], float]]:
-    """Degree-3 drift monomials deleted by `embed_order2`.
-
-    Maps each product-slot index to {sorted 0-based index triple:
-    coefficient}; zero coefficients are omitted.
-    """
-    n = sde.n
-    if imap.n != n or imap.order != 2:
-        raise ValueError(f"index map must be built for (n={n}, order=2)")
-    dropped: dict[int, dict[tuple[int, int, int], float]] = {k: {} for k in range(len(imap))}
-    for k, (i, j) in enumerate(imap.pairs):
-        for src, other in ((j, i), (i, j)):
-            for p in range(n):
-                for q in range(p, n):
-                    w = sde.quad[src, p, p] if p == q else sde.quad[src, p, q] + sde.quad[src, q, p]
-                    if w != 0.0:
-                        key = tuple(sorted((other, p, q)))
-                        dropped[k][key] = dropped[k].get(key, 0.0) + w
-    return {k: terms for k, terms in dropped.items() if terms}
 
 
 def vandevusse_coefficients(p: ReactorParams) -> QuadraticSde:
@@ -317,9 +232,6 @@ def build_vandevusse(p: ReactorParams) -> BilinearSystem:
     return BilinearSystem(n=3, a0=a0, a=a, d=d, g=g)
 
 
-_BLOCK_NAMES = ("a01", "a02", "a11", "a12", "a21", "a22", "d11", "d12", "d21", "d22", "g1", "g2")
-
-
 def write_blocks(sys: BilinearSystem, out_dir: str) -> list[str]:
     """Dump the nonzero coefficient blocks as plain-text matrices.
 
@@ -329,8 +241,8 @@ def write_blocks(sys: BilinearSystem, out_dir: str) -> list[str]:
     """
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    for name in _BLOCK_NAMES:
-        block = np.atleast_2d(getattr(sys, name))
+    for name, block in sys.blocks().items():
+        block = np.atleast_2d(block)
         if not np.any(block != 0.0):
             continue
         path = os.path.join(out_dir, f"{name}.txt")

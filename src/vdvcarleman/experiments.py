@@ -26,9 +26,8 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import svgchart
-from .carleman import BilinearSystem, build_vandevusse
+from .carleman import BilinearSystem, build_vandevusse, point_lift
 from .ekf import ekf_predict
-from .kronecker import reduce_square
 from .model import (
     P33_0_SET1,
     P33_0_SET2,
@@ -96,7 +95,7 @@ class Scenario:
             raise ValueError("mc_paths must be at least 2")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if not _is_p0_diag(self.p0_diag):
+        if not _is_triple(self.p0_diag, nonnegative=True):
             raise ValueError(f"p0_diag must be three finite nonnegative numbers, got {self.p0_diag!r}")
         object.__setattr__(self, "p0_diag", tuple(self.p0_diag))
 
@@ -112,6 +111,8 @@ class Scenario:
     def from_dict(cls, d: dict) -> "Scenario":
         _check_keys("scenario", d, {f.name for f in fields(cls)})
         _check_keys("params", d["params"], {f.name for f in fields(ReactorParams)})
+        if not _is_triple(d["x0"]):
+            raise ValueError(f"x0 must be three finite numbers, got {d['x0']!r}")
         return cls(
             name=d["name"],
             params=ReactorParams(**d["params"]),
@@ -125,13 +126,14 @@ class Scenario:
         )
 
 
-def _is_p0_diag(value) -> bool:
+def _is_triple(value, nonnegative: bool = False) -> bool:
+    """True for a sequence of exactly three finite real numbers (all >= 0 if ``nonnegative``)."""
     try:
         entries = list(value)
     except TypeError:
         return False
     return len(entries) == 3 and all(
-        isinstance(x, numbers.Real) and math.isfinite(x) and x >= 0.0 for x in entries
+        isinstance(x, numbers.Real) and math.isfinite(x) and not (nonnegative and x < 0.0) for x in entries
     )
 
 
@@ -244,7 +246,7 @@ def run_scenario(scenario: Scenario, methods, mc_workers: int = 1) -> Comparison
             raise RuntimeError(f"method {name!r} failed: {exc}") from exc
 
     # One seeded realization of the exact SDE is the error reference.
-    cfg_true = PathConfig(dt=dt, t_end=t_end, seed=scenario.seed, system="nonlinear")
+    cfg_true = PathConfig(dt=dt, t_end=t_end, seed=scenario.seed)
     _, true_path = run("true", lambda: simulate_path(cfg_true, x0, p))
     report.true_path = true_path
 
@@ -284,14 +286,13 @@ def _psd_at_checkpoints(series: MomentSeries, scenario: Scenario) -> dict:
 
 def _run_mc(scenario: Scenario, p: ReactorParams, sys: BilinearSystem, x0: np.ndarray, workers: int) -> McResult:
     dt, t_end = scenario.dt, scenario.t_end
-    cfg = PathConfig(dt=dt, t_end=t_end, seed=scenario.seed, system="bilinear")
+    cfg = PathConfig(dt=dt, t_end=t_end, seed=scenario.seed)
     ks = [grid_index(dt, c) for c in scenario.checkpoints]
     stats = ensemble_moments(cfg, x0, scenario.mc_paths, sys, n_workers=workers, record=ks)
 
     # The bilinear mean obeys the augmented mean ODE exactly; paths start
     # at a point, so the ODE starts from the lifted state with no spread.
-    xi0 = np.concatenate([x0, reduce_square(x0)])
-    _, ode = integrate(lambda y: augmented_mean_rhs(sys, y), xi0, dt, t_end)
+    _, ode = integrate(lambda y: augmented_mean_rhs(sys, y), point_lift(x0), dt, t_end)
     # Bias-free reference: the exact expectation of the simulated chain.
     _, euler_ode = em_mean_reference(sys, x0, dt, t_end)
 

@@ -15,7 +15,9 @@ raw dynamics.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,7 +27,9 @@ class ReactorParams:
     """Rate constants, feed, volume, and OU flow-rate parameters.
 
     Units: k1, k2 in 1/s; k3 in l/(mol*s); caf in mol/l; v in l;
-    alpha in 1/s; beta in flow-rate units per sqrt(s).
+    alpha in 1/s; beta in flow-rate units per sqrt(s).  Every field must
+    be a finite number; k1, k2, k3, v and alpha strictly positive, caf
+    and beta nonnegative.
     """
 
     k1: float
@@ -37,13 +41,16 @@ class ReactorParams:
     beta: float
 
     def __post_init__(self):
-        for name in ("k1", "k2", "k3", "v"):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+        for name in ("k1", "k2", "k3", "v", "alpha"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be strictly positive")
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be strictly positive")
-        if self.beta < 0.0:
-            raise ValueError("beta must be nonnegative")
+        for name in ("caf", "beta"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be nonnegative")
 
 
 @dataclass(frozen=True)

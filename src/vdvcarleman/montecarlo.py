@@ -32,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .carleman import BilinearSystem
-from .kronecker import reduce_square
+from .carleman import BilinearSystem, point_lift
 from .model import ReactorParams, diffusion, drift
 from .moments import grid_steps
 
@@ -75,19 +74,16 @@ def substream_seed(seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class PathConfig:
-    """Grid, seed, and system selector for path simulation."""
+    """Grid and seed for path simulation; the dynamics passed alongside pick the system."""
 
     dt: float
     t_end: float
     seed: int
-    system: str = "nonlinear"  # or "bilinear"
 
     def __post_init__(self):
         grid_steps(self.dt, self.t_end)  # validates dt, t_end
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.system not in ("nonlinear", "bilinear"):
-            raise ValueError(f"unknown system selector {self.system!r}")
 
     @property
     def n_steps(self) -> int:
@@ -105,49 +101,40 @@ class EnsembleStats:
     stderr: np.ndarray  # sqrt(var / n_paths)
 
 
-def _dynamics_fns(cfg: PathConfig, dynamics):
+def _dynamics_fns(dynamics):
     """Return (drift_fn, noise_fn) operating on (..., d) state arrays."""
-    if cfg.system == "nonlinear":
-        if not isinstance(dynamics, ReactorParams):
-            raise TypeError("nonlinear paths need ReactorParams dynamics")
+    if isinstance(dynamics, ReactorParams):
         g = diffusion(dynamics)
         return (lambda x: drift(x, dynamics)), (lambda x: np.broadcast_to(g, x.shape))
-    if not isinstance(dynamics, BilinearSystem):
-        raise TypeError("bilinear paths need BilinearSystem dynamics")
-    sys = dynamics
-    return (lambda x: sys.a0 + x @ sys.a.T), (lambda x: sys.g + x @ sys.d.T)
+    if isinstance(dynamics, BilinearSystem):
+        sys = dynamics
+        return (lambda x: sys.a0 + x @ sys.a.T), (lambda x: sys.g + x @ sys.d.T)
+    raise TypeError(f"dynamics must be ReactorParams or BilinearSystem, got {type(dynamics).__name__}")
 
 
-def _initial_state(cfg: PathConfig, x0, dynamics) -> np.ndarray:
+def _initial_state(x0, dynamics) -> np.ndarray:
+    """The physical start ``x0``, lifted onto the product slots for a bilinear system."""
+    _dynamics_fns(dynamics)  # rejects an unknown dynamics type
     x0 = np.asarray(x0, dtype=float)
-    if cfg.system == "nonlinear":
-        if x0.shape != (3,):
-            raise ValueError("nonlinear initial state must be a 3-vector")
-        return x0
-    dim = dynamics.dim
-    n = dynamics.n
-    if x0.shape == (n,):
-        return np.concatenate([x0, reduce_square(x0)])
-    if x0.shape == (dim,):
-        lifted = reduce_square(x0[:n])
-        if np.any(np.abs(x0[n:] - lifted) > 1e-12 * (1.0 + np.abs(lifted))):
-            raise ValueError("bilinear initial state is inconsistent with its product slots")
-        return x0
-    raise ValueError(f"initial state must have shape ({n},) or ({dim},)")
+    bilinear = isinstance(dynamics, BilinearSystem)
+    n = dynamics.n if bilinear else 3
+    if x0.shape != (n,):
+        raise ValueError(f"initial state must be a physical {n}-vector, got shape {x0.shape}")
+    return point_lift(x0) if bilinear else x0
 
 
 def simulate_path(cfg: PathConfig, x0, dynamics, increments: np.ndarray | None = None):
     """Euler-Maruyama trajectory of one path.  Returns (t, X).
 
     ``dynamics`` is ReactorParams for the nonlinear system or a
-    BilinearSystem for the embedded one; a physical 3-vector start is
-    lifted onto the product slots automatically.  ``increments``, if
-    given, are the standard-normal draws to consume (length n_steps);
-    passing the same array to both systems couples them through shared
-    noise.  Omitted, they come from the seeded generator.
+    BilinearSystem for the embedded one; the start ``x0`` is always the
+    physical n-vector, lifted onto the product slots for the latter.
+    ``increments``, if given, are the standard-normal draws to consume
+    (length n_steps); passing the same array to both systems couples them
+    through shared noise.  Omitted, they come from the seeded generator.
     """
-    x = _initial_state(cfg, x0, dynamics)
-    drift_fn, noise_fn = _dynamics_fns(cfg, dynamics)
+    x = _initial_state(x0, dynamics)
+    drift_fn, noise_fn = _dynamics_fns(dynamics)
     n_steps = cfg.n_steps
     if increments is None:
         increments = np.random.Generator(np.random.PCG64(cfg.seed)).standard_normal(n_steps)
@@ -209,7 +196,7 @@ def _lockstep_stats(cfg: PathConfig, x0: np.ndarray, dynamics, start: int, count
     each chunk in chunk order, and None or the (step, path) of the
     earliest step at which a path left the finite range.
     """
-    drift_fn, noise_fn = _dynamics_fns(cfg, dynamics)
+    drift_fn, noise_fn = _dynamics_fns(dynamics)
     n_steps, d = cfg.n_steps, x0.size
     n_full, rest = divmod(count, CHUNK_SIZE)
     split = n_full * CHUNK_SIZE
@@ -282,7 +269,7 @@ def ensemble_moments(
         raise ValueError("ensemble needs at least 2 paths")
     if n_workers < 1:
         raise ValueError(f"n_workers must be at least 1, got {n_workers}")
-    x0 = _initial_state(cfg, x0, dynamics)
+    x0 = _initial_state(x0, dynamics)
     n_steps = cfg.n_steps
     if record is None:
         record = np.arange(n_steps + 1)
@@ -337,9 +324,8 @@ def em_mean_reference(sys: BilinearSystem, x0, dt: float, t_end: float) -> tuple
     solution of higher order differs from it by the O(dt) scheme bias,
     which has nothing to do with how the system matrices were assembled.
     """
-    cfg = PathConfig(dt=dt, t_end=t_end, seed=0, system="bilinear")
-    m = _initial_state(cfg, x0, sys)
-    n_steps = cfg.n_steps
+    n_steps = grid_steps(dt, t_end)
+    m = _initial_state(x0, sys)
     out = np.empty((n_steps + 1, m.size))
     out[0] = m
     for k in range(n_steps):
@@ -355,8 +341,8 @@ def simulate_shared_noise(p: ReactorParams, sys: BilinearSystem, x0, dt: float, 
     directly comparable: the remaining gap is the truncation error, not
     realization noise.
     """
-    n_steps = grid_steps(dt, t_end)
-    z = np.random.Generator(np.random.PCG64(seed)).standard_normal(n_steps)
-    t, x_nl = simulate_path(PathConfig(dt=dt, t_end=t_end, seed=seed, system="nonlinear"), x0, p, increments=z)
-    _, xi_bl = simulate_path(PathConfig(dt=dt, t_end=t_end, seed=seed, system="bilinear"), x0, sys, increments=z)
+    cfg = PathConfig(dt=dt, t_end=t_end, seed=seed)
+    z = np.random.Generator(np.random.PCG64(seed)).standard_normal(cfg.n_steps)
+    t, x_nl = simulate_path(cfg, x0, p, increments=z)
+    _, xi_bl = simulate_path(cfg, x0, sys, increments=z)
     return t, x_nl, xi_bl

@@ -16,9 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .carleman import QuadraticSde, build_vandevusse, embed_order2, vandevusse_coefficients
+from .carleman import QuadraticSde, build_vandevusse, embed_order2, point_lift, vandevusse_coefficients
 from .ekf import ekf_predict
-from .kronecker import MonomialIndexMap
 from .model import PARAM_SET1, PARAM_SET2
 from .moments import crosscheck_mean_paths, integrate_augmented, integrate_physical, ou_variance
 from .montecarlo import PathConfig, ensemble_moments
@@ -117,22 +116,18 @@ def check_ou_analytic() -> CheckResult:
 
 def check_builder_equivalence() -> CheckResult:
     """Generic embedding must equal the closed-form system entrywise."""
-    imap = MonomialIndexMap(3, 2)
     ok = True
     parts = []
     for name, p in (("set1", PARAM_SET1), ("set2", PARAM_SET2)):
         built = build_vandevusse(p)
-        embedded = embed_order2(vandevusse_coefficients(p), imap)
+        embedded = embed_order2(vandevusse_coefficients(p))
         same = all(
             np.array_equal(getattr(built, f), getattr(embedded, f)) for f in ("a0", "a", "d", "g")
         )
         ok &= same
         parts.append(f"{name}: {'exact' if same else 'MISMATCH'}")
     alpha, beta = PARAM_SET1.alpha, PARAM_SET1.beta
-    toy = embed_order2(
-        QuadraticSde(c=[0.0], lin=[[-alpha]], quad=[[[0.0]]], g=[beta]),
-        MonomialIndexMap(1, 2),
-    )
+    toy = embed_order2(QuadraticSde(c=[0.0], lin=[[-alpha]], quad=[[[0.0]]], g=[beta]))
     toy_ok = (toy.a[1, 1] == -2.0 * alpha) and (toy.a0[1] == beta * beta) and (toy.d[1, 0] == 2.0 * beta)
     ok &= toy_ok
     parts.append(f"scalar OU coefficients (-2a, b^2, 2b): {'exact' if toy_ok else 'MISMATCH'}")
@@ -161,19 +156,17 @@ def check_mc_mean_validation() -> CheckResult:
     as well, with the O(dt) scheme-bias floor that nearly noiseless
     components need.
     """
-    from .kronecker import reduce_square
     from .moments import augmented_mean_rhs, grid_index, integrate
     from .montecarlo import em_mean_reference
 
     s, p, x0, _ = _scenario_pieces("set1")
     sys = build_vandevusse(p)
-    cfg = PathConfig(dt=0.005, t_end=10.0, seed=s.seed, system="bilinear")
+    cfg = PathConfig(dt=0.005, t_end=10.0, seed=s.seed)
     times = (1.0, 5.0, 10.0)
     ks = [grid_index(cfg.dt, t) for t in times]
     stats = ensemble_moments(cfg, x0, 10000, sys, record=ks)
     _, em_ode = em_mean_reference(sys, x0, cfg.dt, cfg.t_end)
-    xi0 = np.concatenate([x0, reduce_square(x0)])
-    t_grid, rk4_ode = integrate(lambda y: augmented_mean_rhs(sys, y), xi0, cfg.dt, cfg.t_end)
+    t_grid, rk4_ode = integrate(lambda y: augmented_mean_rhs(sys, y), point_lift(x0), cfg.dt, cfg.t_end)
     rates = np.abs(np.stack([augmented_mean_rhs(sys, rk4_ode[k]) for k in range(0, t_grid.size, 100)]))
     bias_floor = 2.0 * cfg.dt * rates.max(axis=0)
 

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vdvcarleman.carleman import (
     BilinearSystem,
     QuadraticSde,
     build_vandevusse,
-    dropped_cubic_terms,
     embed_order2,
+    point_lift,
     vandevusse_coefficients,
     write_blocks,
 )
@@ -14,7 +16,66 @@ from vdvcarleman.kronecker import MonomialIndexMap, reduce_square
 from vdvcarleman.model import PARAM_SET1, PARAM_SET2, X0_SET1, drift
 from vdvcarleman.moments import augmented_mean_rhs
 
-IMAP3 = MonomialIndexMap(3, 2)
+BLOCK_NAMES = ("a01", "a02", "a11", "a12", "a21", "a22", "d11", "d12", "d21", "d22", "g1", "g2")
+
+
+# ---------------------------------------------------------------------------
+# Test-only helpers: a coefficient fit from a drift callable and the list of
+# monomials the truncation deletes.  No production code needs either.
+# ---------------------------------------------------------------------------
+
+
+def quadratic_sde_from_callable(n: int, drift_fn, g) -> QuadraticSde:
+    """Fit coefficients from a drift callable; rejects drift of degree > 2.
+
+    The fit uses exact interpolation on axis and pair points; the
+    candidate is then verified on a scaled probe, which any monomial of
+    degree three or more fails.
+    """
+    e = np.eye(n)
+    c = np.asarray(drift_fn(np.zeros(n)), dtype=float)
+    lin = np.empty((n, n))
+    quad = np.zeros((n, n, n))
+    fp = [np.asarray(drift_fn(e[i]), dtype=float) for i in range(n)]
+    fm = [np.asarray(drift_fn(-e[i]), dtype=float) for i in range(n)]
+    for i in range(n):
+        lin[:, i] = 0.5 * (fp[i] - fm[i])
+        quad[:, i, i] = 0.5 * (fp[i] + fm[i]) - c
+    for i in range(n):
+        for j in range(i + 1, n):
+            fij = np.asarray(drift_fn(e[i] + e[j]), dtype=float)
+            mixed = fij - c - lin[:, i] - lin[:, j] - quad[:, i, i] - quad[:, j, j]
+            quad[:, i, j] = 0.5 * mixed
+            quad[:, j, i] = 0.5 * mixed
+    sde = QuadraticSde(c=c, lin=lin, quad=quad, g=np.asarray(g, dtype=float))
+    probe = 1.0 + np.arange(n, dtype=float)
+    for s in (1.0, 2.0, -3.0):
+        x = s * probe
+        fx = np.asarray(drift_fn(x), dtype=float)
+        scale = 1.0 + np.abs(fx)
+        if np.any(np.abs(fx - sde.drift(x)) > 1e-9 * scale):
+            raise ValueError("drift has coefficients of degree > 2; order-2 embedding only")
+    return sde
+
+
+def dropped_cubic_terms(sde: QuadraticSde) -> dict[int, dict[tuple[int, int, int], float]]:
+    """Degree-3 drift monomials deleted by `embed_order2`.
+
+    Maps each product-slot index to {sorted 0-based index triple:
+    coefficient}; zero coefficients are omitted.
+    """
+    n = sde.n
+    pairs = MonomialIndexMap(n, 2).pairs
+    dropped: dict[int, dict[tuple[int, int, int], float]] = {k: {} for k in range(len(pairs))}
+    for k, (i, j) in enumerate(pairs):
+        for src, other in ((j, i), (i, j)):
+            for p in range(n):
+                for q in range(p, n):
+                    w = sde.quad[src, p, p] if p == q else sde.quad[src, p, q] + sde.quad[src, q, p]
+                    if w != 0.0:
+                        key = tuple(sorted((other, p, q)))
+                        dropped[k][key] = dropped[k].get(key, 0.0) + w
+    return {k: terms for k, terms in dropped.items() if terms}
 
 
 def test_quadratic_sde_reproduces_model_drift():
@@ -28,7 +89,7 @@ def test_quadratic_sde_reproduces_model_drift():
 
 def test_from_callable_recovers_coefficients():
     p = PARAM_SET1
-    fitted = QuadraticSde.from_callable(3, lambda x: drift(x, p), [0.0, 0.0, p.beta])
+    fitted = quadratic_sde_from_callable(3, lambda x: drift(x, p), [0.0, 0.0, p.beta])
     ref = vandevusse_coefficients(p)
     for name in ("c", "lin", "quad", "g"):
         assert np.allclose(getattr(fitted, name), getattr(ref, name), atol=1e-12)
@@ -36,13 +97,13 @@ def test_from_callable_recovers_coefficients():
 
 def test_from_callable_rejects_cubic_drift():
     with pytest.raises(ValueError, match="degree > 2"):
-        QuadraticSde.from_callable(2, lambda x: np.array([x[0] ** 3, x[1]]), [0.0, 0.0])
+        quadratic_sde_from_callable(2, lambda x: np.array([x[0] ** 3, x[1]]), [0.0, 0.0])
 
 
 def test_embedding_equals_closed_form_exactly():
     for p in (PARAM_SET1, PARAM_SET2):
         built = build_vandevusse(p)
-        embedded = embed_order2(vandevusse_coefficients(p), IMAP3)
+        embedded = embed_order2(vandevusse_coefficients(p))
         for f in ("a0", "a", "d", "g"):
             assert np.array_equal(getattr(built, f), getattr(embedded, f)), f
         assert built.n == embedded.n == 3
@@ -51,10 +112,7 @@ def test_embedding_equals_closed_form_exactly():
 
 def test_scalar_ou_embedding_coefficients():
     alpha, beta = 0.1, 0.044
-    sys = embed_order2(
-        QuadraticSde(c=[0.0], lin=[[-alpha]], quad=[[[0.0]]], g=[beta]),
-        MonomialIndexMap(1, 2),
-    )
+    sys = embed_order2(QuadraticSde(c=[0.0], lin=[[-alpha]], quad=[[[0.0]]], g=[beta]))
     # x-block keeps the OU drift; the square slot gets -2a, the Ito
     # correction b^2, and multiplicative noise 2b.
     assert sys.a[0, 0] == -alpha
@@ -68,41 +126,34 @@ def test_scalar_ou_embedding_coefficients():
 def test_zero_noise_embedding_has_no_noise_terms():
     sde = vandevusse_coefficients(PARAM_SET1)
     quiet = QuadraticSde(c=sde.c, lin=sde.lin, quad=sde.quad, g=np.zeros(3))
-    sys = embed_order2(quiet, IMAP3)
+    sys = embed_order2(quiet)
     assert not np.any(sys.d)
     assert not np.any(sys.g)
     assert not np.any(sys.a0[3:])
 
 
-def test_embed_rejects_mismatched_map():
-    sde = vandevusse_coefficients(PARAM_SET1)
-    with pytest.raises(ValueError):
-        embed_order2(sde, MonomialIndexMap(2, 2))
-    with pytest.raises(ValueError):
-        embed_order2(sde, MonomialIndexMap(3, 3))
-
-
 def test_vandevusse_zero_blocks():
     for p in (PARAM_SET1, PARAM_SET2):
-        sys = build_vandevusse(p)
-        assert sys.a21.shape == (6, 3) and not np.any(sys.a21)
+        b = build_vandevusse(p).blocks()
+        assert b["a21"].shape == (6, 3) and not np.any(b["a21"])
         for name in ("d11", "d12", "d22"):
-            assert not np.any(getattr(sys, name)), name
-        assert not np.any(sys.g2)
-        assert np.array_equal(sys.a01, np.zeros(3))
+            assert not np.any(b[name]), name
+        assert not np.any(b["g2"])
+        assert np.array_equal(b["a01"], np.zeros(3))
         expected_a02 = np.zeros(6)
         expected_a02[5] = p.beta * p.beta
-        assert np.array_equal(sys.a02, expected_a02)
+        assert np.array_equal(b["a02"], expected_a02)
 
 
 def test_vandevusse_block_entries():
     p = PARAM_SET1
     sys = build_vandevusse(p)
-    assert sys.a11[0, 2] == p.caf / p.v == 0.00027
-    assert sys.a12[0, 0] == -p.k3
-    assert sys.a12[0, 2] == sys.a12[1, 4] == -0.1
-    assert sys.a22[1, 1] == -(p.k1 + p.k2)
-    d21 = sys.d21
+    b = sys.blocks()
+    assert b["a11"][0, 2] == p.caf / p.v == 0.00027
+    assert b["a12"][0, 0] == -p.k3
+    assert b["a12"][0, 2] == b["a12"][1, 4] == -0.1
+    assert b["a22"][1, 1] == -(p.k1 + p.k2)
+    d21 = b["d21"]
     assert d21[2, 0] == p.beta and d21[4, 1] == p.beta and d21[5, 2] == 2 * p.beta
     assert np.count_nonzero(d21) == 3
     assert np.isclose(sys.a0[8], 0.001936, rtol=1e-12)
@@ -110,7 +161,7 @@ def test_vandevusse_block_entries():
 
 def test_dropped_cubic_terms_match_hand_derivation():
     p = PARAM_SET1
-    dropped = dropped_cubic_terms(vandevusse_coefficients(p), IMAP3)
+    dropped = dropped_cubic_terms(vandevusse_coefficients(p))
     k3, v = p.k3, p.v
     # Slot order: x1^2, x1x2, x1x3, x2^2, x2x3, x3^2 (0-based triples).
     expected = {
@@ -136,20 +187,20 @@ def test_embedding_matches_truncated_product_rates_on_random_sdes():
     # slot bookkeeping.
     rng = np.random.default_rng(11)
     for n in (2, 3, 4):
-        imap = MonomialIndexMap(n, 2)
+        pairs = MonomialIndexMap(n, 2).pairs
         for _ in range(5):
             quad = rng.normal(size=(n, n, n))
             sde = QuadraticSde(
                 c=rng.normal(size=n), lin=rng.normal(size=(n, n)), quad=quad, g=rng.normal(size=n)
             )
-            sys = embed_order2(sde, imap)
+            sys = embed_order2(sde)
             for _ in range(4):
                 x = rng.normal(size=n)
                 xi = np.concatenate([x, reduce_square(x)])
                 rate = sys.a0 + sys.a @ xi
                 noise = sys.g + sys.d @ xi
                 assert np.allclose(rate[:n], sde.drift(x), rtol=1e-12, atol=1e-12)
-                for k, (i, j) in enumerate(imap.pairs):
+                for k, (i, j) in enumerate(pairs):
                     expected = (sde.c[j] * x[i] + sde.c[i] * x[j]
                                 + x[i] * (sde.lin[j] @ x) + x[j] * (sde.lin[i] @ x)
                                 + sde.g[i] * sde.g[j])
@@ -198,4 +249,34 @@ def test_write_blocks_nontrivial_set(tmp_path):
     assert a11.splitlines()[0] == "-1.388000000000e-02 0.000000000000e+00 2.700000000000e-04"
     # round-trip the dump
     loaded = np.array([[float(v) for v in line.split()] for line in a11.splitlines()])
-    assert np.allclose(loaded, sys.a11, rtol=1e-12)
+    assert np.allclose(loaded, sys.blocks()["a11"], rtol=1e-12)
+
+
+@st.composite
+def quadratic_sdes(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    return QuadraticSde(c=rng.normal(size=n), lin=rng.normal(size=(n, n)),
+                        quad=rng.normal(size=(n, n, n)), g=rng.normal(size=n))
+
+
+@settings(max_examples=50, deadline=None)
+@given(quadratic_sdes())
+def test_blocks_tile_the_system_matrices(sde):
+    sys = embed_order2(sde)
+    n, b = sys.n, sys.blocks()
+    assert tuple(b) == BLOCK_NAMES
+    assert np.array_equal(np.concatenate([b["a01"], b["a02"]]), sys.a0)
+    assert np.array_equal(np.concatenate([b["g1"], b["g2"]]), sys.g)
+    for name in ("a", "d"):
+        tiled = np.block([[b[f"{name}11"], b[f"{name}12"]], [b[f"{name}21"], b[f"{name}22"]]])
+        assert np.array_equal(tiled, getattr(sys, name)), name
+    assert b["a11"].shape == (n, n) and b["a22"].shape == (sys.dim - n, sys.dim - n)
+    assert all(not view.flags.writeable for view in b.values())
+
+
+def test_point_lift_appends_the_pairwise_products():
+    x = X0_SET1.as_array()
+    assert np.array_equal(point_lift(x), np.concatenate([x, reduce_square(x)]))
+    assert point_lift(np.array([2.0])).tolist() == [2.0, 4.0]

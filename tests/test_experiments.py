@@ -99,6 +99,21 @@ def test_from_dict_names_missing_and_unknown_keys():
         Scenario.from_dict({**d, "params": [1.0, 2.0]})
 
 
+@pytest.mark.parametrize("x0", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], ["a", "b", "c"], [1.0, None, 3.0],
+                                [1.0, float("nan"), 3.0], 5.0, "abc"])
+def test_from_dict_rejects_bad_x0(x0):
+    with pytest.raises(ValueError, match="x0 must be three finite numbers"):
+        Scenario.from_dict({**small_scenario().to_dict(), "x0": x0})
+
+
+def test_from_dict_names_a_bad_param_field():
+    d = small_scenario().to_dict()
+    with pytest.raises(ValueError, match="alpha must be a finite number"):
+        Scenario.from_dict({**d, "params": {**d["params"], "alpha": float("nan")}})
+    with pytest.raises(ValueError, match="caf must be nonnegative"):
+        Scenario.from_dict({**d, "params": {**d["params"], "caf": -1.0}})
+
+
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _positive = st.floats(min_value=1e-6, max_value=1e6)
 _nonnegative = st.floats(min_value=0.0, max_value=1e6)
@@ -112,7 +127,7 @@ def scenarios(draw):
     return Scenario(
         name=draw(st.text(max_size=12)),
         params=ReactorParams(
-            k1=draw(_positive), k2=draw(_positive), k3=draw(_positive), caf=draw(_finite),
+            k1=draw(_positive), k2=draw(_positive), k3=draw(_positive), caf=draw(_nonnegative),
             v=draw(_positive), alpha=draw(_positive), beta=draw(_nonnegative),
         ),
         x0=PhysicalState(draw(_finite), draw(_finite), draw(_finite)),
@@ -240,7 +255,7 @@ def test_mc_rows_read_the_ensemble_at_each_checkpoint():
     # statistics at its own grid index.
     s = small_scenario(checkpoints=(5.0, 0.5, 5.0))
     report = run_scenario(s, methods=("mc",))
-    cfg = PathConfig(dt=s.dt, t_end=s.t_end, seed=s.seed, system="bilinear")
+    cfg = PathConfig(dt=s.dt, t_end=s.t_end, seed=s.seed)
     full = ensemble_moments(cfg, s.x0.as_array(), s.mc_paths, build_vandevusse(s.params))
     rows = report.mc.rows
     assert [r["t"] for r in rows[::9]] == [5.0, 0.5, 5.0]

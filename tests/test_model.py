@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,29 @@ def test_param_validation():
         ReactorParams(k1=1, k2=1, k3=1, caf=1, v=1, alpha=0.0, beta=0)
     with pytest.raises(ValueError):
         ReactorParams(k1=1, k2=1, k3=1, caf=1, v=1, alpha=1, beta=-0.1)
+
+
+_FIELDS = ("k1", "k2", "k3", "caf", "v", "alpha", "beta")
+
+
+@pytest.mark.parametrize("field", _FIELDS)
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), "1.0", None])
+def test_param_field_must_be_finite_number(field, bad):
+    with pytest.raises(ValueError, match=rf"^{field} must be a finite number"):
+        replace(PARAM_SET1, **{field: bad})
+
+
+@pytest.mark.parametrize("field", _FIELDS)
+def test_param_field_sign_is_checked(field):
+    nonnegative = field in ("caf", "beta")
+    rule = "nonnegative" if nonnegative else "strictly positive"
+    with pytest.raises(ValueError, match=rf"^{field} must be {rule}"):
+        replace(PARAM_SET1, **{field: -1e-3})
+    if nonnegative:
+        assert getattr(replace(PARAM_SET1, **{field: 0.0}), field) == 0.0
+    else:
+        with pytest.raises(ValueError, match=field):
+            replace(PARAM_SET1, **{field: 0.0})
 
 
 def test_physical_state_roundtrip_and_validation():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -44,38 +46,38 @@ def augmented_cov_rhs_blocks(sys, mean, cov):
     x, y = mean[:n], mean[n:]
     pxx, pxy = cov[:n, :n], cov[:n, n:]
     pyx, pyy = cov[n:, :n], cov[n:, n:]
-    a11, a12, a21, a22 = sys.a11, sys.a12, sys.a21, sys.a22
-    d11, d12, d21, d22 = sys.d11, sys.d12, sys.d21, sys.d22
-    g1, g2 = sys.g1, sys.g2
-    qw = sys.qw
+    b = sys.blocks()
+    a11, a12, a21, a22 = b["a11"], b["a12"], b["a21"], b["a22"]
+    d11, d12, d21, d22 = b["d11"], b["d12"], b["d21"], b["d22"]
+    g1, g2 = b["g1"], b["g2"]
 
     xx, xy = np.outer(x, x), np.outer(x, y)
     yx, yy = np.outer(y, x), np.outer(y, y)
 
     dxx = (pxx @ a11.T + pxy @ a12.T + a11 @ pxx + a12 @ pyx
-           + qw * (np.outer(g1, g1)
-                   + np.outer(d11 @ x, g1) + np.outer(d12 @ y, g1)
-                   + np.outer(g1, d11 @ x) + np.outer(g1, d12 @ y)
-                   + d11 @ (pxx @ d11.T + pxy @ d12.T) + d12 @ (pyx @ d11.T + pyy @ d12.T)
-                   + d11 @ (xx @ d11.T + xy @ d12.T) + d12 @ (yx @ d11.T + yy @ d12.T)))
+           + (np.outer(g1, g1)
+              + np.outer(d11 @ x, g1) + np.outer(d12 @ y, g1)
+              + np.outer(g1, d11 @ x) + np.outer(g1, d12 @ y)
+              + d11 @ (pxx @ d11.T + pxy @ d12.T) + d12 @ (pyx @ d11.T + pyy @ d12.T)
+              + d11 @ (xx @ d11.T + xy @ d12.T) + d12 @ (yx @ d11.T + yy @ d12.T)))
     dxy = (pxx @ a21.T + pxy @ a22.T + a11 @ pxy + a12 @ pyy
-           + qw * (np.outer(g1, g2)
-                   + np.outer(d11 @ x, g2) + np.outer(d12 @ y, g2)
-                   + np.outer(g1, d21 @ x) + np.outer(g1, d22 @ y)
-                   + d11 @ (pxx @ d21.T + pxy @ d22.T) + d12 @ (pyx @ d21.T + pyy @ d22.T)
-                   + d11 @ (xx @ d21.T + xy @ d22.T) + d12 @ (yx @ d21.T + yy @ d22.T)))
+           + (np.outer(g1, g2)
+              + np.outer(d11 @ x, g2) + np.outer(d12 @ y, g2)
+              + np.outer(g1, d21 @ x) + np.outer(g1, d22 @ y)
+              + d11 @ (pxx @ d21.T + pxy @ d22.T) + d12 @ (pyx @ d21.T + pyy @ d22.T)
+              + d11 @ (xx @ d21.T + xy @ d22.T) + d12 @ (yx @ d21.T + yy @ d22.T)))
     dyx = (pyx @ a11.T + pyy @ a12.T + a21 @ pxx + a22 @ pyx
-           + qw * (np.outer(g2, g1)
-                   + np.outer(d21 @ x, g1) + np.outer(d22 @ y, g1)
-                   + np.outer(g2, d11 @ x) + np.outer(g2, d12 @ y)
-                   + d21 @ (pxx @ d11.T + pxy @ d12.T) + d22 @ (pyx @ d11.T + pyy @ d12.T)
-                   + d21 @ (xx @ d11.T + xy @ d12.T) + d22 @ (yx @ d11.T + yy @ d12.T)))
+           + (np.outer(g2, g1)
+              + np.outer(d21 @ x, g1) + np.outer(d22 @ y, g1)
+              + np.outer(g2, d11 @ x) + np.outer(g2, d12 @ y)
+              + d21 @ (pxx @ d11.T + pxy @ d12.T) + d22 @ (pyx @ d11.T + pyy @ d12.T)
+              + d21 @ (xx @ d11.T + xy @ d12.T) + d22 @ (yx @ d11.T + yy @ d12.T)))
     dyy = (pyx @ a21.T + pyy @ a22.T + a21 @ pxy + a22 @ pyy
-           + qw * (np.outer(g2, g2)
-                   + np.outer(d21 @ x, g2) + np.outer(d22 @ y, g2)
-                   + np.outer(g2, d21 @ x) + np.outer(g2, d22 @ y)
-                   + d21 @ (pxx @ d21.T + pxy @ d22.T) + d22 @ (pyx @ d21.T + pyy @ d22.T)
-                   + d21 @ (xx @ d21.T + xy @ d22.T) + d22 @ (yx @ d21.T + yy @ d22.T)))
+           + (np.outer(g2, g2)
+              + np.outer(d21 @ x, g2) + np.outer(d22 @ y, g2)
+              + np.outer(g2, d21 @ x) + np.outer(g2, d22 @ y)
+              + d21 @ (pxx @ d21.T + pxy @ d22.T) + d22 @ (pyx @ d21.T + pyy @ d22.T)
+              + d21 @ (xx @ d21.T + xy @ d22.T) + d22 @ (yx @ d21.T + yy @ d22.T)))
     return np.block([[dxx, dxy], [dyx, dyy]])
 
 
@@ -291,8 +293,13 @@ def test_crosscheck_zero_state_trivial():
     assert rep.max_discrepancy == 0.0
 
 
-def test_crosscheck_rejects_inconsistent_initialization():
-    sys = build_vandevusse(PARAM_SET1)
-    bad = np.ones(9)  # product slots do not match cov + mean products
-    with pytest.raises(ValueError, match="inconsistent"):
-        crosscheck_mean_paths(sys, PARAM_SET1, SET1_X0, SET1_P0, 0.01, 1.0, augmented_mean0=bad)
+def test_physical_path_zero_noise_truncation_residual():
+    # With beta = 0 and P0 = 0 the reactor is deterministic, so its true
+    # covariance is identically 0.  The physical path still grows a P11:
+    # the order-2 truncation sets the third raw moments to zero, and the
+    # m-only products in `physical_rhs` (2 k3 m1^3 + ...) no longer cancel.
+    # This pins that residual as a property of the method.
+    series = integrate_physical(replace(PARAM_SET1, beta=0.0), SET1_X0, np.zeros((3, 3)), 0.01, 20.0)
+    for t, p11 in ((0.5, 0.0818), (5.0, 0.674), (20.0, 1.467)):
+        assert series.at_time(t)[1][0, 0] == pytest.approx(p11, rel=1e-3)
+    assert np.all(series.cov[:, 2, 2] == 0.0)  # the flow rate is exactly linear

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vdvcarleman import montecarlo
-from vdvcarleman.carleman import build_vandevusse
+from vdvcarleman.carleman import build_vandevusse, vandevusse_coefficients
 from vdvcarleman.kronecker import reduce_square
 from vdvcarleman.model import PARAM_SET1, ReactorParams, X0_SET1, diffusion, drift
 from vdvcarleman.moments import augmented_mean_rhs, grid_index, integrate, ou_mean, ou_variance
@@ -41,13 +41,13 @@ def test_path_config_validation():
         PathConfig(dt=-0.01, t_end=1.0, seed=0)
     with pytest.raises(ValueError, match="seed"):
         PathConfig(dt=0.01, t_end=1.0, seed=-1)
-    with pytest.raises(ValueError):
-        PathConfig(dt=0.01, t_end=1.0, seed=0, system="exact")
+    with pytest.raises(TypeError, match="dynamics must be ReactorParams or BilinearSystem, got dict"):
+        ensemble_moments(PathConfig(dt=0.01, t_end=1.0, seed=0), X0, 4, {"k1": 1.0})
     assert PathConfig(dt=0.01, t_end=1.0, seed=0).n_steps == 100
 
 
 def test_same_seed_identical_trajectories():
-    cfg = PathConfig(dt=0.01, t_end=5.0, seed=314, system="nonlinear")
+    cfg = PathConfig(dt=0.01, t_end=5.0, seed=314)
     t1, x1 = simulate_path(cfg, X0, PARAM_SET1)
     t2, x2 = simulate_path(cfg, X0, PARAM_SET1)
     assert np.array_equal(x1, x2)
@@ -56,7 +56,7 @@ def test_same_seed_identical_trajectories():
 
 def test_zero_noise_path_equals_deterministic_euler():
     p = ReactorParams(k1=0.01388, k2=0.02778, k3=0.002778, caf=0.0027, v=10.0, alpha=0.1, beta=0.0)
-    cfg = PathConfig(dt=0.01, t_end=5.0, seed=9, system="nonlinear")
+    cfg = PathConfig(dt=0.01, t_end=5.0, seed=9)
     _, path = simulate_path(cfg, X0, p)
     y = X0.copy()
     for k in range(cfg.n_steps):
@@ -66,34 +66,35 @@ def test_zero_noise_path_equals_deterministic_euler():
 
 
 def test_bilinear_start_is_lifted_consistently():
-    cfg = PathConfig(dt=0.01, t_end=0.5, seed=1, system="bilinear")
+    cfg = PathConfig(dt=0.01, t_end=0.5, seed=1)
     _, path = simulate_path(cfg, X0, SYS1)
     assert path.shape[1] == 9
-    assert np.array_equal(path[0], np.concatenate([X0, reduce_square(X0)]))
-    # a full 9-vector start must satisfy the lift constraint
-    bad = np.concatenate([X0, reduce_square(X0) + 0.5])
-    with pytest.raises(ValueError, match="inconsistent"):
-        simulate_path(cfg, bad, SYS1)
+    lifted = np.concatenate([X0, reduce_square(X0)])
+    assert np.array_equal(path[0], lifted)
+    # the physical 3-vector is the only start: a 9-vector is a shape error
+    for dynamics in (SYS1, PARAM_SET1):
+        with pytest.raises(ValueError, match=r"physical 3-vector, got shape \(9,\)"):
+            simulate_path(cfg, lifted, dynamics)
 
 
 def test_increment_shape_and_type_validation():
-    cfg = PathConfig(dt=0.01, t_end=1.0, seed=1, system="nonlinear")
+    cfg = PathConfig(dt=0.01, t_end=1.0, seed=1)
     with pytest.raises(ValueError):
         simulate_path(cfg, X0, PARAM_SET1, increments=np.zeros(5))
-    with pytest.raises(TypeError):
-        simulate_path(cfg, X0, SYS1)  # selector says nonlinear, dynamics is bilinear
+    with pytest.raises(TypeError, match="got QuadraticSde"):
+        simulate_path(cfg, X0, vandevusse_coefficients(PARAM_SET1))  # coefficients, not dynamics
 
 
 def test_divergent_path_reports_step():
     unstable = ReactorParams(k1=1e-6, k2=1e-6, k3=1e3, caf=1.0, v=1e-3, alpha=1e-6, beta=0.0)
-    cfg = PathConfig(dt=10.0, t_end=10000.0, seed=0, system="nonlinear")
+    cfg = PathConfig(dt=10.0, t_end=10000.0, seed=0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SimulationError, match="step"):
             simulate_path(cfg, np.array([10.0, 0.0, 10.0]), unstable)
 
 
 def test_ensemble_matches_individually_simulated_paths():
-    cfg = PathConfig(dt=0.01, t_end=1.0, seed=77, system="bilinear")
+    cfg = PathConfig(dt=0.01, t_end=1.0, seed=77)
     n = 5
     stats = ensemble_moments(cfg, X0, n, SYS1)
     paths = []
@@ -107,7 +108,7 @@ def test_ensemble_matches_individually_simulated_paths():
 
 
 def test_ensemble_requires_two_paths_and_nonneg_variance():
-    cfg = PathConfig(dt=0.01, t_end=0.2, seed=5, system="nonlinear")
+    cfg = PathConfig(dt=0.01, t_end=0.2, seed=5)
     with pytest.raises(ValueError):
         ensemble_moments(cfg, X0, 1, PARAM_SET1)
     stats = ensemble_moments(cfg, X0, 30, PARAM_SET1)
@@ -120,7 +121,7 @@ def test_ensemble_requires_two_paths_and_nonneg_variance():
 
 def test_zero_noise_ensemble_has_zero_variance():
     p = ReactorParams(k1=0.01388, k2=0.02778, k3=0.002778, caf=0.0027, v=10.0, alpha=0.1, beta=0.0)
-    cfg = PathConfig(dt=0.01, t_end=1.0, seed=2, system="nonlinear")
+    cfg = PathConfig(dt=0.01, t_end=1.0, seed=2)
     stats = ensemble_moments(cfg, X0, 2, p)
     assert np.abs(stats.var).max() == 0.0
     _, path = simulate_path(cfg, X0, p)
@@ -128,7 +129,7 @@ def test_zero_noise_ensemble_has_zero_variance():
 
 
 def test_worker_count_does_not_change_results():
-    cfg = PathConfig(dt=0.01, t_end=1.0, seed=6, system="bilinear")
+    cfg = PathConfig(dt=0.01, t_end=1.0, seed=6)
     n = CHUNK_SIZE + 37  # force an uneven chunk split
     a = ensemble_moments(cfg, X0, n, SYS1, n_workers=1)
     b = ensemble_moments(cfg, X0, n, SYS1, n_workers=3)
@@ -137,7 +138,7 @@ def test_worker_count_does_not_change_results():
 
 
 def test_worker_count_below_one_is_rejected():
-    cfg = PathConfig(dt=0.01, t_end=0.1, seed=6, system="bilinear")
+    cfg = PathConfig(dt=0.01, t_end=0.1, seed=6)
     for bad in (0, -3):
         with pytest.raises(ValueError, match="n_workers"):
             ensemble_moments(cfg, X0, 4, SYS1, n_workers=bad)
@@ -147,7 +148,7 @@ def test_nonlinear_ensemble_flow_rate_statistics():
     # The flow coordinate is an exact OU process started at a point, so the
     # analytic mean and variance are an independent oracle for the sampler.
     p = PARAM_SET1
-    cfg = PathConfig(dt=0.01, t_end=20.0, seed=2024, system="nonlinear")
+    cfg = PathConfig(dt=0.01, t_end=20.0, seed=2024)
     stats = ensemble_moments(cfg, X0, 10000, p)
     k10 = grid_index(cfg.dt, 10.0)
     mean_exact = float(ou_mean(X0[2], p.alpha, np.array([10.0]))[0])
@@ -164,7 +165,7 @@ def test_nonlinear_ensemble_flow_rate_statistics():
 def test_em_mean_reference_is_exact_expectation():
     # For the linear augmented system the EM ensemble mean follows the
     # Euler-discretized mean ODE exactly, up to sampling noise.
-    cfg = PathConfig(dt=0.01, t_end=2.0, seed=99, system="bilinear")
+    cfg = PathConfig(dt=0.01, t_end=2.0, seed=99)
     stats = ensemble_moments(cfg, X0, 4000, SYS1)
     _, euler = em_mean_reference(SYS1, X0, cfg.dt, cfg.t_end)
     k = grid_index(cfg.dt, 2.0)
@@ -174,7 +175,7 @@ def test_em_mean_reference_is_exact_expectation():
 def test_bilinear_x1_slot_mean_matches_mean_ode():
     # The physical slots carry enough realization noise that the ensemble
     # mean matches even the exact mean ODE within plain standard errors.
-    cfg = PathConfig(dt=0.01, t_end=10.0, seed=42, system="bilinear")
+    cfg = PathConfig(dt=0.01, t_end=10.0, seed=42)
     stats = ensemble_moments(cfg, X0, 2500, SYS1)
     xi0 = np.concatenate([X0, reduce_square(X0)])
     _, ode = integrate(lambda y: augmented_mean_rhs(SYS1, y), xi0, cfg.dt, cfg.t_end)
@@ -187,7 +188,7 @@ def test_bilinear_ensemble_mean_tracks_mean_ode_with_bias_floor():
     # Against the exact mean ODE the comparison needs the O(dt) scheme-bias
     # floor for the nearly noiseless components; the full-scale statistical
     # validation (bias-free reference) runs in the acceptance suite.
-    cfg = PathConfig(dt=0.01, t_end=5.0, seed=12, system="bilinear")
+    cfg = PathConfig(dt=0.01, t_end=5.0, seed=12)
     stats = ensemble_moments(cfg, X0, 2000, SYS1)
     xi0 = np.concatenate([X0, reduce_square(X0)])
     t, ode = integrate(lambda y: augmented_mean_rhs(SYS1, y), xi0, cfg.dt, cfg.t_end)
@@ -212,7 +213,7 @@ def test_shared_noise_pair_tracks():
 
 
 def test_ensemble_stats_container_shape():
-    cfg = PathConfig(dt=0.1, t_end=1.0, seed=0, system="nonlinear")
+    cfg = PathConfig(dt=0.1, t_end=1.0, seed=0)
     stats = ensemble_moments(cfg, X0, 8, PARAM_SET1)
     assert isinstance(stats, EnsembleStats)
     assert stats.mean.shape == stats.var.shape == stats.stderr.shape == (11, 3)
@@ -225,7 +226,7 @@ def test_ensemble_stats_container_shape():
 
 
 def _oracle_chunk_stats(cfg, x0, dynamics, start, count):
-    drift_fn, noise_fn = _dynamics_fns(cfg, dynamics)
+    drift_fn, noise_fn = _dynamics_fns(dynamics)
     n_steps = cfg.n_steps
     z = np.empty((count, n_steps))
     for i in range(count):
@@ -249,7 +250,7 @@ def _oracle_chunk_stats(cfg, x0, dynamics, start, count):
 
 
 def _oracle_ensemble(cfg, x0, n_paths, dynamics):
-    x0 = _initial_state(cfg, x0, dynamics)
+    x0 = _initial_state(x0, dynamics)
     acc = None
     for start in range(0, n_paths, CHUNK_SIZE):
         n_b, mean_b, m2_b = _oracle_chunk_stats(cfg, x0, dynamics, start, min(CHUNK_SIZE, n_paths - start))
@@ -269,7 +270,7 @@ def _oracle_ensemble(cfg, x0, n_paths, dynamics):
 def test_lockstep_ensemble_is_bit_identical_to_chunk_loop(monkeypatch, system, n_paths):
     # 60 steps drawn 7 at a time: the last draw block is partial.
     monkeypatch.setattr(montecarlo, "DRAW_BUFFER", 7 * n_paths)
-    cfg = PathConfig(dt=0.05, t_end=3.0, seed=17, system=system)
+    cfg = PathConfig(dt=0.05, t_end=3.0, seed=17)
     dynamics = SYS1 if system == "bilinear" else PARAM_SET1
     mean, var = _oracle_ensemble(cfg, X0, n_paths, dynamics)
     for workers in (1, 2, 3):
@@ -279,7 +280,7 @@ def test_lockstep_ensemble_is_bit_identical_to_chunk_loop(monkeypatch, system, n
 
 
 def test_default_draw_block_is_bit_identical_to_chunk_loop():
-    cfg = PathConfig(dt=0.01, t_end=2.0, seed=5, system="bilinear")
+    cfg = PathConfig(dt=0.01, t_end=2.0, seed=5)
     n = 2 * CHUNK_SIZE + 1
     mean, var = _oracle_ensemble(cfg, X0, n, SYS1)
     stats = ensemble_moments(cfg, X0, n, SYS1, n_workers=2)
@@ -288,7 +289,7 @@ def test_default_draw_block_is_bit_identical_to_chunk_loop():
 
 
 def test_recorded_rows_equal_full_grid_rows():
-    cfg = PathConfig(dt=0.05, t_end=3.0, seed=8, system="bilinear")
+    cfg = PathConfig(dt=0.05, t_end=3.0, seed=8)
     n = CHUNK_SIZE + 37
     full = ensemble_moments(cfg, X0, n, SYS1)
     record = [60, 0, 17, 17, 33]
@@ -303,7 +304,7 @@ def test_recorded_rows_equal_full_grid_rows():
 
 
 def test_record_rejects_bad_indices():
-    cfg = PathConfig(dt=0.05, t_end=3.0, seed=8, system="bilinear")
+    cfg = PathConfig(dt=0.05, t_end=3.0, seed=8)
     for bad in ([61], [-1], [0.5], [[1, 2]]):
         with pytest.raises(ValueError, match="record"):
             ensemble_moments(cfg, X0, 4, SYS1, record=bad)
@@ -328,7 +329,7 @@ def test_ensemble_blowup_reports_earliest_step_over_all_chunks():
     # at a step set by its own noise.  For this seed the first divergence
     # is in the second chunk, one step before any path of the first chunk.
     unstable = ReactorParams(k1=0.01, k2=0.01, k3=0.01, caf=1.0, v=1.0, alpha=0.25, beta=1.0)
-    cfg = PathConfig(dt=10.0, t_end=300.0, seed=33, system="nonlinear")
+    cfg = PathConfig(dt=10.0, t_end=300.0, seed=33)
     x0 = np.array([1.0, 0.0, 0.0])
     n = 2 * CHUNK_SIZE + 37
     failures = []
@@ -345,7 +346,7 @@ def test_ensemble_blowup_reports_earliest_step_over_all_chunks():
 
 
 def test_ensemble_progress_is_logged(caplog):
-    cfg = PathConfig(dt=0.01, t_end=2.0, seed=1, system="bilinear")
+    cfg = PathConfig(dt=0.01, t_end=2.0, seed=1)
     with caplog.at_level(logging.INFO, logger="vdvcarleman.montecarlo"):
         ensemble_moments(cfg, X0, 2 * CHUNK_SIZE, SYS1, n_workers=2)
     lines = [r.message for r in caplog.records if r.name == "vdvcarleman.montecarlo"]
