@@ -15,7 +15,6 @@ from .carleman import (
 )
 from .ekf import ekf_predict
 from .experiments import builtin_scenario, emit_charts, emit_csv, load_scenario, run_scenario
-from .kronecker import MonomialIndexMap, reduce_square
 from .model import PARAM_SET1, PARAM_SET2, X0_SET1
 from .moments import crosscheck_mean_paths, integrate, integrate_augmented, integrate_physical, ou_variance
 from .montecarlo import PathConfig, em_mean_reference, ensemble_moments
@@ -24,7 +23,6 @@ __version__ = "0.1.0"
 
 # The names the CLI, the acceptance checks and the README's library section use.
 __all__ = [
-    "MonomialIndexMap",
     "PARAM_SET1",
     "PARAM_SET2",
     "PathConfig",
@@ -44,7 +42,6 @@ __all__ = [
     "integrate_physical",
     "load_scenario",
     "ou_variance",
-    "reduce_square",
     "run_scenario",
     "vandevusse_coefficients",
     "write_blocks",

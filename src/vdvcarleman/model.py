@@ -89,10 +89,11 @@ def drift(x: np.ndarray, p: ReactorParams) -> np.ndarray:
     """Drift vector field; broadcasts over leading axes of ``x``."""
     x = np.asarray(x, dtype=float)
     x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
-    f1 = -p.k1 * x1 - p.k3 * x1 * x1 + (x3 / p.v) * (p.caf - x1)
-    f2 = p.k1 * x1 - p.k2 * x2 - (x3 / p.v) * x2
-    f3 = -p.alpha * x3
-    return np.stack([f1, f2, f3], axis=-1)
+    f = np.empty(x.shape)
+    f[..., 0] = -p.k1 * x1 - p.k3 * x1 * x1 + (x3 / p.v) * (p.caf - x1)
+    f[..., 1] = p.k1 * x1 - p.k2 * x2 - (x3 / p.v) * x2
+    f[..., 2] = -p.alpha * x3
+    return f
 
 
 def diffusion(p: ReactorParams) -> np.ndarray:

@@ -73,7 +73,7 @@ def integrate(rhs, y0: np.ndarray, dt: float, t_end: float, post_step=None) -> t
     """
     n = grid_steps(dt, t_end)
     y = np.array(y0, dtype=float)
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise IntegrationError("non-finite initial state")
     out = np.empty((n + 1, y.size))
     out[0] = y
@@ -87,7 +87,7 @@ def integrate(rhs, y0: np.ndarray, dt: float, t_end: float, post_step=None) -> t
         y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if post_step is not None:
             y = post_step(y)
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise IntegrationError(f"non-finite state at t={(k + 1) * dt:.6g}")
         out[k + 1] = y
     return np.arange(n + 1) * dt, out
@@ -179,6 +179,12 @@ def integrate_physical(p: ReactorParams, mean0, cov0, dt: float, t_end: float) -
     return MomentSeries(dt=dt, t=t, mean=mean, cov=cov)
 
 
+def _lifted_mean(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """Augmented mean of physical moments: m, then E[x_i x_j] = P_ij + m_i m_j in pair order."""
+    second = cov + np.outer(mean, mean)
+    return np.concatenate([mean, [second[i, j] for (i, j) in MonomialIndexMap(mean.size, 2).pairs]])
+
+
 def gaussian_lift(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lift physical moments to the augmented state under Gaussian closure.
 
@@ -196,9 +202,6 @@ def gaussian_lift(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.nda
     m, P = mean, cov
     n = m.size
     pairs = MonomialIndexMap(n, 2).pairs
-    second = P + np.outer(m, m)
-    lifted_mean = np.concatenate([m, np.array([second[i, j] for (i, j) in pairs])])
-
     lifted = np.zeros((n + len(pairs), n + len(pairs)))
     lifted[:n, :n] = P
     for b, (i, j) in enumerate(pairs):
@@ -211,7 +214,7 @@ def gaussian_lift(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.nda
             lifted[n + a, n + b] = (P[i, k] * P[j, l] + P[i, l] * P[j, k]
                                     + m[i] * m[k] * P[j, l] + m[i] * m[l] * P[j, k]
                                     + m[j] * m[k] * P[i, l] + m[j] * m[l] * P[i, k])
-    return lifted_mean, 0.5 * (lifted + lifted.T)
+    return _lifted_mean(m, P), 0.5 * (lifted + lifted.T)
 
 
 def augmented_mean_rhs(sys: BilinearSystem, mean: np.ndarray) -> np.ndarray:
@@ -272,8 +275,7 @@ def crosscheck_mean_paths(sys: BilinearSystem, p: ReactorParams, mean0, cov0, dt
     integrator round-off.
     """
     mean0, cov0 = _checked_moments(mean0, cov0, 3)
-    lifted_mean0, _ = gaussian_lift(mean0, cov0)
-    t, aug = integrate(lambda y: augmented_mean_rhs(sys, y), lifted_mean0, dt, t_end)
+    t, aug = integrate(lambda y: augmented_mean_rhs(sys, y), _lifted_mean(mean0, cov0), dt, t_end)
     phys = integrate_physical(p, mean0, cov0, dt, t_end)
 
     mean_diff = np.abs(phys.mean - aug[:, :3])

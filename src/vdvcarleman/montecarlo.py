@@ -147,7 +147,7 @@ def simulate_path(cfg: PathConfig, x0, dynamics, increments: np.ndarray | None =
     out[0] = x
     for k in range(n_steps):
         x = x + drift_fn(x) * cfg.dt + noise_fn(x) * (sqdt * increments[k])
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise SimulationError(f"non-finite state at step {k + 1} (t={(k + 1) * cfg.dt:.6g})")
         out[k + 1] = x
     return np.arange(n_steps + 1) * cfg.dt, out

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vdvcarleman.ekf import ekf_predict, ekf_rhs
-from vdvcarleman.model import PARAM_SET1, ReactorParams, X0_SET1, drift
+from vdvcarleman.model import PARAM_SET1, PARAM_SET2, ReactorParams, X0_SET1, diffusion, drift, jacobian
 from vdvcarleman.moments import integrate, integrate_physical, ou_mean
 
 P0_SET1 = np.diag([1.0, 1.0, 0.01])
@@ -31,6 +31,30 @@ def test_flow_rate_row_decouples():
         assert np.isclose(d[2, 2], p.beta**2 - 2 * p.alpha * cov[2, 2], rtol=1e-12)
 
 
+def textbook_ekf_rhs(y, p):
+    """J P + P J^T + g g^T from the model functions: the oracle for `ekf_rhs`."""
+    m = y[:3]
+    cov = y[3:].reshape(3, 3)
+    jac = jacobian(m, p)
+    g = diffusion(p)
+    return np.concatenate([drift(m, p), (jac @ cov + cov @ jac.T + np.outer(g, g)).ravel()])
+
+
+@pytest.mark.parametrize("p", [PARAM_SET1, PARAM_SET2])
+def test_ekf_rhs_matches_textbook_form(p):
+    rng = np.random.default_rng(21)
+    for scale in np.geomspace(1e-4, 10.0, 60):
+        c = rng.normal(size=(3, 3)) * scale
+        cov = 0.5 * (c + c.T)  # symmetric, not necessarily definite
+        y = flat_ekf(rng.normal(size=3) * [3.0, 1.0, 0.05], cov)
+        got = ekf_rhs(y, p)
+        want = textbook_ekf_rhs(y, p)
+        assert np.array_equal(got[:3], want[:3])
+        dcov = got[3:].reshape(3, 3)
+        assert np.abs(dcov - want[3:].reshape(3, 3)).max() <= 1e-15 * np.abs(want[3:]).max()
+        assert np.array_equal(dcov, dcov.T)
+
+
 def test_ekf_rhs_initial_variance_rate():
     d = ekf_rhs(flat_ekf(X0_SET1.as_array(), P0_SET1), PARAM_SET1)
     # dP11 sits right after the 3-vector mean: 2*F11*P11, with no F13
@@ -51,7 +75,7 @@ def test_ekf_mean_equals_deterministic_ode_solution():
     p = PARAM_SET1
     series = ekf_predict(p, X0_SET1.as_array(), P0_SET1, 0.01, 20.0)
     _, ode = integrate(lambda y: drift(y, p), X0_SET1.as_array(), 0.01, 20.0)
-    assert np.abs(series.mean - ode).max() <= 1e-12
+    assert np.array_equal(series.mean, ode)
 
 
 def test_ekf_flow_mean_and_stationary_variance():

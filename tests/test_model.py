@@ -86,6 +86,27 @@ def test_drift_broadcasts_over_batches():
         assert np.array_equal(out[i], drift(batch[i], PARAM_SET1))
 
 
+def _stacked_drift(x, p):
+    """The component-stack form of the drift, kept as the bit-level oracle."""
+    x = np.asarray(x, dtype=float)
+    x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
+    f1 = -p.k1 * x1 - p.k3 * x1 * x1 + (x3 / p.v) * (p.caf - x1)
+    f2 = p.k1 * x1 - p.k2 * x2 - (x3 / p.v) * x2
+    f3 = -p.alpha * x3
+    return np.stack([f1, f2, f3], axis=-1)
+
+
+@pytest.mark.parametrize("shape", [(3,), (5, 3), (2, 256, 3)])
+@pytest.mark.parametrize("p", [PARAM_SET1, PARAM_SET2])
+def test_drift_equals_stacked_form_bit_for_bit(shape, p):
+    x = np.random.default_rng(9).normal(size=shape) * [3.0, 1.0, 0.05]
+    got = drift(x, p)
+    want = _stacked_drift(x, p)
+    assert got.shape == want.shape == shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_diffusion_examples():
     assert np.array_equal(diffusion(PARAM_SET1), [0.0, 0.0, 0.044])
     p0 = ReactorParams(k1=1, k2=1, k3=1, caf=1, v=1, alpha=1, beta=0.0)
