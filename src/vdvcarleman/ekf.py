@@ -10,17 +10,18 @@ with F the drift Jacobian and G the constant diffusion column.  The full
 3-state vector is estimated, including the flow rate, so the information
 set matches the Carleman moment path.  No measurement updates.
 
-The right-hand side assumes a symmetric P, which the moment integrator
-guarantees (it symmetrizes the initial covariance, and every stage stays
-symmetric): it forms F P once and uses F P + (F P)^T, since (F P)^T is
-P F^T bit for bit when P is symmetric.
+The right-hand side assumes a symmetric P and returns an exactly
+symmetric rate: it forms F P once and uses F P + (F P)^T, since (F P)^T
+is P F^T bit for bit when P is symmetric.  `ekf_predict` symmetrizes the
+initial covariance, and every RK4 stage and step then stays exactly
+symmetric, so the integrator needs no post-step.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .model import ReactorParams
-from .moments import MomentSeries, _checked_moments, _integrate_mean_cov
+from .moments import MomentSeries, _checked_moments, integrate
 
 
 def ekf_rhs(y: np.ndarray, p: ReactorParams) -> np.ndarray:
@@ -61,4 +62,5 @@ def ekf_rhs(y: np.ndarray, p: ReactorParams) -> np.ndarray:
 def ekf_predict(p: ReactorParams, x0, cov0, dt: float, t_end: float) -> MomentSeries:
     """Deterministic EKF prediction series on the shared fixed-step grid."""
     x0, cov0 = _checked_moments(x0, cov0, 3)
-    return _integrate_mean_cov(lambda y: ekf_rhs(y, p), x0, cov0, dt, t_end)
+    t, ys = integrate(lambda y: ekf_rhs(y, p), np.concatenate([x0, cov0.ravel()]), dt, t_end)
+    return MomentSeries(dt=dt, t=t, mean=ys[:, :3], cov=ys[:, 3:].reshape(t.size, 3, 3))

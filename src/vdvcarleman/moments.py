@@ -6,8 +6,16 @@ Two formulations are implemented:
   distinct covariance entries of (C_A, C_B, F_r).  This is the reporting
   path; all variance tables and error curves come from it.
 * the augmented path: mean and covariance of the full 9-dim bilinear
-  state, propagated in partitioned matrix form.  It exists for
-  cross-validation of the assembled system matrices.
+  state.  It exists for cross-validation of the assembled system
+  matrices.  Under the lift the moment equations are linear,
+
+      dm = a0 + a m,   dP = a P + P a^T + d P d^T + (g + d m)(g + d m)^T,
+
+  so one fixed RK4 step is an exact linear map.  `integrate_augmented`
+  builds that map once (`_augmented_step_maps`) and then steps with
+  matrix-vector products: z = (m, 1) by a (dim+1)x(dim+1) matrix, and
+  the covariance on its upper triangle, forced through the distinct
+  products of z.
 
 The two MEAN systems are the same linear ODE written in different
 coordinates; `crosscheck_mean_paths` integrates both and reports the
@@ -18,10 +26,13 @@ reconciled.
 
 Every moment path takes the same initial data: a plain mean vector and
 covariance matrix of the physical state, checked for shape and
-finiteness and symmetrized on entry.  Covariances are symmetrized after
-every integrator step.  No positive-semidefiniteness repair is applied:
-order-2 truncation can legitimately drive the physical covariance
-indefinite, and that behaviour must stay observable.
+finiteness and symmetrized on entry.  Every path keeps the covariance
+exactly symmetric without a post-step: the physical path stores its six
+distinct entries, the augmented path its upper triangle, and the EKF
+right-hand side returns a symmetric rate for a symmetric covariance.  No
+positive-semidefiniteness repair is applied: order-2 truncation can
+legitimately drive the physical covariance indefinite, and that
+behaviour must stay observable.
 """
 from __future__ import annotations
 
@@ -37,6 +48,10 @@ from .model import ReactorParams
 PAIRS = MonomialIndexMap(3, 2).pairs
 
 GRID_TOL = 1e-9
+
+# Steps per block of the augmented propagator: its per-block temporaries
+# stay small whatever the horizon.
+_BLOCK_STEPS = 1024
 
 
 class IntegrationError(RuntimeError):
@@ -63,13 +78,11 @@ def grid_index(dt: float, time: float) -> int:
     return k
 
 
-def integrate(rhs, y0: np.ndarray, dt: float, t_end: float, post_step=None) -> tuple[np.ndarray, np.ndarray]:
+def integrate(rhs, y0: np.ndarray, dt: float, t_end: float) -> tuple[np.ndarray, np.ndarray]:
     """Classical fixed-step RK4 on a uniform grid.
 
-    Returns (t, Y) with Y[k] the state at t[k]; Y[0] is y0.  ``post_step``
-    (if given) is applied to the raw state after every step, e.g. to
-    re-symmetrize a covariance block.  Aborts with `IntegrationError` at
-    the first non-finite state.
+    Returns (t, Y) with Y[k] the state at t[k]; Y[0] is y0.  Aborts with
+    `IntegrationError` at the first non-finite state.
     """
     n = grid_steps(dt, t_end)
     y = np.array(y0, dtype=float)
@@ -85,8 +98,6 @@ def integrate(rhs, y0: np.ndarray, dt: float, t_end: float, post_step=None) -> t
         k3 = rhs(y + half * k2)
         k4 = rhs(y + dt * k3)
         y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if post_step is not None:
-            y = post_step(y)
         if not np.isfinite(y).all():
             raise IntegrationError(f"non-finite state at t={(k + 1) * dt:.6g}")
         out[k + 1] = y
@@ -124,20 +135,6 @@ def _checked_moments(mean, cov, n: int) -> tuple[np.ndarray, np.ndarray]:
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
         raise ValueError("moments must be finite")
     return mean, cov
-
-
-def _integrate_mean_cov(rhs, mean0: np.ndarray, cov0: np.ndarray, dt: float, t_end: float) -> MomentSeries:
-    """RK4 on the flat state (mean, row-major covariance), symmetrized after every step."""
-    n = mean0.size
-
-    def symmetrize(y):
-        cov = y[n:].reshape(n, n)
-        y[n:] = (0.5 * (cov + cov.T)).ravel()
-        return y
-
-    y0 = np.concatenate([mean0, cov0.ravel()])
-    t, ys = integrate(rhs, y0, dt, t_end, post_step=symmetrize)
-    return MomentSeries(dt=dt, t=t, mean=ys[:, :n], cov=ys[:, n:].reshape(t.size, n, n))
 
 
 def physical_rhs(y: np.ndarray, p: ReactorParams) -> np.ndarray:
@@ -222,36 +219,126 @@ def augmented_mean_rhs(sys: BilinearSystem, mean: np.ndarray) -> np.ndarray:
     return sys.a0 + sys.a @ mean
 
 
-def _augmented_cov_rhs(sys: BilinearSystem, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Covariance dynamics of the bilinear state, full-matrix form.
+def _rk4_map(op: np.ndarray, h: float) -> tuple[list[np.ndarray], np.ndarray]:
+    """Stage maps and one-step map of classical RK4 on the linear ODE dy = op y.
 
-    dP = P a^T + a P + g g^T + (d mean) g^T + g (d mean)^T
-         + d P d^T + (d mean)(d mean)^T
-
-    for the unit Brownian channel of `BilinearSystem`.
+    Stage s of a step from y evaluates the RHS at Z_s y, with Z_1 = I,
+    Z_2 = I + h/2 op Z_1, Z_3 = I + h/2 op Z_2 and Z_4 = I + h op Z_3;
+    the step is y <- (I + h/6 op (Z_1 + 2 Z_2 + 2 Z_3 + Z_4)) y.
     """
-    ap = sys.a @ cov
-    u = sys.d @ mean
-    diff = (np.outer(sys.g, sys.g) + np.outer(u, sys.g) + np.outer(sys.g, u)
-            + sys.d @ cov @ sys.d.T + np.outer(u, u))
-    return ap + ap.T + diff
+    eye = np.eye(op.shape[0])
+    stages = [eye]
+    for c in (0.5 * h, 0.5 * h, h):
+        stages.append(eye + c * (op @ stages[-1]))
+    step = eye + (h / 6.0) * (op @ (stages[0] + 2.0 * stages[1] + 2.0 * stages[2] + stages[3]))
+    return stages, step
+
+
+def _mean_generator(sys: BilinearSystem) -> np.ndarray:
+    """M = [[a, a0], [0, 0]]: dz = M z on z = (mean, 1) is the augmented mean ODE."""
+    dim = sys.dim
+    m = np.zeros((dim + 1, dim + 1))
+    m[:dim, :dim] = sys.a
+    m[:dim, dim] = sys.a0
+    return m
+
+
+def _packed(full: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """A linear map between symmetric matrices, restricted to upper-triangle storage.
+
+    ``full`` maps the row-major vec of a symmetric cols x cols matrix to
+    the row-major vec of a symmetric rows x rows matrix.  An off-diagonal
+    input entry stands for both of its mirror positions.
+    """
+    ri, rj = np.triu_indices(rows)
+    ci, cj = np.triu_indices(cols)
+    picked = full[ri * rows + rj]
+    out = picked[:, ci * cols + cj]
+    off = ci != cj
+    out[:, off] += picked[:, cj[off] * cols + ci[off]]
+    return out
+
+
+def _augmented_step_maps(sys: BilinearSystem, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exact one-step map of fixed-step RK4 on the augmented moments.
+
+    With z = (mean, 1), D = [d | g] and L(P) = a P + P a^T + d P d^T, the
+    covariance rate is L(P) + (D z)(D z)^T.  RK4 evaluates that forcing at
+    the stage means Z_s z, so one step is
+
+        z <- A z,    p <- T p + B (z z^T)
+
+    on the upper triangle p of P and of z z^T.  A and T are the RK4 maps of
+    M and L; B collects the stage forcings F_s(Z) = (D Z_s) Z (D Z_s)^T
+    through the same stages: b_1 = F_1, b_2 = h/2 L b_1 + F_2,
+    b_3 = h/2 L b_2 + F_3, b_4 = h L b_3 + F_4, B = h/6 (b_1 + 2 b_2 + 2 b_3 + b_4).
+    Without noise (g = 0 and d = 0) B is exactly zero.
+    """
+    dim = sys.dim
+    stages, step = _rk4_map(_mean_generator(sys), h)
+    eye = np.eye(dim)
+    lyap = _packed(np.kron(sys.a, eye) + np.kron(eye, sys.a) + np.kron(sys.d, sys.d), dim, dim)
+    noise = np.column_stack([sys.d, sys.g])
+    forcing = [_packed(np.kron(w, w), dim, dim + 1) for w in (noise @ z for z in stages)]
+    b = [forcing[0]]
+    for c, f in zip((0.5 * h, 0.5 * h, h), forcing[1:]):
+        b.append(c * (lyap @ b[-1]) + f)
+    force_step = (h / 6.0) * (b[0] + 2.0 * b[1] + 2.0 * b[2] + b[3])
+    return step, _rk4_map(lyap, h)[1], force_step
+
+
+def _step_affine(step: np.ndarray, out: np.ndarray, force: np.ndarray | None = None) -> None:
+    """Fill out[1:] from out[0] by out[k+1] = step @ out[k] (+ force[k])."""
+    for k in range(out.shape[0] - 1):
+        np.dot(step, out[k], out=out[k + 1])
+        if force is not None:
+            out[k + 1] += force[k]
+
+
+def _raise_if_nonfinite(states: np.ndarray, k0: int, dt: float) -> None:
+    """IntegrationError naming the first non-finite row; row r is grid step k0 + r."""
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        raise IntegrationError(f"non-finite state at t={(k0 + int(np.argmin(finite))) * dt:.6g}")
 
 
 def integrate_augmented(sys: BilinearSystem, mean0, cov0, dt: float, t_end: float) -> MomentSeries:
     """Propagate augmented mean and covariance with fixed-step RK4.
 
     ``mean0`` and ``cov0`` are the physical moments; the augmented initial
-    state is their `gaussian_lift`.
+    state is their `gaussian_lift`.  Each step applies RK4's exact
+    one-step map (`_augmented_step_maps`), in blocks of `_BLOCK_STEPS`
+    steps written straight into the returned covariance, which is
+    symmetric by construction.
     """
     mean0, cov0 = _checked_moments(mean0, cov0, sys.n)
+    n_steps = grid_steps(dt, t_end)
+    lift_mean, lift_cov = gaussian_lift(mean0, cov0)
+    if not (np.isfinite(lift_mean).all() and np.isfinite(lift_cov).all()):
+        raise IntegrationError("non-finite initial state")
     dim = sys.dim
+    step, cov_step, force_step = _augmented_step_maps(sys, dt)
+    iu, ju = np.triu_indices(dim)
+    zi, zj = np.triu_indices(dim + 1)
 
-    def rhs(y):
-        mean = y[:dim]
-        cov = y[dim:].reshape(dim, dim)
-        return np.concatenate([augmented_mean_rhs(sys, mean), _augmented_cov_rhs(sys, mean, cov).ravel()])
-
-    return _integrate_mean_cov(rhs, *gaussian_lift(mean0, cov0), dt, t_end)
+    z = np.empty((n_steps + 1, dim + 1))
+    z[0, :dim] = lift_mean
+    z[0, dim] = 1.0
+    cov = np.empty((n_steps + 1, dim, dim))
+    cov[0] = lift_cov
+    packed = np.empty((_BLOCK_STEPS + 1, iu.size))
+    packed[0] = lift_cov[iu, ju]
+    for start in range(0, n_steps, _BLOCK_STEPS):
+        stop = min(start + _BLOCK_STEPS, n_steps)
+        _step_affine(step, z[start:stop + 1])
+        pairs = z[start:stop]
+        block = packed[:stop - start + 1]
+        _step_affine(cov_step, block, (pairs[:, zi] * pairs[:, zj]) @ force_step.T)
+        _raise_if_nonfinite(np.hstack([z[start + 1:stop + 1], block[1:]]), start + 1, dt)
+        cov[start + 1:stop + 1, iu, ju] = block[1:]
+        cov[start + 1:stop + 1, ju, iu] = block[1:]
+        packed[0] = block[-1]
+    return MomentSeries(dt=dt, t=np.arange(n_steps + 1) * dt, mean=z[:, :dim], cov=cov)
 
 
 @dataclass(frozen=True)
@@ -269,14 +356,21 @@ def crosscheck_mean_paths(sys: BilinearSystem, p: ReactorParams, mean0, cov0, dt
     """Integrate the mean system in both coordinate sets and compare.
 
     The physical path propagates (mean, covariance); the augmented path
-    propagates the bilinear mean (physical mean, second moments).  The two
+    propagates the bilinear mean (physical mean, second moments) with the
+    RK4 one-step map of `integrate_augmented`.  The two
     are the same ODE, so after mapping second moments back to covariances
     (P_ij = s_ij - m_i m_j) the trajectories must coincide up to
     integrator round-off.
     """
     mean0, cov0 = _checked_moments(mean0, cov0, 3)
-    t, aug = integrate(lambda y: augmented_mean_rhs(sys, y), _lifted_mean(mean0, cov0), dt, t_end)
+    n_steps = grid_steps(dt, t_end)
+    aug = np.empty((n_steps + 1, sys.dim + 1))
+    aug[0, :-1] = _lifted_mean(mean0, cov0)
+    aug[0, -1] = 1.0
+    _step_affine(_rk4_map(_mean_generator(sys), dt)[1], aug)
+    _raise_if_nonfinite(aug, 0, dt)
     phys = integrate_physical(p, mean0, cov0, dt, t_end)
+    t = phys.t
 
     mean_diff = np.abs(phys.mean - aug[:, :3])
     implied = np.empty((t.size, len(PAIRS)))

@@ -101,10 +101,11 @@ def check_ou_analytic() -> CheckResult:
         s, p, x0, p0 = _scenario_pieces(name)
         sys = build_vandevusse(p)
         exact = ou_variance(s.p0_diag[2], p.alpha, p.beta, np.arange(round(s.t_end / s.dt) + 1) * s.dt)
+        # Copies, so that no whole series outlives its call.
         paths = {
-            "physical": integrate_physical(p, x0, p0, s.dt, s.t_end).cov[:, 2, 2],
-            "augmented": integrate_augmented(sys, x0, p0, s.dt, s.t_end).cov[:, 2, 2],
-            "ekf": ekf_predict(p, x0, p0, s.dt, s.t_end).cov[:, 2, 2],
+            "physical": np.array(integrate_physical(p, x0, p0, s.dt, s.t_end).cov[:, 2, 2]),
+            "augmented": np.array(integrate_augmented(sys, x0, p0, s.dt, s.t_end).cov[:, 2, 2]),
+            "ekf": np.array(ekf_predict(p, x0, p0, s.dt, s.t_end).cov[:, 2, 2]),
         }
         for path_name, got in paths.items():
             rel = float(np.max(np.abs(got - exact) / np.abs(exact)))

@@ -5,6 +5,8 @@ from vdvcarleman.ekf import ekf_predict, ekf_rhs
 from vdvcarleman.model import PARAM_SET1, PARAM_SET2, ReactorParams, X0_SET1, diffusion, drift, jacobian
 from vdvcarleman.moments import integrate, integrate_physical, ou_mean
 
+from test_moments import symmetrized_rk4
+
 P0_SET1 = np.diag([1.0, 1.0, 0.01])
 
 
@@ -53,6 +55,36 @@ def test_ekf_rhs_matches_textbook_form(p):
         dcov = got[3:].reshape(3, 3)
         assert np.abs(dcov - want[3:].reshape(3, 3)).max() <= 1e-15 * np.abs(want[3:]).max()
         assert np.array_equal(dcov, dcov.T)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("p, p0_33", [(PARAM_SET1, 0.01), (PARAM_SET2, 0.09)])
+def test_ekf_predict_equals_symmetrized_loop_bit_for_bit(p, p0_33):
+    # `ekf_rhs` keeps P exactly symmetric, so a post-step symmetrization
+    # would change no bit: the plain RK4 path equals the old symmetrized loop.
+    cov0 = np.diag([1.0, 1.0, p0_33])
+    series = ekf_predict(p, X0_SET1.as_array(), cov0, 0.01, 50.0)
+    t, mean, cov = symmetrized_rk4(lambda y: ekf_rhs(y, p), X0_SET1.as_array(), cov0, 0.01, 50.0)
+    assert np.array_equal(series.t, t)
+    assert np.array_equal(bits(series.mean), bits(mean))
+    assert np.array_equal(bits(series.cov), bits(cov))
+
+
+@pytest.mark.parametrize("cov0", [
+    np.zeros((3, 3)),
+    -np.zeros((3, 3)),
+    np.array([[-0.0, 0.0, -0.0], [-0.0, 0.0, 0.0], [-0.0, 0.0, -0.0]]),
+], ids=["plus_zero", "minus_zero", "mixed_zero"])
+def test_ekf_zero_noise_zero_starts_equal_symmetrized_loop_bit_for_bit(cov0):
+    p = ReactorParams(k1=0.01388, k2=0.02778, k3=0.002778, caf=0.0027, v=10.0, alpha=0.1, beta=0.0)
+    series = ekf_predict(p, X0_SET1.as_array(), cov0, 0.01, 20.0)
+    start = 0.5 * (cov0 + cov0.T)  # the boundary's symmetrization
+    _, mean, cov = symmetrized_rk4(lambda y: ekf_rhs(y, p), X0_SET1.as_array(), start, 0.01, 20.0)
+    assert np.array_equal(bits(series.mean), bits(mean))
+    assert np.array_equal(bits(series.cov), bits(cov))
 
 
 def test_ekf_rhs_initial_variance_rate():
