@@ -292,7 +292,7 @@ def _run_mc(scenario: Scenario, p: ReactorParams, sys: BilinearSystem, x0: np.nd
 
     # The bilinear mean obeys the augmented mean ODE exactly; paths start
     # at a point, so the ODE starts from the lifted state with no spread.
-    _, ode = integrate(lambda y: augmented_mean_rhs(sys, y), point_lift(x0), dt, t_end)
+    _, ode = integrate(augmented_mean_rhs(sys), point_lift(x0), dt, t_end)
     # Bias-free reference: the exact expectation of the simulated chain.
     _, euler_ode = em_mean_reference(sys, x0, dt, t_end)
 
@@ -340,13 +340,37 @@ _CKPT_COLUMNS = ("t", "carleman_P_x1", "ekf_P_x1", "carleman_P_x2", "ekf_P_x2")
 _MC_COLUMNS = ("t", "component", "mc_mean", "ode_mean", "ode_em_mean", "stderr", "abs_err", "within_3_stderr")
 
 
+# Rows of trajectories.csv formatted per block: the block's row lists stay small.
+_CSV_BLOCK_ROWS = 256
+
+
 def _num(x: float) -> str:
     return f"{x:.10e}"
 
 
-def _cov_cols(series: MomentSeries, k: int) -> list[str]:
-    c = series.cov[k]
-    return [_num(c[0, 0]), _num(c[1, 1]), _num(c[0, 1]), _num(c[0, 2]), _num(c[1, 2]), _num(c[2, 2])]
+def _trajectory_format(report: ComparisonReport) -> tuple[str, list[np.ndarray]]:
+    """One '%'-format line for a trajectories.csv row, and the columns it formats.
+
+    Every number is '%.10e' (the same digits as `_num`); a series the
+    report does not contain leaves its formats empty.
+    """
+    columns = [report.t, *report.true_path.T]
+    formats = ["%.10e"] * 4
+    for series in (report.carleman, report.ekf):
+        if series is None:
+            formats += [""] * 9
+            continue
+        c = series.cov
+        columns += [*series.mean.T, c[:, 0, 0], c[:, 1, 1], c[:, 0, 1], c[:, 0, 2], c[:, 1, 2], c[:, 2, 2]]
+        formats += ["%.10e"] * 9
+    for method in ("carleman", "ekf"):
+        err = report.errors.get(method)
+        if err is None:
+            formats += ["", ""]
+        else:
+            columns += [err[:, 0], err[:, 1]]
+            formats += ["%.10e"] * 2
+    return ",".join(formats) + "\n", columns
 
 
 def emit_csv(report: ComparisonReport, out_dir: str) -> list[str]:
@@ -362,21 +386,10 @@ def emit_csv(report: ComparisonReport, out_dir: str) -> list[str]:
     with open(traj, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(_TRAJ_COLUMNS) + "\n")
         if report.true_path is not None:
-            for k in range(report.t.size):
-                row = [_num(report.t[k])]
-                row += [_num(v) for v in report.true_path[k]]
-                if report.carleman is not None:
-                    row += [_num(v) for v in report.carleman.mean[k]] + _cov_cols(report.carleman, k)
-                else:
-                    row += [""] * 9
-                if report.ekf is not None:
-                    row += [_num(v) for v in report.ekf.mean[k]] + _cov_cols(report.ekf, k)
-                else:
-                    row += [""] * 9
-                for method in ("carleman", "ekf"):
-                    err = report.errors.get(method)
-                    row += [_num(err[k, 0]), _num(err[k, 1])] if err is not None else ["", ""]
-                fh.write(",".join(row) + "\n")
+            line, columns = _trajectory_format(report)
+            for start in range(0, report.t.size, _CSV_BLOCK_ROWS):
+                rows = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns]).tolist()
+                fh.write("".join([line % tuple(row) for row in rows]))
     paths.append(traj)
 
     ckpt = os.path.join(out_dir, "checkpoints.csv")

@@ -49,9 +49,10 @@ PAIRS = MonomialIndexMap(3, 2).pairs
 
 GRID_TOL = 1e-9
 
-# Steps per block of the augmented propagator: its per-block temporaries
-# stay small whatever the horizon.
-_BLOCK_STEPS = 1024
+# Steps per block of every fixed-step loop: the augmented propagator's
+# temporaries and the row lists of the float loops stay small whatever
+# the horizon.
+BLOCK_STEPS = 1024
 
 
 class IntegrationError(RuntimeError):
@@ -78,29 +79,46 @@ def grid_index(dt: float, time: float) -> int:
     return k
 
 
-def integrate(rhs, y0: np.ndarray, dt: float, t_end: float) -> tuple[np.ndarray, np.ndarray]:
+def integrate(rhs, y0, dt: float, t_end: float) -> tuple[np.ndarray, np.ndarray]:
     """Classical fixed-step RK4 on a uniform grid.
 
-    Returns (t, Y) with Y[k] the state at t[k]; Y[0] is y0.  Aborts with
-    `IntegrationError` at the first non-finite state.
+    ``rhs`` maps the state, a list of floats, to its time derivative, a
+    sequence of floats of the same length.  The stage arithmetic runs on
+    Python floats, entry by entry in the operation order of the array
+    expressions y + h k and y + dt/6 (k1 + 2 k2 + 2 k3 + k4), so it rounds
+    as they do.  Returns (t, Y) with Y[k] the state at t[k]; Y[0] is y0.
+
+    Steps are stored in blocks of `BLOCK_STEPS` rows, and each block is
+    checked as it is stored: `IntegrationError` names the time of the
+    first non-finite state.  An `OverflowError` from ``rhs`` (a float
+    power beyond the double range) ends the run the same way, at the step
+    it interrupted.  Within a block ``rhs`` may see non-finite states.
     """
     n = grid_steps(dt, t_end)
-    y = np.array(y0, dtype=float)
-    if not np.isfinite(y).all():
+    y0 = np.array(y0, dtype=float)
+    if not np.isfinite(y0).all():
         raise IntegrationError("non-finite initial state")
-    out = np.empty((n + 1, y.size))
-    out[0] = y
+    out = np.empty((n + 1, y0.size))
+    out[0] = y0
+    y = y0.tolist()
     sixth = dt / 6.0
     half = 0.5 * dt
-    for k in range(n):
-        k1 = rhs(y)
-        k2 = rhs(y + half * k1)
-        k3 = rhs(y + half * k2)
-        k4 = rhs(y + dt * k3)
-        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(y).all():
-            raise IntegrationError(f"non-finite state at t={(k + 1) * dt:.6g}")
-        out[k + 1] = y
+    for start in range(1, n + 1, BLOCK_STEPS):
+        rows = []
+        try:
+            for _ in range(min(BLOCK_STEPS, n + 1 - start)):
+                k1 = rhs(y)
+                k2 = rhs([a + half * b for a, b in zip(y, k1)])
+                k3 = rhs([a + half * b for a, b in zip(y, k2)])
+                k4 = rhs([a + dt * b for a, b in zip(y, k3)])
+                y = [a + sixth * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
+                rows.append(y)
+        except OverflowError:
+            _raise_if_nonfinite(np.reshape(rows, (-1, y0.size)), start, dt)
+            raise IntegrationError(f"non-finite state at t={(start + len(rows)) * dt:.6g}") from None
+        block = out[start:start + len(rows)]
+        block[:] = rows
+        _raise_if_nonfinite(block, start, dt)
     return np.arange(n + 1) * dt, out
 
 
@@ -137,37 +155,48 @@ def _checked_moments(mean, cov, n: int) -> tuple[np.ndarray, np.ndarray]:
     return mean, cov
 
 
-def physical_rhs(y: np.ndarray, p: ReactorParams) -> np.ndarray:
-    """Time derivative of the flat physical moment state.
+def physical_rhs(p: ReactorParams):
+    """The `integrate` right-hand side of the flat physical moment state.
 
     State order: m1, m2, m3, then the covariance entries P11, P12, P13,
-    P22, P23, P33.
+    P22, P23, P33.  The parameter constants are formed once, here; each
+    is the leading factor of the product it stands in, so every rate
+    rounds as the written-out expression does.
     """
-    m1, m2, m3, p11, p12, p13, p22, p23, p33 = y.tolist()
     k1, k2, k3 = p.k1, p.k2, p.k3
     caf, v, a, b = p.caf, p.v, p.alpha, p.beta
+    neg_k1, neg_a, caf_v, two_v = -k1, -a, caf / v, 2.0 / v
+    two_k1, two_k2, two_k3 = 2.0 * k1, 2.0 * k2, 2.0 * k3
+    neg_two_k1, two_caf_v = -2.0 * k1, 2.0 * caf / v
+    k1_k2, neg_a_k1, a_k2 = k1 + k2, -(a + k1), a + k2
+    bb, two_a = b * b, 2.0 * a
 
-    dm1 = -k1 * m1 + (caf / v) * m3 - k3 * p11 - k3 * m1 * m1 - p13 / v - m1 * m3 / v
-    dm2 = k1 * m1 - k2 * m2 - p23 / v - m2 * m3 / v
-    dm3 = -a * m3
-    # Covariance rates; the m-only products are the order-2 truncation residual.
-    dp11 = (-2.0 * k1 * p11 + (2.0 * caf / v) * p13 + 2.0 * k3 * m1 * p11
-            + 2.0 * k3 * m1 ** 3 + (2.0 / v) * m1 * p13 + (2.0 / v) * m1 * m1 * m3)
-    dp12 = (k1 * p11 + k3 * m2 * p11 - (k1 + k2) * p12 + m2 * p13 / v
-            + (caf / v) * p23 + m1 * p23 / v + k3 * m1 * m1 * m2 + 2.0 * m1 * m2 * m3 / v)
-    dp13 = (-(a + k1) * p13 + (caf / v) * p33 + k3 * m3 * p11
-            + k3 * m1 * m1 * m3 + m3 * p13 / v + m1 * m3 * m3 / v)
-    dp22 = 2.0 * k1 * p12 - 2.0 * k2 * p22 + (2.0 / v) * m2 * p23 + (2.0 / v) * m2 * m2 * m3
-    dp23 = k1 * p13 - (a + k2) * p23 + m3 * p23 / v + m2 * m3 * m3 / v
-    dp33 = b * b - 2.0 * a * p33
-    return np.array([dm1, dm2, dm3, dp11, dp12, dp13, dp22, dp23, dp33])
+    def rhs(y):
+        m1, m2, m3, p11, p12, p13, p22, p23, p33 = y
+        # Covariance rates; the m-only products are the order-2 truncation residual.
+        return [
+            neg_k1 * m1 + caf_v * m3 - k3 * p11 - k3 * m1 * m1 - p13 / v - m1 * m3 / v,
+            k1 * m1 - k2 * m2 - p23 / v - m2 * m3 / v,
+            neg_a * m3,
+            (neg_two_k1 * p11 + two_caf_v * p13 + two_k3 * m1 * p11
+             + two_k3 * m1 ** 3 + two_v * m1 * p13 + two_v * m1 * m1 * m3),
+            (k1 * p11 + k3 * m2 * p11 - k1_k2 * p12 + m2 * p13 / v
+             + caf_v * p23 + m1 * p23 / v + k3 * m1 * m1 * m2 + 2.0 * m1 * m2 * m3 / v),
+            (neg_a_k1 * p13 + caf_v * p33 + k3 * m3 * p11
+             + k3 * m1 * m1 * m3 + m3 * p13 / v + m1 * m3 * m3 / v),
+            two_k1 * p12 - two_k2 * p22 + two_v * m2 * p23 + two_v * m2 * m2 * m3,
+            k1 * p13 - a_k2 * p23 + m3 * p23 / v + m2 * m3 * m3 / v,
+            bb - two_a * p33,
+        ]
+
+    return rhs
 
 
 def integrate_physical(p: ReactorParams, mean0, cov0, dt: float, t_end: float) -> MomentSeries:
     """Propagate the physical moment ODEs with fixed-step RK4."""
     mean0, cov0 = _checked_moments(mean0, cov0, 3)
     y0 = np.concatenate([mean0, [cov0[i, j] for (i, j) in PAIRS]])
-    t, ys = integrate(lambda y: physical_rhs(y, p), y0, dt, t_end)
+    t, ys = integrate(physical_rhs(p), y0, dt, t_end)
     mean = ys[:, :3]
     cov = np.empty((t.size, 3, 3))
     for k, (i, j) in enumerate(PAIRS):
@@ -214,9 +243,24 @@ def gaussian_lift(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.nda
     return _lifted_mean(m, P), 0.5 * (lifted + lifted.T)
 
 
-def augmented_mean_rhs(sys: BilinearSystem, mean: np.ndarray) -> np.ndarray:
-    """Mean dynamics of the bilinear state: a0 + a @ mean (exact, no closure)."""
-    return sys.a0 + sys.a @ mean
+def augmented_mean_rhs(sys: BilinearSystem):
+    """The `integrate` right-hand side of the bilinear mean: a0 + a m (exact, no closure).
+
+    a m stays one BLAS matrix-vector product, written into a preallocated
+    vector, and a0 is added to it in place; the sum is commutative, so the
+    rate is ``sys.a0 + sys.a @ m`` bit for bit.
+    """
+    a, a0 = sys.a, sys.a0
+    mean = np.empty(sys.dim)
+    rate = np.empty(sys.dim)
+
+    def rhs(y):
+        mean[:] = y
+        np.dot(a, mean, out=rate)
+        np.add(rate, a0, out=rate)
+        return rate.tolist()
+
+    return rhs
 
 
 def _rk4_map(op: np.ndarray, h: float) -> tuple[list[np.ndarray], np.ndarray]:
@@ -307,7 +351,7 @@ def integrate_augmented(sys: BilinearSystem, mean0, cov0, dt: float, t_end: floa
 
     ``mean0`` and ``cov0`` are the physical moments; the augmented initial
     state is their `gaussian_lift`.  Each step applies RK4's exact
-    one-step map (`_augmented_step_maps`), in blocks of `_BLOCK_STEPS`
+    one-step map (`_augmented_step_maps`), in blocks of `BLOCK_STEPS`
     steps written straight into the returned covariance, which is
     symmetric by construction.
     """
@@ -326,10 +370,10 @@ def integrate_augmented(sys: BilinearSystem, mean0, cov0, dt: float, t_end: floa
     z[0, dim] = 1.0
     cov = np.empty((n_steps + 1, dim, dim))
     cov[0] = lift_cov
-    packed = np.empty((_BLOCK_STEPS + 1, iu.size))
+    packed = np.empty((BLOCK_STEPS + 1, iu.size))
     packed[0] = lift_cov[iu, ju]
-    for start in range(0, n_steps, _BLOCK_STEPS):
-        stop = min(start + _BLOCK_STEPS, n_steps)
+    for start in range(0, n_steps, BLOCK_STEPS):
+        stop = min(start + BLOCK_STEPS, n_steps)
         _step_affine(step, z[start:stop + 1])
         pairs = z[start:stop]
         block = packed[:stop - start + 1]

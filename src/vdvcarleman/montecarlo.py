@@ -5,7 +5,10 @@ embedding are generated with the Euler-Maruyama scheme
 
     x[k+1] = x[k] + f(x[k]) dt + g(x[k]) sqrt(dt) z[k],
 
-with z[k] i.i.d. standard normal.  Reproducibility contract:
+with z[k] i.i.d. standard normal.  A single path (`simulate_path`) of
+the nonlinear reactor steps Python floats in the operation order of the
+array form, so it is bit-identical to it; a single bilinear path stays on
+numpy, whose x @ a^T is a BLAS product.  Reproducibility contract:
 
 * normal increments come from numpy's PCG64 generator (ziggurat
   transform), so a given seed yields bit-identical trajectories across
@@ -34,7 +37,7 @@ import numpy as np
 
 from .carleman import BilinearSystem, point_lift
 from .model import ReactorParams, diffusion, drift
-from .moments import grid_steps
+from .moments import BLOCK_STEPS, grid_steps
 
 # Paths per reduction chunk.  Fixed: changing it would change the (still
 # deterministic) floating-point reduction order, and worker counts must not.
@@ -132,9 +135,10 @@ def simulate_path(cfg: PathConfig, x0, dynamics, increments: np.ndarray | None =
     ``increments``, if given, are the standard-normal draws to consume
     (length n_steps); passing the same array to both systems couples them
     through shared noise.  Omitted, they come from the seeded generator.
+    Steps are stored in blocks of `BLOCK_STEPS` rows, each checked as it
+    is stored: `SimulationError` names the first non-finite step.
     """
     x = _initial_state(x0, dynamics)
-    drift_fn, noise_fn = _dynamics_fns(dynamics)
     n_steps = cfg.n_steps
     if increments is None:
         increments = np.random.Generator(np.random.PCG64(cfg.seed)).standard_normal(n_steps)
@@ -142,15 +146,52 @@ def simulate_path(cfg: PathConfig, x0, dynamics, increments: np.ndarray | None =
         increments = np.asarray(increments, dtype=float)
         if increments.shape != (n_steps,):
             raise ValueError(f"need {n_steps} increments, got shape {increments.shape}")
-    sqdt = np.sqrt(cfg.dt)
+    step = _em_step(dynamics, cfg.dt)
     out = np.empty((n_steps + 1, x.size))
     out[0] = x
-    for k in range(n_steps):
-        x = x + drift_fn(x) * cfg.dt + noise_fn(x) * (sqdt * increments[k])
-        if not np.isfinite(x).all():
-            raise SimulationError(f"non-finite state at step {k + 1} (t={(k + 1) * cfg.dt:.6g})")
-        out[k + 1] = x
+    if isinstance(dynamics, ReactorParams):
+        x = x.tolist()
+    for start in range(1, n_steps + 1, BLOCK_STEPS):
+        rows = []
+        for z in increments[start - 1:start - 1 + BLOCK_STEPS].tolist():
+            x = step(x, z)
+            rows.append(x)
+        block = out[start:start + len(rows)]
+        block[:] = rows
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            k = start + int(np.argmin(finite))
+            raise SimulationError(f"non-finite state at step {k} (t={k * cfg.dt:.6g})")
     return np.arange(n_steps + 1) * cfg.dt, out
+
+
+def _em_step(dynamics, dt: float):
+    """One Euler-Maruyama step x <- (x + f(x) dt) + g(x) (sqrt(dt) z) of a single path.
+
+    The nonlinear reactor steps a tuple of floats with `model.drift`
+    written out in its operation order; the zero entries of its diffusion
+    column still add their 0.0 * (sqrt(dt) z) terms, so signed zeros come
+    out as the array form gives them.  The bilinear system steps a numpy
+    vector, since its x @ a^T and x @ d^T are BLAS products.
+    """
+    sqdt = np.sqrt(dt)
+    if isinstance(dynamics, BilinearSystem):
+        drift_fn, noise_fn = _dynamics_fns(dynamics)
+        return lambda x, z: x + drift_fn(x) * dt + noise_fn(x) * (sqdt * z)
+    p = dynamics
+    neg_k1, k1, k2, k3, caf, v, neg_a, b = -p.k1, p.k1, p.k2, p.k3, p.caf, p.v, -p.alpha, p.beta
+    sqdt = float(sqdt)
+
+    def step(x, z):
+        x1, x2, x3 = x
+        w = sqdt * z
+        return (
+            x1 + (neg_k1 * x1 - k3 * x1 * x1 + (x3 / v) * (caf - x1)) * dt + 0.0 * w,
+            x2 + (k1 * x1 - k2 * x2 - (x3 / v) * x2) * dt + 0.0 * w,
+            x3 + (neg_a * x3) * dt + b * w,
+        )
+
+    return step
 
 
 @dataclass

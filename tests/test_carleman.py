@@ -211,7 +211,7 @@ def test_embedding_matches_truncated_product_rates_on_random_sdes():
 
 def test_augmented_drift_at_zero_is_constant_block():
     sys = build_vandevusse(PARAM_SET1)
-    assert np.array_equal(augmented_mean_rhs(sys, np.zeros(9)), sys.a0)
+    assert np.array_equal(augmented_mean_rhs(sys)([0.0] * 9), sys.a0)
 
 
 def test_augmented_drift_on_consistency_manifold_matches_model():
@@ -221,7 +221,7 @@ def test_augmented_drift_on_consistency_manifold_matches_model():
     sys = build_vandevusse(p)
     x = X0_SET1.as_array()
     xi = np.concatenate([x, reduce_square(x)])
-    got = augmented_mean_rhs(sys, xi)
+    got = augmented_mean_rhs(sys)(xi)
     assert np.allclose(got[:3], drift(x, p), rtol=1e-12, atol=1e-300)
     assert np.allclose(got[:3], [-0.0694978274, 0.009459264, -0.0009528], rtol=1e-8)
 
@@ -231,7 +231,7 @@ def test_augmented_drift_flow_square_row():
     sys = build_vandevusse(p)
     xi = np.zeros(9)
     xi[8] = 1.0  # only the x3^2 slot
-    got = augmented_mean_rhs(sys, xi)
+    got = augmented_mean_rhs(sys)(xi)
     assert np.isclose(got[8], -2.0 * p.alpha + p.beta * p.beta, rtol=1e-14)
 
 

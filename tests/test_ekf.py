@@ -5,13 +5,39 @@ from vdvcarleman.ekf import ekf_predict, ekf_rhs
 from vdvcarleman.model import PARAM_SET1, PARAM_SET2, ReactorParams, X0_SET1, diffusion, drift, jacobian
 from vdvcarleman.moments import integrate, integrate_physical, ou_mean
 
-from test_moments import symmetrized_rk4
+from test_moments import bits, symmetrized_rk4
 
 P0_SET1 = np.diag([1.0, 1.0, 0.01])
 
 
 def flat_ekf(mean, cov):
     return np.concatenate([mean, np.asarray(cov).ravel()])
+
+
+def ekf_rhs_oracle(y, p):
+    """The EKF right-hand side on a numpy state, Jacobian built per call: the
+    array form the float closure `ekf_rhs` must reproduce bit for bit."""
+    m1, m2, m3 = y[:3].tolist()
+    k1, k2, k3 = p.k1, p.k2, p.k3
+    caf, v, a, b = p.caf, p.v, p.alpha, p.beta
+    jac = np.array([
+        [-k1 - 2.0 * k3 * m1 - m3 / v, 0.0, (caf - m1) / v],
+        [k1, -k2 - m3 / v, -m2 / v],
+        [0.0, 0.0, -a],
+    ])
+    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = (jac @ y[3:].reshape(3, 3)).tolist()
+    gz = 0.0 * b
+    d01 = j01 + j10 + 0.0
+    d02 = j02 + j20 + gz
+    d12 = j12 + j21 + gz
+    return np.array([
+        -k1 * m1 - k3 * m1 * m1 + (m3 / v) * (caf - m1),
+        k1 * m1 - k2 * m2 - (m3 / v) * m2,
+        -a * m3,
+        j00 + j00 + 0.0, d01, d02,
+        d01, j11 + j11 + 0.0, d12,
+        d02, d12, j22 + j22 + b * b,
+    ])
 
 
 def test_ekf_state_symmetrizes_and_validates():
@@ -29,7 +55,7 @@ def test_flow_rate_row_decouples():
     for _ in range(10):
         c = rng.normal(size=(3, 3))
         cov = c @ c.T
-        d = ekf_rhs(flat_ekf(rng.normal(size=3), cov), p)[3:].reshape(3, 3)
+        d = np.reshape(ekf_rhs(p)(flat_ekf(rng.normal(size=3), cov).tolist())[3:], (3, 3))
         assert np.isclose(d[2, 2], p.beta**2 - 2 * p.alpha * cov[2, 2], rtol=1e-12)
 
 
@@ -49,7 +75,7 @@ def test_ekf_rhs_matches_textbook_form(p):
         c = rng.normal(size=(3, 3)) * scale
         cov = 0.5 * (c + c.T)  # symmetric, not necessarily definite
         y = flat_ekf(rng.normal(size=3) * [3.0, 1.0, 0.05], cov)
-        got = ekf_rhs(y, p)
+        got = np.array(ekf_rhs(p)(y.tolist()))
         want = textbook_ekf_rhs(y, p)
         assert np.array_equal(got[:3], want[:3])
         dcov = got[3:].reshape(3, 3)
@@ -57,17 +83,27 @@ def test_ekf_rhs_matches_textbook_form(p):
         assert np.array_equal(dcov, dcov.T)
 
 
-def bits(a):
-    return np.ascontiguousarray(a).view(np.uint64)
+@pytest.mark.parametrize("p", [PARAM_SET1, PARAM_SET2], ids=["set1", "set2"])
+def test_ekf_rhs_equals_array_oracle_bit_for_bit(p):
+    rhs = ekf_rhs(p)
+    rng = np.random.default_rng(41)
+    for _ in range(2000):
+        scale = 10.0 ** rng.uniform(-6.0, 3.0)
+        c = rng.normal(size=(3, 3)) * scale
+        cov = 0.5 * (c + c.T)
+        cov[rng.random((3, 3)) < 0.1] = rng.choice([0.0, -0.0])
+        cov = np.triu(cov) + np.triu(cov, 1).T  # symmetric, signed zeros kept
+        y = flat_ekf(rng.normal(size=3) * scale, cov)
+        assert np.array_equal(bits(rhs(y.tolist())), bits(ekf_rhs_oracle(y, p)))
 
 
 @pytest.mark.parametrize("p, p0_33", [(PARAM_SET1, 0.01), (PARAM_SET2, 0.09)])
 def test_ekf_predict_equals_symmetrized_loop_bit_for_bit(p, p0_33):
     # `ekf_rhs` keeps P exactly symmetric, so a post-step symmetrization
-    # would change no bit: the plain RK4 path equals the old symmetrized loop.
+    # would change no bit: the float RK4 path equals the symmetrized array loop.
     cov0 = np.diag([1.0, 1.0, p0_33])
     series = ekf_predict(p, X0_SET1.as_array(), cov0, 0.01, 50.0)
-    t, mean, cov = symmetrized_rk4(lambda y: ekf_rhs(y, p), X0_SET1.as_array(), cov0, 0.01, 50.0)
+    t, mean, cov = symmetrized_rk4(lambda y: ekf_rhs_oracle(y, p), X0_SET1.as_array(), cov0, 0.01, 50.0)
     assert np.array_equal(series.t, t)
     assert np.array_equal(bits(series.mean), bits(mean))
     assert np.array_equal(bits(series.cov), bits(cov))
@@ -82,13 +118,13 @@ def test_ekf_zero_noise_zero_starts_equal_symmetrized_loop_bit_for_bit(cov0):
     p = ReactorParams(k1=0.01388, k2=0.02778, k3=0.002778, caf=0.0027, v=10.0, alpha=0.1, beta=0.0)
     series = ekf_predict(p, X0_SET1.as_array(), cov0, 0.01, 20.0)
     start = 0.5 * (cov0 + cov0.T)  # the boundary's symmetrization
-    _, mean, cov = symmetrized_rk4(lambda y: ekf_rhs(y, p), X0_SET1.as_array(), start, 0.01, 20.0)
+    _, mean, cov = symmetrized_rk4(lambda y: ekf_rhs_oracle(y, p), X0_SET1.as_array(), start, 0.01, 20.0)
     assert np.array_equal(bits(series.mean), bits(mean))
     assert np.array_equal(bits(series.cov), bits(cov))
 
 
 def test_ekf_rhs_initial_variance_rate():
-    d = ekf_rhs(flat_ekf(X0_SET1.as_array(), P0_SET1), PARAM_SET1)
+    d = ekf_rhs(PARAM_SET1)(flat_ekf(X0_SET1.as_array(), P0_SET1).tolist())
     # dP11 sits right after the 3-vector mean: 2*F11*P11, with no F13
     # contribution because P13(0) = 0.
     assert np.isclose(d[3], 2 * (-0.0315008) * 1.0, rtol=1e-10)
@@ -106,7 +142,7 @@ def test_ekf_mean_equals_deterministic_ode_solution():
     # the plain RK4 solution of the drift ODE on the same grid.
     p = PARAM_SET1
     series = ekf_predict(p, X0_SET1.as_array(), P0_SET1, 0.01, 20.0)
-    _, ode = integrate(lambda y: drift(y, p), X0_SET1.as_array(), 0.01, 20.0)
+    _, ode = integrate(lambda y: drift(y, p).tolist(), X0_SET1.as_array(), 0.01, 20.0)
     assert np.array_equal(series.mean, ode)
 
 

@@ -215,6 +215,45 @@ def test_trajectory_csv_layout(tmp_path):
     assert all(float(v) >= 0.0 for v in first[-4:])
 
 
+def trajectory_csv_oracle(report):
+    """trajectories.csv body formatted field by field, as `emit_csv` did with one f-string per field."""
+    def num(x):
+        return f"{x:.10e}"
+
+    def cov_cols(series, k):
+        c = series.cov[k]
+        return [num(c[0, 0]), num(c[1, 1]), num(c[0, 1]), num(c[0, 2]), num(c[1, 2]), num(c[2, 2])]
+
+    lines = []
+    for k in range(report.t.size):
+        row = [num(report.t[k])] + [num(v) for v in report.true_path[k]]
+        for series in (report.carleman, report.ekf):
+            row += [num(v) for v in series.mean[k]] + cov_cols(series, k) if series is not None else [""] * 9
+        for method in ("carleman", "ekf"):
+            err = report.errors.get(method)
+            row += [num(err[k, 0]), num(err[k, 1])] if err is not None else ["", ""]
+        lines.append(",".join(row) + "\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("methods", [("carleman", "ekf"), ("carleman",), ("ekf",), ("carleman", "ekf", "mc")],
+                         ids=["carleman_ekf", "carleman", "ekf", "all"])
+def test_trajectory_csv_equals_per_field_formatting(tmp_path, methods):
+    report = run_scenario(small_scenario(t_end=6.0, checkpoints=(0.5,)), methods=methods)
+    # Values whose text is easy to get wrong: signed zeros, non-finite and subnormal numbers.
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-310, 1.0, 9.99999999995e-5]
+    report.true_path[300:300 + len(specials), 1] = specials
+    for series in (report.carleman, report.ekf):
+        if series is not None:
+            series.cov[310:310 + len(specials), 0, 2] = specials
+            series.mean[320:320 + len(specials), 0] = specials
+    emit_csv(report, str(tmp_path))
+    text = (tmp_path / "trajectories.csv").read_text()
+    header, body = text.split("\n", 1)
+    assert report.t.size > 2 * 256  # more than one block of rows
+    assert body == trajectory_csv_oracle(report)
+
+
 def test_errors_are_absolute_differences():
     report = run_scenario(small_scenario(), methods=("carleman", "ekf"))
     for method in ("carleman", "ekf"):
@@ -309,6 +348,14 @@ def test_method_failure_carries_method_name():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match="true|carleman"):
             run_scenario(bad, methods=("carleman",))
+
+
+def test_physical_overflow_is_a_method_failure():
+    # m1 ** 3 on a float overflows for |m1| > 5.6e102; the first step of the
+    # physical path must fail as the method, not as a bare OverflowError.
+    bad = small_scenario(x0=PhysicalState(1e103, 1.0, 0.01), t_end=0.01, checkpoints=(0.01,))
+    with pytest.raises(RuntimeError, match=r"^method 'carleman' failed: non-finite state at t=0\.01$"):
+        run_scenario(bad, methods=("carleman",))
 
 
 def test_report_is_plain_dataclass_of_results():

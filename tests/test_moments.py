@@ -10,6 +10,7 @@ from vdvcarleman.ekf import ekf_predict
 from vdvcarleman.kronecker import reduce_square
 from vdvcarleman.model import PARAM_SET1, PARAM_SET2, ReactorParams, X0_SET1
 from vdvcarleman.moments import (
+    BLOCK_STEPS,
     PAIRS,
     IntegrationError,
     augmented_mean_rhs,
@@ -34,6 +35,59 @@ P11, P22, P33 = 3, 6, 8
 
 def flat_physical(mean, cov):
     return np.concatenate([mean, [cov[i][j] for (i, j) in PAIRS]])
+
+
+def bits(a):
+    """Bit patterns of a float array: equal bits also mean equal signed zeros."""
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+# ---------------------------------------------------------------------------
+# Test-only oracles for the float loops: the RK4 loop and the physical
+# right-hand side on numpy arrays, as the package computed them before its
+# stage arithmetic moved to Python floats.
+# ---------------------------------------------------------------------------
+
+
+def rk4_oracle(rhs, y0, dt, t_end):
+    """Fixed-step RK4 on numpy arrays, checking every step; ``rhs`` maps array to array."""
+    n = round(t_end / dt)
+    y = np.array(y0, dtype=float)
+    out = np.empty((n + 1, y.size))
+    out[0] = y
+    sixth = dt / 6.0
+    half = 0.5 * dt
+    for k in range(n):
+        k1 = rhs(y)
+        k2 = rhs(y + half * k1)
+        k3 = rhs(y + half * k2)
+        k4 = rhs(y + dt * k3)
+        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(y).all():
+            raise IntegrationError(f"non-finite state at t={(k + 1) * dt:.6g}")
+        out[k + 1] = y
+    return np.arange(n + 1) * dt, out
+
+
+def physical_rhs_oracle(y, p):
+    """Time derivative of the flat physical moment state, parameters read per call."""
+    m1, m2, m3, p11, p12, p13, p22, p23, p33 = y.tolist()
+    k1, k2, k3 = p.k1, p.k2, p.k3
+    caf, v, a, b = p.caf, p.v, p.alpha, p.beta
+
+    dm1 = -k1 * m1 + (caf / v) * m3 - k3 * p11 - k3 * m1 * m1 - p13 / v - m1 * m3 / v
+    dm2 = k1 * m1 - k2 * m2 - p23 / v - m2 * m3 / v
+    dm3 = -a * m3
+    dp11 = (-2.0 * k1 * p11 + (2.0 * caf / v) * p13 + 2.0 * k3 * m1 * p11
+            + 2.0 * k3 * m1 ** 3 + (2.0 / v) * m1 * p13 + (2.0 / v) * m1 * m1 * m3)
+    dp12 = (k1 * p11 + k3 * m2 * p11 - (k1 + k2) * p12 + m2 * p13 / v
+            + (caf / v) * p23 + m1 * p23 / v + k3 * m1 * m1 * m2 + 2.0 * m1 * m2 * m3 / v)
+    dp13 = (-(a + k1) * p13 + (caf / v) * p33 + k3 * m3 * p11
+            + k3 * m1 * m1 * m3 + m3 * p13 / v + m1 * m3 * m3 / v)
+    dp22 = 2.0 * k1 * p12 - 2.0 * k2 * p22 + (2.0 / v) * m2 * p23 + (2.0 / v) * m2 * m2 * m3
+    dp23 = k1 * p13 - (a + k2) * p23 + m3 * p23 / v + m2 * m3 * m3 / v
+    dp33 = b * b - 2.0 * a * p33
+    return np.array([dm1, dm2, dm3, dp11, dp12, dp13, dp22, dp23, dp33])
 
 
 # ---------------------------------------------------------------------------
@@ -81,12 +135,12 @@ def symmetrized_rk4(rhs, mean0, cov0, dt, t_end):
 
 
 def augmented_rk4_oracle(sys, mean0, cov0, dt, t_end):
-    """RK4 of (`augmented_mean_rhs`, `_augmented_cov_rhs`) from the Gaussian lift."""
+    """RK4 of the mean rate a0 + a m and `_augmented_cov_rhs` from the Gaussian lift."""
     dim = sys.dim
 
     def rhs(y):
         mean, cov = y[:dim], y[dim:].reshape(dim, dim)
-        return np.concatenate([augmented_mean_rhs(sys, mean), _augmented_cov_rhs(sys, mean, cov).ravel()])
+        return np.concatenate([sys.a0 + sys.a @ mean, _augmented_cov_rhs(sys, mean, cov).ravel()])
 
     return symmetrized_rk4(rhs, *gaussian_lift(mean0, cov0), dt, t_end)
 
@@ -171,7 +225,7 @@ def test_moment_paths_reject_bad_initial_moments(path):
 
 
 def test_physical_rhs_operating_point_terms():
-    d = physical_rhs(flat_physical(SET1_X0, SET1_P0), PARAM_SET1)
+    d = physical_rhs(PARAM_SET1)(flat_physical(SET1_X0, SET1_P0).tolist())
     # Term-by-term evaluation of the covariance rates at the initial moments.
     assert np.isclose(d[P11], -0.02776 + 0.016668 + 0.150012 + 0.0171504, rtol=1e-12)
     assert np.isclose(d[P11], 0.1560704, rtol=1e-9)
@@ -185,7 +239,7 @@ def test_physical_rhs_truncation_residual_only():
     # deleted-cubic residual expressed through the means.
     p = ReactorParams(k1=0.01388, k2=0.02778, k3=0.002778, caf=0.0027, v=10.0, alpha=0.1, beta=0.0)
     m1, m2, m3 = 1.7, -0.4, 0.25
-    d = physical_rhs(flat_physical([m1, m2, m3], np.zeros((3, 3))), p)
+    d = physical_rhs(p)(flat_physical([m1, m2, m3], np.zeros((3, 3))).tolist())
     assert np.isclose(d[P11], 2 * p.k3 * m1**3 + (2 / p.v) * m1 * m1 * m3, rtol=1e-12)
     assert np.isclose(d[P22], (2 / p.v) * m2 * m2 * m3, rtol=1e-12)
     assert np.isclose(d[P33], 0.0, atol=1e-300)
@@ -193,12 +247,12 @@ def test_physical_rhs_truncation_residual_only():
 
 def test_physical_rhs_origin_fixed_point():
     p = ReactorParams(k1=0.01388, k2=0.02778, k3=0.002778, caf=0.0027, v=10.0, alpha=0.1, beta=0.0)
-    d = physical_rhs(np.zeros(9), p)
+    d = physical_rhs(p)([0.0] * 9)
     assert not np.any(d)
 
 
 def test_integrate_constant_for_zero_rhs():
-    t, ys = integrate(lambda y: np.zeros_like(y), np.array([1.0, -2.0]), 0.1, 1.0)
+    t, ys = integrate(lambda y: [0.0] * len(y), np.array([1.0, -2.0]), 0.1, 1.0)
     assert t.shape == (11,)
     assert np.all(ys == [1.0, -2.0])
 
@@ -214,9 +268,83 @@ def test_integrate_grid_validation():
 
 
 def test_integrate_aborts_on_blowup_with_time():
+    with pytest.raises(IntegrationError, match="t="):
+        integrate(lambda y: [v * v for v in y], np.array([4.0]), 0.5, 100.0)
+
+
+@pytest.mark.parametrize("p", [PARAM_SET1, PARAM_SET2], ids=["set1", "set2"])
+def test_physical_rhs_equals_array_oracle_bit_for_bit(p):
+    rhs = physical_rhs(p)
+    rng = np.random.default_rng(40)
+    for _ in range(2000):
+        scale = 10.0 ** rng.uniform(-6.0, 3.0)
+        y = rng.normal(size=9) * scale
+        y[rng.random(9) < 0.1] = rng.choice([0.0, -0.0])
+        assert np.array_equal(bits(rhs(y.tolist())), bits(physical_rhs_oracle(y, p)))
+
+
+@pytest.mark.parametrize("p", [PARAM_SET1, PARAM_SET2], ids=["set1", "set2"])
+def test_augmented_mean_rhs_equals_array_form_bit_for_bit(p):
+    sys = build_vandevusse(p)
+    rhs = augmented_mean_rhs(sys)
+    rng = np.random.default_rng(42)
+    for _ in range(2000):
+        mean = rng.normal(size=9) * 10.0 ** rng.uniform(-6.0, 3.0)
+        assert np.array_equal(bits(rhs(mean.tolist())), bits(sys.a0 + sys.a @ mean))
+
+
+@pytest.mark.parametrize("p, p0_33", [(PARAM_SET1, 0.01), (PARAM_SET2, 0.09)], ids=["set1", "set2"])
+def test_physical_path_equals_array_rk4_bit_for_bit(p, p0_33):
+    cov0 = np.diag([1.0, 1.0, p0_33])
+    series = integrate_physical(p, SET1_X0, cov0, 0.01, 60.0)
+    t, ys = rk4_oracle(lambda y: physical_rhs_oracle(y, p), flat_physical(SET1_X0, cov0), 0.01, 60.0)
+    assert np.array_equal(series.t, t)
+    assert np.array_equal(bits(series.mean), bits(ys[:, :3]))
+    assert np.array_equal(bits([series.cov[:, i, j] for (i, j) in PAIRS]), bits(ys[:, 3:].T))
+
+
+def test_integrate_blowup_inside_a_block_matches_array_oracle():
+    # dy = y^2 from y0 = 1/15.37 escapes near t = 15.37, step ~1537: inside
+    # the second block of rows, not at a block edge.
+    y0 = np.array([1.0 / 15.37])
+    with pytest.raises(IntegrationError) as got:
+        integrate(lambda y: [v * v for v in y], y0, 0.01, 40.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(IntegrationError, match="t="):
-            integrate(lambda y: y * y, np.array([4.0]), 0.5, 100.0)
+        with pytest.raises(IntegrationError) as want:
+            rk4_oracle(lambda y: y * y, y0, 0.01, 40.0)
+    assert str(got.value) == str(want.value)
+    k = round(float(str(got.value).rsplit("t=", 1)[1]) / 0.01)
+    assert BLOCK_STEPS + 100 < k < 2 * BLOCK_STEPS - 100
+
+
+def test_integrate_overflow_in_rhs_names_the_step():
+    # A float power past the double range raises OverflowError where the
+    # array form gives inf; both end at the same step.
+    y0 = np.array([0.0, 1.0 / 15.37])
+    with pytest.raises(IntegrationError) as got:
+        integrate(lambda y: [y[1] ** 3, y[1] * y[1]], y0, 0.01, 40.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationError) as want:
+            rk4_oracle(lambda y: np.array([y[1] ** 3, y[1] * y[1]]), y0, 0.01, 40.0)
+    assert str(got.value) == str(want.value)
+
+
+def test_physical_path_overflow_is_an_integration_error():
+    with pytest.raises(IntegrationError, match=r"^non-finite state at t=0\.01$"):
+        integrate_physical(PARAM_SET1, [1e103, 1.0, 0.01], np.eye(3), 0.01, 0.01)
+    with pytest.raises(IntegrationError, match=r"^non-finite state at t=") as got:
+        integrate_physical(PARAM_SET1, [1e60, 1.0, 0.01], np.eye(3), 0.01, 1.0)
+
+    def overflow_as_inf(y):
+        try:
+            return physical_rhs_oracle(y, PARAM_SET1)
+        except OverflowError:
+            return np.full(9, np.inf)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationError) as want:
+            rk4_oracle(overflow_as_inf, flat_physical([1e60, 1.0, 0.01], np.eye(3)), 0.01, 1.0)
+    assert str(got.value) == str(want.value)
 
 
 def test_flow_rate_moments_match_ou_analytics():
@@ -290,7 +418,7 @@ def test_augmented_mean_flow_square_slot():
     sys = build_vandevusse(p)
     mean = np.zeros(9)
     mean[8] = 1.0
-    d = augmented_mean_rhs(sys, mean)
+    d = augmented_mean_rhs(sys)(mean)
     assert np.isclose(d[8], -2 * p.alpha * 1.0 + p.beta * p.beta, rtol=1e-14)
 
 

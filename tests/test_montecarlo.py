@@ -7,8 +7,8 @@ import pytest
 from vdvcarleman import montecarlo
 from vdvcarleman.carleman import build_vandevusse, vandevusse_coefficients
 from vdvcarleman.kronecker import reduce_square
-from vdvcarleman.model import PARAM_SET1, ReactorParams, X0_SET1, diffusion, drift
-from vdvcarleman.moments import augmented_mean_rhs, grid_index, integrate, ou_mean, ou_variance
+from vdvcarleman.model import PARAM_SET1, PARAM_SET2, ReactorParams, X0_SET1, X0_SET2, diffusion, drift
+from vdvcarleman.moments import BLOCK_STEPS, augmented_mean_rhs, grid_index, integrate, ou_mean, ou_variance
 from vdvcarleman.montecarlo import (
     CHUNK_SIZE,
     EnsembleStats,
@@ -23,8 +23,54 @@ from vdvcarleman.montecarlo import (
     substream_seed,
 )
 
+from test_moments import bits
+
 X0 = X0_SET1.as_array()
 SYS1 = build_vandevusse(PARAM_SET1)
+
+
+def em_path_oracle(cfg, x0, p, increments=None):
+    """Euler-Maruyama path of the nonlinear reactor on numpy arrays, checking
+    every step: the array loop the float loop of `simulate_path` must match."""
+    if increments is None:
+        increments = np.random.Generator(np.random.PCG64(cfg.seed)).standard_normal(cfg.n_steps)
+    x = np.asarray(x0, dtype=float)
+    g = diffusion(p)
+    sqdt = np.sqrt(cfg.dt)
+    out = np.empty((cfg.n_steps + 1, 3))
+    out[0] = x
+    for k in range(cfg.n_steps):
+        x = x + drift(x, p) * cfg.dt + g * (sqdt * increments[k])
+        if not np.isfinite(x).all():
+            raise SimulationError(f"non-finite state at step {k + 1} (t={(k + 1) * cfg.dt:.6g})")
+        out[k + 1] = x
+    return out
+
+
+@pytest.mark.parametrize("p, x0", [(PARAM_SET1, X0), (PARAM_SET2, X0_SET2.as_array())], ids=["set1", "set2"])
+def test_nonlinear_path_equals_array_oracle_bit_for_bit(p, x0):
+    cfg = PathConfig(dt=0.01, t_end=60.0, seed=17)
+    _, path = simulate_path(cfg, x0, p)
+    assert np.array_equal(bits(path), bits(em_path_oracle(cfg, x0, p)))
+    # Explicit increments with zeros of both signs, from starts with signed
+    # zeros.  Where f_i dt underflows to -0.0 at x_i = -0.0 (the subnormal
+    # starts), the 0.0 * noise term decides the sign of the zero sum.
+    z = np.random.Generator(np.random.PCG64(3)).standard_normal(cfg.n_steps)
+    z[::7] = 0.0
+    z[3::7] = -0.0
+    starts = (x0, np.array([0.0, -0.0, 0.0]), np.array([-0.0, -0.0, -0.0]),
+              np.array([-0.0, -0.0, -2e-320]), np.array([-1e-322, -0.0, 0.0]))
+    for start in starts:
+        _, path = simulate_path(cfg, start, p, increments=z)
+        assert np.array_equal(bits(path), bits(em_path_oracle(cfg, start, p, z)))
+    # An infinite increment makes every zero-noise term 0.0 * inf = nan.
+    z[2500] = np.inf
+    with pytest.raises(SimulationError, match=r"^non-finite state at step 2501 ") as got:
+        simulate_path(cfg, x0, p, increments=z)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(SimulationError) as want:
+            em_path_oracle(cfg, x0, p, z)
+    assert str(got.value) == str(want.value)
 
 
 def test_substream_seeds_distinct_and_stable():
@@ -88,9 +134,29 @@ def test_increment_shape_and_type_validation():
 def test_divergent_path_reports_step():
     unstable = ReactorParams(k1=1e-6, k2=1e-6, k3=1e3, caf=1.0, v=1e-3, alpha=1e-6, beta=0.0)
     cfg = PathConfig(dt=10.0, t_end=10000.0, seed=0)
+    start = np.array([10.0, 0.0, 10.0])
+    with pytest.raises(SimulationError, match=r"^non-finite state at step 6 \(t=60\)$") as got:
+        simulate_path(cfg, start, unstable)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(SimulationError, match="step"):
-            simulate_path(cfg, np.array([10.0, 0.0, 10.0]), unstable)
+        with pytest.raises(SimulationError) as want:
+            em_path_oracle(cfg, start, unstable)
+    assert str(got.value) == str(want.value)
+
+
+def test_divergence_inside_a_block_matches_array_oracle():
+    # The OU factor 1 - alpha dt = -1.005 lets the flow rate grow until the
+    # dilution term makes x1 diverge, in the second block of rows.
+    unstable = ReactorParams(k1=0.01, k2=0.01, k3=0.01, caf=1.0, v=1e3, alpha=2.005, beta=1.0)
+    cfg = PathConfig(dt=1.0, t_end=4000.0, seed=5)
+    start = np.array([1.0, 0.0, 0.0])
+    with pytest.raises(SimulationError) as got:
+        simulate_path(cfg, start, unstable)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SimulationError) as want:
+            em_path_oracle(cfg, start, unstable)
+    assert str(got.value) == str(want.value)
+    k = int(re.search(r"step (\d+)", str(got.value)).group(1))
+    assert BLOCK_STEPS + 100 < k < 2 * BLOCK_STEPS - 100
 
 
 def test_ensemble_matches_individually_simulated_paths():
@@ -178,7 +244,7 @@ def test_bilinear_x1_slot_mean_matches_mean_ode():
     cfg = PathConfig(dt=0.01, t_end=10.0, seed=42)
     stats = ensemble_moments(cfg, X0, 2500, SYS1)
     xi0 = np.concatenate([X0, reduce_square(X0)])
-    _, ode = integrate(lambda y: augmented_mean_rhs(SYS1, y), xi0, cfg.dt, cfg.t_end)
+    _, ode = integrate(augmented_mean_rhs(SYS1), xi0, cfg.dt, cfg.t_end)
     for time in (5.0, 10.0):
         k = grid_index(cfg.dt, time)
         assert abs(stats.mean[k, 0] - ode[k, 0]) <= 3.0 * stats.stderr[k, 0]
@@ -191,8 +257,9 @@ def test_bilinear_ensemble_mean_tracks_mean_ode_with_bias_floor():
     cfg = PathConfig(dt=0.01, t_end=5.0, seed=12)
     stats = ensemble_moments(cfg, X0, 2000, SYS1)
     xi0 = np.concatenate([X0, reduce_square(X0)])
-    t, ode = integrate(lambda y: augmented_mean_rhs(SYS1, y), xi0, cfg.dt, cfg.t_end)
-    rates = np.array([augmented_mean_rhs(SYS1, ode[k]) for k in range(0, t.size, 50)])
+    mean_rhs = augmented_mean_rhs(SYS1)
+    t, ode = integrate(mean_rhs, xi0, cfg.dt, cfg.t_end)
+    rates = np.array([mean_rhs(ode[k]) for k in range(0, t.size, 50)])
     floor = 2.0 * cfg.dt * np.abs(rates).max(axis=0)
     for time in (1.0, 5.0):
         k = grid_index(cfg.dt, time)
