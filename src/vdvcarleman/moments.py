@@ -244,7 +244,7 @@ def gaussian_lift(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def augmented_mean_rhs(sys: BilinearSystem):
-    """The `integrate` right-hand side of the bilinear mean: a0 + a m (exact, no closure).
+    """The `integrate` right-hand side of the bilinear mean: a0 + a m (exact, no moment closure).
 
     a m stays one BLAS matrix-vector product, written into a preallocated
     vector, and a0 is added to it in place; the sum is commutative, so the
