@@ -50,6 +50,7 @@ from .moments import (
 from .montecarlo import (
     EnsembleStats,
     PathConfig,
+    as_int,
     em_mean_reference,
     ensemble_moments,
     simulate_path,
@@ -91,6 +92,8 @@ class Scenario:
             grid_index(self.dt, c)  # raises off-grid
             if c > self.t_end + 1e-9:
                 raise ValueError(f"checkpoint {c} beyond t_end={self.t_end}")
+        object.__setattr__(self, "mc_paths", as_int("mc_paths", self.mc_paths))
+        object.__setattr__(self, "seed", as_int("seed", self.seed))
         if self.mc_paths < 2:
             raise ValueError("mc_paths must be at least 2")
         if self.seed < 0:
@@ -121,8 +124,8 @@ class Scenario:
             dt=float(d["dt"]),
             t_end=float(d["t_end"]),
             checkpoints=tuple(d["checkpoints"]),
-            seed=int(d["seed"]),
-            mc_paths=int(d["mc_paths"]),
+            seed=d["seed"],
+            mc_paths=d["mc_paths"],
         )
 
 

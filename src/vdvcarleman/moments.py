@@ -36,6 +36,7 @@ behaviour must stay observable.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,12 +60,16 @@ class IntegrationError(RuntimeError):
     """Raised when an integration produces a non-finite state."""
 
 
+def _check_dt(dt: float) -> None:
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be a finite positive number, got {dt!r}")
+
+
 def grid_steps(dt: float, t_end: float) -> int:
     """Number of fixed steps covering [0, t_end]; t_end must sit on the grid."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if t_end < 0.0:
-        raise ValueError("t_end must be nonnegative")
+    _check_dt(dt)
+    if not (math.isfinite(t_end) and t_end >= 0.0):
+        raise ValueError(f"t_end must be a finite nonnegative number, got {t_end!r}")
     n = round(t_end / dt)
     if abs(n * dt - t_end) > GRID_TOL:
         raise ValueError(f"t_end={t_end} is not a multiple of dt={dt}")
@@ -73,6 +78,9 @@ def grid_steps(dt: float, t_end: float) -> int:
 
 def grid_index(dt: float, time: float) -> int:
     """Exact grid lookup: index of ``time`` on the dt-grid, no interpolation."""
+    _check_dt(dt)
+    if not math.isfinite(time):
+        raise ValueError(f"time must be finite, got {time!r}")
     k = round(time / dt)
     if k < 0 or abs(k * dt - time) > GRID_TOL:
         raise ValueError(f"time {time} is not on the dt={dt} grid")

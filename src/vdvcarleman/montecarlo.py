@@ -16,19 +16,26 @@ numpy, whose x @ a^T is a BLAS product.  Reproducibility contract:
 * ensemble path i draws from the substream seed
   ``substream_seed(seed, i)``, a SplitMix64 mix that is injective in the
   path index, so substreams never collide;
-* an ensemble is cut into fixed chunks of CHUNK_SIZE paths.  All chunks
-  of a contiguous range advance in lockstep as one array, each chunk
-  seeing exactly the floating-point operations it would see alone, and
-  each path draws its normals a block of time steps at a time (blocked
-  draws from one generator equal one long draw);
+* an ensemble is cut into fixed chunks of CHUNK_SIZE paths.  A worker
+  holds its contiguous range of chunks as one C-contiguous (d, count)
+  array, one column per path, and steps it in place with buffers made
+  once per call: the bilinear drift is ``a @ X`` plus the ``a0`` column,
+  times dt, and the noise ``d @ X`` plus the ``g`` column, times each
+  path's sqrt(dt) z.  Each path sees the operations, in the same order,
+  of the row-major step x + f(x) dt + g(x) (sqrt(dt) z) of one chunk
+  alone (OpenBLAS returns ``a @ X`` bit for bit as ``(X^T @ a^T)^T``,
+  pinned by a test).  Each path draws its normals a block of time steps
+  at a time (blocked draws from one generator equal one long draw);
 * per-chunk mean and M2 are computed only at the grid indices asked for
-  (``record``) and reduced in fixed chunk order with a pairwise merge,
-  so the output bytes do not depend on worker count, draw block length
-  or which indices are recorded.
+  (``record``), on a row-major (count, d) copy of the state, and reduced
+  in fixed chunk order with a pairwise merge, so the output bytes do not
+  depend on worker count, draw block length or which indices are
+  recorded.
 """
 from __future__ import annotations
 
 import logging
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -59,6 +66,20 @@ class SimulationError(RuntimeError):
     """Raised when a simulated path leaves the finite range."""
 
 
+def as_int(name: str, value) -> int:
+    """``value`` as a Python int, or a ValueError naming ``name``.
+
+    Accepts Python and numpy integers (anything with ``__index__``) and
+    rejects bools, floats (even integral ones) and everything else.
+    """
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def substream_seed(seed: int, index: int) -> int:
     """Derive the RNG seed for ensemble path ``index``.
 
@@ -67,6 +88,7 @@ def substream_seed(seed: int, index: int) -> int:
     the finalizer is a bijection, so distinct indices give distinct seeds
     by construction; the finalizer's avalanche decorrelates neighbours.
     """
+    seed, index = operator.index(seed), operator.index(index)
     if index < 0:
         raise ValueError("path index must be nonnegative")
     z = (seed + (index + 1) * _GOLDEN_GAMMA) & _MASK64
@@ -85,6 +107,7 @@ class PathConfig:
 
     def __post_init__(self):
         grid_steps(self.dt, self.t_end)  # validates dt, t_end
+        object.__setattr__(self, "seed", as_int("seed", self.seed))
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
@@ -104,22 +127,12 @@ class EnsembleStats:
     stderr: np.ndarray  # sqrt(var / n_paths)
 
 
-def _dynamics_fns(dynamics):
-    """Return (drift_fn, noise_fn) operating on (..., d) state arrays."""
-    if isinstance(dynamics, ReactorParams):
-        g = diffusion(dynamics)
-        return (lambda x: drift(x, dynamics)), (lambda x: np.broadcast_to(g, x.shape))
-    if isinstance(dynamics, BilinearSystem):
-        sys = dynamics
-        return (lambda x: sys.a0 + x @ sys.a.T), (lambda x: sys.g + x @ sys.d.T)
-    raise TypeError(f"dynamics must be ReactorParams or BilinearSystem, got {type(dynamics).__name__}")
-
-
 def _initial_state(x0, dynamics) -> np.ndarray:
     """The physical start ``x0``, lifted onto the product slots for a bilinear system."""
-    _dynamics_fns(dynamics)  # rejects an unknown dynamics type
-    x0 = np.asarray(x0, dtype=float)
     bilinear = isinstance(dynamics, BilinearSystem)
+    if not (bilinear or isinstance(dynamics, ReactorParams)):
+        raise TypeError(f"dynamics must be ReactorParams or BilinearSystem, got {type(dynamics).__name__}")
+    x0 = np.asarray(x0, dtype=float)
     n = dynamics.n if bilinear else 3
     if x0.shape != (n,):
         raise ValueError(f"initial state must be a physical {n}-vector, got shape {x0.shape}")
@@ -176,8 +189,8 @@ def _em_step(dynamics, dt: float):
     """
     sqdt = np.sqrt(dt)
     if isinstance(dynamics, BilinearSystem):
-        drift_fn, noise_fn = _dynamics_fns(dynamics)
-        return lambda x, z: x + drift_fn(x) * dt + noise_fn(x) * (sqdt * z)
+        sys = dynamics
+        return lambda x, z: x + (sys.a0 + x @ sys.a.T) * dt + (sys.g + x @ sys.d.T) * (sqdt * z)
     p = dynamics
     neg_k1, k1, k2, k3, caf, v, neg_a, b = -p.k1, p.k1, p.k2, p.k3, p.caf, p.v, -p.alpha, p.beta
     sqdt = float(sqdt)
@@ -194,66 +207,92 @@ def _em_step(dynamics, dt: float):
     return step
 
 
-@dataclass
-class _Lockstep:
-    """Equal-sized chunks advanced as one array.
+def _ensemble_step(dynamics, dt: float):
+    """In-place Euler-Maruyama step of an ensemble held component-major.
 
-    ``x`` is (n_chunks, CHUNK_SIZE, d) for full chunks or (size, d) for the
-    uneven last chunk; reductions run over axis -2, so each chunk is
-    reduced exactly as it would be alone.
+    ``step(x, w, inc, noise)`` advances the (d, count) state ``x`` by
+    x <- (x + f(x) dt) + g(x) w, where ``w`` holds each path's
+    sqrt(dt) z and ``inc`` and ``noise`` are (d, count) buffers it
+    overwrites.  Each entry sees the operations of the row-major form
+    ``x + f(x) * dt + g(x) * (sqrt(dt) z)`` in the same order: the
+    bilinear products are ``a @ X`` and ``d @ X``, which OpenBLAS returns
+    bit for bit as the transposes of ``X^T @ a^T`` and ``X^T @ d^T``
+    (pinned in ``tests/test_montecarlo.py``).
     """
+    if isinstance(dynamics, BilinearSystem):
+        a, d = dynamics.a, dynamics.d
+        a0, g = dynamics.a0[:, None], dynamics.g[:, None]
 
-    first: int  # ensemble index of the first path
-    x: np.ndarray
-    z: np.ndarray  # this block's normals, x.shape[:-1] + (block,)
-    mean: np.ndarray  # x.shape[:-2] + (n_record, d)
-    m2: np.ndarray
+        def step(x, w, inc, noise):
+            np.matmul(a, x, out=inc)
+            inc += a0
+            inc *= dt
+            np.matmul(d, x, out=noise)
+            noise += g
+            noise *= w
+            x += inc
+            x += noise
+    else:
+        p = dynamics
+        g = diffusion(p)[:, None]
 
-    @classmethod
-    def start(cls, first: int, x0: np.ndarray, z: np.ndarray, n_record: int) -> "_Lockstep":
-        """All paths at ``x0``; the path shape is that of ``z`` without its step axis."""
-        shape = z.shape[:-1]
-        stats = (*shape[:-1], n_record, x0.size)
-        return cls(first, np.tile(x0, (*shape, 1)), z, np.empty(stats), np.empty(stats))
+        def step(x, w, inc, noise):
+            np.multiply(drift(x.T, p).T, dt, out=inc)
+            np.multiply(g, w, out=noise)
+            x += inc
+            x += noise
 
-    def save(self, r: int):
-        mu = self.x.mean(axis=-2, keepdims=True)
-        self.mean[..., r, :] = mu[..., 0, :]
-        self.m2[..., r, :] = ((self.x - mu) ** 2).sum(axis=-2)
-
-    def chunks(self) -> list:
-        if self.x.ndim == 2:
-            return [(self.x.shape[0], self.mean, self.m2)]
-        return [(CHUNK_SIZE, mean, m2) for mean, m2 in zip(self.mean, self.m2)]
+    return step
 
 
 def _lockstep_stats(cfg: PathConfig, x0: np.ndarray, dynamics, start: int, count: int,
                     record: np.ndarray, block: int, progress: bool):
     """Advance paths [start, start+count) in lockstep; per-chunk mean and M2 at ``record``.
 
-    Path i draws its normals from its own substream, ``block`` steps at a
-    time, and every floating-point operation on it is the one a lone
-    chunk would do.  Returns (chunks, failure): the (count, mean, m2) of
-    each chunk in chunk order, and None or the (step, path) of the
-    earliest step at which a path left the finite range.
+    The paths are the columns of one C-contiguous (d, count) array,
+    stepped in place with buffers made once.  Path i draws its normals
+    from its own substream, ``block`` steps at a time, and every
+    floating-point operation on it is the one a lone chunk would do.  At
+    a recorded index the state is copied to row-major (count, d), and the
+    full chunks are reduced as one (n_full, CHUNK_SIZE, d) array, the
+    uneven last chunk as a (rest, d) array.  Returns (chunks, failure):
+    the (count, mean, m2) of each chunk in chunk order, and None or the
+    (step, path) of the earliest step at which a path left the finite
+    range, the lowest such path.
     """
-    drift_fn, noise_fn = _dynamics_fns(dynamics)
     n_steps, d = cfg.n_steps, x0.size
     n_full, rest = divmod(count, CHUNK_SIZE)
     split = n_full * CHUNK_SIZE
     gens = [np.random.Generator(np.random.PCG64(substream_seed(cfg.seed, start + i))) for i in range(count)]
     z = np.empty((count, min(block, n_steps)))
-    groups = []
+    x = np.repeat(x0[:, None], count, axis=1)
+    inc, noise, w = np.empty_like(x), np.empty_like(x), np.empty(count)
+    finite = np.empty(x.shape, dtype=bool)
+    rows = np.empty((count, d))
+    groups = []  # (paths, mean, m2): reductions run over axis -2, chunk by chunk
+    chunks = []  # (count, mean, m2) per chunk, views into the group statistics
     if n_full:
-        groups.append(_Lockstep.start(start, x0, z[:split].reshape(n_full, CHUNK_SIZE, z.shape[1]), record.size))
+        stats = (n_full, record.size, d)
+        mean, m2 = np.empty(stats), np.empty(stats)
+        groups.append((rows[:split].reshape(n_full, CHUNK_SIZE, d), mean, m2))
+        chunks += [(CHUNK_SIZE, mean[c], m2[c]) for c in range(n_full)]
     if rest:
-        groups.append(_Lockstep.start(start + split, x0, z[split:], record.size))
+        mean, m2 = np.empty((record.size, d)), np.empty((record.size, d))
+        groups.append((rows[split:], mean, m2))
+        chunks.append((rest, mean, m2))
+
+    def save(r):
+        np.copyto(rows, x.T)
+        for paths, mean, m2 in groups:
+            mu = paths.mean(axis=-2, keepdims=True)
+            mean[..., r, :] = mu[..., 0, :]
+            m2[..., r, :] = ((paths - mu) ** 2).sum(axis=-2)
 
     r = 0
     if record.size and record[0] == 0:
-        for g in groups:
-            g.save(0)
+        save(0)
         r = 1
+    step = _ensemble_step(dynamics, cfg.dt)
     sqdt = np.sqrt(cfg.dt)
     log_every = -(-n_steps // 10)
     t_start = time.perf_counter()
@@ -263,23 +302,19 @@ def _lockstep_stats(cfg: PathConfig, x0: np.ndarray, dynamics, start: int, count
             n_draw = min(block, n_steps - k)
             for i, gen in enumerate(gens):
                 gen.standard_normal(out=z[i, :n_draw])
-        for g in groups:
-            step = drift_fn(g.x) * cfg.dt
-            noise = noise_fn(g.x) * (sqdt * g.z[..., j, None])
-            g.x += step
-            g.x += noise
-            if not np.isfinite(g.x).all():
-                bad = np.flatnonzero(~np.isfinite(g.x).reshape(-1, d).all(axis=1))[0]
-                return None, (k + 1, g.first + int(bad))
+        np.multiply(z[:, j], sqdt, out=w)
+        step(x, w, inc, noise)
+        np.isfinite(x, out=finite)
+        if not finite.all():
+            return None, (k + 1, start + int(np.flatnonzero(~finite.all(axis=0))[0]))
         if r < record.size and record[r] == k + 1:
-            for g in groups:
-                g.save(r)
+            save(r)
             r += 1
-        if progress and ((k + 1) % log_every == 0 or k + 1 == n_steps):
+        if progress and (k + 1) % log_every == 0 and k + 1 < n_steps:
             elapsed = time.perf_counter() - t_start
             logger.info("MC ensemble: step %d/%d (%.0f%%), ETA %.1f s", k + 1, n_steps,
                         100.0 * (k + 1) / n_steps, elapsed * (n_steps - k - 1) / (k + 1))
-    return [c for g in groups for c in g.chunks()], None
+    return chunks, None
 
 
 def _merge_stats(acc, chunk):
@@ -304,10 +339,14 @@ def ensemble_moments(
     thread, and the chunk statistics are merged in chunk order, so the
     result is independent of ``n_workers``.  ``record`` lists the grid
     indices at which statistics are kept (default: the whole grid); row r
-    of the result belongs to grid index ``record[r]``.
+    of the result belongs to grid index ``record[r]``.  Progress goes to
+    the log, the last line with the path-steps made and the wall time per
+    path-step.
     """
+    t_start = time.perf_counter()
+    n_paths, n_workers = as_int("n_paths", n_paths), as_int("n_workers", n_workers)
     if n_paths < 2:
-        raise ValueError("ensemble needs at least 2 paths")
+        raise ValueError(f"n_paths must be at least 2, got {n_paths}")
     if n_workers < 1:
         raise ValueError(f"n_workers must be at least 1, got {n_workers}")
     x0 = _initial_state(x0, dynamics)
@@ -349,6 +388,10 @@ def ensemble_moments(
     n, mean, m2 = acc
     assert n == n_paths
     mean, var = mean[rows], m2[rows] / (n_paths - 1)
+    path_steps = n_paths * n_steps
+    elapsed = time.perf_counter() - t_start
+    logger.info("MC ensemble: step %d/%d (100%%), ETA 0.0 s; %d path-steps in %.2f s, %.1f ns per path-step",
+                n_steps, n_steps, path_steps, elapsed, 1e9 * elapsed / max(path_steps, 1))
     return EnsembleStats(n_paths=n_paths, t=record * cfg.dt, mean=mean, var=var, stderr=np.sqrt(var / n_paths))
 
 

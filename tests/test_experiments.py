@@ -59,6 +59,25 @@ def test_scenario_validation():
         Scenario.from_dict({**small_scenario().to_dict(), "seed": -1})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("seed", 4.9), ("seed", 4.0), ("seed", True), ("seed", "4"),
+    ("mc_paths", 2.5), ("mc_paths", 2500.7), ("mc_paths", 2500.0), ("mc_paths", False), ("mc_paths", None),
+])
+def test_scenario_rejects_non_integer_seed_and_paths(field, value):
+    # from_dict passes the JSON value through: no silent truncation
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer"):
+        small_scenario(**{field: value})
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer"):
+        Scenario.from_dict({**small_scenario().to_dict(), field: value})
+
+
+def test_scenario_normalizes_numpy_integers():
+    s = small_scenario(seed=np.int64(7), mc_paths=np.uint16(300))
+    assert (s.seed, s.mc_paths) == (7, 300)
+    assert type(s.seed) is int and type(s.mc_paths) is int
+    assert json.loads(json.dumps(s.to_dict()))["mc_paths"] == 300
+
+
 @pytest.mark.parametrize(
     "p0_diag",
     [

@@ -17,6 +17,7 @@ from vdvcarleman.moments import (
     crosscheck_mean_paths,
     gaussian_lift,
     grid_index,
+    grid_steps,
     integrate,
     integrate_augmented,
     integrate_physical,
@@ -265,6 +266,26 @@ def test_integrate_grid_validation():
     with pytest.raises(ValueError):
         grid_index(0.01, 0.503)
     assert grid_index(0.01, 0.5) == 50
+
+
+@pytest.mark.parametrize("dt, t_end, field", [
+    (float("inf"), 5.0, "dt"), (float("nan"), 5.0, "dt"), (0.0, 5.0, "dt"),
+    (0.01, float("inf"), "t_end"), (0.01, float("nan"), "t_end"), (0.01, -1.0, "t_end"),
+])
+def test_grid_rejects_non_finite_step_and_horizon(dt, t_end, field):
+    with pytest.raises(ValueError, match=rf"^{field} must be a finite"):
+        grid_steps(dt, t_end)
+    with pytest.raises(ValueError, match=rf"^{field} must be a finite"):
+        integrate_physical(PARAM_SET1, SET1_X0, SET1_P0, dt, t_end)
+    if field == "dt":
+        with pytest.raises(ValueError, match=r"^dt must be a finite"):
+            grid_index(dt, 1.0)
+
+
+@pytest.mark.parametrize("time", [float("inf"), float("-inf"), float("nan")])
+def test_grid_index_rejects_non_finite_time(time):
+    with pytest.raises(ValueError, match=r"^time must be finite"):
+        grid_index(0.01, time)
 
 
 def test_integrate_aborts_on_blowup_with_time():

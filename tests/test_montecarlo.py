@@ -1,8 +1,11 @@
 import logging
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vdvcarleman import montecarlo
 from vdvcarleman.carleman import build_vandevusse, vandevusse_coefficients
@@ -14,7 +17,6 @@ from vdvcarleman.montecarlo import (
     EnsembleStats,
     PathConfig,
     SimulationError,
-    _dynamics_fns,
     _initial_state,
     em_mean_reference,
     ensemble_moments,
@@ -80,6 +82,11 @@ def test_substream_seeds_distinct_and_stable():
     assert all(0 <= s < 2**64 for s in seeds)
     with pytest.raises(ValueError):
         substream_seed(42, -1)
+    # numpy integers mix as Python ints; a float is not an index
+    assert substream_seed(np.int64(42), np.int64(300)) == substream_seed(42, 300)
+    assert substream_seed(np.uint64(2**64 - 1), np.int32(7)) == substream_seed(2**64 - 1, 7)
+    with pytest.raises(TypeError):
+        substream_seed(42, 1.0)
 
 
 def test_path_config_validation():
@@ -87,6 +94,14 @@ def test_path_config_validation():
         PathConfig(dt=-0.01, t_end=1.0, seed=0)
     with pytest.raises(ValueError, match="seed"):
         PathConfig(dt=0.01, t_end=1.0, seed=-1)
+    for bad in (1.5, 2.0, True, "3"):
+        with pytest.raises(ValueError, match=r"^seed must be an integer"):
+            PathConfig(dt=0.01, t_end=1.0, seed=bad)
+    for dt in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=r"^dt must be a finite"):
+            PathConfig(dt=dt, t_end=5.0, seed=0)
+    cfg = PathConfig(dt=0.01, t_end=1.0, seed=np.int64(3))
+    assert cfg.seed == 3 and type(cfg.seed) is int
     with pytest.raises(TypeError, match="dynamics must be ReactorParams or BilinearSystem, got dict"):
         ensemble_moments(PathConfig(dt=0.01, t_end=1.0, seed=0), X0, 4, {"k1": 1.0})
     assert PathConfig(dt=0.01, t_end=1.0, seed=0).n_steps == 100
@@ -203,6 +218,21 @@ def test_worker_count_does_not_change_results():
     assert np.array_equal(a.var, b.var)
 
 
+def test_path_count_is_normalized_at_the_boundary():
+    cfg = PathConfig(dt=0.05, t_end=0.5, seed=3)
+    want = ensemble_moments(cfg, X0, 300, SYS1)
+    got = ensemble_moments(cfg, X0, np.int64(300), SYS1, n_workers=np.int32(2))
+    assert got.n_paths == 300 and type(got.n_paths) is int
+    assert np.array_equal(got.mean, want.mean) and np.array_equal(got.var, want.var)
+    for bad in (300.0, 2.5, True, "300", None):
+        with pytest.raises(ValueError, match=r"^n_paths must be an integer"):
+            ensemble_moments(cfg, X0, bad, SYS1)
+    with pytest.raises(ValueError, match=r"^n_workers must be an integer"):
+        ensemble_moments(cfg, X0, 300, SYS1, n_workers=2.0)
+    with pytest.raises(ValueError, match=r"^n_paths must be at least 2"):
+        ensemble_moments(cfg, X0, np.int64(1), SYS1)
+
+
 def test_worker_count_below_one_is_rejected():
     cfg = PathConfig(dt=0.01, t_end=0.1, seed=6)
     for bad in (0, -3):
@@ -292,8 +322,17 @@ def test_ensemble_stats_container_shape():
 # ---------------------------------------------------------------------------
 
 
+def _oracle_fns(dynamics):
+    """(drift_fn, noise_fn) of row-major (paths, d) states: the array form
+    of the Euler-Maruyama step that the ensemble must match bit for bit."""
+    if isinstance(dynamics, ReactorParams):
+        g = diffusion(dynamics)
+        return (lambda x: drift(x, dynamics)), (lambda x: np.broadcast_to(g, x.shape))
+    return (lambda x: dynamics.a0 + x @ dynamics.a.T), (lambda x: dynamics.g + x @ dynamics.d.T)
+
+
 def _oracle_chunk_stats(cfg, x0, dynamics, start, count):
-    drift_fn, noise_fn = _dynamics_fns(dynamics)
+    drift_fn, noise_fn = _oracle_fns(dynamics)
     n_steps = cfg.n_steps
     z = np.empty((count, n_steps))
     for i in range(count):
@@ -344,6 +383,44 @@ def test_lockstep_ensemble_is_bit_identical_to_chunk_loop(monkeypatch, system, n
         stats = ensemble_moments(cfg, X0, n_paths, dynamics, n_workers=workers)
         assert np.array_equal(stats.mean, mean)
         assert np.array_equal(stats.var, var)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    system=st.sampled_from(["bilinear", "nonlinear"]),
+    n_paths=st.integers(min_value=2, max_value=800),
+    workers=st.integers(min_value=1, max_value=4),
+    block=st.integers(min_value=1, max_value=13),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    record=st.lists(st.integers(min_value=0, max_value=12), max_size=6),
+)
+def test_lockstep_ensemble_equals_chunk_loop_property(system, n_paths, workers, block, seed, record):
+    cfg = PathConfig(dt=0.05, t_end=0.6, seed=seed)  # 12 steps
+    dynamics = SYS1 if system == "bilinear" else PARAM_SET1
+    mean, var = _oracle_ensemble(cfg, X0, n_paths, dynamics)
+    rows = np.asarray(record, dtype=int)
+    with mock.patch.object(montecarlo, "DRAW_BUFFER", block * n_paths):
+        stats = ensemble_moments(cfg, X0, n_paths, dynamics, n_workers=workers, record=record)
+    assert np.array_equal(stats.mean, mean[rows])
+    assert np.array_equal(stats.var, var[rows])
+
+
+@pytest.mark.parametrize("p", [PARAM_SET1, PARAM_SET2], ids=["set1", "set2"])
+def test_component_major_products_equal_row_major_bit_for_bit(p):
+    # The ensemble steps its (d, n) state with a @ X and d @ X; the chunk
+    # loop oracle (and every earlier version) with x @ a.T on the row-major
+    # (n, d) state.  OpenBLAS returns the two bit for bit; if a numpy or
+    # BLAS build ever stops doing so, this test names the cause.
+    sys = build_vandevusse(p)
+    rng = np.random.default_rng(2024)
+    scale = np.abs(_initial_state(X0, sys)) + 1.0
+    for n in (1, 2, 7, 100, CHUNK_SIZE, CHUNK_SIZE + 37, 3 * CHUNK_SIZE, 1536, 2560, 10_000):
+        big = np.ascontiguousarray((rng.standard_normal((n, sys.a.shape[0])) * scale).T)
+        rows = np.ascontiguousarray(big.T)
+        for m in (sys.a, sys.d):
+            got = np.matmul(m, big)
+            assert np.array_equal(bits(got), bits((rows @ m.T).T)), n
+            assert np.array_equal(bits(got), bits((big.T @ m.T).T)), n
 
 
 def test_default_draw_block_is_bit_identical_to_chunk_loop():
@@ -419,3 +496,8 @@ def test_ensemble_progress_is_logged(caplog):
     lines = [r.message for r in caplog.records if r.name == "vdvcarleman.montecarlo"]
     assert 1 <= len(lines) <= 10
     assert "step 200/200 (100%)" in lines[-1] and "ETA" in lines[-1]
+    # the last line, written once every worker is done, carries the cost
+    m = re.search(r"; (\d+) path-steps in ([0-9.]+) s, ([0-9.]+) ns per path-step$", lines[-1])
+    assert m and int(m.group(1)) == 2 * CHUNK_SIZE * 200
+    assert float(m.group(3)) > 0.0
+    assert all("path-steps" not in line for line in lines[:-1])
