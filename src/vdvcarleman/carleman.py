@@ -71,10 +71,6 @@ class QuadraticSde:
     def n(self) -> int:
         return self.c.shape[0]
 
-    def drift(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self.c + self.lin @ x + np.einsum("ijk,j,k->i", self.quad, x, x)
-
 
 @dataclass(frozen=True)
 class BilinearSystem:

@@ -41,10 +41,9 @@ from .model import (
 from .moments import (
     IntegrationError,
     MomentSeries,
-    augmented_mean_rhs,
+    augmented_mean_path,
     grid_index,
     grid_steps,
-    integrate,
     integrate_physical,
 )
 from .montecarlo import (
@@ -227,6 +226,7 @@ def run_scenario(scenario: Scenario, methods, mc_workers: int = 1) -> Comparison
     unknown = requested - set(METHODS)
     if unknown:
         raise ValueError(f"unknown methods: {sorted(unknown)}")
+    mc_workers = as_int("mc_workers", mc_workers)
     if mc_workers < 1:
         raise ValueError(f"ensemble n_workers (mc_workers) must be at least 1, got {mc_workers}")
     methods = tuple(m for m in METHODS if m in requested)
@@ -295,7 +295,7 @@ def _run_mc(scenario: Scenario, p: ReactorParams, sys: BilinearSystem, x0: np.nd
 
     # The bilinear mean obeys the augmented mean ODE exactly; paths start
     # at a point, so the ODE starts from the lifted state with no spread.
-    _, ode = integrate(augmented_mean_rhs(sys), point_lift(x0), dt, t_end)
+    _, ode = augmented_mean_path(sys, point_lift(x0), dt, t_end)
     # Bias-free reference: the exact expectation of the simulated chain.
     _, euler_ode = em_mean_reference(sys, x0, dt, t_end)
 

@@ -68,11 +68,6 @@ class PhysicalState:
     def as_array(self) -> np.ndarray:
         return np.array([self.x1, self.x2, self.x3])
 
-    @classmethod
-    def from_array(cls, x) -> "PhysicalState":
-        x1, x2, x3 = np.asarray(x, dtype=float)
-        return cls(float(x1), float(x2), float(x3))
-
 
 # First parameter set and its operating point.
 PARAM_SET1 = ReactorParams(k1=0.01388, k2=0.02778, k3=0.002778, caf=0.0027, v=10.0, alpha=0.1, beta=0.044)

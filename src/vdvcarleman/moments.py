@@ -11,11 +11,16 @@ Two formulations are implemented:
 
       dm = a0 + a m,   dP = a P + P a^T + d P d^T + (g + d m)(g + d m)^T,
 
-  so one fixed RK4 step is an exact linear map.  `integrate_augmented`
-  builds that map once (`_augmented_step_maps`) and then steps with
-  matrix-vector products: z = (m, 1) by a (dim+1)x(dim+1) matrix, and
-  the covariance on its upper triangle, forced through the distinct
-  products of z.
+  so one fixed RK4 step is an exact linear map, built once per call and
+  applied by matrix-vector products.  `augmented_mean_path` steps
+  z = (m, 1) by a (dim+1)x(dim+1) matrix; it is the one integrator of the
+  augmented mean, behind `integrate_augmented`, `crosscheck_mean_paths`
+  and the Monte Carlo reference mean.  `integrate_augmented` adds the
+  covariance on its upper triangle (`_augmented_step_maps`), forced
+  through the distinct products of z.
+
+`integrate` is the RK4 loop for the two nonlinear systems, the physical
+path and the EKF.
 
 The two MEAN systems are the same linear ODE written in different
 coordinates; `crosscheck_mean_paths` integrates both and reports the
@@ -24,8 +29,8 @@ COVARIANCE notions differ by construction (the augmented covariance
 treats each product slot as an independent coordinate) and are never
 reconciled.
 
-Every moment path takes the same initial data: a plain mean vector and
-covariance matrix of the physical state, checked for shape and
+Every `MomentSeries` path takes the same initial data: a plain mean
+vector and covariance matrix of the physical state, checked for shape and
 finiteness and symmetrized on entry.  Every path keeps the covariance
 exactly symmetric without a post-step: the physical path stores its six
 distinct entries, the augmented path its upper triangle, and the EKF
@@ -251,26 +256,6 @@ def gaussian_lift(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.nda
     return _lifted_mean(m, P), 0.5 * (lifted + lifted.T)
 
 
-def augmented_mean_rhs(sys: BilinearSystem):
-    """The `integrate` right-hand side of the bilinear mean: a0 + a m (exact, no moment closure).
-
-    a m stays one BLAS matrix-vector product, written into a preallocated
-    vector, and a0 is added to it in place; the sum is commutative, so the
-    rate is ``sys.a0 + sys.a @ m`` bit for bit.
-    """
-    a, a0 = sys.a, sys.a0
-    mean = np.empty(sys.dim)
-    rate = np.empty(sys.dim)
-
-    def rhs(y):
-        mean[:] = y
-        np.dot(a, mean, out=rate)
-        np.add(rate, a0, out=rate)
-        return rate.tolist()
-
-    return rhs
-
-
 def _rk4_map(op: np.ndarray, h: float) -> tuple[list[np.ndarray], np.ndarray]:
     """Stage maps and one-step map of classical RK4 on the linear ODE dy = op y.
 
@@ -311,8 +296,8 @@ def _packed(full: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return out
 
 
-def _augmented_step_maps(sys: BilinearSystem, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The exact one-step map of fixed-step RK4 on the augmented moments.
+def _augmented_step_maps(sys: BilinearSystem, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The exact one-step map of fixed-step RK4 on the augmented covariance.
 
     With z = (mean, 1), D = [d | g] and L(P) = a P + P a^T + d P d^T, the
     covariance rate is L(P) + (D z)(D z)^T.  RK4 evaluates that forcing at
@@ -320,14 +305,15 @@ def _augmented_step_maps(sys: BilinearSystem, h: float) -> tuple[np.ndarray, np.
 
         z <- A z,    p <- T p + B (z z^T)
 
-    on the upper triangle p of P and of z z^T.  A and T are the RK4 maps of
-    M and L; B collects the stage forcings F_s(Z) = (D Z_s) Z (D Z_s)^T
+    on the upper triangle p of P and of z z^T.  A is the RK4 map of M
+    (`_mean_steps` applies it); this returns T, the RK4 map of L, and B,
+    which collects the stage forcings F_s(Z) = (D Z_s) Z (D Z_s)^T
     through the same stages: b_1 = F_1, b_2 = h/2 L b_1 + F_2,
     b_3 = h/2 L b_2 + F_3, b_4 = h L b_3 + F_4, B = h/6 (b_1 + 2 b_2 + 2 b_3 + b_4).
     Without noise (g = 0 and d = 0) B is exactly zero.
     """
     dim = sys.dim
-    stages, step = _rk4_map(_mean_generator(sys), h)
+    stages, _ = _rk4_map(_mean_generator(sys), h)
     eye = np.eye(dim)
     lyap = _packed(np.kron(sys.a, eye) + np.kron(eye, sys.a) + np.kron(sys.d, sys.d), dim, dim)
     noise = np.column_stack([sys.d, sys.g])
@@ -336,7 +322,7 @@ def _augmented_step_maps(sys: BilinearSystem, h: float) -> tuple[np.ndarray, np.
     for c, f in zip((0.5 * h, 0.5 * h, h), forcing[1:]):
         b.append(c * (lyap @ b[-1]) + f)
     force_step = (h / 6.0) * (b[0] + 2.0 * b[1] + 2.0 * b[2] + b[3])
-    return step, _rk4_map(lyap, h)[1], force_step
+    return _rk4_map(lyap, h)[1], force_step
 
 
 def _step_affine(step: np.ndarray, out: np.ndarray, force: np.ndarray | None = None) -> None:
@@ -354,14 +340,42 @@ def _raise_if_nonfinite(states: np.ndarray, k0: int, dt: float) -> None:
         raise IntegrationError(f"non-finite state at t={(k0 + int(np.argmin(finite))) * dt:.6g}")
 
 
+def _mean_steps(sys: BilinearSystem, mean0: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
+    """Rows z_k = (m_k, 1) of the RK4 path of the augmented mean from ``mean0``, unchecked."""
+    z = np.empty((n_steps + 1, sys.dim + 1))
+    z[0, :-1] = mean0
+    z[0, -1] = 1.0
+    _step_affine(_rk4_map(_mean_generator(sys), dt)[1], z)
+    return z
+
+
+def augmented_mean_path(sys: BilinearSystem, mean0, dt: float, t_end: float) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-step RK4 path of the augmented mean ODE dm = a0 + a m.
+
+    ``mean0`` is the augmented start vector (physical mean, then second
+    moments).  Each step applies RK4's exact one-step map of the affine
+    ODE to z = (m, 1).  Returns (t, M) with M[k] the mean at t[k];
+    `IntegrationError` names the time of the first non-finite mean.
+    """
+    mean0 = np.asarray(mean0, dtype=float)
+    if mean0.shape != (sys.dim,):
+        raise ValueError(f"augmented start must be a {sys.dim}-vector, got shape {mean0.shape}")
+    n_steps = grid_steps(dt, t_end)
+    z = _mean_steps(sys, mean0, dt, n_steps)
+    _raise_if_nonfinite(z, 0, dt)
+    return np.arange(n_steps + 1) * dt, z[:, :-1]
+
+
 def integrate_augmented(sys: BilinearSystem, mean0, cov0, dt: float, t_end: float) -> MomentSeries:
     """Propagate augmented mean and covariance with fixed-step RK4.
 
     ``mean0`` and ``cov0`` are the physical moments; the augmented initial
-    state is their `gaussian_lift`.  Each step applies RK4's exact
-    one-step map (`_augmented_step_maps`), in blocks of `BLOCK_STEPS`
-    steps written straight into the returned covariance, which is
-    symmetric by construction.
+    state is their `gaussian_lift`.  The mean takes the steps of
+    `augmented_mean_path`; the covariance applies RK4's exact one-step map
+    (`_augmented_step_maps`) in blocks of `BLOCK_STEPS` steps, written
+    straight into the returned covariance, which is symmetric by
+    construction.  Each block checks its means and covariances together,
+    so a blow-up is reported at the first non-finite step of either.
     """
     mean0, cov0 = _checked_moments(mean0, cov0, sys.n)
     n_steps = grid_steps(dt, t_end)
@@ -369,20 +383,17 @@ def integrate_augmented(sys: BilinearSystem, mean0, cov0, dt: float, t_end: floa
     if not (np.isfinite(lift_mean).all() and np.isfinite(lift_cov).all()):
         raise IntegrationError("non-finite initial state")
     dim = sys.dim
-    step, cov_step, force_step = _augmented_step_maps(sys, dt)
+    z = _mean_steps(sys, lift_mean, dt, n_steps)
+    cov_step, force_step = _augmented_step_maps(sys, dt)
     iu, ju = np.triu_indices(dim)
     zi, zj = np.triu_indices(dim + 1)
 
-    z = np.empty((n_steps + 1, dim + 1))
-    z[0, :dim] = lift_mean
-    z[0, dim] = 1.0
     cov = np.empty((n_steps + 1, dim, dim))
     cov[0] = lift_cov
     packed = np.empty((BLOCK_STEPS + 1, iu.size))
     packed[0] = lift_cov[iu, ju]
     for start in range(0, n_steps, BLOCK_STEPS):
         stop = min(start + BLOCK_STEPS, n_steps)
-        _step_affine(step, z[start:stop + 1])
         pairs = z[start:stop]
         block = packed[:stop - start + 1]
         _step_affine(cov_step, block, (pairs[:, zi] * pairs[:, zj]) @ force_step.T)
@@ -408,19 +419,13 @@ def crosscheck_mean_paths(sys: BilinearSystem, p: ReactorParams, mean0, cov0, dt
     """Integrate the mean system in both coordinate sets and compare.
 
     The physical path propagates (mean, covariance); the augmented path
-    propagates the bilinear mean (physical mean, second moments) with the
-    RK4 one-step map of `integrate_augmented`.  The two
-    are the same ODE, so after mapping second moments back to covariances
-    (P_ij = s_ij - m_i m_j) the trajectories must coincide up to
-    integrator round-off.
+    (`augmented_mean_path`) propagates the bilinear mean (physical mean,
+    second moments).  The two are the same ODE, so after mapping second
+    moments back to covariances (P_ij = s_ij - m_i m_j) the trajectories
+    must coincide up to integrator round-off.
     """
     mean0, cov0 = _checked_moments(mean0, cov0, 3)
-    n_steps = grid_steps(dt, t_end)
-    aug = np.empty((n_steps + 1, sys.dim + 1))
-    aug[0, :-1] = _lifted_mean(mean0, cov0)
-    aug[0, -1] = 1.0
-    _step_affine(_rk4_map(_mean_generator(sys), dt)[1], aug)
-    _raise_if_nonfinite(aug, 0, dt)
+    _, aug = augmented_mean_path(sys, _lifted_mean(mean0, cov0), dt, t_end)
     phys = integrate_physical(p, mean0, cov0, dt, t_end)
     t = phys.t
 
@@ -439,11 +444,6 @@ def crosscheck_mean_paths(sys: BilinearSystem, p: ReactorParams, mean0, cov0, dt
         max_mean_discrepancy=float(mean_diff.max()),
         max_cov_discrepancy=float(cov_diff.max()),
     )
-
-
-def ou_mean(x0: float, alpha: float, t: np.ndarray) -> np.ndarray:
-    """Exact OU mean: x0 * exp(-alpha t)."""
-    return x0 * np.exp(-alpha * np.asarray(t, dtype=float))
 
 
 def ou_variance(p0: float, alpha: float, beta: float, t: np.ndarray) -> np.ndarray:

@@ -44,7 +44,7 @@ import numpy as np
 
 from .carleman import BilinearSystem, point_lift
 from .model import ReactorParams, diffusion, drift
-from .moments import BLOCK_STEPS, grid_steps
+from .moments import BLOCK_STEPS, _raise_if_nonfinite, grid_steps
 
 # Paths per reduction chunk.  Fixed: changing it would change the (still
 # deterministic) floating-point reduction order, and worker counts must not.
@@ -407,6 +407,7 @@ def em_mean_reference(sys: BilinearSystem, x0, dt: float, t_end: float) -> tuple
     This is the bias-free reference for ensemble-mean validation; an ODE
     solution of higher order differs from it by the O(dt) scheme bias,
     which has nothing to do with how the system matrices were assembled.
+    `IntegrationError` names the time of the first non-finite mean.
     """
     n_steps = grid_steps(dt, t_end)
     m = _initial_state(x0, sys)
@@ -415,6 +416,7 @@ def em_mean_reference(sys: BilinearSystem, x0, dt: float, t_end: float) -> tuple
     for k in range(n_steps):
         m = m + (sys.a0 + sys.a @ m) * dt
         out[k + 1] = m
+    _raise_if_nonfinite(out, 0, dt)
     return np.arange(n_steps + 1) * dt, out
 
 

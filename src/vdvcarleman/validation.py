@@ -16,11 +16,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .carleman import QuadraticSde, build_vandevusse, embed_order2, point_lift, vandevusse_coefficients
+from .carleman import QuadraticSde, build_vandevusse, embed_order2, vandevusse_coefficients
 from .ekf import ekf_predict
 from .model import PARAM_SET1, PARAM_SET2
 from .moments import crosscheck_mean_paths, integrate_augmented, integrate_physical, ou_variance
-from .montecarlo import PathConfig, ensemble_moments
 from .experiments import builtin_scenario, emit_csv, run_scenario
 
 
@@ -150,40 +149,30 @@ def check_mean_path_identity() -> CheckResult:
 def check_mc_mean_validation() -> CheckResult:
     """Ensemble mean of the bilinear SDE must match its mean ODE to 3 stderr.
 
-    The primary reference is the mean ODE under the same discretization as
-    the paths (the exact expectation of the simulated chain), so that
-    comparison is purely statistical and any mis-assembled system matrix
-    would fail it.  The fixed-step RK4 solution of the mean ODE is checked
-    as well, with the O(dt) scheme-bias floor that nearly noiseless
-    components need.
+    Checks the validation rows `run` emits for set 1 with 10^4 paths at
+    dt = 0.005.  The primary reference is the mean ODE under the same
+    discretization as the paths (the exact expectation of the simulated
+    chain), so that comparison is purely statistical and any mis-assembled
+    system matrix would fail it.  The fixed-step RK4 solution of the mean
+    ODE is checked as well, with the O(dt) scheme-bias floor that nearly
+    noiseless components need.
     """
-    from .moments import augmented_mean_rhs, grid_index, integrate
-    from .montecarlo import em_mean_reference
+    s = replace(builtin_scenario("set1"), dt=0.005, t_end=10.0, checkpoints=(1.0, 5.0, 10.0), mc_paths=10000)
+    mc = run_scenario(s, ("mc",)).mc
+    sys = build_vandevusse(s.params)
+    rates = np.abs(sys.a0 + mc.ode_mean[::100] @ sys.a.T)
+    bias_floor = 2.0 * s.dt * rates.max(axis=0)
 
-    s, p, x0, _ = _scenario_pieces("set1")
-    sys = build_vandevusse(p)
-    cfg = PathConfig(dt=0.005, t_end=10.0, seed=s.seed)
-    times = (1.0, 5.0, 10.0)
-    ks = [grid_index(cfg.dt, t) for t in times]
-    stats = ensemble_moments(cfg, x0, 10000, sys, record=ks)
-    _, em_ode = em_mean_reference(sys, x0, cfg.dt, cfg.t_end)
-    mean_rhs = augmented_mean_rhs(sys)
-    t_grid, rk4_ode = integrate(mean_rhs, point_lift(x0), cfg.dt, cfg.t_end)
-    # np.stack of arrays, not np.array of the row lists: the latter left criterion 9's
-    # 13 MB covariance no reusable heap and raised validate's peak RSS by 7 MB.
-    rates = np.abs(np.stack([np.array(mean_rhs(rk4_ode[k])) for k in range(0, t_grid.size, 100)]))
-    bias_floor = 2.0 * cfg.dt * rates.max(axis=0)
-
-    worst_ratio, where, floored_ok = 0.0, "", True
-    for r, (t, k) in enumerate(zip(times, ks)):
-        ratio = np.abs(stats.mean[r] - em_ode[k]) / (3.0 * stats.stderr[r])
-        j = int(np.argmax(ratio))
-        if ratio[j] > worst_ratio:
-            worst_ratio, where = float(ratio[j]), f"component {j} at t={t:g}"
-        bound = np.maximum(3.0 * stats.stderr[r], bias_floor)
-        floored_ok &= bool(np.all(np.abs(stats.mean[r] - rk4_ode[k]) <= bound))
-    ok = worst_ratio <= 1.0 and floored_ok
-    detail = (f"10^4 paths, dt=0.005: worst |mc mean - em ode| = {worst_ratio:.2f} of its "
+    # The rows run checkpoint by checkpoint, one per augmented component.
+    ratios = [row["abs_err"] / (3.0 * row["stderr"]) for row in mc.rows]
+    i = int(np.argmax(ratios))
+    where = f"component {i % sys.dim} at t={mc.rows[i]['t']:g}"
+    floored_ok = all(
+        abs(row["mc_mean"] - row["ode_mean"]) <= max(3.0 * row["stderr"], bias_floor[j % sys.dim])
+        for j, row in enumerate(mc.rows)
+    )
+    ok = ratios[i] <= 1.0 and floored_ok
+    detail = (f"10^4 paths, dt=0.005: worst |mc mean - em ode| = {ratios[i]:.2f} of its "
               f"3-stderr allowance ({where}); vs RK4 ode with scheme-bias floor: "
               f"{'ok' if floored_ok else 'EXCEEDED'}")
     return CheckResult(7, "Monte Carlo mean validation", ok, detail)

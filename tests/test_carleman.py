@@ -14,15 +14,21 @@ from vdvcarleman.carleman import (
 )
 from vdvcarleman.kronecker import MonomialIndexMap, reduce_square
 from vdvcarleman.model import PARAM_SET1, PARAM_SET2, X0_SET1, drift
-from vdvcarleman.moments import augmented_mean_rhs
 
 BLOCK_NAMES = ("a01", "a02", "a11", "a12", "a21", "a22", "d11", "d12", "d21", "d22", "g1", "g2")
 
 
 # ---------------------------------------------------------------------------
-# Test-only helpers: a coefficient fit from a drift callable and the list of
-# monomials the truncation deletes.  No production code needs either.
+# Test-only helpers: the drift of a coefficient form, a coefficient fit from
+# a drift callable and the list of monomials the truncation deletes.  No
+# production code needs any of them.
 # ---------------------------------------------------------------------------
+
+
+def quadratic_drift(sde: QuadraticSde, x) -> np.ndarray:
+    """drift_i(x) = c[i] + lin[i] @ x + x @ quad[i] @ x."""
+    x = np.asarray(x, dtype=float)
+    return sde.c + sde.lin @ x + np.einsum("ijk,j,k->i", sde.quad, x, x)
 
 
 def quadratic_sde_from_callable(n: int, drift_fn, g) -> QuadraticSde:
@@ -53,7 +59,7 @@ def quadratic_sde_from_callable(n: int, drift_fn, g) -> QuadraticSde:
         x = s * probe
         fx = np.asarray(drift_fn(x), dtype=float)
         scale = 1.0 + np.abs(fx)
-        if np.any(np.abs(fx - sde.drift(x)) > 1e-9 * scale):
+        if np.any(np.abs(fx - quadratic_drift(sde, x)) > 1e-9 * scale):
             raise ValueError("drift has coefficients of degree > 2; order-2 embedding only")
     return sde
 
@@ -84,7 +90,7 @@ def test_quadratic_sde_reproduces_model_drift():
         sde = vandevusse_coefficients(p)
         for _ in range(20):
             x = rng.normal(scale=2.0, size=3)
-            assert np.allclose(sde.drift(x), drift(x, p), rtol=1e-12, atol=1e-300)
+            assert np.allclose(quadratic_drift(sde, x), drift(x, p), rtol=1e-12, atol=1e-300)
 
 
 def test_from_callable_recovers_coefficients():
@@ -199,7 +205,7 @@ def test_embedding_matches_truncated_product_rates_on_random_sdes():
                 xi = np.concatenate([x, reduce_square(x)])
                 rate = sys.a0 + sys.a @ xi
                 noise = sys.g + sys.d @ xi
-                assert np.allclose(rate[:n], sde.drift(x), rtol=1e-12, atol=1e-12)
+                assert np.allclose(rate[:n], quadratic_drift(sde, x), rtol=1e-12, atol=1e-12)
                 for k, (i, j) in enumerate(pairs):
                     expected = (sde.c[j] * x[i] + sde.c[i] * x[j]
                                 + x[i] * (sde.lin[j] @ x) + x[j] * (sde.lin[i] @ x)
@@ -211,7 +217,7 @@ def test_embedding_matches_truncated_product_rates_on_random_sdes():
 
 def test_augmented_drift_at_zero_is_constant_block():
     sys = build_vandevusse(PARAM_SET1)
-    assert np.array_equal(augmented_mean_rhs(sys)([0.0] * 9), sys.a0)
+    assert np.array_equal(sys.a0 + sys.a @ np.zeros(9), sys.a0)
 
 
 def test_augmented_drift_on_consistency_manifold_matches_model():
@@ -221,7 +227,7 @@ def test_augmented_drift_on_consistency_manifold_matches_model():
     sys = build_vandevusse(p)
     x = X0_SET1.as_array()
     xi = np.concatenate([x, reduce_square(x)])
-    got = augmented_mean_rhs(sys)(xi)
+    got = sys.a0 + sys.a @ xi
     assert np.allclose(got[:3], drift(x, p), rtol=1e-12, atol=1e-300)
     assert np.allclose(got[:3], [-0.0694978274, 0.009459264, -0.0009528], rtol=1e-8)
 
@@ -231,7 +237,7 @@ def test_augmented_drift_flow_square_row():
     sys = build_vandevusse(p)
     xi = np.zeros(9)
     xi[8] = 1.0  # only the x3^2 slot
-    got = augmented_mean_rhs(sys)(xi)
+    got = sys.a0 + sys.a @ xi
     assert np.isclose(got[8], -2.0 * p.alpha + p.beta * p.beta, rtol=1e-14)
 
 

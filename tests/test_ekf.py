@@ -3,9 +3,9 @@ import pytest
 
 from vdvcarleman.ekf import ekf_predict, ekf_rhs
 from vdvcarleman.model import PARAM_SET1, PARAM_SET2, ReactorParams, X0_SET1, diffusion, drift, jacobian
-from vdvcarleman.moments import integrate, integrate_physical, ou_mean
+from vdvcarleman.moments import integrate, integrate_physical
 
-from test_moments import bits, symmetrized_rk4
+from test_moments import bits, ou_mean, symmetrized_rk4
 
 P0_SET1 = np.diag([1.0, 1.0, 0.01])
 

@@ -9,7 +9,7 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vdvcarleman import cli
+from vdvcarleman import cli, experiments
 from vdvcarleman.experiments import (
     ComparisonReport,
     Scenario,
@@ -19,9 +19,9 @@ from vdvcarleman.experiments import (
     load_scenario,
     run_scenario,
 )
-from vdvcarleman.carleman import build_vandevusse
+from vdvcarleman.carleman import build_vandevusse, point_lift
 from vdvcarleman.model import PARAM_SET1, PhysicalState, ReactorParams
-from vdvcarleman.moments import grid_index
+from vdvcarleman.moments import augmented_mean_path, grid_index
 from vdvcarleman.montecarlo import PathConfig, ensemble_moments
 
 
@@ -174,6 +174,24 @@ def test_worker_count_below_one_is_rejected_before_any_work(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("methods", [("carleman",), ("carleman", "mc")], ids=["no-mc", "mc"])
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "2"])
+def test_worker_count_must_be_an_integer_before_any_work(monkeypatch, methods, bad):
+    def no_work(*args, **kwargs):
+        raise AssertionError("run_scenario started work")
+
+    monkeypatch.setattr(experiments, "simulate_path", no_work)
+    with pytest.raises(ValueError, match=r"^mc_workers must be an integer"):
+        run_scenario(small_scenario(), methods=methods, mc_workers=bad)
+
+
+def test_worker_count_accepts_numpy_integers():
+    s = small_scenario(t_end=1.0, checkpoints=(1.0,), mc_paths=8)
+    assert run_scenario(s, ("carleman",), mc_workers=np.int64(2)).carleman is not None
+    got = run_scenario(s, ("mc",), mc_workers=np.int64(2)).mc.rows
+    assert got == run_scenario(s, ("mc",), mc_workers=1).mc.rows
+
+
 def test_run_scenario_rejects_unknown_method():
     with pytest.raises(ValueError, match="unknown"):
         run_scenario(small_scenario(), methods=("kalman",))
@@ -322,6 +340,15 @@ def test_mc_rows_read_the_ensemble_at_each_checkpoint():
         j = [r["component"] for r in rows[:9]].index(row["component"])
         assert row["mc_mean"] == float(full.mean[k, j])
         assert row["stderr"] == float(full.stderr[k, j])
+
+
+def test_mc_ode_mean_is_the_augmented_mean_path():
+    s = small_scenario(mc_paths=4)
+    mc = run_scenario(s, methods=("mc",)).mc
+    _, ode = augmented_mean_path(build_vandevusse(s.params), point_lift(s.x0.as_array()), s.dt, s.t_end)
+    assert np.array_equal(mc.ode_mean, ode)
+    for r, row in enumerate(mc.rows):
+        assert row["ode_mean"] == float(ode[grid_index(s.dt, row["t"]), r % 9])
 
 
 def test_charts_full_and_reduced_sets(tmp_path, caplog):

@@ -50,7 +50,7 @@ def test_param_field_sign_is_checked(field):
 def test_physical_state_roundtrip_and_validation():
     s = PhysicalState(1.0, -2.0, 3.0)  # negative values are allowed
     assert np.array_equal(s.as_array(), [1.0, -2.0, 3.0])
-    assert PhysicalState.from_array(s.as_array()) == s
+    assert PhysicalState(*s.as_array().tolist()) == s
     with pytest.raises(ValueError):
         PhysicalState(np.inf, 0.0, 0.0)
 

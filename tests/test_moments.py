@@ -13,7 +13,7 @@ from vdvcarleman.moments import (
     BLOCK_STEPS,
     PAIRS,
     IntegrationError,
-    augmented_mean_rhs,
+    augmented_mean_path,
     crosscheck_mean_paths,
     gaussian_lift,
     grid_index,
@@ -21,7 +21,6 @@ from vdvcarleman.moments import (
     integrate,
     integrate_augmented,
     integrate_physical,
-    ou_mean,
     ou_variance,
     physical_rhs,
 )
@@ -41,6 +40,11 @@ def flat_physical(mean, cov):
 def bits(a):
     """Bit patterns of a float array: equal bits also mean equal signed zeros."""
     return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def ou_mean(x0: float, alpha: float, t: np.ndarray) -> np.ndarray:
+    """Exact OU mean: x0 * exp(-alpha t)."""
+    return x0 * np.exp(-alpha * np.asarray(t, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -304,16 +308,6 @@ def test_physical_rhs_equals_array_oracle_bit_for_bit(p):
         assert np.array_equal(bits(rhs(y.tolist())), bits(physical_rhs_oracle(y, p)))
 
 
-@pytest.mark.parametrize("p", [PARAM_SET1, PARAM_SET2], ids=["set1", "set2"])
-def test_augmented_mean_rhs_equals_array_form_bit_for_bit(p):
-    sys = build_vandevusse(p)
-    rhs = augmented_mean_rhs(sys)
-    rng = np.random.default_rng(42)
-    for _ in range(2000):
-        mean = rng.normal(size=9) * 10.0 ** rng.uniform(-6.0, 3.0)
-        assert np.array_equal(bits(rhs(mean.tolist())), bits(sys.a0 + sys.a @ mean))
-
-
 @pytest.mark.parametrize("p, p0_33", [(PARAM_SET1, 0.01), (PARAM_SET2, 0.09)], ids=["set1", "set2"])
 def test_physical_path_equals_array_rk4_bit_for_bit(p, p0_33):
     cov0 = np.diag([1.0, 1.0, p0_33])
@@ -439,7 +433,7 @@ def test_augmented_mean_flow_square_slot():
     sys = build_vandevusse(p)
     mean = np.zeros(9)
     mean[8] = 1.0
-    d = augmented_mean_rhs(sys)(mean)
+    d = sys.a0 + sys.a @ mean
     assert np.isclose(d[8], -2 * p.alpha * 1.0 + p.beta * p.beta, rtol=1e-14)
 
 
@@ -475,6 +469,49 @@ def test_augmented_propagator_matches_rk4_oracle(p, p0_33):
     assert np.array_equal(series.t, t)
     assert np.abs(series.mean - mean).max() <= 1e-12 * np.abs(mean).max()
     assert np.abs(series.cov - cov).max() <= 1e-12 * np.abs(cov).max()
+
+
+@pytest.mark.parametrize("p, p0_33", [(PARAM_SET1, 0.01), (PARAM_SET2, 0.09)], ids=["set1", "set2"])
+def test_augmented_mean_path_matches_rk4_oracle(p, p0_33):
+    # The path steps RK4's one-step map, so it equals the RK4 loop on the
+    # rate a0 + a m up to rounding, over 50 s (5000 steps).
+    sys = build_vandevusse(p)
+    mean0 = gaussian_lift(SET1_X0, np.diag([1.0, 1.0, p0_33]))[0]
+    t, mean = augmented_mean_path(sys, mean0, 0.01, 50.0)
+    t_ref, ref = rk4_oracle(lambda m: sys.a0 + sys.a @ m, mean0, 0.01, 50.0)
+    assert np.array_equal(t, t_ref)
+    assert mean.shape == (5001, 9)
+    assert np.abs(mean - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_augmented_mean_path_blowup_names_first_nonfinite_time():
+    # dx = x dt + dB: the x^2 slot of the mean grows like exp(2t) and
+    # overflows near t = 355.
+    sys = embed_order2(QuadraticSde(c=[0.0], lin=[[1.0]], quad=[[[0.0]]], g=[1.0]))
+    mean0 = np.array([1.0, 1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationError, match=r"non-finite state at t=") as err:
+            augmented_mean_path(sys, mean0, 0.1, 400.0)
+        with pytest.raises(IntegrationError, match=r"non-finite state at t=") as ref:
+            rk4_oracle(lambda m: sys.a0 + sys.a @ m, mean0, 0.1, 400.0)
+    k = round(float(str(err.value).rsplit("t=", 1)[1]) / 0.1)
+    k_ref = round(float(str(ref.value).rsplit("t=", 1)[1]) / 0.1)
+    assert 3000 < k < 4000
+    # The RK4 loop overflows 12 steps earlier, in its stage sum
+    # k1 + 2 k2 + 2 k3 + k4 (about 12 m, and m grows 1.22x a step).
+    assert 0 <= k - k_ref <= 15
+    _, before = augmented_mean_path(sys, mean0, 0.1, (k - 1) * 0.1)
+    assert np.isfinite(before).all()
+
+
+def test_augmented_mean_path_t_end_zero_returns_start():
+    sys = build_vandevusse(PARAM_SET2)
+    mean0 = gaussian_lift(SET1_X0, SET1_P0)[0]
+    t, mean = augmented_mean_path(sys, mean0, 0.01, 0.0)
+    assert np.array_equal(t, [0.0])
+    assert np.array_equal(bits(mean), bits(mean0[None]))
+    with pytest.raises(ValueError, match="augmented start must be a 9-vector"):
+        augmented_mean_path(sys, SET1_X0, 0.01, 1.0)
 
 
 @st.composite

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vdvcarleman import montecarlo
-from vdvcarleman.carleman import build_vandevusse, vandevusse_coefficients
+from vdvcarleman.carleman import QuadraticSde, build_vandevusse, embed_order2, vandevusse_coefficients
 from vdvcarleman.kronecker import reduce_square
 from vdvcarleman.model import PARAM_SET1, PARAM_SET2, ReactorParams, X0_SET1, X0_SET2, diffusion, drift
-from vdvcarleman.moments import BLOCK_STEPS, augmented_mean_rhs, grid_index, integrate, ou_mean, ou_variance
+from vdvcarleman.moments import BLOCK_STEPS, IntegrationError, augmented_mean_path, grid_index, ou_variance
 from vdvcarleman.montecarlo import (
     CHUNK_SIZE,
     EnsembleStats,
@@ -25,7 +25,7 @@ from vdvcarleman.montecarlo import (
     substream_seed,
 )
 
-from test_moments import bits
+from test_moments import bits, ou_mean
 
 X0 = X0_SET1.as_array()
 SYS1 = build_vandevusse(PARAM_SET1)
@@ -268,13 +268,30 @@ def test_em_mean_reference_is_exact_expectation():
     assert np.all(np.abs(stats.mean[k] - euler[k]) <= 4.0 * stats.stderr[k] + 1e-15)
 
 
+def test_em_mean_reference_blowup_names_first_nonfinite_time():
+    # dx = x dt + dB: the Euler mean of the x^2 slot grows 1.2x a step at
+    # dt = 0.1 and overflows near t = 389.
+    sys = embed_order2(QuadraticSde(c=[0.0], lin=[[1.0]], quad=[[[0.0]]], g=[1.0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationError, match=r"non-finite state at t=") as err:
+            em_mean_reference(sys, [1.0], 0.1, 2000.0)
+    k = round(float(str(err.value).rsplit("t=", 1)[1]) / 0.1)
+    assert 3800 < k < 4000
+    # The step before is finite, and the arithmetic is the Euler step itself.
+    _, before = em_mean_reference(sys, [1.0], 0.1, (k - 1) * 0.1)
+    m = before[-1]
+    assert np.isfinite(before).all()
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(m + (sys.a0 + sys.a @ m) * 0.1).all()
+
+
 def test_bilinear_x1_slot_mean_matches_mean_ode():
     # The physical slots carry enough realization noise that the ensemble
     # mean matches even the exact mean ODE within plain standard errors.
     cfg = PathConfig(dt=0.01, t_end=10.0, seed=42)
     stats = ensemble_moments(cfg, X0, 2500, SYS1)
     xi0 = np.concatenate([X0, reduce_square(X0)])
-    _, ode = integrate(augmented_mean_rhs(SYS1), xi0, cfg.dt, cfg.t_end)
+    _, ode = augmented_mean_path(SYS1, xi0, cfg.dt, cfg.t_end)
     for time in (5.0, 10.0):
         k = grid_index(cfg.dt, time)
         assert abs(stats.mean[k, 0] - ode[k, 0]) <= 3.0 * stats.stderr[k, 0]
@@ -287,9 +304,8 @@ def test_bilinear_ensemble_mean_tracks_mean_ode_with_bias_floor():
     cfg = PathConfig(dt=0.01, t_end=5.0, seed=12)
     stats = ensemble_moments(cfg, X0, 2000, SYS1)
     xi0 = np.concatenate([X0, reduce_square(X0)])
-    mean_rhs = augmented_mean_rhs(SYS1)
-    t, ode = integrate(mean_rhs, xi0, cfg.dt, cfg.t_end)
-    rates = np.array([mean_rhs(ode[k]) for k in range(0, t.size, 50)])
+    _, ode = augmented_mean_path(SYS1, xi0, cfg.dt, cfg.t_end)
+    rates = SYS1.a0 + ode[::50] @ SYS1.a.T
     floor = 2.0 * cfg.dt * np.abs(rates).max(axis=0)
     for time in (1.0, 5.0):
         k = grid_index(cfg.dt, time)

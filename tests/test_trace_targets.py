@@ -2,8 +2,10 @@
 
 ``perfbench/traced_cli.py`` lists its targets in ``TARGETS`` as
 (module, function, attribute-function factory) and binds each call's
-arguments by parameter name.  The file is read as source, not imported,
-so this test runs without the benchmark's own modules on the path.
+arguments by parameter name; it also imports package names of its own
+(``from vdvcarleman.<module> import <names>``) for its per-step floors.
+The file is read as source, not imported, so this test runs without the
+benchmark's own modules on the path.
 """
 import ast
 import importlib
@@ -34,9 +36,32 @@ def _targets() -> list[tuple[str, str, str | None]]:
 TARGETS = _targets()
 
 
+def _imported_names() -> list[tuple[str, str]]:
+    """(module, name) of every ``from vdvcarleman.<module> import <name>``, anywhere in the file."""
+    tree = ast.parse(TRACED_CLI.read_text(encoding="utf-8"))
+    return [
+        (node.module.split(".", 1)[1], alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("vdvcarleman.")
+        for alias in node.names
+    ]
+
+
+IMPORTED = _imported_names()
+
+
 def test_targets_are_listed():
     assert ("montecarlo", "ensemble_moments", "_ensemble") in TARGETS
     assert len(TARGETS) >= 10
+
+
+def test_imported_names_are_found():
+    assert {("moments", "grid_steps"), ("model", "drift"), ("model", "jacobian")} <= set(IMPORTED)
+
+
+@pytest.mark.parametrize("module, name", IMPORTED, ids=[f"{m}.{n}" for m, n in IMPORTED])
+def test_imported_name_resolves(module, name):
+    assert callable(getattr(importlib.import_module(f"vdvcarleman.{module}"), name))
 
 
 @pytest.mark.parametrize("module, name, factory", TARGETS, ids=[f"{m}.{n}" for m, n, _ in TARGETS])
