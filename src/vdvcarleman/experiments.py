@@ -86,6 +86,14 @@ class Scenario:
     mc_paths: int
 
     def __post_init__(self):
+        for name in ("dt", "t_end"):
+            value = getattr(self, name)
+            if not _is_real(value):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        if not (isinstance(self.checkpoints, (list, tuple)) and all(map(_is_real, self.checkpoints))):
+            raise ValueError(f"checkpoints must be a list of finite real numbers, got {self.checkpoints!r}")
+        object.__setattr__(self, "checkpoints", tuple(self.checkpoints))
         grid_steps(self.dt, self.t_end)  # validates dt > 0 and t_end on the grid
         for c in self.checkpoints:
             grid_index(self.dt, c)  # raises off-grid
@@ -120,12 +128,17 @@ class Scenario:
             params=ReactorParams(**d["params"]),
             x0=PhysicalState(*d["x0"]),
             p0_diag=d["p0_diag"],
-            dt=float(d["dt"]),
-            t_end=float(d["t_end"]),
-            checkpoints=tuple(d["checkpoints"]),
+            dt=d["dt"],
+            t_end=d["t_end"],
+            checkpoints=d["checkpoints"],
             seed=d["seed"],
             mc_paths=d["mc_paths"],
         )
+
+
+def _is_real(x) -> bool:
+    """True for a finite real number that is not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def _is_triple(value, nonnegative: bool = False) -> bool:
@@ -134,9 +147,7 @@ def _is_triple(value, nonnegative: bool = False) -> bool:
         entries = list(value)
     except TypeError:
         return False
-    return len(entries) == 3 and all(
-        isinstance(x, numbers.Real) and math.isfinite(x) and not (nonnegative and x < 0.0) for x in entries
-    )
+    return len(entries) == 3 and all(_is_real(x) and not (nonnegative and x < 0.0) for x in entries)
 
 
 def _check_keys(what: str, d, expected: set) -> None:

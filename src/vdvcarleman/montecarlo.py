@@ -16,21 +16,23 @@ numpy, whose x @ a^T is a BLAS product.  Reproducibility contract:
 * ensemble path i draws from the substream seed
   ``substream_seed(seed, i)``, a SplitMix64 mix that is injective in the
   path index, so substreams never collide;
-* an ensemble is cut into fixed chunks of CHUNK_SIZE paths.  A worker
-  holds its contiguous range of chunks as one C-contiguous (d, count)
-  array, one column per path, and steps it in place with buffers made
-  once per call: the bilinear drift is ``a @ X`` plus the ``a0`` column,
-  times dt, and the noise ``d @ X`` plus the ``g`` column, times each
-  path's sqrt(dt) z.  Each path sees the operations, in the same order,
-  of the row-major step x + f(x) dt + g(x) (sqrt(dt) z) of one chunk
-  alone (OpenBLAS returns ``a @ X`` bit for bit as ``(X^T @ a^T)^T``,
-  pinned by a test).  Each path draws its normals a block of time steps
-  at a time (blocked draws from one generator equal one long draw);
-* per-chunk mean and M2 are computed only at the grid indices asked for
-  (``record``), on a row-major (count, d) copy of the state, and reduced
-  in fixed chunk order with a pairwise merge, so the output bytes do not
-  depend on worker count, draw block length or which indices are
-  recorded.
+* an ensemble is split into contiguous worker ranges.  A worker holds
+  its range as one C-contiguous (d, count) array, one column per path,
+  and steps it in place with buffers made once per call: the bilinear
+  drift is ``a @ X`` plus the ``a0`` column, times dt, and the noise
+  ``d @ X`` plus the ``g`` column, times each path's sqrt(dt) z.  Each
+  path sees the operations, in the same order, of the row-major step
+  x + f(x) dt + g(x) (sqrt(dt) z) of the whole ensemble at once
+  (OpenBLAS returns ``a @ X`` bit for bit as ``(X^T @ a^T)^T``, pinned
+  by a test).  Each path draws its normals a block of time steps at a
+  time (blocked draws from one generator equal one long draw);
+* at the grid indices asked for (``record``) each worker copies its
+  state into its column slice of one (n_record, d, n_paths) snapshot.
+  Once every worker is done, the mean and the unbiased variance are
+  taken over the paths axis of that snapshot, in one reduction.  The
+  snapshot is the same array however the paths are split, so the
+  output bytes do not depend on worker count, draw block length or
+  which indices are recorded.
 """
 from __future__ import annotations
 
@@ -46,9 +48,14 @@ from .carleman import BilinearSystem, point_lift
 from .model import ReactorParams, diffusion, drift
 from .moments import BLOCK_STEPS, _raise_if_nonfinite, grid_steps
 
-# Paths per reduction chunk.  Fixed: changing it would change the (still
-# deterministic) floating-point reduction order, and worker counts must not.
-CHUNK_SIZE = 256
+# An ensemble gets at most one worker range per RANGE_PATHS paths, and its
+# paths are split evenly over the ranges, so a range of a split holds more
+# than RANGE_PATHS / 2.  It sets only the work per thread: each path is
+# stepped in its own column and the statistics come from the gathered
+# snapshot, so it cannot move a bit of the output.  A range is never one
+# path, whose ``a @ X`` numpy would take as a matrix-vector product, which
+# rounds differently from the matrix product of two or more columns.
+RANGE_PATHS = 256
 
 # Cap on the normals buffered at once, summed over all paths of an ensemble
 # (2**20 doubles, 8 MB): each path draws this many // n_paths steps at a
@@ -245,52 +252,26 @@ def _ensemble_step(dynamics, dt: float):
     return step
 
 
-def _lockstep_stats(cfg: PathConfig, x0: np.ndarray, dynamics, start: int, count: int,
-                    record: np.ndarray, block: int, progress: bool):
-    """Advance paths [start, start+count) in lockstep; per-chunk mean and M2 at ``record``.
+def _lockstep(cfg: PathConfig, x0: np.ndarray, dynamics, start: int, snap: np.ndarray,
+              record: np.ndarray, block: int, progress: bool):
+    """Advance paths [start, start+count) in lockstep, copying the state into ``snap`` at ``record``.
 
+    ``record`` holds sorted, distinct grid indices, and ``snap`` is the
+    range's (n_record, d, count) column slice of the ensemble snapshot.
     The paths are the columns of one C-contiguous (d, count) array,
     stepped in place with buffers made once.  Path i draws its normals
-    from its own substream, ``block`` steps at a time, and every
-    floating-point operation on it is the one a lone chunk would do.  At
-    a recorded index the state is copied to row-major (count, d), and the
-    full chunks are reduced as one (n_full, CHUNK_SIZE, d) array, the
-    uneven last chunk as a (rest, d) array.  Returns (chunks, failure):
-    the (count, mean, m2) of each chunk in chunk order, and None or the
-    (step, path) of the earliest step at which a path left the finite
-    range, the lowest such path.
+    from its own substream, ``block`` steps at a time.  Returns None, or the (step, path) of the earliest step at which a
+    path left the finite range, the lowest such path.
     """
-    n_steps, d = cfg.n_steps, x0.size
-    n_full, rest = divmod(count, CHUNK_SIZE)
-    split = n_full * CHUNK_SIZE
+    n_steps, count = cfg.n_steps, snap.shape[2]
     gens = [np.random.Generator(np.random.PCG64(substream_seed(cfg.seed, start + i))) for i in range(count)]
     z = np.empty((count, min(block, n_steps)))
     x = np.repeat(x0[:, None], count, axis=1)
     inc, noise, w = np.empty_like(x), np.empty_like(x), np.empty(count)
     finite = np.empty(x.shape, dtype=bool)
-    rows = np.empty((count, d))
-    groups = []  # (paths, mean, m2): reductions run over axis -2, chunk by chunk
-    chunks = []  # (count, mean, m2) per chunk, views into the group statistics
-    if n_full:
-        stats = (n_full, record.size, d)
-        mean, m2 = np.empty(stats), np.empty(stats)
-        groups.append((rows[:split].reshape(n_full, CHUNK_SIZE, d), mean, m2))
-        chunks += [(CHUNK_SIZE, mean[c], m2[c]) for c in range(n_full)]
-    if rest:
-        mean, m2 = np.empty((record.size, d)), np.empty((record.size, d))
-        groups.append((rows[split:], mean, m2))
-        chunks.append((rest, mean, m2))
-
-    def save(r):
-        np.copyto(rows, x.T)
-        for paths, mean, m2 in groups:
-            mu = paths.mean(axis=-2, keepdims=True)
-            mean[..., r, :] = mu[..., 0, :]
-            m2[..., r, :] = ((paths - mu) ** 2).sum(axis=-2)
-
     r = 0
     if record.size and record[0] == 0:
-        save(0)
+        snap[0] = x
         r = 1
     step = _ensemble_step(dynamics, cfg.dt)
     sqdt = np.sqrt(cfg.dt)
@@ -306,41 +287,31 @@ def _lockstep_stats(cfg: PathConfig, x0: np.ndarray, dynamics, start: int, count
         step(x, w, inc, noise)
         np.isfinite(x, out=finite)
         if not finite.all():
-            return None, (k + 1, start + int(np.flatnonzero(~finite.all(axis=0))[0]))
+            return k + 1, start + int(np.flatnonzero(~finite.all(axis=0))[0])
         if r < record.size and record[r] == k + 1:
-            save(r)
+            snap[r] = x
             r += 1
         if progress and (k + 1) % log_every == 0 and k + 1 < n_steps:
             elapsed = time.perf_counter() - t_start
             logger.info("MC ensemble: step %d/%d (%.0f%%), ETA %.1f s", k + 1, n_steps,
                         100.0 * (k + 1) / n_steps, elapsed * (n_steps - k - 1) / (k + 1))
-    return chunks, None
-
-
-def _merge_stats(acc, chunk):
-    """Pairwise mean/M2 merge (Chan et al.); keeps M2 nonnegative."""
-    n_a, mean_a, m2_a = acc
-    n_b, mean_b, m2_b = chunk
-    n = n_a + n_b
-    delta = mean_b - mean_a
-    mean = mean_a + delta * (n_b / n)
-    m2 = m2_a + m2_b + delta * delta * (n_a * n_b / n)
-    return n, mean, m2
+    return None
 
 
 def ensemble_moments(
-    cfg: PathConfig, x0, n_paths: int, dynamics, n_workers: int = 1, record=None
+    cfg: PathConfig, x0, n_paths: int, dynamics, n_workers: int = 1, *, record
 ) -> EnsembleStats:
     """Sample mean and unbiased variance over a seeded ensemble.
 
-    Path i uses the substream seed ``substream_seed(cfg.seed, i)``.  Paths
-    are grouped in fixed chunks of CHUNK_SIZE; ``n_workers`` splits the
-    chunk list into contiguous ranges, each advanced in lockstep on a
-    thread, and the chunk statistics are merged in chunk order, so the
-    result is independent of ``n_workers``.  ``record`` lists the grid
-    indices at which statistics are kept (default: the whole grid); row r
-    of the result belongs to grid index ``record[r]``.  Progress goes to
-    the log, the last line with the path-steps made and the wall time per
+    Path i uses the substream seed ``substream_seed(cfg.seed, i)``.
+    ``n_workers`` splits the paths into contiguous ranges, each advanced
+    in lockstep on a thread.  ``record`` lists the grid indices at which
+    statistics are kept; row r of the result belongs to grid index
+    ``record[r]``.  Every range writes its states at those indices into
+    one (n_record, d, n_paths) snapshot, and the mean and ``ddof=1``
+    variance are taken over its paths axis once the threads are done, so
+    the result is independent of ``n_workers``.  Progress goes to the
+    log, the last line with the path-steps made and the wall time per
     path-step.
     """
     t_start = time.perf_counter()
@@ -351,43 +322,33 @@ def ensemble_moments(
         raise ValueError(f"n_workers must be at least 1, got {n_workers}")
     x0 = _initial_state(x0, dynamics)
     n_steps = cfg.n_steps
-    if record is None:
-        record = np.arange(n_steps + 1)
-    else:
-        record = np.asarray(record) if len(record) else np.empty(0, dtype=int)
-        if record.ndim != 1 or not np.issubdtype(record.dtype, np.integer):
-            raise ValueError("record must be a 1-D sequence of grid indices")
-        if record.size and (record.min() < 0 or record.max() > n_steps):
-            raise ValueError(f"record indices must lie in [0, {n_steps}]")
+    record = np.asarray(record) if len(record) else np.empty(0, dtype=int)
+    if record.ndim != 1 or not np.issubdtype(record.dtype, np.integer):
+        raise ValueError("record must be a 1-D sequence of grid indices")
+    if record.size and (record.min() < 0 or record.max() > n_steps):
+        raise ValueError(f"record indices must lie in [0, {n_steps}]")
     steps, rows = np.unique(record, return_inverse=True)
 
-    n_chunks = -(-n_paths // CHUNK_SIZE)
-    n_ranges = max(1, min(n_workers, n_chunks))
-    bounds = [CHUNK_SIZE * (n_chunks * w // n_ranges) for w in range(n_ranges + 1)]
-    bounds[-1] = n_paths
+    n_ranges = min(n_workers, -(-n_paths // RANGE_PATHS))
+    bounds = [n_paths * w // n_ranges for w in range(n_ranges + 1)]
     block = max(1, DRAW_BUFFER // n_paths)
+    snap = np.empty((steps.size, x0.size, n_paths))
 
     def run(w):
         first, last = bounds[w], bounds[w + 1]
-        return _lockstep_stats(cfg, x0, dynamics, first, last - first, steps, block, progress=w == 0)
+        return _lockstep(cfg, x0, dynamics, first, snap[:, :, first:last], steps, block, progress=w == 0)
 
     if n_ranges > 1:
         with ThreadPoolExecutor(max_workers=n_ranges) as pool:
             results = list(pool.map(run, range(n_ranges)))
     else:
         results = [run(0)]
-    failures = [f for _, f in results if f is not None]
+    failures = [f for f in results if f is not None]
     if failures:
         step, path = min(failures)
         raise SimulationError(f"path {path} non-finite at step {step} (t={step * cfg.dt:.6g})")
 
-    chunks = [c for cs, _ in results for c in cs]
-    acc = chunks[0]
-    for chunk in chunks[1:]:
-        acc = _merge_stats(acc, chunk)
-    n, mean, m2 = acc
-    assert n == n_paths
-    mean, var = mean[rows], m2[rows] / (n_paths - 1)
+    mean, var = snap.mean(axis=2)[rows], snap.var(axis=2, ddof=1)[rows]
     path_steps = n_paths * n_steps
     elapsed = time.perf_counter() - t_start
     logger.info("MC ensemble: step %d/%d (100%%), ETA 0.0 s; %d path-steps in %.2f s, %.1f ns per path-step",
@@ -423,12 +384,12 @@ def em_mean_reference(sys: BilinearSystem, x0, dt: float, t_end: float) -> tuple
 def simulate_shared_noise(p: ReactorParams, sys: BilinearSystem, x0, dt: float, t_end: float, seed: int):
     """One nonlinear and one bilinear path driven by identical increments.
 
-    Returns (t, x_nonlinear, xi_bilinear).  Shared noise makes the pair
-    directly comparable: the remaining gap is the truncation error, not
-    realization noise.
+    Returns (t, x_nonlinear, xi_bilinear).  Both are `simulate_path` on
+    one config, so both draw the normals of ``seed``'s generator.  Shared
+    noise makes the pair directly comparable: the remaining gap is the
+    truncation error, not realization noise.
     """
     cfg = PathConfig(dt=dt, t_end=t_end, seed=seed)
-    z = np.random.Generator(np.random.PCG64(seed)).standard_normal(cfg.n_steps)
-    t, x_nl = simulate_path(cfg, x0, p, increments=z)
-    _, xi_bl = simulate_path(cfg, x0, sys, increments=z)
+    t, x_nl = simulate_path(cfg, x0, p)
+    _, xi_bl = simulate_path(cfg, x0, sys)
     return t, x_nl, xi_bl

@@ -201,10 +201,9 @@ def check_zero_noise_exactness() -> CheckResult:
     p = replace(PARAM_SET1, beta=0.0)
     sys = build_vandevusse(p)
     x0 = builtin_scenario("set1").x0.as_array()
-    aug = integrate_augmented(sys, x0, np.zeros((3, 3)), 0.01, 200.0)
-    aug_max = float(np.abs(aug.cov).max())
-    ekf = ekf_predict(p, x0, np.zeros((3, 3)), 0.01, 200.0)
-    ekf_max = float(np.abs(ekf.cov).max())
+    # Each series is reduced to its float before the next one is built.
+    aug_max = float(np.abs(integrate_augmented(sys, x0, np.zeros((3, 3)), 0.01, 200.0).cov).max())
+    ekf_max = float(np.abs(ekf_predict(p, x0, np.zeros((3, 3)), 0.01, 200.0).cov).max())
     ok = aug_max <= 1e-14 and ekf_max <= 1e-14
     return CheckResult(
         9,

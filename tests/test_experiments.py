@@ -59,15 +59,30 @@ def test_scenario_validation():
         Scenario.from_dict({**small_scenario().to_dict(), "seed": -1})
 
 
+_MUST_BE = {
+    "seed": "an integer",
+    "mc_paths": "an integer",
+    "dt": "a finite real number",
+    "t_end": "a finite real number",
+    "checkpoints": "a list of finite real numbers",
+}
+
+
 @pytest.mark.parametrize("field, value", [
     ("seed", 1.5), ("seed", 4.9), ("seed", 4.0), ("seed", True), ("seed", "4"),
     ("mc_paths", 2.5), ("mc_paths", 2500.7), ("mc_paths", 2500.0), ("mc_paths", False), ("mc_paths", None),
+    ("dt", None), ("dt", "abc"), ("dt", "0.01"), ("dt", True), ("dt", float("inf")),
+    ("t_end", None), ("t_end", "5.0"), ("t_end", False), ("t_end", float("nan")),
+    ("checkpoints", 5.0), ("checkpoints", ["a"]), ("checkpoints", "0.5"), ("checkpoints", [0.5, True]),
+    ("checkpoints", [float("nan")]), ("checkpoints", {"0.5": 1}),
 ])
 def test_scenario_rejects_non_integer_seed_and_paths(field, value):
-    # from_dict passes the JSON value through: no silent truncation
-    with pytest.raises(ValueError, match=rf"^{field} must be an integer"):
+    # from_dict passes the JSON value through: no silent truncation or
+    # conversion.  The grid fields share the table with the integer counts.
+    want = rf"^{field} must be {_MUST_BE[field]}, got "
+    with pytest.raises(ValueError, match=want):
         small_scenario(**{field: value})
-    with pytest.raises(ValueError, match=rf"^{field} must be an integer"):
+    with pytest.raises(ValueError, match=want):
         Scenario.from_dict({**small_scenario().to_dict(), field: value})
 
 
@@ -88,6 +103,7 @@ def test_scenario_normalizes_numpy_integers():
         (1.0, 1.0, 0.01, 1.0),
         ("1", 1.0, 0.01),
         1.0,
+        (1.0, True, 0.01),
     ],
 )
 def test_scenario_rejects_bad_p0_diag(p0_diag):
@@ -119,7 +135,7 @@ def test_from_dict_names_missing_and_unknown_keys():
 
 
 @pytest.mark.parametrize("x0", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], ["a", "b", "c"], [1.0, None, 3.0],
-                                [1.0, float("nan"), 3.0], 5.0, "abc"])
+                                [1.0, float("nan"), 3.0], 5.0, "abc", [1.0, True, 3.0]])
 def test_from_dict_rejects_bad_x0(x0):
     with pytest.raises(ValueError, match="x0 must be three finite numbers"):
         Scenario.from_dict({**small_scenario().to_dict(), "x0": x0})
@@ -332,7 +348,8 @@ def test_mc_rows_read_the_ensemble_at_each_checkpoint():
     s = small_scenario(checkpoints=(5.0, 0.5, 5.0))
     report = run_scenario(s, methods=("mc",))
     cfg = PathConfig(dt=s.dt, t_end=s.t_end, seed=s.seed)
-    full = ensemble_moments(cfg, s.x0.as_array(), s.mc_paths, build_vandevusse(s.params))
+    full = ensemble_moments(cfg, s.x0.as_array(), s.mc_paths, build_vandevusse(s.params),
+                            record=np.arange(cfg.n_steps + 1))
     rows = report.mc.rows
     assert [r["t"] for r in rows[::9]] == [5.0, 0.5, 5.0]
     for row in rows:

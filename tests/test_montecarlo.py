@@ -1,5 +1,6 @@
 import logging
 import re
+import sys
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,7 @@ from vdvcarleman.kronecker import reduce_square
 from vdvcarleman.model import PARAM_SET1, PARAM_SET2, ReactorParams, X0_SET1, X0_SET2, diffusion, drift
 from vdvcarleman.moments import BLOCK_STEPS, IntegrationError, augmented_mean_path, grid_index, ou_variance
 from vdvcarleman.montecarlo import (
-    CHUNK_SIZE,
+    RANGE_PATHS,
     EnsembleStats,
     PathConfig,
     SimulationError,
@@ -103,7 +104,7 @@ def test_path_config_validation():
     cfg = PathConfig(dt=0.01, t_end=1.0, seed=np.int64(3))
     assert cfg.seed == 3 and type(cfg.seed) is int
     with pytest.raises(TypeError, match="dynamics must be ReactorParams or BilinearSystem, got dict"):
-        ensemble_moments(PathConfig(dt=0.01, t_end=1.0, seed=0), X0, 4, {"k1": 1.0})
+        ensemble_moments(PathConfig(dt=0.01, t_end=1.0, seed=0), X0, 4, {"k1": 1.0}, record=[])
     assert PathConfig(dt=0.01, t_end=1.0, seed=0).n_steps == 100
 
 
@@ -177,7 +178,7 @@ def test_divergence_inside_a_block_matches_array_oracle():
 def test_ensemble_matches_individually_simulated_paths():
     cfg = PathConfig(dt=0.01, t_end=1.0, seed=77)
     n = 5
-    stats = ensemble_moments(cfg, X0, n, SYS1)
+    stats = ensemble_moments(cfg, X0, n, SYS1, record=np.arange(cfg.n_steps + 1))
     paths = []
     for i in range(n):
         z = np.random.Generator(np.random.PCG64(substream_seed(cfg.seed, i))).standard_normal(cfg.n_steps)
@@ -191,8 +192,8 @@ def test_ensemble_matches_individually_simulated_paths():
 def test_ensemble_requires_two_paths_and_nonneg_variance():
     cfg = PathConfig(dt=0.01, t_end=0.2, seed=5)
     with pytest.raises(ValueError):
-        ensemble_moments(cfg, X0, 1, PARAM_SET1)
-    stats = ensemble_moments(cfg, X0, 30, PARAM_SET1)
+        ensemble_moments(cfg, X0, 1, PARAM_SET1, record=[0])
+    stats = ensemble_moments(cfg, X0, 30, PARAM_SET1, record=np.arange(cfg.n_steps + 1))
     assert np.all(stats.var >= 0.0)
     # All paths share the initial point; the sample mean of n identical
     # values rounds in the last bit for non-power-of-two n, so the t=0
@@ -203,41 +204,48 @@ def test_ensemble_requires_two_paths_and_nonneg_variance():
 def test_zero_noise_ensemble_has_zero_variance():
     p = ReactorParams(k1=0.01388, k2=0.02778, k3=0.002778, caf=0.0027, v=10.0, alpha=0.1, beta=0.0)
     cfg = PathConfig(dt=0.01, t_end=1.0, seed=2)
-    stats = ensemble_moments(cfg, X0, 2, p)
+    stats = ensemble_moments(cfg, X0, 2, p, record=np.arange(cfg.n_steps + 1))
     assert np.abs(stats.var).max() == 0.0
     _, path = simulate_path(cfg, X0, p)
     assert np.allclose(stats.mean, path, atol=1e-300)
 
 
 def test_worker_count_does_not_change_results():
+    # Four threads write their columns of the one snapshot while switching
+    # every microsecond; a lost or misplaced column would move the statistics.
     cfg = PathConfig(dt=0.01, t_end=1.0, seed=6)
-    n = CHUNK_SIZE + 37  # force an uneven chunk split
-    a = ensemble_moments(cfg, X0, n, SYS1, n_workers=1)
-    b = ensemble_moments(cfg, X0, n, SYS1, n_workers=3)
+    n = 4 * RANGE_PATHS + 37  # an uneven four-range split
+    a = ensemble_moments(cfg, X0, n, SYS1, n_workers=1, record=[0, 50, 100])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        b = ensemble_moments(cfg, X0, n, SYS1, n_workers=4, record=[0, 50, 100])
+    finally:
+        sys.setswitchinterval(interval)
     assert np.array_equal(a.mean, b.mean)
     assert np.array_equal(a.var, b.var)
 
 
 def test_path_count_is_normalized_at_the_boundary():
     cfg = PathConfig(dt=0.05, t_end=0.5, seed=3)
-    want = ensemble_moments(cfg, X0, 300, SYS1)
-    got = ensemble_moments(cfg, X0, np.int64(300), SYS1, n_workers=np.int32(2))
+    want = ensemble_moments(cfg, X0, 300, SYS1, record=[10])
+    got = ensemble_moments(cfg, X0, np.int64(300), SYS1, n_workers=np.int32(2), record=[10])
     assert got.n_paths == 300 and type(got.n_paths) is int
     assert np.array_equal(got.mean, want.mean) and np.array_equal(got.var, want.var)
     for bad in (300.0, 2.5, True, "300", None):
         with pytest.raises(ValueError, match=r"^n_paths must be an integer"):
-            ensemble_moments(cfg, X0, bad, SYS1)
+            ensemble_moments(cfg, X0, bad, SYS1, record=[10])
     with pytest.raises(ValueError, match=r"^n_workers must be an integer"):
-        ensemble_moments(cfg, X0, 300, SYS1, n_workers=2.0)
+        ensemble_moments(cfg, X0, 300, SYS1, n_workers=2.0, record=[10])
     with pytest.raises(ValueError, match=r"^n_paths must be at least 2"):
-        ensemble_moments(cfg, X0, np.int64(1), SYS1)
+        ensemble_moments(cfg, X0, np.int64(1), SYS1, record=[10])
 
 
 def test_worker_count_below_one_is_rejected():
     cfg = PathConfig(dt=0.01, t_end=0.1, seed=6)
     for bad in (0, -3):
         with pytest.raises(ValueError, match="n_workers"):
-            ensemble_moments(cfg, X0, 4, SYS1, n_workers=bad)
+            ensemble_moments(cfg, X0, 4, SYS1, n_workers=bad, record=[10])
 
 
 def test_nonlinear_ensemble_flow_rate_statistics():
@@ -245,27 +253,25 @@ def test_nonlinear_ensemble_flow_rate_statistics():
     # analytic mean and variance are an independent oracle for the sampler.
     p = PARAM_SET1
     cfg = PathConfig(dt=0.01, t_end=20.0, seed=2024)
-    stats = ensemble_moments(cfg, X0, 10000, p)
-    k10 = grid_index(cfg.dt, 10.0)
+    stats = ensemble_moments(cfg, X0, 10000, p, record=[grid_index(cfg.dt, 10.0), grid_index(cfg.dt, 20.0)])
     mean_exact = float(ou_mean(X0[2], p.alpha, np.array([10.0]))[0])
-    assert abs(stats.mean[k10, 2] - mean_exact) <= 3.0 * stats.stderr[k10, 2]
-    k20 = grid_index(cfg.dt, 20.0)
+    assert abs(stats.mean[0, 2] - mean_exact) <= 3.0 * stats.stderr[0, 2]
     var_exact = float(ou_variance(0.0, p.alpha, p.beta, np.array([20.0]))[0])
     # sampling error of a variance estimate ~ var * sqrt(2/(n-1)); allow an
     # O(dt) discretization margin on top
     var_sd = var_exact * np.sqrt(2.0 / (stats.n_paths - 1))
     tol = 3.0 * var_sd + p.alpha * cfg.dt * var_exact
-    assert abs(stats.var[k20, 2] - var_exact) <= tol
+    assert abs(stats.var[1, 2] - var_exact) <= tol
 
 
 def test_em_mean_reference_is_exact_expectation():
     # For the linear augmented system the EM ensemble mean follows the
     # Euler-discretized mean ODE exactly, up to sampling noise.
     cfg = PathConfig(dt=0.01, t_end=2.0, seed=99)
-    stats = ensemble_moments(cfg, X0, 4000, SYS1)
-    _, euler = em_mean_reference(SYS1, X0, cfg.dt, cfg.t_end)
     k = grid_index(cfg.dt, 2.0)
-    assert np.all(np.abs(stats.mean[k] - euler[k]) <= 4.0 * stats.stderr[k] + 1e-15)
+    stats = ensemble_moments(cfg, X0, 4000, SYS1, record=[k])
+    _, euler = em_mean_reference(SYS1, X0, cfg.dt, cfg.t_end)
+    assert np.all(np.abs(stats.mean[0] - euler[k]) <= 4.0 * stats.stderr[0] + 1e-15)
 
 
 def test_em_mean_reference_blowup_names_first_nonfinite_time():
@@ -289,12 +295,12 @@ def test_bilinear_x1_slot_mean_matches_mean_ode():
     # The physical slots carry enough realization noise that the ensemble
     # mean matches even the exact mean ODE within plain standard errors.
     cfg = PathConfig(dt=0.01, t_end=10.0, seed=42)
-    stats = ensemble_moments(cfg, X0, 2500, SYS1)
+    ks = [grid_index(cfg.dt, 5.0), grid_index(cfg.dt, 10.0)]
+    stats = ensemble_moments(cfg, X0, 2500, SYS1, record=ks)
     xi0 = np.concatenate([X0, reduce_square(X0)])
     _, ode = augmented_mean_path(SYS1, xi0, cfg.dt, cfg.t_end)
-    for time in (5.0, 10.0):
-        k = grid_index(cfg.dt, time)
-        assert abs(stats.mean[k, 0] - ode[k, 0]) <= 3.0 * stats.stderr[k, 0]
+    for r, k in enumerate(ks):
+        assert abs(stats.mean[r, 0] - ode[k, 0]) <= 3.0 * stats.stderr[r, 0]
 
 
 def test_bilinear_ensemble_mean_tracks_mean_ode_with_bias_floor():
@@ -302,15 +308,15 @@ def test_bilinear_ensemble_mean_tracks_mean_ode_with_bias_floor():
     # floor for the nearly noiseless components; the full-scale statistical
     # validation (bias-free reference) runs in the acceptance suite.
     cfg = PathConfig(dt=0.01, t_end=5.0, seed=12)
-    stats = ensemble_moments(cfg, X0, 2000, SYS1)
+    ks = [grid_index(cfg.dt, 1.0), grid_index(cfg.dt, 5.0)]
+    stats = ensemble_moments(cfg, X0, 2000, SYS1, record=ks)
     xi0 = np.concatenate([X0, reduce_square(X0)])
     _, ode = augmented_mean_path(SYS1, xi0, cfg.dt, cfg.t_end)
     rates = SYS1.a0 + ode[::50] @ SYS1.a.T
     floor = 2.0 * cfg.dt * np.abs(rates).max(axis=0)
-    for time in (1.0, 5.0):
-        k = grid_index(cfg.dt, time)
-        bound = np.maximum(3.0 * stats.stderr[k], floor)
-        assert np.all(np.abs(stats.mean[k] - ode[k]) <= bound)
+    for r, k in enumerate(ks):
+        bound = np.maximum(3.0 * stats.stderr[r], floor)
+        assert np.all(np.abs(stats.mean[r] - ode[k]) <= bound)
 
 
 def test_shared_noise_pair_tracks():
@@ -327,14 +333,15 @@ def test_shared_noise_pair_tracks():
 
 def test_ensemble_stats_container_shape():
     cfg = PathConfig(dt=0.1, t_end=1.0, seed=0)
-    stats = ensemble_moments(cfg, X0, 8, PARAM_SET1)
+    stats = ensemble_moments(cfg, X0, 8, PARAM_SET1, record=np.arange(cfg.n_steps + 1))
     assert isinstance(stats, EnsembleStats)
     assert stats.mean.shape == stats.var.shape == stats.stderr.shape == (11, 3)
     assert stats.t[-1] == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
-# Oracle: one chunk at a time through the whole grid, merged in chunk order.
+# Oracle: all paths stepped row-major through the whole grid, the state
+# snapshot at every grid index and reduced once over the paths axis.
 # ---------------------------------------------------------------------------
 
 
@@ -347,56 +354,39 @@ def _oracle_fns(dynamics):
     return (lambda x: dynamics.a0 + x @ dynamics.a.T), (lambda x: dynamics.g + x @ dynamics.d.T)
 
 
-def _oracle_chunk_stats(cfg, x0, dynamics, start, count):
+def _oracle_ensemble(cfg, x0, n_paths, dynamics):
+    """Full-grid (mean, var): every path stepped row-major with ``x @ a.T``,
+    ``x.T`` snapshot into (n_grid, d, n_paths), one reduction over axis 2."""
     drift_fn, noise_fn = _oracle_fns(dynamics)
+    x0 = _initial_state(x0, dynamics)
     n_steps = cfg.n_steps
-    z = np.empty((count, n_steps))
-    for i in range(count):
-        gen = np.random.Generator(np.random.PCG64(substream_seed(cfg.seed, start + i)))
-        z[i] = gen.standard_normal(n_steps)
+    z = np.empty((n_paths, n_steps))
+    for i in range(n_paths):
+        z[i] = np.random.Generator(np.random.PCG64(substream_seed(cfg.seed, i))).standard_normal(n_steps)
     sqdt = np.sqrt(cfg.dt)
-    x = np.tile(x0, (count, 1))
-    mean = np.empty((n_steps + 1, x0.size))
-    m2 = np.empty((n_steps + 1, x0.size))
-
-    def record(k):
-        mu = x.mean(axis=0)
-        mean[k] = mu
-        m2[k] = ((x - mu) ** 2).sum(axis=0)
-
-    record(0)
+    x = np.tile(x0, (n_paths, 1))
+    snap = np.empty((n_steps + 1, x0.size, n_paths))
+    snap[0] = x.T
     for k in range(n_steps):
         x = x + drift_fn(x) * cfg.dt + noise_fn(x) * (sqdt * z[:, k, None])
-        record(k + 1)
-    return count, mean, m2
-
-
-def _oracle_ensemble(cfg, x0, n_paths, dynamics):
-    x0 = _initial_state(x0, dynamics)
-    acc = None
-    for start in range(0, n_paths, CHUNK_SIZE):
-        n_b, mean_b, m2_b = _oracle_chunk_stats(cfg, x0, dynamics, start, min(CHUNK_SIZE, n_paths - start))
-        if acc is None:
-            acc = (n_b, mean_b, m2_b)
-            continue
-        n_a, mean_a, m2_a = acc
-        n = n_a + n_b
-        delta = mean_b - mean_a
-        acc = (n, mean_a + delta * (n_b / n), m2_a + m2_b + delta * delta * (n_a * n_b / n))
-    _, mean, m2 = acc
-    return mean, m2 / (n_paths - 1)
+        snap[k + 1] = x.T
+    return snap.mean(axis=2), snap.var(axis=2, ddof=1)
 
 
 @pytest.mark.parametrize("system", ["bilinear", "nonlinear"])
-@pytest.mark.parametrize("n_paths", [2, 100, CHUNK_SIZE, CHUNK_SIZE + 37, 3 * CHUNK_SIZE])
+@pytest.mark.parametrize("n_paths", [2, 3, 100, RANGE_PATHS, RANGE_PATHS + 1, RANGE_PATHS + 37, 3 * RANGE_PATHS])
 def test_lockstep_ensemble_is_bit_identical_to_chunk_loop(monkeypatch, system, n_paths):
-    # 60 steps drawn 7 at a time: the last draw block is partial.
+    # The name predates the path-loop oracle; it is kept so the test ids stay.
+    # 60 steps drawn 7 at a time: the last draw block is partial.  With 2 or
+    # 3 paths, 4 workers get one range, as 1 worker does.  Cutting 257 paths
+    # at 256 would leave a one-path range, whose matrix-vector product
+    # rounds differently; the even split gives 128 and 129.
     monkeypatch.setattr(montecarlo, "DRAW_BUFFER", 7 * n_paths)
     cfg = PathConfig(dt=0.05, t_end=3.0, seed=17)
     dynamics = SYS1 if system == "bilinear" else PARAM_SET1
     mean, var = _oracle_ensemble(cfg, X0, n_paths, dynamics)
-    for workers in (1, 2, 3):
-        stats = ensemble_moments(cfg, X0, n_paths, dynamics, n_workers=workers)
+    for workers in (1, 2, 3, 4):
+        stats = ensemble_moments(cfg, X0, n_paths, dynamics, n_workers=workers, record=np.arange(cfg.n_steps + 1))
         assert np.array_equal(stats.mean, mean)
         assert np.array_equal(stats.var, var)
 
@@ -423,14 +413,14 @@ def test_lockstep_ensemble_equals_chunk_loop_property(system, n_paths, workers, 
 
 @pytest.mark.parametrize("p", [PARAM_SET1, PARAM_SET2], ids=["set1", "set2"])
 def test_component_major_products_equal_row_major_bit_for_bit(p):
-    # The ensemble steps its (d, n) state with a @ X and d @ X; the chunk
+    # The ensemble steps its (d, n) state with a @ X and d @ X; the path
     # loop oracle (and every earlier version) with x @ a.T on the row-major
     # (n, d) state.  OpenBLAS returns the two bit for bit; if a numpy or
     # BLAS build ever stops doing so, this test names the cause.
     sys = build_vandevusse(p)
     rng = np.random.default_rng(2024)
     scale = np.abs(_initial_state(X0, sys)) + 1.0
-    for n in (1, 2, 7, 100, CHUNK_SIZE, CHUNK_SIZE + 37, 3 * CHUNK_SIZE, 1536, 2560, 10_000):
+    for n in (1, 2, 7, 100, RANGE_PATHS, RANGE_PATHS + 37, 3 * RANGE_PATHS, 1536, 2560, 10_000):
         big = np.ascontiguousarray((rng.standard_normal((n, sys.a.shape[0])) * scale).T)
         rows = np.ascontiguousarray(big.T)
         for m in (sys.a, sys.d):
@@ -441,17 +431,17 @@ def test_component_major_products_equal_row_major_bit_for_bit(p):
 
 def test_default_draw_block_is_bit_identical_to_chunk_loop():
     cfg = PathConfig(dt=0.01, t_end=2.0, seed=5)
-    n = 2 * CHUNK_SIZE + 1
+    n = 2 * RANGE_PATHS + 1
     mean, var = _oracle_ensemble(cfg, X0, n, SYS1)
-    stats = ensemble_moments(cfg, X0, n, SYS1, n_workers=2)
+    stats = ensemble_moments(cfg, X0, n, SYS1, n_workers=2, record=np.arange(cfg.n_steps + 1))
     assert np.array_equal(stats.mean, mean)
     assert np.array_equal(stats.var, var)
 
 
 def test_recorded_rows_equal_full_grid_rows():
     cfg = PathConfig(dt=0.05, t_end=3.0, seed=8)
-    n = CHUNK_SIZE + 37
-    full = ensemble_moments(cfg, X0, n, SYS1)
+    n = RANGE_PATHS + 37
+    full = ensemble_moments(cfg, X0, n, SYS1, record=np.arange(cfg.n_steps + 1))
     record = [60, 0, 17, 17, 33]
     for workers in (1, 2):
         part = ensemble_moments(cfg, X0, n, SYS1, n_workers=workers, record=record)
@@ -487,11 +477,12 @@ def test_blocked_draws_equal_one_long_draw():
 def test_ensemble_blowup_reports_earliest_step_over_all_chunks():
     # The unstable OU factor (1 - alpha dt = -1.5) makes every path diverge
     # at a step set by its own noise.  For this seed the first divergence
-    # is in the second chunk, one step before any path of the first chunk.
+    # is in the second of 3 worker ranges, one step before any path of the
+    # first.
     unstable = ReactorParams(k1=0.01, k2=0.01, k3=0.01, caf=1.0, v=1.0, alpha=0.25, beta=1.0)
     cfg = PathConfig(dt=10.0, t_end=300.0, seed=33)
     x0 = np.array([1.0, 0.0, 0.0])
-    n = 2 * CHUNK_SIZE + 37
+    n = 2 * RANGE_PATHS + 37
     failures = []
     for i in range(n):
         z = np.random.Generator(np.random.PCG64(substream_seed(cfg.seed, i))).standard_normal(cfg.n_steps)
@@ -499,21 +490,21 @@ def test_ensemble_blowup_reports_earliest_step_over_all_chunks():
             simulate_path(cfg, x0, unstable, increments=z)
         failures.append((int(re.search(r"step (\d+)", str(exc.value)).group(1)), i))
     step, path = min(failures)
-    assert path >= CHUNK_SIZE and step < min(failures[:CHUNK_SIZE])[0]
+    assert path >= n // 3 and step < min(failures[:n // 3])[0]
     for workers in (1, 3):
         with pytest.raises(SimulationError, match=rf"path {path} non-finite at step {step} \("):
-            ensemble_moments(cfg, x0, n, unstable, n_workers=workers)
+            ensemble_moments(cfg, x0, n, unstable, n_workers=workers, record=[cfg.n_steps])
 
 
 def test_ensemble_progress_is_logged(caplog):
     cfg = PathConfig(dt=0.01, t_end=2.0, seed=1)
     with caplog.at_level(logging.INFO, logger="vdvcarleman.montecarlo"):
-        ensemble_moments(cfg, X0, 2 * CHUNK_SIZE, SYS1, n_workers=2)
+        ensemble_moments(cfg, X0, 2 * RANGE_PATHS, SYS1, n_workers=2, record=[])
     lines = [r.message for r in caplog.records if r.name == "vdvcarleman.montecarlo"]
     assert 1 <= len(lines) <= 10
     assert "step 200/200 (100%)" in lines[-1] and "ETA" in lines[-1]
     # the last line, written once every worker is done, carries the cost
     m = re.search(r"; (\d+) path-steps in ([0-9.]+) s, ([0-9.]+) ns per path-step$", lines[-1])
-    assert m and int(m.group(1)) == 2 * CHUNK_SIZE * 200
+    assert m and int(m.group(1)) == 2 * RANGE_PATHS * 200
     assert float(m.group(3)) > 0.0
     assert all("path-steps" not in line for line in lines[:-1])
