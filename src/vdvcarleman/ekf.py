@@ -10,71 +10,109 @@ with F the drift Jacobian and G the constant diffusion column.  The full
 3-state vector is estimated, including the flow rate, so the information
 set matches the Carleman moment path.  No measurement updates.
 
-The right-hand side assumes a symmetric P and returns an exactly
-symmetric rate: it forms F P once and uses F P + (F P)^T, since (F P)^T
-is P F^T bit for bit when P is symmetric.  `ekf_predict` symmetrizes the
-initial covariance, and every RK4 stage and step then stays exactly
-symmetric, so the integrator needs no post-step.
-
-`ekf_rhs(p)` is a float right-hand side for `moments.integrate`: the
-drift and every sum run on Python floats, but F P stays one BLAS product
-per stage.  OpenBLAS's 3x3 product uses fused multiply-adds, so a Python
-sum of products would round differently and move emitted digits.
+The mean does not depend on P: it is the RK4 path of the drift ODE, on
+`moments.integrate` with a 3-float drift closure.  Along that path the
+covariance ODE is affine in P, so one RK4 step of it is an affine map
+p <- T_k p + c_k on the six distinct entries p of P (upper-triangle
+storage), applied as one matrix on (p, 1) as the augmented mean steps
+z = (m, 1).  T_k and c_k come from the Jacobians at the step's four RK4
+stage means, recomputed with `model.drift`, and are built for a block of
+steps at once; the covariance is then exactly symmetric by construction.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .model import ReactorParams
-from .moments import MomentSeries, _checked_moments, integrate
+from .model import ReactorParams, diffusion, drift, jacobian
+from .moments import MomentSeries, _checked_moments, _packed, _raise_if_nonfinite, integrate
+
+# Steps per block of covariance maps: each step holds four 6x6 stage
+# operators, so a block's temporaries stay under 1 MB.
+_COV_BLOCK = 256
+
+# Row e is the packed 6x6 operator of X -> F X + X F^T for F = E_e, the
+# e-th unit 3x3 matrix in row-major order; the operator is linear in F.
+_LYAP_BASIS = np.stack([
+    _packed(np.kron(e, np.eye(3)) + np.kron(np.eye(3), e), 3, 3).ravel()
+    for e in np.eye(9).reshape(9, 3, 3)
+])
 
 
-def ekf_rhs(p: ReactorParams):
-    """The `integrate` right-hand side of the flat EKF state (mean, row-major covariance).
-
-    The covariance block of the state must be symmetric.  The drift and
-    the Jacobian are `model.drift` and `model.jacobian` written out on
-    floats, in the same operation order; the Jacobian is filled into one
-    preallocated matrix, the covariance into another.  The 3x3 product
-    F P stays one BLAS call: its fused multiply-adds round differently
-    from a Python sum of products.
-    """
-    k1, k2, k3 = p.k1, p.k2, p.k3
-    caf, v, a, b = p.caf, p.v, p.alpha, p.beta
-    neg_k1, neg_k2, neg_a, two_k3 = -k1, -k2, -a, 2.0 * k3
-    jac = np.array([[0.0, 0.0, 0.0], [k1, 0.0, 0.0], [0.0, 0.0, neg_a]])
-    cov = np.empty((3, 3))
-    cov_flat = cov.reshape(9)
-    # Entry (r, c) of the covariance rate is (F P)[r, c] + (F P)[c, r] + g[r] g[c]
-    # with g = (0, 0, b).  The zero products of g g^T are added as well: like
-    # the full matrix sum, they turn a -0.0 entry into +0.0.
-    gz, bb = 0.0 * b, b * b
+def _drift_rhs(p: ReactorParams):
+    """The `integrate` right-hand side of the mean: `model.drift` written out on floats."""
+    k1, k2, k3, caf, v = p.k1, p.k2, p.k3, p.caf, p.v
+    neg_k1, neg_a = -k1, -p.alpha
 
     def rhs(y):
-        m1, m2, m3 = y[:3]
-        jac[0, 0] = neg_k1 - two_k3 * m1 - m3 / v
-        jac[0, 2] = (caf - m1) / v
-        jac[1, 1] = neg_k2 - m3 / v
-        jac[1, 2] = -m2 / v
-        cov_flat[:] = y[3:]
-        (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = (jac @ cov).tolist()
-        d01 = j01 + j10 + 0.0
-        d02 = j02 + j20 + gz
-        d12 = j12 + j21 + gz
+        m1, m2, m3 = y
         return [
             neg_k1 * m1 - k3 * m1 * m1 + (m3 / v) * (caf - m1),
             k1 * m1 - k2 * m2 - (m3 / v) * m2,
             neg_a * m3,
-            j00 + j00 + 0.0, d01, d02,
-            d01, j11 + j11 + 0.0, d12,
-            d02, d12, j22 + j22 + bb,
         ]
 
     return rhs
 
 
+def _covariance_maps(p: ReactorParams, mean: np.ndarray, q: np.ndarray, h: float) -> np.ndarray:
+    """RK4 step maps of the packed covariance from each row of ``mean``.
+
+    With L_s the packed operator of X -> F_s X + X F_s^T at stage mean s,
+    Z_1 = I, Z_2 = I + h/2 L_1, Z_3 = I + h/2 L_2 Z_2, Z_4 = I + h L_3 Z_3
+    and T = I + h/6 (L_1 + 2 L_2 Z_2 + 2 L_3 Z_3 + L_4 Z_4).  The forcing
+    q passes through the same stages: b_1 = q, b_2 = h/2 L_2 b_1 + q,
+    b_3 = h/2 L_3 b_2 + q, b_4 = h L_4 b_3 + q, c = h/6 (b_1 + 2 b_2 + 2 b_3 + b_4).
+    Row k of the result is [[T, c], [0, 1]], the step p <- T p + c acting
+    on (p, 1).
+    """
+    half = 0.5 * h
+    s2 = mean + half * drift(mean, p)
+    s3 = mean + half * drift(s2, p)
+    s4 = mean + h * drift(s3, p)
+    ops = (jacobian(np.stack([mean, s2, s3, s4]), p).reshape(4, -1, 9) @ _LYAP_BASIS).reshape(4, -1, 6, 6)
+    eye = np.eye(6)
+    lz2 = ops[1] @ (eye + half * ops[0])
+    lz3 = ops[2] @ (eye + half * lz2)
+    lz4 = ops[3] @ (eye + h * lz3)
+    b2 = half * (ops[1] @ q) + q
+    b3 = half * (ops[2] @ b2[..., None])[..., 0] + q
+    b4 = h * (ops[3] @ b3[..., None])[..., 0] + q
+    maps = np.zeros((mean.shape[0], 7, 7))
+    maps[:, :6, :6] = eye + (h / 6.0) * (ops[0] + 2.0 * lz2 + 2.0 * lz3 + lz4)
+    maps[:, :6, 6] = (h / 6.0) * (q + 2.0 * b2 + 2.0 * b3 + b4)
+    maps[:, 6, 6] = 1.0
+    return maps
+
+
 def ekf_predict(p: ReactorParams, x0, cov0, dt: float, t_end: float) -> MomentSeries:
-    """Deterministic EKF prediction series on the shared fixed-step grid."""
+    """Deterministic EKF prediction series on the shared fixed-step grid.
+
+    A non-finite mean ends the run at its first non-finite time (from
+    `integrate`).  Along a finite mean the covariance steps in blocks of
+    `_COV_BLOCK` maps, written straight into the returned covariance; each
+    block is checked as it is stored, and `IntegrationError` names the
+    time of the first non-finite covariance.
+    """
     x0, cov0 = _checked_moments(x0, cov0, 3)
-    t, ys = integrate(ekf_rhs(p), np.concatenate([x0, cov0.ravel()]), dt, t_end)
-    return MomentSeries(dt=dt, t=t, mean=ys[:, :3], cov=ys[:, 3:].reshape(t.size, 3, 3))
+    t, mean = integrate(_drift_rhs(p), x0, dt, t_end)
+    n_steps = t.size - 1
+    iu, ju = np.triu_indices(3)
+    g = diffusion(p)
+    q = np.outer(g, g)[iu, ju]
+
+    cov = np.empty((n_steps + 1, 3, 3))
+    cov[0] = cov0
+    packed = np.empty((_COV_BLOCK + 1, iu.size + 1))
+    packed[0, :-1] = cov0[iu, ju]
+    packed[0, -1] = 1.0
+    for start in range(0, n_steps, _COV_BLOCK):
+        stop = min(start + _COV_BLOCK, n_steps)
+        maps = _covariance_maps(p, mean[start:stop], q, dt)
+        block = packed[:stop - start + 1]
+        for k in range(stop - start):
+            np.dot(maps[k], block[k], out=block[k + 1])
+        _raise_if_nonfinite(block[1:], start + 1, dt)
+        cov[start + 1:stop + 1, iu, ju] = block[1:, :-1]
+        cov[start + 1:stop + 1, ju, iu] = block[1:, :-1]
+        packed[0] = block[-1]
+    return MomentSeries(dt=dt, t=t, mean=mean, cov=cov)

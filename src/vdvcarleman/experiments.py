@@ -86,6 +86,8 @@ class Scenario:
     mc_paths: int
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
         for name in ("dt", "t_end"):
             value = getattr(self, name)
             if not _is_real(value):

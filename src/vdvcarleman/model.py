@@ -97,13 +97,14 @@ def diffusion(p: ReactorParams) -> np.ndarray:
 
 
 def jacobian(x: np.ndarray, p: ReactorParams) -> np.ndarray:
-    """Jacobian of the drift at a single state, 3x3."""
+    """Jacobian of the drift; broadcasts over leading axes of ``x``, (..., 3) -> (..., 3, 3)."""
     x = np.asarray(x, dtype=float)
-    x1, x2, x3 = x
-    return np.array(
-        [
-            [-p.k1 - 2.0 * p.k3 * x1 - x3 / p.v, 0.0, (p.caf - x1) / p.v],
-            [p.k1, -p.k2 - x3 / p.v, -x2 / p.v],
-            [0.0, 0.0, -p.alpha],
-        ]
-    )
+    x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
+    jac = np.zeros(x.shape + (3,))
+    jac[..., 0, 0] = -p.k1 - 2.0 * p.k3 * x1 - x3 / p.v
+    jac[..., 0, 2] = (p.caf - x1) / p.v
+    jac[..., 1, 0] = p.k1
+    jac[..., 1, 1] = -p.k2 - x3 / p.v
+    jac[..., 1, 2] = -x2 / p.v
+    jac[..., 2, 2] = -p.alpha
+    return jac

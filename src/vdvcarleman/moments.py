@@ -1,43 +1,41 @@
 """Conditional moment propagation for the reactor and its bilinear embedding.
 
-Two formulations are implemented:
+Under the lift the moment equations of the bilinear state are linear,
 
-* the physical path: nine coupled ODEs for the 3-vector mean and the six
-  distinct covariance entries of (C_A, C_B, F_r).  This is the reporting
-  path; all variance tables and error curves come from it.
-* the augmented path: mean and covariance of the full 9-dim bilinear
-  state.  It exists for cross-validation of the assembled system
-  matrices.  Under the lift the moment equations are linear,
+    dm = a0 + a m,   dP = a P + P a^T + d P d^T + (g + d m)(g + d m)^T,
 
-      dm = a0 + a m,   dP = a P + P a^T + d P d^T + (g + d m)(g + d m)^T,
+so one fixed RK4 step is an exact linear map, built once per call and
+applied by matrix-vector products.  `augmented_mean_path` steps
+z = (m, 1) by a (dim+1)x(dim+1) matrix; it is the one integrator of the
+augmented mean.  Two moment paths are built on it:
 
-  so one fixed RK4 step is an exact linear map, built once per call and
-  applied by matrix-vector products.  `augmented_mean_path` steps
-  z = (m, 1) by a (dim+1)x(dim+1) matrix; it is the one integrator of the
-  augmented mean, behind `integrate_augmented`, `crosscheck_mean_paths`
-  and the Monte Carlo reference mean.  `integrate_augmented` adds the
-  covariance on its upper triangle (`_augmented_step_maps`), forced
-  through the distinct products of z.
+* the physical path (`integrate_physical`): the 3-vector mean and the
+  covariance of (C_A, C_B, F_r).  This is the reporting path; all
+  variance tables and error curves come from it.  Its nine moment ODEs
+  are the augmented mean ODE in other coordinates, so it steps the
+  augmented mean and recovers P_ij = E[x_i x_j] - m_i m_j.
+* the augmented path (`integrate_augmented`): mean and covariance of the
+  full 9-dim bilinear state.  It exists for cross-validation of the
+  assembled system matrices, and adds the covariance on its upper
+  triangle (`_augmented_step_maps`), forced through the distinct
+  products of z.
 
-`integrate` is the RK4 loop for the two nonlinear systems, the physical
-path and the EKF.
-
-The two MEAN systems are the same linear ODE written in different
-coordinates; `crosscheck_mean_paths` integrates both and reports the
-maximum discrepancy, which should sit at integrator-noise level.  The two
-COVARIANCE notions differ by construction (the augmented covariance
-treats each product slot as an independent coordinate) and are never
-reconciled.
+`integrate` is the float RK4 loop for nonlinear right-hand sides.  It
+serves the EKF mean and `physical_rhs`, the nine hand-derived moment
+ODEs, which `crosscheck_mean_paths` compares with the augmented mean
+path: two independent formulations of one ODE, whose maximum discrepancy
+should sit at integrator-noise level.  The augmented COVARIANCE differs
+from the physical one by construction (it treats each product slot as an
+independent coordinate) and is never reconciled with it.
 
 Every `MomentSeries` path takes the same initial data: a plain mean
 vector and covariance matrix of the physical state, checked for shape and
 finiteness and symmetrized on entry.  Every path keeps the covariance
-exactly symmetric without a post-step: the physical path stores its six
-distinct entries, the augmented path its upper triangle, and the EKF
-right-hand side returns a symmetric rate for a symmetric covariance.  No
-positive-semidefiniteness repair is applied: order-2 truncation can
-legitimately drive the physical covariance indefinite, and that
-behaviour must stay observable.
+exactly symmetric without a post-step: the physical path writes both
+triangles from one recovered entry, and the augmented path and the EKF
+step the upper triangle.  No positive-semidefiniteness repair is
+applied: order-2 truncation can legitimately drive the physical
+covariance indefinite, and that behaviour must stay observable.
 """
 from __future__ import annotations
 
@@ -46,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .carleman import BilinearSystem
+from .carleman import BilinearSystem, build_vandevusse
 from .kronecker import MonomialIndexMap
 from .model import ReactorParams
 
@@ -171,6 +169,9 @@ def _checked_moments(mean, cov, n: int) -> tuple[np.ndarray, np.ndarray]:
 def physical_rhs(p: ReactorParams):
     """The `integrate` right-hand side of the flat physical moment state.
 
+    The nine moment ODEs written out by hand: the independent side of
+    `crosscheck_mean_paths`, which `integrate_physical` does not use.
+
     State order: m1, m2, m3, then the covariance entries P11, P12, P13,
     P22, P23, P33.  The parameter constants are formed once, here; each
     is the leading factor of the product it stands in, so every rate
@@ -206,15 +207,26 @@ def physical_rhs(p: ReactorParams):
 
 
 def integrate_physical(p: ReactorParams, mean0, cov0, dt: float, t_end: float) -> MomentSeries:
-    """Propagate the physical moment ODEs with fixed-step RK4."""
+    """The physical moment path: fixed-step RK4 of the nine moment ODEs.
+
+    The nine ODEs are the augmented mean ODE of `build_vandevusse(p)` in
+    other coordinates, so the path steps the lifted start with
+    `augmented_mean_path` and recovers P_ij = S_ij - m_i m_j from the
+    second moments S_ij = E[x_i x_j].  Row 0 is the checked start itself.
+    `IntegrationError` names the time of the first non-finite augmented
+    mean or, along a finite one, of the first non-finite recovered
+    covariance.
+    """
     mean0, cov0 = _checked_moments(mean0, cov0, 3)
-    y0 = np.concatenate([mean0, [cov0[i, j] for (i, j) in PAIRS]])
-    t, ys = integrate(physical_rhs(p), y0, dt, t_end)
-    mean = ys[:, :3]
+    t, aug = augmented_mean_path(build_vandevusse(p), _lifted_mean(mean0, cov0), dt, t_end)
+    mean = aug[:, :3].copy()
     cov = np.empty((t.size, 3, 3))
-    for k, (i, j) in enumerate(PAIRS):
-        cov[:, i, j] = ys[:, 3 + k]
-        cov[:, j, i] = ys[:, 3 + k]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (i, j) in enumerate(PAIRS):
+            cov[:, i, j] = aug[:, 3 + k] - mean[:, i] * mean[:, j]
+            cov[:, j, i] = cov[:, i, j]
+    cov[0] = cov0
+    _raise_if_nonfinite(cov.reshape(t.size, 9), 0, dt)
     return MomentSeries(dt=dt, t=t, mean=mean, cov=cov)
 
 
@@ -418,23 +430,23 @@ def crosscheck_mean_paths(sys: BilinearSystem, p: ReactorParams, mean0, cov0, dt
                           t_end: float) -> CrosscheckReport:
     """Integrate the mean system in both coordinate sets and compare.
 
-    The physical path propagates (mean, covariance); the augmented path
-    (`augmented_mean_path`) propagates the bilinear mean (physical mean,
-    second moments).  The two are the same ODE, so after mapping second
-    moments back to covariances (P_ij = s_ij - m_i m_j) the trajectories
-    must coincide up to integrator round-off.
+    The physical side is the float RK4 loop of `physical_rhs` on
+    (mean, covariance); the augmented side (`augmented_mean_path`)
+    propagates the bilinear mean (physical mean, second moments).  The two
+    are the same ODE, so after mapping second moments back to covariances
+    (P_ij = s_ij - m_i m_j) the trajectories must coincide up to
+    integrator round-off.
     """
     mean0, cov0 = _checked_moments(mean0, cov0, 3)
     _, aug = augmented_mean_path(sys, _lifted_mean(mean0, cov0), dt, t_end)
-    phys = integrate_physical(p, mean0, cov0, dt, t_end)
-    t = phys.t
+    y0 = np.concatenate([mean0, [cov0[i, j] for (i, j) in PAIRS]])
+    t, phys = integrate(physical_rhs(p), y0, dt, t_end)
 
-    mean_diff = np.abs(phys.mean - aug[:, :3])
+    mean_diff = np.abs(phys[:, :3] - aug[:, :3])
     implied = np.empty((t.size, len(PAIRS)))
     for k, (i, j) in enumerate(PAIRS):
         implied[:, k] = aug[:, 3 + k] - aug[:, i] * aug[:, j]
-    phys_packed = np.stack([phys.cov[:, i, j] for (i, j) in PAIRS], axis=1)
-    cov_diff = np.abs(phys_packed - implied)
+    cov_diff = np.abs(phys[:, 3:] - implied)
 
     per_t = np.maximum(mean_diff.max(axis=1), cov_diff.max(axis=1))
     k_max = int(np.argmax(per_t))

@@ -1,5 +1,6 @@
 import json
 import logging
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -60,6 +61,7 @@ def test_scenario_validation():
 
 
 _MUST_BE = {
+    "name": "a string",
     "seed": "an integer",
     "mc_paths": "an integer",
     "dt": "a finite real number",
@@ -75,6 +77,7 @@ _MUST_BE = {
     ("t_end", None), ("t_end", "5.0"), ("t_end", False), ("t_end", float("nan")),
     ("checkpoints", 5.0), ("checkpoints", ["a"]), ("checkpoints", "0.5"), ("checkpoints", [0.5, True]),
     ("checkpoints", [float("nan")]), ("checkpoints", {"0.5": 1}),
+    ("name", None), ("name", 5), ("name", ["a"]),
 ])
 def test_scenario_rejects_non_integer_seed_and_paths(field, value):
     # from_dict passes the JSON value through: no silent truncation or
@@ -396,6 +399,14 @@ def test_charts_byte_identical_for_same_report(tmp_path):
         assert p.read_bytes() == (dir_b / p.name).read_bytes()
 
 
+def test_chart_text_is_escaped(tmp_path):
+    report = run_scenario(small_scenario(name="R&D <run>", t_end=0.5, checkpoints=(0.5,)),
+                          methods=("carleman", "ekf"))
+    paths = emit_charts(report, str(tmp_path))
+    titles = [minidom.parse(p).getElementsByTagName("text")[0].firstChild.data for p in paths]
+    assert titles and all(title.startswith("R&D <run>: ") for title in titles)
+
+
 def test_set2_uses_second_figure_numbering(tmp_path):
     s = replace(builtin_scenario("set2"), t_end=2.0, checkpoints=(0.5,), mc_paths=10)
     report = run_scenario(s, methods=("carleman", "ekf"))
@@ -414,8 +425,8 @@ def test_method_failure_carries_method_name():
 
 
 def test_physical_overflow_is_a_method_failure():
-    # m1 ** 3 on a float overflows for |m1| > 5.6e102; the first step of the
-    # physical path must fail as the method, not as a bare OverflowError.
+    # m1 * m1 of the recovered covariance overflows at the first step; the
+    # physical path must fail as the method, not with a bare numpy error.
     bad = small_scenario(x0=PhysicalState(1e103, 1.0, 0.01), t_end=0.01, checkpoints=(0.01,))
     with pytest.raises(RuntimeError, match=r"^method 'carleman' failed: non-finite state at t=0\.01$"):
         run_scenario(bad, methods=("carleman",))

@@ -134,6 +134,18 @@ def test_jacobian_ou_row_is_state_independent():
         assert np.array_equal(jacobian(x, PARAM_SET1)[2], [0.0, 0.0, -PARAM_SET1.alpha])
 
 
+@pytest.mark.parametrize("shape", [(5, 3), (4, 256, 3)])
+@pytest.mark.parametrize("p", [PARAM_SET1, PARAM_SET2])
+def test_jacobian_broadcasts_bit_for_bit(shape, p):
+    x = np.random.default_rng(10).normal(size=shape) * [3.0, 1.0, 0.05]
+    x.reshape(-1, 3)[::7] = [-0.0, 0.0, -0.0]  # signed zeros reach every entry formula
+    got = jacobian(x, p)
+    assert got.shape == shape + (3,)
+    want = np.array([jacobian(state, p) for state in x.reshape(-1, 3)]).reshape(got.shape)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert jacobian(x.reshape(-1, 3)[0], p).shape == (3, 3)
+
+
 def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(3)
     h = 1e-5

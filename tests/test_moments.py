@@ -308,14 +308,40 @@ def test_physical_rhs_equals_array_oracle_bit_for_bit(p):
         assert np.array_equal(bits(rhs(y.tolist())), bits(physical_rhs_oracle(y, p)))
 
 
+def physical_from_augmented(p, mean0, cov0, dt, t_end):
+    """The physical path as the augmented mean path from the Gaussian-lift
+    mean, mapped back by P = S - m m^T; row 0 is the start itself.
+
+    Returns (t, mean, cov), or raises an IntegrationError naming the time of
+    the first non-finite row: the oracle for `integrate_physical`.
+    """
+    t, aug = augmented_mean_path(build_vandevusse(p), gaussian_lift(mean0, cov0)[0], dt, t_end)
+    mean = aug[:, :3]
+    second = np.empty((t.size, 3, 3))
+    for k, (i, j) in enumerate(PAIRS):
+        second[:, i, j] = second[:, j, i] = aug[:, 3 + k]
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = second - mean[:, :, None] * mean[:, None, :]
+    cov[0] = cov0
+    finite = np.isfinite(cov).all(axis=(1, 2))
+    if not finite.all():
+        raise IntegrationError(f"non-finite state at t={t[np.argmin(finite)]:.6g}")
+    return t, mean, cov
+
+
 @pytest.mark.parametrize("p, p0_33", [(PARAM_SET1, 0.01), (PARAM_SET2, 0.09)], ids=["set1", "set2"])
 def test_physical_path_equals_array_rk4_bit_for_bit(p, p0_33):
     cov0 = np.diag([1.0, 1.0, p0_33])
     series = integrate_physical(p, SET1_X0, cov0, 0.01, 60.0)
-    t, ys = rk4_oracle(lambda y: physical_rhs_oracle(y, p), flat_physical(SET1_X0, cov0), 0.01, 60.0)
+    t, mean, cov = physical_from_augmented(p, SET1_X0, cov0, 0.01, 60.0)
     assert np.array_equal(series.t, t)
-    assert np.array_equal(bits(series.mean), bits(ys[:, :3]))
-    assert np.array_equal(bits([series.cov[:, i, j] for (i, j) in PAIRS]), bits(ys[:, 3:].T))
+    assert np.array_equal(bits(series.mean), bits(mean))
+    assert np.array_equal(bits(series.cov), bits(cov))
+    # The same path as RK4 of the nine hand-derived moment ODEs, up to
+    # rounding: 1.1e-12 over set 1's 200 s.
+    _, ys = rk4_oracle(lambda y: physical_rhs_oracle(y, p), flat_physical(SET1_X0, cov0), 0.01, 60.0)
+    assert np.abs(series.mean - ys[:, :3]).max() <= 1e-11
+    assert np.abs(np.stack([series.cov[:, i, j] for (i, j) in PAIRS], axis=1) - ys[:, 3:]).max() <= 1e-11
 
 
 def test_integrate_blowup_inside_a_block_matches_array_oracle():
@@ -345,21 +371,16 @@ def test_integrate_overflow_in_rhs_names_the_step():
 
 
 def test_physical_path_overflow_is_an_integration_error():
+    # m1 * m1 of the recovered covariance overflows at the first step for
+    # a large m1, and after about 50 steps for x0 = (3e78, 1, 0.01).
     with pytest.raises(IntegrationError, match=r"^non-finite state at t=0\.01$"):
         integrate_physical(PARAM_SET1, [1e103, 1.0, 0.01], np.eye(3), 0.01, 0.01)
     with pytest.raises(IntegrationError, match=r"^non-finite state at t=") as got:
-        integrate_physical(PARAM_SET1, [1e60, 1.0, 0.01], np.eye(3), 0.01, 1.0)
-
-    def overflow_as_inf(y):
-        try:
-            return physical_rhs_oracle(y, PARAM_SET1)
-        except OverflowError:
-            return np.full(9, np.inf)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(IntegrationError) as want:
-            rk4_oracle(overflow_as_inf, flat_physical([1e60, 1.0, 0.01], np.eye(3)), 0.01, 1.0)
+        integrate_physical(PARAM_SET1, [3e78, 1.0, 0.01], np.eye(3), 0.01, 1.0)
+    with pytest.raises(IntegrationError) as want:
+        physical_from_augmented(PARAM_SET1, np.array([3e78, 1.0, 0.01]), np.eye(3), 0.01, 1.0)
     assert str(got.value) == str(want.value)
+    assert 10 < round(float(str(got.value).rsplit("t=", 1)[1]) / 0.01) < 100
 
 
 def test_flow_rate_moments_match_ou_analytics():
@@ -599,6 +620,13 @@ def test_crosscheck_short_horizon():
         assert 0.0 <= rep.t_at_max <= 20.0
 
 
+def test_crosscheck_compares_two_formulations():
+    # The physical side is the float RK4 loop of `physical_rhs`, not the
+    # augmented map that `integrate_physical` steps: the two round apart.
+    rep = crosscheck_mean_paths(build_vandevusse(PARAM_SET1), PARAM_SET1, SET1_X0, SET1_P0, 0.01, 20.0)
+    assert rep.max_discrepancy > 0.0
+
+
 def test_crosscheck_zero_state_trivial():
     p = ReactorParams(k1=0.01388, k2=0.02778, k3=0.002778, caf=0.0027, v=10.0, alpha=0.1, beta=0.0)
     rep = crosscheck_mean_paths(build_vandevusse(p), p, np.zeros(3), np.zeros((3, 3)), 0.01, 5.0)
@@ -614,4 +642,6 @@ def test_physical_path_zero_noise_truncation_residual():
     series = integrate_physical(replace(PARAM_SET1, beta=0.0), SET1_X0, np.zeros((3, 3)), 0.01, 20.0)
     for t, p11 in ((0.5, 0.0818), (5.0, 0.674), (20.0, 1.467)):
         assert series.at_time(t)[1][0, 0] == pytest.approx(p11, rel=1e-3)
-    assert np.all(series.cov[:, 2, 2] == 0.0)  # the flow rate is exactly linear
+    # The flow rate is exactly linear, so its true P33 is 0.  P33 = S33 - m3^2
+    # keeps RK4's residual R(2z) - R(z)^2 for the step factors of S33 and m3.
+    assert np.abs(series.cov[:, 2, 2]).max() <= 1e-16
