@@ -11,23 +11,26 @@ with F the drift Jacobian and G the constant diffusion column.  The full
 set matches the Carleman moment path.  No measurement updates.
 
 The mean does not depend on P: it is the RK4 path of the drift ODE, on
-`moments.integrate` with a 3-float drift closure.  Along that path the
+`moments.integrate` with `model.float_drift`.  Along that path the
 covariance ODE is affine in P, so one RK4 step of it is an affine map
 p <- T_k p + c_k on the six distinct entries p of P (upper-triangle
 storage), applied as one matrix on (p, 1) as the augmented mean steps
-z = (m, 1).  T_k and c_k come from the Jacobians at the step's four RK4
-stage means, recomputed with `model.drift`, and are built for a block of
-steps at once; the covariance is then exactly symmetric by construction.
+z = (m, 1).  That matrix is `moments._rk4_map` of the step's four stage
+generators [[L_s, q], [0, 0]], with L_s from the Jacobian at the stage
+mean (recomputed with `model.drift`) and q the packed g g^T; the maps are
+built for a block of steps at once, and the covariance is exactly
+symmetric by construction.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .model import ReactorParams, diffusion, drift, jacobian
-from .moments import MomentSeries, _checked_moments, _packed, _raise_if_nonfinite, integrate
+from .model import ReactorParams, diffusion, drift, float_drift, jacobian
+from .moments import MomentSeries, _checked_moments, _packed, _raise_if_nonfinite, _rk4_map, integrate
 
-# Steps per block of covariance maps: each step holds four 6x6 stage
-# operators, so a block's temporaries stay under 1 MB.
+# Steps per block of covariance maps: each step holds four 7x7 stage
+# generators and their RK4 stage products, so a block's temporaries stay
+# about 1 MB.
 _COV_BLOCK = 256
 
 # Row e is the packed 6x6 operator of X -> F X + X F^T for F = E_e, the
@@ -38,50 +41,24 @@ _LYAP_BASIS = np.stack([
 ])
 
 
-def _drift_rhs(p: ReactorParams):
-    """The `integrate` right-hand side of the mean: `model.drift` written out on floats."""
-    k1, k2, k3, caf, v = p.k1, p.k2, p.k3, p.caf, p.v
-    neg_k1, neg_a = -k1, -p.alpha
-
-    def rhs(y):
-        m1, m2, m3 = y
-        return [
-            neg_k1 * m1 - k3 * m1 * m1 + (m3 / v) * (caf - m1),
-            k1 * m1 - k2 * m2 - (m3 / v) * m2,
-            neg_a * m3,
-        ]
-
-    return rhs
-
-
 def _covariance_maps(p: ReactorParams, mean: np.ndarray, q: np.ndarray, h: float) -> np.ndarray:
     """RK4 step maps of the packed covariance from each row of ``mean``.
 
     With L_s the packed operator of X -> F_s X + X F_s^T at stage mean s,
-    Z_1 = I, Z_2 = I + h/2 L_1, Z_3 = I + h/2 L_2 Z_2, Z_4 = I + h L_3 Z_3
-    and T = I + h/6 (L_1 + 2 L_2 Z_2 + 2 L_3 Z_3 + L_4 Z_4).  The forcing
-    q passes through the same stages: b_1 = q, b_2 = h/2 L_2 b_1 + q,
-    b_3 = h/2 L_3 b_2 + q, b_4 = h L_4 b_3 + q, c = h/6 (b_1 + 2 b_2 + 2 b_3 + b_4).
-    Row k of the result is [[T, c], [0, 1]], the step p <- T p + c acting
-    on (p, 1).
+    the covariance ODE dp = L_s p + q is the linear ODE of the generator
+    [[L_s, q], [0, 0]] on (p, 1).  Row k of the result is `_rk4_map` of
+    the four stage generators, [[T, c], [0, 1]]: the step p <- T p + c
+    acting on (p, 1).
     """
     half = 0.5 * h
     s2 = mean + half * drift(mean, p)
     s3 = mean + half * drift(s2, p)
     s4 = mean + h * drift(s3, p)
-    ops = (jacobian(np.stack([mean, s2, s3, s4]), p).reshape(4, -1, 9) @ _LYAP_BASIS).reshape(4, -1, 6, 6)
-    eye = np.eye(6)
-    lz2 = ops[1] @ (eye + half * ops[0])
-    lz3 = ops[2] @ (eye + half * lz2)
-    lz4 = ops[3] @ (eye + h * lz3)
-    b2 = half * (ops[1] @ q) + q
-    b3 = half * (ops[2] @ b2[..., None])[..., 0] + q
-    b4 = h * (ops[3] @ b3[..., None])[..., 0] + q
-    maps = np.zeros((mean.shape[0], 7, 7))
-    maps[:, :6, :6] = eye + (h / 6.0) * (ops[0] + 2.0 * lz2 + 2.0 * lz3 + lz4)
-    maps[:, :6, 6] = (h / 6.0) * (q + 2.0 * b2 + 2.0 * b3 + b4)
-    maps[:, 6, 6] = 1.0
-    return maps
+    ops = jacobian(np.stack([mean, s2, s3, s4]), p).reshape(4, -1, 9) @ _LYAP_BASIS
+    gens = np.zeros((4, mean.shape[0], 7, 7))
+    gens[..., :6, :6] = ops.reshape(4, -1, 6, 6)
+    gens[..., :6, 6] = q
+    return _rk4_map(gens, h)[1]
 
 
 def ekf_predict(p: ReactorParams, x0, cov0, dt: float, t_end: float) -> MomentSeries:
@@ -94,7 +71,7 @@ def ekf_predict(p: ReactorParams, x0, cov0, dt: float, t_end: float) -> MomentSe
     time of the first non-finite covariance.
     """
     x0, cov0 = _checked_moments(x0, cov0, 3)
-    t, mean = integrate(_drift_rhs(p), x0, dt, t_end)
+    t, mean = integrate(float_drift(p), x0, dt, t_end)
     n_steps = t.size - 1
     iu, ju = np.triu_indices(3)
     g = diffusion(p)

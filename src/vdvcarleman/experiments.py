@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
-import numbers
 import os
 from dataclasses import asdict, dataclass, field, fields
 
@@ -37,6 +35,7 @@ from .model import (
     ReactorParams,
     X0_SET1,
     X0_SET2,
+    _is_real,
 )
 from .moments import (
     IntegrationError,
@@ -136,11 +135,6 @@ class Scenario:
             seed=d["seed"],
             mc_paths=d["mc_paths"],
         )
-
-
-def _is_real(x) -> bool:
-    """True for a finite real number that is not a bool."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def _is_triple(value, nonnegative: bool = False) -> bool:

@@ -22,14 +22,19 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 
+def _is_real(x) -> bool:
+    """True for a finite real number that is not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
 @dataclass(frozen=True)
 class ReactorParams:
     """Rate constants, feed, volume, and OU flow-rate parameters.
 
     Units: k1, k2 in 1/s; k3 in l/(mol*s); caf in mol/l; v in l;
     alpha in 1/s; beta in flow-rate units per sqrt(s).  Every field must
-    be a finite number; k1, k2, k3, v and alpha strictly positive, caf
-    and beta nonnegative.
+    be a finite number and not a bool; k1, k2, k3, v and alpha strictly
+    positive, caf and beta nonnegative.
     """
 
     k1: float
@@ -43,7 +48,7 @@ class ReactorParams:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            if not _is_real(value):
                 raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         for name in ("k1", "k2", "k3", "v", "alpha"):
             if getattr(self, name) <= 0.0:
@@ -88,6 +93,27 @@ def drift(x: np.ndarray, p: ReactorParams) -> np.ndarray:
     f[..., 0] = -p.k1 * x1 - p.k3 * x1 * x1 + (x3 / p.v) * (p.caf - x1)
     f[..., 1] = p.k1 * x1 - p.k2 * x2 - (x3 / p.v) * x2
     f[..., 2] = -p.alpha * x3
+    return f
+
+
+def float_drift(p: ReactorParams):
+    """`drift` as a closure on three floats, in the same operation order.
+
+    ``f(x)`` maps a sequence (x1, x2, x3) to the list of the three drift
+    rates; each rate rounds as `drift` rounds it.  It serves the loops
+    that step a single state on Python floats.
+    """
+    k1, k2, k3, caf, v = p.k1, p.k2, p.k3, p.caf, p.v
+    neg_k1, neg_a = -k1, -p.alpha
+
+    def f(x):
+        x1, x2, x3 = x
+        return [
+            neg_k1 * x1 - k3 * x1 * x1 + (x3 / v) * (caf - x1),
+            k1 * x1 - k2 * x2 - (x3 / v) * x2,
+            neg_a * x3,
+        ]
+
     return f
 
 

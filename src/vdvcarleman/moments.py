@@ -4,11 +4,16 @@ Under the lift the moment equations of the bilinear state are linear,
 
     dm = a0 + a m,   dP = a P + P a^T + d P d^T + (g + d m)(g + d m)^T,
 
-so one fixed RK4 step is an exact linear map, built once per call and
-applied by matrix-vector products.  `augmented_mean_path` steps
-z = (m, 1) by a (dim+1)x(dim+1) matrix; it is the one integrator of the
-augmented mean.  Two moment paths are built on it:
+and a forced or affine linear ODE is a linear ODE on an augmented state
+(Van Loan, IEEE TAC 23(3), 1978).  So one fixed RK4 step of each moment
+path here is an exact linear map, which `_rk4_map` builds from the
+step's four stage generators once per call (`ekf` builds its per-step
+covariance maps with it too) and which is applied by matrix-vector
+products:
 
+* the augmented mean (`augmented_mean_path`) steps z = (m, 1) by a
+  (dim+1)x(dim+1) matrix; it is the one integrator of the augmented
+  mean.
 * the physical path (`integrate_physical`): the 3-vector mean and the
   covariance of (C_A, C_B, F_r).  This is the reporting path; all
   variance tables and error curves come from it.  Its nine moment ODEs
@@ -16,14 +21,14 @@ augmented mean.  Two moment paths are built on it:
   augmented mean and recovers P_ij = E[x_i x_j] - m_i m_j.
 * the augmented path (`integrate_augmented`): mean and covariance of the
   full 9-dim bilinear state.  It exists for cross-validation of the
-  assembled system matrices, and adds the covariance on its upper
-  triangle (`_augmented_step_maps`), forced through the distinct
-  products of z.
+  assembled system matrices.  It steps one state, the upper triangles of
+  P and of z z^T, by one matrix (`_augmented_step_map`), and reads the
+  mean from the (i, dim) entries of z z^T.
 
 `integrate` is the float RK4 loop for nonlinear right-hand sides.  It
 serves the EKF mean and `physical_rhs`, the nine hand-derived moment
-ODEs, which `crosscheck_mean_paths` compares with the augmented mean
-path: two independent formulations of one ODE, whose maximum discrepancy
+ODEs, which `crosscheck_mean_paths` compares with `integrate_physical`:
+two independent formulations of one ODE, whose maximum discrepancy
 should sit at integrator-noise level.  The augmented COVARIANCE differs
 from the physical one by construction (it treats each product slot as an
 independent coordinate) and is never reconciled with it.
@@ -268,18 +273,22 @@ def gaussian_lift(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.nda
     return _lifted_mean(m, P), 0.5 * (lifted + lifted.T)
 
 
-def _rk4_map(op: np.ndarray, h: float) -> tuple[list[np.ndarray], np.ndarray]:
-    """Stage maps and one-step map of classical RK4 on the linear ODE dy = op y.
+def _rk4_map(gens, h: float) -> tuple[list[np.ndarray], np.ndarray]:
+    """Stage maps and one-step map of classical RK4 on a linear ODE dy = G y.
 
-    Stage s of a step from y evaluates the RHS at Z_s y, with Z_1 = I,
-    Z_2 = I + h/2 op Z_1, Z_3 = I + h/2 op Z_2 and Z_4 = I + h op Z_3;
-    the step is y <- (I + h/6 op (Z_1 + 2 Z_2 + 2 Z_3 + Z_4)) y.
+    ``gens`` are the generators G_1..G_4 at the step's four stages; a
+    constant ODE passes one generator four times, and leading axes
+    broadcast.  Stage s of a step from y evaluates G_s Z_s y, with
+    Z_1 = I, Z_2 = I + h/2 G_1, Z_3 = I + h/2 G_2 Z_2 and
+    Z_4 = I + h G_3 Z_3; the step is
+    y <- (I + h/6 (G_1 + 2 G_2 Z_2 + 2 G_3 Z_3 + G_4 Z_4)) y.
     """
-    eye = np.eye(op.shape[0])
-    stages = [eye]
-    for c in (0.5 * h, 0.5 * h, h):
-        stages.append(eye + c * (op @ stages[-1]))
-    step = eye + (h / 6.0) * (op @ (stages[0] + 2.0 * stages[1] + 2.0 * stages[2] + stages[3]))
+    eye = np.eye(gens[0].shape[-1])
+    stages, rates = [eye], [gens[0]]
+    for c, gen in zip((0.5 * h, 0.5 * h, h), gens[1:]):
+        stages.append(eye + c * rates[-1])
+        rates.append(gen @ stages[-1])
+    step = eye + (h / 6.0) * (rates[0] + 2.0 * rates[1] + 2.0 * rates[2] + rates[3])
     return stages, step
 
 
@@ -308,41 +317,42 @@ def _packed(full: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return out
 
 
-def _augmented_step_maps(sys: BilinearSystem, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """The exact one-step map of fixed-step RK4 on the augmented covariance.
+def _augmented_step_map(sys: BilinearSystem, h: float) -> np.ndarray:
+    """The exact one-step map of fixed-step RK4 on the augmented moments.
 
     With z = (mean, 1), D = [d | g] and L(P) = a P + P a^T + d P d^T, the
-    covariance rate is L(P) + (D z)(D z)^T.  RK4 evaluates that forcing at
-    the stage means Z_s z, so one step is
+    covariance rate is L(P) + (D z)(D z)^T.  The state is (p, w), the
+    upper triangles of P and of z z^T.  RK4 evaluates the forcing at the
+    stage means Z_s z of the mean's RK4 map A, so stage s sees
+    F_s w with F_s(W) = (D Z_s) W (D Z_s)^T.  RK4 on the generators
+    [[L, F_s], [0, 0]], with w frozen, gives the rows [T, B] of the step;
+    w advances exactly as z z^T does, by packed A (x) A:
 
-        z <- A z,    p <- T p + B (z z^T)
+        (p, w) <- [[T, B], [0, packed(A (x) A)]] (p, w).
 
-    on the upper triangle p of P and of z z^T.  A is the RK4 map of M
-    (`_mean_steps` applies it); this returns T, the RK4 map of L, and B,
-    which collects the stage forcings F_s(Z) = (D Z_s) Z (D Z_s)^T
-    through the same stages: b_1 = F_1, b_2 = h/2 L b_1 + F_2,
-    b_3 = h/2 L b_2 + F_3, b_4 = h L b_3 + F_4, B = h/6 (b_1 + 2 b_2 + 2 b_3 + b_4).
     Without noise (g = 0 and d = 0) B is exactly zero.
     """
     dim = sys.dim
-    stages, _ = _rk4_map(_mean_generator(sys), h)
+    stages, mean_step = _rk4_map((_mean_generator(sys),) * 4, h)
     eye = np.eye(dim)
     lyap = _packed(np.kron(sys.a, eye) + np.kron(eye, sys.a) + np.kron(sys.d, sys.d), dim, dim)
     noise = np.column_stack([sys.d, sys.g])
-    forcing = [_packed(np.kron(w, w), dim, dim + 1) for w in (noise @ z for z in stages)]
-    b = [forcing[0]]
-    for c, f in zip((0.5 * h, 0.5 * h, h), forcing[1:]):
-        b.append(c * (lyap @ b[-1]) + f)
-    force_step = (h / 6.0) * (b[0] + 2.0 * b[1] + 2.0 * b[2] + b[3])
-    return _rk4_map(lyap, h)[1], force_step
+    n_p = lyap.shape[0]
+    size = n_p + (dim + 1) * (dim + 2) // 2
+    gens = np.zeros((4, size, size))
+    gens[:, :n_p, :n_p] = lyap
+    for gen, z in zip(gens, stages):
+        w = noise @ z
+        gen[:n_p, n_p:] = _packed(np.kron(w, w), dim, dim + 1)
+    step = _rk4_map(gens, h)[1]
+    step[n_p:, n_p:] = _packed(np.kron(mean_step, mean_step), dim + 1, dim + 1)
+    return step
 
 
-def _step_affine(step: np.ndarray, out: np.ndarray, force: np.ndarray | None = None) -> None:
-    """Fill out[1:] from out[0] by out[k+1] = step @ out[k] (+ force[k])."""
+def _step_affine(step: np.ndarray, out: np.ndarray) -> None:
+    """Fill out[1:] from out[0] by out[k+1] = step @ out[k]."""
     for k in range(out.shape[0] - 1):
         np.dot(step, out[k], out=out[k + 1])
-        if force is not None:
-            out[k + 1] += force[k]
 
 
 def _raise_if_nonfinite(states: np.ndarray, k0: int, dt: float) -> None:
@@ -350,15 +360,6 @@ def _raise_if_nonfinite(states: np.ndarray, k0: int, dt: float) -> None:
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():
         raise IntegrationError(f"non-finite state at t={(k0 + int(np.argmin(finite))) * dt:.6g}")
-
-
-def _mean_steps(sys: BilinearSystem, mean0: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
-    """Rows z_k = (m_k, 1) of the RK4 path of the augmented mean from ``mean0``, unchecked."""
-    z = np.empty((n_steps + 1, sys.dim + 1))
-    z[0, :-1] = mean0
-    z[0, -1] = 1.0
-    _step_affine(_rk4_map(_mean_generator(sys), dt)[1], z)
-    return z
 
 
 def augmented_mean_path(sys: BilinearSystem, mean0, dt: float, t_end: float) -> tuple[np.ndarray, np.ndarray]:
@@ -373,7 +374,10 @@ def augmented_mean_path(sys: BilinearSystem, mean0, dt: float, t_end: float) -> 
     if mean0.shape != (sys.dim,):
         raise ValueError(f"augmented start must be a {sys.dim}-vector, got shape {mean0.shape}")
     n_steps = grid_steps(dt, t_end)
-    z = _mean_steps(sys, mean0, dt, n_steps)
+    z = np.empty((n_steps + 1, sys.dim + 1))
+    z[0, :-1] = mean0
+    z[0, -1] = 1.0
+    _step_affine(_rk4_map((_mean_generator(sys),) * 4, dt)[1], z)
     _raise_if_nonfinite(z, 0, dt)
     return np.arange(n_steps + 1) * dt, z[:, :-1]
 
@@ -382,38 +386,43 @@ def integrate_augmented(sys: BilinearSystem, mean0, cov0, dt: float, t_end: floa
     """Propagate augmented mean and covariance with fixed-step RK4.
 
     ``mean0`` and ``cov0`` are the physical moments; the augmented initial
-    state is their `gaussian_lift`.  The mean takes the steps of
-    `augmented_mean_path`; the covariance applies RK4's exact one-step map
-    (`_augmented_step_maps`) in blocks of `BLOCK_STEPS` steps, written
-    straight into the returned covariance, which is symmetric by
-    construction.  Each block checks its means and covariances together,
-    so a blow-up is reported at the first non-finite step of either.
+    state is their `gaussian_lift`.  One state, the upper triangles of the
+    covariance and of z z^T with z = (mean, 1), takes RK4's exact one-step
+    map (`_augmented_step_map`) in blocks of `BLOCK_STEPS` steps; the mean
+    is read from the (i, dim) entries of z z^T.  The covariance is written
+    straight into the returned array, symmetric by construction.  Each
+    block is checked as it is stored, so a blow-up is reported at the
+    first non-finite step of the state.
     """
     mean0, cov0 = _checked_moments(mean0, cov0, sys.n)
     n_steps = grid_steps(dt, t_end)
     lift_mean, lift_cov = gaussian_lift(mean0, cov0)
-    if not (np.isfinite(lift_mean).all() and np.isfinite(lift_cov).all()):
-        raise IntegrationError("non-finite initial state")
     dim = sys.dim
-    z = _mean_steps(sys, lift_mean, dt, n_steps)
-    cov_step, force_step = _augmented_step_maps(sys, dt)
     iu, ju = np.triu_indices(dim)
     zi, zj = np.triu_indices(dim + 1)
+    z0 = np.append(lift_mean, 1.0)
+    state = np.empty((BLOCK_STEPS + 1, iu.size + zi.size))
+    state[0, :iu.size] = lift_cov[iu, ju]
+    state[0, iu.size:] = z0[zi] * z0[zj]
+    if not np.isfinite(state[0]).all():
+        raise IntegrationError("non-finite initial state")
+    step = _augmented_step_map(sys, dt)
+    mean_cols = iu.size + np.flatnonzero(zj == dim)[:-1]
 
+    mean = np.empty((n_steps + 1, dim))
+    mean[0] = lift_mean
     cov = np.empty((n_steps + 1, dim, dim))
     cov[0] = lift_cov
-    packed = np.empty((BLOCK_STEPS + 1, iu.size))
-    packed[0] = lift_cov[iu, ju]
     for start in range(0, n_steps, BLOCK_STEPS):
         stop = min(start + BLOCK_STEPS, n_steps)
-        pairs = z[start:stop]
-        block = packed[:stop - start + 1]
-        _step_affine(cov_step, block, (pairs[:, zi] * pairs[:, zj]) @ force_step.T)
-        _raise_if_nonfinite(np.hstack([z[start + 1:stop + 1], block[1:]]), start + 1, dt)
-        cov[start + 1:stop + 1, iu, ju] = block[1:]
-        cov[start + 1:stop + 1, ju, iu] = block[1:]
-        packed[0] = block[-1]
-    return MomentSeries(dt=dt, t=np.arange(n_steps + 1) * dt, mean=z[:, :dim], cov=cov)
+        block = state[:stop - start + 1]
+        _step_affine(step, block)
+        _raise_if_nonfinite(block[1:], start + 1, dt)
+        mean[start + 1:stop + 1] = block[1:, mean_cols]
+        cov[start + 1:stop + 1, iu, ju] = block[1:, :iu.size]
+        cov[start + 1:stop + 1, ju, iu] = block[1:, :iu.size]
+        state[0] = block[-1]
+    return MomentSeries(dt=dt, t=np.arange(n_steps + 1) * dt, mean=mean, cov=cov)
 
 
 @dataclass(frozen=True)
@@ -426,27 +435,22 @@ class CrosscheckReport:
     max_cov_discrepancy: float
 
 
-def crosscheck_mean_paths(sys: BilinearSystem, p: ReactorParams, mean0, cov0, dt: float,
-                          t_end: float) -> CrosscheckReport:
-    """Integrate the mean system in both coordinate sets and compare.
+def crosscheck_mean_paths(p: ReactorParams, mean0, cov0, dt: float, t_end: float) -> CrosscheckReport:
+    """Integrate the physical moment ODEs in two formulations and compare.
 
-    The physical side is the float RK4 loop of `physical_rhs` on
-    (mean, covariance); the augmented side (`augmented_mean_path`)
-    propagates the bilinear mean (physical mean, second moments).  The two
-    are the same ODE, so after mapping second moments back to covariances
-    (P_ij = s_ij - m_i m_j) the trajectories must coincide up to
-    integrator round-off.
+    One side is the reporting path, `integrate_physical`, which steps the
+    augmented mean and maps back by P = S - m m^T; the other is the float
+    RK4 loop of `physical_rhs` on (mean, covariance), the nine moment ODEs
+    written out by hand.  The two are the same ODE, so the trajectories
+    must coincide up to integrator round-off.
     """
     mean0, cov0 = _checked_moments(mean0, cov0, 3)
-    _, aug = augmented_mean_path(sys, _lifted_mean(mean0, cov0), dt, t_end)
-    y0 = np.concatenate([mean0, [cov0[i, j] for (i, j) in PAIRS]])
-    t, phys = integrate(physical_rhs(p), y0, dt, t_end)
+    series = integrate_physical(p, mean0, cov0, dt, t_end)
+    iu, ju = np.array(PAIRS).T
+    t, phys = integrate(physical_rhs(p), np.concatenate([mean0, cov0[iu, ju]]), dt, t_end)
 
-    mean_diff = np.abs(phys[:, :3] - aug[:, :3])
-    implied = np.empty((t.size, len(PAIRS)))
-    for k, (i, j) in enumerate(PAIRS):
-        implied[:, k] = aug[:, 3 + k] - aug[:, i] * aug[:, j]
-    cov_diff = np.abs(phys[:, 3:] - implied)
+    mean_diff = np.abs(phys[:, :3] - series.mean)
+    cov_diff = np.abs(phys[:, 3:] - series.cov[:, iu, ju])
 
     per_t = np.maximum(mean_diff.max(axis=1), cov_diff.max(axis=1))
     k_max = int(np.argmax(per_t))

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .carleman import BilinearSystem, point_lift
-from .model import ReactorParams, diffusion, drift
+from .model import ReactorParams, diffusion, drift, float_drift
 from .moments import BLOCK_STEPS, _raise_if_nonfinite, grid_steps
 
 # An ensemble gets at most one worker range per RANGE_PATHS paths, and its
@@ -188,28 +188,24 @@ def simulate_path(cfg: PathConfig, x0, dynamics, increments: np.ndarray | None =
 def _em_step(dynamics, dt: float):
     """One Euler-Maruyama step x <- (x + f(x) dt) + g(x) (sqrt(dt) z) of a single path.
 
-    The nonlinear reactor steps a tuple of floats with `model.drift`
-    written out in its operation order; the zero entries of its diffusion
-    column still add their 0.0 * (sqrt(dt) z) terms, so signed zeros come
-    out as the array form gives them.  The bilinear system steps a numpy
-    vector, since its x @ a^T and x @ d^T are BLAS products.
+    The nonlinear reactor steps a tuple of floats with `model.float_drift`;
+    the zero entries of its diffusion column still add their
+    0.0 * (sqrt(dt) z) terms, so signed zeros come out as the array form
+    gives them.  The bilinear system steps a numpy vector, since its
+    x @ a^T and x @ d^T are BLAS products.
     """
     sqdt = np.sqrt(dt)
     if isinstance(dynamics, BilinearSystem):
         sys = dynamics
         return lambda x, z: x + (sys.a0 + x @ sys.a.T) * dt + (sys.g + x @ sys.d.T) * (sqdt * z)
-    p = dynamics
-    neg_k1, k1, k2, k3, caf, v, neg_a, b = -p.k1, p.k1, p.k2, p.k3, p.caf, p.v, -p.alpha, p.beta
+    f, b = float_drift(dynamics), dynamics.beta
     sqdt = float(sqdt)
 
     def step(x, z):
         x1, x2, x3 = x
+        f1, f2, f3 = f(x)
         w = sqdt * z
-        return (
-            x1 + (neg_k1 * x1 - k3 * x1 * x1 + (x3 / v) * (caf - x1)) * dt + 0.0 * w,
-            x2 + (k1 * x1 - k2 * x2 - (x3 / v) * x2) * dt + 0.0 * w,
-            x3 + (neg_a * x3) * dt + b * w,
-        )
+        return (x1 + f1 * dt + 0.0 * w, x2 + f2 * dt + 0.0 * w, x3 + f3 * dt + b * w)
 
     return step
 

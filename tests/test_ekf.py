@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from vdvcarleman.ekf import _LYAP_BASIS, _drift_rhs, ekf_predict
-from vdvcarleman.model import PARAM_SET1, PARAM_SET2, ReactorParams, X0_SET1, diffusion, drift, jacobian
+from vdvcarleman.ekf import _LYAP_BASIS, ekf_predict
+from vdvcarleman.model import PARAM_SET1, PARAM_SET2, ReactorParams, X0_SET1, diffusion, drift, float_drift, jacobian
 from vdvcarleman.moments import integrate, integrate_physical
 
 from test_moments import bits, ou_mean, symmetrized_rk4
@@ -88,7 +88,7 @@ def textbook_ekf_rhs(y, p):
 @pytest.mark.parametrize("p", [PARAM_SET1, PARAM_SET2])
 def test_ekf_rhs_matches_textbook_form(p):
     # The mean rate of the drift closure and the packed covariance rate.
-    rhs = _drift_rhs(p)
+    rhs = float_drift(p)
     rng = np.random.default_rng(21)
     for scale in np.geomspace(1e-4, 10.0, 60):
         c = rng.normal(size=(3, 3)) * scale
@@ -103,7 +103,7 @@ def test_ekf_rhs_matches_textbook_form(p):
 
 @pytest.mark.parametrize("p", [PARAM_SET1, PARAM_SET2], ids=["set1", "set2"])
 def test_ekf_drift_closure_equals_array_oracle_bit_for_bit(p):
-    rhs = _drift_rhs(p)
+    rhs = float_drift(p)
     rng = np.random.default_rng(41)
     for _ in range(2000):
         scale = 10.0 ** rng.uniform(-6.0, 3.0)

@@ -150,6 +150,9 @@ def test_from_dict_names_a_bad_param_field():
         Scenario.from_dict({**d, "params": {**d["params"], "alpha": float("nan")}})
     with pytest.raises(ValueError, match="caf must be nonnegative"):
         Scenario.from_dict({**d, "params": {**d["params"], "caf": -1.0}})
+    # A JSON true is not the rate constant 1.
+    with pytest.raises(ValueError, match="k1 must be a finite number, got True"):
+        Scenario.from_dict({**d, "params": {**d["params"], "k1": True}})
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -28,7 +28,7 @@ _FIELDS = ("k1", "k2", "k3", "caf", "v", "alpha", "beta")
 
 
 @pytest.mark.parametrize("field", _FIELDS)
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), "1.0", None])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), "1.0", None, True, False])
 def test_param_field_must_be_finite_number(field, bad):
     with pytest.raises(ValueError, match=rf"^{field} must be a finite number"):
         replace(PARAM_SET1, **{field: bad})

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vdvcarleman import moments
 from vdvcarleman.carleman import BilinearSystem, QuadraticSde, build_vandevusse, embed_order2
 from vdvcarleman.ekf import ekf_predict
 from vdvcarleman.kronecker import reduce_square
@@ -490,6 +491,9 @@ def test_augmented_propagator_matches_rk4_oracle(p, p0_33):
     assert np.array_equal(series.t, t)
     assert np.abs(series.mean - mean).max() <= 1e-12 * np.abs(mean).max()
     assert np.abs(series.cov - cov).max() <= 1e-12 * np.abs(cov).max()
+    # The mean is read from the stepped z z^T, not from A z: the two round apart.
+    _, path = augmented_mean_path(build_vandevusse(p), gaussian_lift(SET1_X0, p0)[0], 0.01, 50.0)
+    assert np.abs(series.mean - path).max() <= 1e-12 * np.abs(path).max()
 
 
 @pytest.mark.parametrize("p, p0_33", [(PARAM_SET1, 0.01), (PARAM_SET2, 0.09)], ids=["set1", "set2"])
@@ -614,7 +618,7 @@ def test_crosscheck_short_horizon():
     for p in (PARAM_SET1, PARAM_SET2):
         p0_33 = 0.01 if p is PARAM_SET1 else 0.09
         p0 = np.diag([1.0, 1.0, p0_33])
-        rep = crosscheck_mean_paths(build_vandevusse(p), p, SET1_X0, p0, 0.01, 20.0)
+        rep = crosscheck_mean_paths(p, SET1_X0, p0, 0.01, 20.0)
         assert rep.max_discrepancy <= 1e-9
         assert rep.max_mean_discrepancy <= rep.max_discrepancy
         assert 0.0 <= rep.t_at_max <= 20.0
@@ -623,13 +627,29 @@ def test_crosscheck_short_horizon():
 def test_crosscheck_compares_two_formulations():
     # The physical side is the float RK4 loop of `physical_rhs`, not the
     # augmented map that `integrate_physical` steps: the two round apart.
-    rep = crosscheck_mean_paths(build_vandevusse(PARAM_SET1), PARAM_SET1, SET1_X0, SET1_P0, 0.01, 20.0)
+    rep = crosscheck_mean_paths(PARAM_SET1, SET1_X0, SET1_P0, 0.01, 20.0)
     assert rep.max_discrepancy > 0.0
+
+
+def test_crosscheck_reads_the_reporting_path(monkeypatch):
+    # Criterion 6 compares `physical_rhs` with the path that gets emitted,
+    # so a fault in `integrate_physical` shows in the discrepancy.
+    real = moments.integrate_physical
+
+    def offset(*args):
+        series = real(*args)
+        series.cov[-1, 0, 0] += 1e-6
+        return series
+
+    monkeypatch.setattr(moments, "integrate_physical", offset)
+    rep = crosscheck_mean_paths(PARAM_SET1, SET1_X0, SET1_P0, 0.01, 20.0)
+    assert rep.max_discrepancy >= 1e-6 * (1.0 - 1e-6)
+    assert rep.t_at_max == 20.0
 
 
 def test_crosscheck_zero_state_trivial():
     p = ReactorParams(k1=0.01388, k2=0.02778, k3=0.002778, caf=0.0027, v=10.0, alpha=0.1, beta=0.0)
-    rep = crosscheck_mean_paths(build_vandevusse(p), p, np.zeros(3), np.zeros((3, 3)), 0.01, 5.0)
+    rep = crosscheck_mean_paths(p, np.zeros(3), np.zeros((3, 3)), 0.01, 5.0)
     assert rep.max_discrepancy == 0.0
 
 
