@@ -7,10 +7,10 @@ on one shared time grid:
 * ``carleman`` - the physical moment ODEs (reporting path);
 * ``ekf``      - the EKF prediction baseline;
 * ``mc``       - bilinear ensemble statistics validated against the
-                 augmented mean ODE, plus one shared-noise path pair.
+                 augmented mean ODE, plus the true path's bilinear partner.
 
-All methods are compared against a single seeded realization of the
-nonlinear SDE ("true" path); absolute prediction errors are
+All methods are compared against one seeded realization of the nonlinear
+SDE ("true" path, simulated once); absolute prediction errors are
 e_i(t) = |x_i_true(t) - mean_i(t)| for the two concentrations.  Reports
 can be emitted as CSV files and standalone SVG charts.
 """
@@ -202,9 +202,8 @@ class McResult:
     stats: EnsembleStats
     ode_mean: np.ndarray  # (n_grid, 9), augmented mean ODE from the point start
     rows: list[dict]  # per (checkpoint, component) comparison
-    coupled_x: np.ndarray  # (n_grid, 3) shared-noise nonlinear path
-    coupled_xi: np.ndarray  # (n_grid, 9) shared-noise bilinear path
-    tracking_max_abs_dx1: float
+    coupled_xi: np.ndarray  # (n_grid, 9) bilinear path on the noise of the report's true path
+    tracking_max_abs_dx1: float  # max |x1| gap between the true path and coupled_xi
 
 
 @dataclass
@@ -271,7 +270,7 @@ def run_scenario(scenario: Scenario, methods, mc_workers: int = 1) -> Comparison
         report.errors["ekf"] = np.abs(true_path[:, :2] - series.mean[:, :2])
         report.psd_min_eig["ekf"] = _psd_at_checkpoints(series, scenario)
     if "mc" in methods:
-        report.mc = run("mc", lambda: _run_mc(scenario, p, sys, x0, mc_workers))
+        report.mc = run("mc", lambda: _run_mc(scenario, sys, x0, true_path, mc_workers))
 
     for c in scenario.checkpoints:
         k = grid_index(dt, c)
@@ -294,7 +293,7 @@ def _psd_at_checkpoints(series: MomentSeries, scenario: Scenario) -> dict:
     return out
 
 
-def _run_mc(scenario: Scenario, p: ReactorParams, sys: BilinearSystem, x0: np.ndarray, workers: int) -> McResult:
+def _run_mc(scenario: Scenario, sys: BilinearSystem, x0: np.ndarray, true_path: np.ndarray, workers: int) -> McResult:
     dt, t_end = scenario.dt, scenario.t_end
     cfg = PathConfig(dt=dt, t_end=t_end, seed=scenario.seed)
     ks = [grid_index(dt, c) for c in scenario.checkpoints]
@@ -324,12 +323,11 @@ def _run_mc(scenario: Scenario, p: ReactorParams, sys: BilinearSystem, x0: np.nd
                 }
             )
 
-    t, x_nl, xi_bl = simulate_shared_noise(p, sys, x0, dt, t_end, scenario.seed)
-    gap = float(np.abs(x_nl[:, 0] - xi_bl[:, 0]).max())
+    # The true path is the nonlinear half of the shared-noise pair.
+    _, xi_bl = simulate_shared_noise(sys, x0, dt, t_end, scenario.seed)
+    gap = float(np.abs(true_path[:, 0] - xi_bl[:, 0]).max())
     logger.info("shared-noise pair: max |x1 difference| = %.6g over [0, %g]", gap, t_end)
-    return McResult(
-        stats=stats, ode_mean=ode, rows=rows, coupled_x=x_nl, coupled_xi=xi_bl, tracking_max_abs_dx1=gap
-    )
+    return McResult(stats=stats, ode_mean=ode, rows=rows, coupled_xi=xi_bl, tracking_max_abs_dx1=gap)
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +465,11 @@ _EKF_STYLE = dict(color="#2040c0", style="dotted")
 def emit_charts(report: ComparisonReport, out_dir: str) -> list[str]:
     """Write the comparison figures as standalone SVG files.
 
-    Panels (one file per state): paths (shared-noise sample pair), means
-    (true vs moment-path vs EKF), absolute errors, and variances.  Line
-    styles: solid = true, dashed = moment path, dotted = EKF.  Charts
-    whose series are missing are skipped with a logged notice.
+    Panels (one file per state): paths (true path and its shared-noise
+    bilinear partner), means (true vs moment-path vs EKF), absolute
+    errors, and variances.  Line styles: solid = true, dashed = moment
+    or bilinear path, dotted = EKF.  Missing series skip a chart with a
+    logged notice.
     """
     os.makedirs(out_dir, exist_ok=True)
     t = report.t
@@ -490,7 +489,7 @@ def emit_charts(report: ComparisonReport, out_dir: str) -> list[str]:
             emit(
                 f"fig1{suffix}",
                 [
-                    svgchart.Series("true SDE path", t, report.mc.coupled_x[:, i], **_TRUE_STYLE),
+                    svgchart.Series("true SDE path", t, report.true_path[:, i], **_TRUE_STYLE),
                     svgchart.Series("bilinear path (shared noise)", t, report.mc.coupled_xi[:, i], **_CARLEMAN_STYLE),
                 ],
                 f"{report.scenario.name}: sample paths, {state}",

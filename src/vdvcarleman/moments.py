@@ -13,7 +13,7 @@ products:
 
 * the augmented mean (`augmented_mean_path`) steps z = (m, 1) by a
   (dim+1)x(dim+1) matrix; it is the one integrator of the augmented
-  mean.
+  mean (`em_mean_reference` steps its Euler map by the same function).
 * the physical path (`integrate_physical`): the 3-vector mean and the
   covariance of (C_A, C_B, F_r).  This is the reporting path; all
   variance tables and error curves come from it.  Its nine moment ODEs
@@ -373,11 +373,16 @@ def augmented_mean_path(sys: BilinearSystem, mean0, dt: float, t_end: float) -> 
     mean0 = np.asarray(mean0, dtype=float)
     if mean0.shape != (sys.dim,):
         raise ValueError(f"augmented start must be a {sys.dim}-vector, got shape {mean0.shape}")
+    return _affine_mean_path(sys, mean0, dt, t_end, lambda gen, h: _rk4_map((gen,) * 4, h)[1])
+
+
+def _affine_mean_path(sys: BilinearSystem, mean0: np.ndarray, dt: float, t_end: float, scheme):
+    """Checked (t, mean) path of z = (m, 1) under the one-step map ``scheme(_mean_generator(sys), dt)``."""
     n_steps = grid_steps(dt, t_end)
     z = np.empty((n_steps + 1, sys.dim + 1))
     z[0, :-1] = mean0
     z[0, -1] = 1.0
-    _step_affine(_rk4_map((_mean_generator(sys),) * 4, dt)[1], z)
+    _step_affine(scheme(_mean_generator(sys), dt), z)
     _raise_if_nonfinite(z, 0, dt)
     return np.arange(n_steps + 1) * dt, z[:, :-1]
 

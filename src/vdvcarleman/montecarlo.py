@@ -33,6 +33,10 @@ numpy, whose x @ a^T is a BLAS product.  Reproducibility contract:
   snapshot is the same array however the paths are split, so the
   output bytes do not depend on worker count, draw block length or
   which indices are recorded.
+
+`em_mean_reference`, the exact mean of the bilinear chain, is Euler's map
+of the augmented mean ODE; `simulate_shared_noise` is the bilinear partner
+of a seed's nonlinear path, which a run simulates once.
 """
 from __future__ import annotations
 
@@ -46,7 +50,7 @@ import numpy as np
 
 from .carleman import BilinearSystem, point_lift
 from .model import ReactorParams, diffusion, drift, float_drift
-from .moments import BLOCK_STEPS, _raise_if_nonfinite, grid_steps
+from .moments import BLOCK_STEPS, _affine_mean_path, grid_steps
 
 # An ensemble gets at most one worker range per RANGE_PATHS paths, and its
 # paths are split evenly over the ranges, so a range of a split holds more
@@ -60,7 +64,8 @@ RANGE_PATHS = 256
 # Cap on the normals buffered at once, summed over all paths of an ensemble
 # (2**20 doubles, 8 MB): each path draws this many // n_paths steps at a
 # time.  Draws are sequential per substream, so the cap changes memory and
-# speed only, never the numbers.
+# speed only, never the numbers.  A short ensemble buffers its whole
+# horizon: 400 paths of 2000 steps hold all 6.4 MB of their normals at once.
 DRAW_BUFFER = 1 << 20
 
 logger = logging.getLogger(__name__)
@@ -143,6 +148,8 @@ def _initial_state(x0, dynamics) -> np.ndarray:
     n = dynamics.n if bilinear else 3
     if x0.shape != (n,):
         raise ValueError(f"initial state must be a physical {n}-vector, got shape {x0.shape}")
+    if not np.isfinite(x0).all():
+        raise ValueError(f"initial state must be finite, got {x0.tolist()}")
     return point_lift(x0) if bilinear else x0
 
 
@@ -357,35 +364,22 @@ def em_mean_reference(sys: BilinearSystem, x0, dt: float, t_end: float) -> tuple
 
     Because the system is bilinear and the increments are zero-mean and
     independent of the state, the ensemble mean of EM paths follows the
-    Euler-discretized mean ODE exactly:
-
-        m[k+1] = m[k] + (a0 + a m[k]) dt.
+    Euler-discretized mean ODE exactly, m[k+1] = m[k] + (a0 + a m[k]) dt:
+    on z = (m, 1) the affine map z <- (I + dt M) z, with M the generator
+    [[a, a0], [0, 0]] that `moments.augmented_mean_path` steps with RK4.
 
     This is the bias-free reference for ensemble-mean validation; an ODE
     solution of higher order differs from it by the O(dt) scheme bias,
     which has nothing to do with how the system matrices were assembled.
     `IntegrationError` names the time of the first non-finite mean.
     """
-    n_steps = grid_steps(dt, t_end)
-    m = _initial_state(x0, sys)
-    out = np.empty((n_steps + 1, m.size))
-    out[0] = m
-    for k in range(n_steps):
-        m = m + (sys.a0 + sys.a @ m) * dt
-        out[k + 1] = m
-    _raise_if_nonfinite(out, 0, dt)
-    return np.arange(n_steps + 1) * dt, out
+    return _affine_mean_path(sys, _initial_state(x0, sys), dt, t_end, lambda gen, h: np.eye(len(gen)) + h * gen)
 
 
-def simulate_shared_noise(p: ReactorParams, sys: BilinearSystem, x0, dt: float, t_end: float, seed: int):
-    """One nonlinear and one bilinear path driven by identical increments.
+def simulate_shared_noise(sys: BilinearSystem, x0, dt: float, t_end: float, seed: int):
+    """(t, xi): the bilinear `simulate_path` on the normals of ``seed``'s nonlinear path.
 
-    Returns (t, x_nonlinear, xi_bilinear).  Both are `simulate_path` on
-    one config, so both draw the normals of ``seed``'s generator.  Shared
-    noise makes the pair directly comparable: the remaining gap is the
-    truncation error, not realization noise.
+    Shared noise makes the pair directly comparable: the remaining gap is
+    the truncation error, not realization noise.
     """
-    cfg = PathConfig(dt=dt, t_end=t_end, seed=seed)
-    t, x_nl = simulate_path(cfg, x0, p)
-    _, xi_bl = simulate_path(cfg, x0, sys)
-    return t, x_nl, xi_bl
+    return simulate_path(PathConfig(dt=dt, t_end=t_end, seed=seed), x0, sys)

@@ -10,7 +10,7 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vdvcarleman import cli, experiments
+from vdvcarleman import cli, experiments, montecarlo, svgchart
 from vdvcarleman.experiments import (
     ComparisonReport,
     Scenario,
@@ -372,6 +372,33 @@ def test_mc_ode_mean_is_the_augmented_mean_path():
     assert np.array_equal(mc.ode_mean, ode)
     for r, row in enumerate(mc.rows):
         assert row["ode_mean"] == float(ode[grid_index(s.dt, row["t"]), r % 9])
+
+
+def test_run_simulates_the_nonlinear_realization_once(tmp_path, monkeypatch):
+    nonlinear = []
+
+    def counted(real):
+        def call(cfg, x0, dynamics, *args, **kwargs):
+            if isinstance(dynamics, ReactorParams):
+                nonlinear.append(cfg)
+            return real(cfg, x0, dynamics, *args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(experiments, "simulate_path", counted(experiments.simulate_path))
+    monkeypatch.setattr(montecarlo, "simulate_path", counted(montecarlo.simulate_path))
+    report = run_scenario(small_scenario(mc_paths=4), methods=("carleman", "ekf", "mc"))
+    assert len(nonlinear) == 1
+    # fig1's true path is the report's, the nonlinear half of the shared-noise pair.
+    charts = []
+    monkeypatch.setattr(svgchart, "line_chart", lambda series, title, *args: charts.append((title, series)) or "")
+    emit_charts(report, str(tmp_path))
+    fig1 = [series for title, series in charts if "sample paths" in title]
+    assert len(fig1) == 2
+    for i, series in enumerate(fig1):
+        true = [sr for sr in series if sr.label == "true SDE path"]
+        assert len(true) == 1 and np.array_equal(true[0].y, report.true_path[:, i])
+        assert np.shares_memory(true[0].y, report.true_path)
 
 
 def test_charts_full_and_reduced_sets(tmp_path, caplog):

@@ -139,6 +139,22 @@ def test_bilinear_start_is_lifted_consistently():
             simulate_path(cfg, lifted, dynamics)
 
 
+_CFG = PathConfig(dt=0.01, t_end=0.1, seed=1)
+
+
+@pytest.mark.parametrize("start", [
+    lambda x0: simulate_path(_CFG, x0, PARAM_SET1),
+    lambda x0: simulate_path(_CFG, x0, SYS1),
+    lambda x0: ensemble_moments(_CFG, x0, 4, PARAM_SET1, record=[10]),
+    lambda x0: ensemble_moments(_CFG, x0, 4, SYS1, record=[10]),
+    lambda x0: em_mean_reference(SYS1, x0, _CFG.dt, _CFG.t_end),
+], ids=["path-nonlinear", "path-bilinear", "ensemble-nonlinear", "ensemble-bilinear", "em-mean"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_start_is_rejected_at_the_boundary(start, bad):
+    with pytest.raises(ValueError, match=r"^initial state must be finite, got \[0\.8, "):
+        start([0.8, bad, 0.0])
+
+
 def test_increment_shape_and_type_validation():
     cfg = PathConfig(dt=0.01, t_end=1.0, seed=1)
     with pytest.raises(ValueError):
@@ -264,6 +280,26 @@ def test_nonlinear_ensemble_flow_rate_statistics():
     assert abs(stats.var[1, 2] - var_exact) <= tol
 
 
+def em_mean_oracle(sys, x0, dt, t_end):
+    """The Euler mean written out step by step, m <- m + (a0 + a m) dt."""
+    m = _initial_state(x0, sys)
+    out = [m]
+    for _ in range(round(t_end / dt)):
+        m = m + (sys.a0 + sys.a @ m) * dt
+        out.append(m)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("p, x0, t_end", [(PARAM_SET1, X0, 200.0), (PARAM_SET2, X0_SET2.as_array(), 400.0)],
+                         ids=["set1", "set2"])
+def test_em_mean_reference_is_the_euler_recursion(p, x0, t_end):
+    sys = build_vandevusse(p)
+    t, euler = em_mean_reference(sys, x0, 0.01, t_end)
+    oracle = em_mean_oracle(sys, x0, 0.01, t_end)
+    assert t.size == euler.shape[0] == oracle.shape[0]
+    assert np.abs(euler - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
 def test_em_mean_reference_is_exact_expectation():
     # For the linear augmented system the EM ensemble mean follows the
     # Euler-discretized mean ODE exactly, up to sampling noise.
@@ -283,7 +319,7 @@ def test_em_mean_reference_blowup_names_first_nonfinite_time():
             em_mean_reference(sys, [1.0], 0.1, 2000.0)
     k = round(float(str(err.value).rsplit("t=", 1)[1]) / 0.1)
     assert 3800 < k < 4000
-    # The step before is finite, and the arithmetic is the Euler step itself.
+    # The step before is finite, and one more step of the Euler recursion overflows.
     _, before = em_mean_reference(sys, [1.0], 0.1, (k - 1) * 0.1)
     m = before[-1]
     assert np.isfinite(before).all()
@@ -320,7 +356,9 @@ def test_bilinear_ensemble_mean_tracks_mean_ode_with_bias_floor():
 
 
 def test_shared_noise_pair_tracks():
-    t, x_nl, xi_bl = simulate_shared_noise(PARAM_SET1, SYS1, X0, 0.01, 200.0, seed=42)
+    t, x_nl = simulate_path(PathConfig(dt=0.01, t_end=200.0, seed=42), X0, PARAM_SET1)
+    t_bl, xi_bl = simulate_shared_noise(SYS1, X0, 0.01, 200.0, seed=42)
+    assert np.array_equal(t, t_bl)
     gap1 = np.abs(x_nl[:, 0] - xi_bl[:, 0]).max()
     gap2 = np.abs(x_nl[:, 1] - xi_bl[:, 1]).max()
     # Qualitative tracking: the embedded path stays close to the exact one
