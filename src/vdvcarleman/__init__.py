@@ -16,8 +16,7 @@ from .carleman import (
 from .ekf import ekf_predict
 from .experiments import builtin_scenario, emit_charts, emit_csv, load_scenario, run_scenario
 from .model import PARAM_SET1, PARAM_SET2, X0_SET1
-from .moments import crosscheck_mean_paths, integrate, integrate_augmented, integrate_physical, ou_variance
-from .montecarlo import PathConfig, em_mean_reference, ensemble_moments
+from .moments import crosscheck_mean_paths, integrate_augmented, integrate_physical, ou_variance
 
 __version__ = "0.1.0"
 
@@ -25,19 +24,15 @@ __version__ = "0.1.0"
 __all__ = [
     "PARAM_SET1",
     "PARAM_SET2",
-    "PathConfig",
     "QuadraticSde",
     "X0_SET1",
     "build_vandevusse",
     "builtin_scenario",
     "crosscheck_mean_paths",
     "ekf_predict",
-    "em_mean_reference",
     "embed_order2",
     "emit_charts",
     "emit_csv",
-    "ensemble_moments",
-    "integrate",
     "integrate_augmented",
     "integrate_physical",
     "load_scenario",

@@ -218,7 +218,6 @@ class ComparisonReport:
     ekf: MomentSeries | None = None
     mc: McResult | None = None
     errors: dict = field(default_factory=dict)  # method -> (n_grid, 2)
-    checkpoint_rows: list = field(default_factory=list)
     psd_min_eig: dict = field(default_factory=dict)  # method -> {t: min eigenvalue}
     notes: list = field(default_factory=list)
 
@@ -238,7 +237,7 @@ def run_scenario(scenario: Scenario, methods, mc_workers: int = 1) -> Comparison
     methods = tuple(m for m in METHODS if m in requested)
     p = scenario.params
     dt, t_end = scenario.dt, scenario.t_end
-    t = np.arange(round(t_end / dt) + 1) * dt
+    t = np.arange(grid_steps(dt, t_end) + 1) * dt
     report = ComparisonReport(scenario=scenario, methods=methods, t=t)
     if scenario.name == "set1":
         report.notes.append(TABLE_NOTE_SET1)
@@ -271,17 +270,6 @@ def run_scenario(scenario: Scenario, methods, mc_workers: int = 1) -> Comparison
         report.psd_min_eig["ekf"] = _psd_at_checkpoints(series, scenario)
     if "mc" in methods:
         report.mc = run("mc", lambda: _run_mc(scenario, sys, x0, true_path, mc_workers))
-
-    for c in scenario.checkpoints:
-        k = grid_index(dt, c)
-        row = {"t": c}
-        if report.carleman is not None:
-            row["carleman_P_x1"] = float(report.carleman.cov[k, 0, 0])
-            row["carleman_P_x2"] = float(report.carleman.cov[k, 1, 1])
-        if report.ekf is not None:
-            row["ekf_P_x1"] = float(report.ekf.cov[k, 0, 0])
-            row["ekf_P_x2"] = float(report.ekf.cov[k, 1, 1])
-        report.checkpoint_rows.append(row)
     return report
 
 
@@ -334,103 +322,77 @@ def _run_mc(scenario: Scenario, sys: BilinearSystem, x0: np.ndarray, true_path: 
 # Emission
 # ---------------------------------------------------------------------------
 
-_TRAJ_COLUMNS = (
-    ["t", "x1_true", "x2_true", "x3_true"]
-    + ["x1_carleman", "x2_carleman", "x3_carleman"]
-    + ["P11_carleman", "P22_carleman", "P12_carleman", "P13_carleman", "P23_carleman", "P33_carleman"]
-    + ["x1_ekf", "x2_ekf", "x3_ekf"]
-    + ["P11_ekf", "P22_ekf", "P12_ekf", "P13_ekf", "P23_ekf", "P33_ekf"]
-    + ["e1_carleman", "e2_carleman", "e1_ekf", "e2_ekf"]
-)
+_TRAJ_COLUMNS = ["t", "x1_true", "x2_true", "x3_true"] + [
+    f"{name}_{method}" for method in ("carleman", "ekf")
+    for name in ("x1", "x2", "x3", "P11", "P22", "P12", "P13", "P23", "P33")
+] + ["e1_carleman", "e2_carleman", "e1_ekf", "e2_ekf"]
+
+# (i, j) of the trajectory covariance columns P11, P22, P12, P13, P23, P33.
+_COV_ENTRIES = ((0, 0), (1, 1), (0, 1), (0, 2), (1, 2), (2, 2))
 
 _CKPT_COLUMNS = ("t", "carleman_P_x1", "ekf_P_x1", "carleman_P_x2", "ekf_P_x2")
 
 _MC_COLUMNS = ("t", "component", "mc_mean", "ode_mean", "ode_em_mean", "stderr", "abs_err", "within_3_stderr")
+_MC_LINE = "%.10e,%s,%.10e,%.10e,%.10e,%.10e,%.10e,%d\n"
 
-
-# Rows of trajectories.csv formatted per block: the block's row lists stay small.
+# Rows formatted per block: the block's row lists stay small.
 _CSV_BLOCK_ROWS = 256
 
 
-def _num(x: float) -> str:
-    return f"{x:.10e}"
+def _write_csv(path: str, header, line: str, blocks) -> str:
+    """Write the ``header`` row, then ``line % row`` for each row of each block."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for rows in blocks:
+            fh.write("".join([line % tuple(row) for row in rows]))
+    return path
 
 
-def _trajectory_format(report: ComparisonReport) -> tuple[str, list[np.ndarray]]:
-    """One '%'-format line for a trajectories.csv row, and the columns it formats.
+def _series_table(columns: list) -> tuple:
+    """The '%'-format line of one '%.10e' field per column, and its row blocks.
 
-    Every number is '%.10e' (the same digits as `_num`); a series the
-    report does not contain leaves its formats empty.
+    A None column, a series the report lacks, gets an empty format and no field.
     """
-    columns = [report.t, *report.true_path.T]
-    formats = ["%.10e"] * 4
-    for series in (report.carleman, report.ekf):
-        if series is None:
-            formats += [""] * 9
-            continue
-        c = series.cov
-        columns += [*series.mean.T, c[:, 0, 0], c[:, 1, 1], c[:, 0, 1], c[:, 0, 2], c[:, 1, 2], c[:, 2, 2]]
-        formats += ["%.10e"] * 9
-    for method in ("carleman", "ekf"):
-        err = report.errors.get(method)
-        if err is None:
-            formats += ["", ""]
-        else:
-            columns += [err[:, 0], err[:, 1]]
-            formats += ["%.10e"] * 2
-    return ",".join(formats) + "\n", columns
+    line = ",".join("" if c is None else "%.10e" for c in columns) + "\n"
+    present = [c for c in columns if c is not None]
+    n = len(present[0]) if present else 0
+    blocks = (
+        np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in present]).tolist()
+        for start in range(0, n, _CSV_BLOCK_ROWS)
+    )
+    return line, blocks
 
 
 def emit_csv(report: ComparisonReport, out_dir: str) -> list[str]:
     """Write trajectories.csv, checkpoints.csv, mc_validation.csv, report.json.
 
-    Numbers are '%.10e' with '.' decimal separator and UNIX newlines;
-    series a report does not contain leave their fields empty.
+    Every CSV is one '%'-format line per row: numbers are '%.10e' (the
+    digits of a per-field f"{x:.10e}") with '.' decimal separator and
+    UNIX newlines.  trajectories.csv holds the report's series on the
+    whole grid, checkpoints.csv their diagonal covariances at the
+    scenario's checkpoint times; series a report does not contain leave
+    their fields empty.
     """
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
-
-    traj = os.path.join(out_dir, "trajectories.csv")
-    with open(traj, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(_TRAJ_COLUMNS) + "\n")
-        if report.true_path is not None:
-            line, columns = _trajectory_format(report)
-            for start in range(0, report.t.size, _CSV_BLOCK_ROWS):
-                rows = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns]).tolist()
-                fh.write("".join([line % tuple(row) for row in rows]))
-    paths.append(traj)
-
-    ckpt = os.path.join(out_dir, "checkpoints.csv")
-    with open(ckpt, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(_CKPT_COLUMNS) + "\n")
-        for row in report.checkpoint_rows:
-            fields = [_num(row["t"])]
-            for key in _CKPT_COLUMNS[1:]:
-                fields.append(_num(row[key]) if key in row else "")
-            fh.write(",".join(fields) + "\n")
-    paths.append(ckpt)
-
-    mc = os.path.join(out_dir, "mc_validation.csv")
-    with open(mc, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(_MC_COLUMNS) + "\n")
-        if report.mc is not None:
-            for row in report.mc.rows:
-                fh.write(
-                    ",".join(
-                        [
-                            _num(row["t"]),
-                            row["component"],
-                            _num(row["mc_mean"]),
-                            _num(row["ode_mean"]),
-                            _num(row["ode_em_mean"]),
-                            _num(row["stderr"]),
-                            _num(row["abs_err"]),
-                            str(row["within_3_stderr"]),
-                        ]
-                    )
-                    + "\n"
-                )
-    paths.append(mc)
+    traj, ckpt = [], []
+    if report.true_path is not None:
+        scenario = report.scenario
+        ks = [grid_index(scenario.dt, c) for c in scenario.checkpoints]
+        traj = [report.t, *report.true_path.T]
+        ckpt = [scenario.checkpoints]
+        for series in (report.carleman, report.ekf):
+            traj += [None] * 9 if series is None else [*series.mean.T, *(series.cov[:, i, j] for i, j in _COV_ENTRIES)]
+        for method in ("carleman", "ekf"):
+            err = report.errors.get(method)
+            traj += [None] * 2 if err is None else [*err.T]
+        for i in (0, 1):
+            ckpt += [None if series is None else series.cov[ks, i, i] for series in (report.carleman, report.ekf)]
+    mc_rows = [] if report.mc is None else [[row[key] for key in _MC_COLUMNS] for row in report.mc.rows]
+    paths = [
+        _write_csv(os.path.join(out_dir, "trajectories.csv"), _TRAJ_COLUMNS, *_series_table(traj)),
+        _write_csv(os.path.join(out_dir, "checkpoints.csv"), _CKPT_COLUMNS, *_series_table(ckpt)),
+        _write_csv(os.path.join(out_dir, "mc_validation.csv"), _MC_COLUMNS, _MC_LINE, [mc_rows]),
+    ]
 
     meta = {
         "scenario": report.scenario.to_dict(),
@@ -453,85 +415,63 @@ def emit_csv(report: ComparisonReport, out_dir: str) -> list[str]:
     with open(meta_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    paths.append(meta_path)
-    return paths
+    return paths + [meta_path]
 
 
 _TRUE_STYLE = dict(color="#000000", style="solid")
 _CARLEMAN_STYLE = dict(color="#c02020", style="dashed")
 _EKF_STYLE = dict(color="#2040c0", style="dotted")
 
+# One row per chart panel: figure numbers (first, second builtin), title,
+# y-label, and lines as (label, report series, style); a panel needs
+# every series its lines plot.
+_PANELS = (
+    ((1, 1), "sample paths", "{}",
+     [("true SDE path", "true path", _TRUE_STYLE), ("bilinear path (shared noise)", "bilinear path", _CARLEMAN_STYLE)]),
+    ((2, 5), "estimates vs true path", "{}",
+     [("true SDE path", "true path", _TRUE_STYLE), ("Carleman mean", "carleman mean", _CARLEMAN_STYLE),
+      ("EKF mean", "ekf mean", _EKF_STYLE)]),
+    ((3, 6), "absolute prediction error", "|{} - mean|",
+     [("|error| Carleman", "carleman error", _CARLEMAN_STYLE), ("|error| EKF", "ekf error", _EKF_STYLE)]),
+    ((4, 7), "conditional variance", "P_{}",
+     [("Carleman variance", "carleman variance", _CARLEMAN_STYLE), ("EKF variance", "ekf variance", _EKF_STYLE)]),
+)
+
 
 def emit_charts(report: ComparisonReport, out_dir: str) -> list[str]:
-    """Write the comparison figures as standalone SVG files.
+    """Write the comparison figures as standalone SVG files, one per panel and state.
 
-    Panels (one file per state): paths (true path and its shared-noise
-    bilinear partner), means (true vs moment-path vs EKF), absolute
-    errors, and variances.  Line styles: solid = true, dashed = moment
-    or bilinear path, dotted = EKF.  Missing series skip a chart with a
-    logged notice.
+    Panels (`_PANELS`): paths (true path and its shared-noise bilinear
+    partner), means (true vs moment-path vs EKF), absolute errors, and
+    variances; the second builtin uses the reference figure numbers
+    5-7.  Line styles: solid = true, dashed = moment or bilinear path,
+    dotted = EKF.  A panel whose series the report lacks is skipped
+    with a logged notice naming them.
     """
     os.makedirs(out_dir, exist_ok=True)
-    t = report.t
+    # Every series holds one column per state.
+    series = {"true path": report.true_path, "bilinear path": None if report.mc is None else report.mc.coupled_xi}
+    for method in ("carleman", "ekf"):
+        s = getattr(report, method)
+        series[f"{method} mean"] = None if s is None else s.mean
+        series[f"{method} error"] = report.errors.get(method)
+        series[f"{method} variance"] = None if s is None else s.cov.diagonal(axis1=1, axis2=2)
     written = []
-    # The report of the second builtin uses the reference figure numbering 5-7.
-    n_mean, n_err, n_var = (5, 6, 7) if report.scenario.name == "set2" else (2, 3, 4)
-
-    def emit(name, series, title, ylabel):
-        path = os.path.join(out_dir, f"{name}.svg")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(svgchart.line_chart(series, title, "t [s]", ylabel))
-        written.append(path)
-
-    for i, state in enumerate(("x1", "x2")):
-        suffix = "a" if i == 0 else "b"
-        if report.mc is not None:
-            emit(
-                f"fig1{suffix}",
-                [
-                    svgchart.Series("true SDE path", t, report.true_path[:, i], **_TRUE_STYLE),
-                    svgchart.Series("bilinear path (shared noise)", t, report.mc.coupled_xi[:, i], **_CARLEMAN_STYLE),
-                ],
-                f"{report.scenario.name}: sample paths, {state}",
-                state,
+    for i, (state, suffix) in enumerate((("x1", "a"), ("x2", "b"))):
+        for figs, title, ylabel, lines in _PANELS:
+            name = f"fig{figs[report.scenario.name == 'set2']}{suffix}"
+            missing = [key for _, key, _ in lines if series[key] is None]
+            if missing:
+                logger.info("%s skipped: no %s series in report", name, " or ".join(missing))
+                continue
+            chart = svgchart.line_chart(
+                [svgchart.Series(label, report.t, series[key][:, i], **style) for label, key, style in lines],
+                f"{report.scenario.name}: {title}, {state}",
+                "t [s]",
+                ylabel.format(state),
             )
-        else:
-            logger.info("fig1%s skipped: no Monte Carlo series in report", suffix)
-        if report.true_path is not None and report.carleman is not None and report.ekf is not None:
-            emit(
-                f"fig{n_mean}{suffix}",
-                [
-                    svgchart.Series("true SDE path", t, report.true_path[:, i], **_TRUE_STYLE),
-                    svgchart.Series("Carleman mean", t, report.carleman.mean[:, i], **_CARLEMAN_STYLE),
-                    svgchart.Series("EKF mean", t, report.ekf.mean[:, i], **_EKF_STYLE),
-                ],
-                f"{report.scenario.name}: estimates vs true path, {state}",
-                state,
-            )
-        else:
-            logger.info("fig%d%s skipped: needs true, carleman and ekf series", n_mean, suffix)
-        if "carleman" in report.errors and "ekf" in report.errors:
-            emit(
-                f"fig{n_err}{suffix}",
-                [
-                    svgchart.Series("|error| Carleman", t, report.errors["carleman"][:, i], **_CARLEMAN_STYLE),
-                    svgchart.Series("|error| EKF", t, report.errors["ekf"][:, i], **_EKF_STYLE),
-                ],
-                f"{report.scenario.name}: absolute prediction error, {state}",
-                f"|{state} - mean|",
-            )
-        else:
-            logger.info("fig%d%s skipped: needs both error series", n_err, suffix)
-        if report.carleman is not None and report.ekf is not None:
-            emit(
-                f"fig{n_var}{suffix}",
-                [
-                    svgchart.Series("Carleman variance", t, report.carleman.cov[:, i, i], **_CARLEMAN_STYLE),
-                    svgchart.Series("EKF variance", t, report.ekf.cov[:, i, i], **_EKF_STYLE),
-                ],
-                f"{report.scenario.name}: conditional variance, {state}",
-                f"P_{state}",
-            )
-        else:
-            logger.info("fig%d%s skipped: needs carleman and ekf series", n_var, suffix)
+            path = os.path.join(out_dir, f"{name}.svg")
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(chart)
+            written.append(path)
     return written

@@ -436,8 +436,6 @@ class CrosscheckReport:
 
     max_discrepancy: float
     t_at_max: float
-    max_mean_discrepancy: float
-    max_cov_discrepancy: float
 
 
 def crosscheck_mean_paths(p: ReactorParams, mean0, cov0, dt: float, t_end: float) -> CrosscheckReport:
@@ -459,12 +457,7 @@ def crosscheck_mean_paths(p: ReactorParams, mean0, cov0, dt: float, t_end: float
 
     per_t = np.maximum(mean_diff.max(axis=1), cov_diff.max(axis=1))
     k_max = int(np.argmax(per_t))
-    return CrosscheckReport(
-        max_discrepancy=float(per_t[k_max]),
-        t_at_max=float(t[k_max]),
-        max_mean_discrepancy=float(mean_diff.max()),
-        max_cov_discrepancy=float(cov_diff.max()),
-    )
+    return CrosscheckReport(max_discrepancy=float(per_t[k_max]), t_at_max=float(t[k_max]))
 
 
 def ou_variance(p0: float, alpha: float, beta: float, t: np.ndarray) -> np.ndarray:

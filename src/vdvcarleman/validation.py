@@ -19,7 +19,7 @@ import numpy as np
 from .carleman import QuadraticSde, build_vandevusse, embed_order2, vandevusse_coefficients
 from .ekf import ekf_predict
 from .model import PARAM_SET1, PARAM_SET2
-from .moments import crosscheck_mean_paths, integrate_augmented, integrate_physical, ou_variance
+from .moments import crosscheck_mean_paths, grid_steps, integrate_augmented, integrate_physical, ou_variance
 from .experiments import builtin_scenario, emit_csv, run_scenario
 
 
@@ -99,7 +99,7 @@ def check_ou_analytic() -> CheckResult:
     for name in ("set1", "set2"):
         s, p, x0, p0 = _scenario_pieces(name)
         sys = build_vandevusse(p)
-        exact = ou_variance(s.p0_diag[2], p.alpha, p.beta, np.arange(round(s.t_end / s.dt) + 1) * s.dt)
+        exact = ou_variance(s.p0_diag[2], p.alpha, p.beta, np.arange(grid_steps(s.dt, s.t_end) + 1) * s.dt)
         # Copies, so that no whole series outlives its call.
         paths = {
             "physical": np.array(integrate_physical(p, x0, p0, s.dt, s.t_end).cov[:, 2, 2]),

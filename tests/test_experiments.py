@@ -222,8 +222,8 @@ def test_run_scenario_rejects_unknown_method():
 def test_empty_method_set_gives_metadata_only_report(tmp_path):
     report = run_scenario(small_scenario(), methods=())
     assert report.true_path is None and report.carleman is None and report.ekf is None
-    assert report.checkpoint_rows == []
     paths = emit_csv(report, str(tmp_path))
+    assert (tmp_path / "checkpoints.csv").read_text().splitlines()[1:] == []
     for p in paths:
         name = p.rsplit("/", 1)[-1]
         if name.endswith(".csv"):
@@ -236,10 +236,10 @@ def test_empty_method_set_gives_metadata_only_report(tmp_path):
 
 def test_set1_checkpoint_anchor_and_row_count(tmp_path):
     report = run_scenario(builtin_scenario("set1"), methods=("carleman",))
-    table = {row["t"]: row for row in report.checkpoint_rows}
-    assert abs(table[0.5]["carleman_P_x1"] - 1.08) <= 0.02
     emit_csv(report, str(tmp_path))
     rows = (tmp_path / "checkpoints.csv").read_text().splitlines()
+    table = {float(row.split(",")[0]): row.split(",") for row in rows[1:]}
+    assert abs(float(table[0.5][1]) - 1.08) <= 0.02
     assert rows[0] == "t,carleman_P_x1,ekf_P_x1,carleman_P_x2,ekf_P_x2"
     assert len(rows) == 1 + 8
     # ekf columns are empty in a carleman-only run
@@ -251,8 +251,8 @@ def test_set2_checkpoint_row_count(tmp_path):
     emit_csv(report, str(tmp_path))
     rows = (tmp_path / "checkpoints.csv").read_text().splitlines()
     assert len(rows) == 1 + 10
-    table = {row["t"]: row for row in report.checkpoint_rows}
-    assert table[400.0]["carleman_P_x1"] <= 0.001
+    table = {float(row.split(",")[0]): row.split(",") for row in rows[1:]}
+    assert float(table[400.0][1]) <= 0.001
 
 
 def test_trajectory_csv_layout(tmp_path):
@@ -274,17 +274,18 @@ def test_trajectory_csv_layout(tmp_path):
     assert all(float(v) >= 0.0 for v in first[-4:])
 
 
+def num(x):
+    return f"{x:.10e}"
+
+
 def trajectory_csv_oracle(report):
     """trajectories.csv body formatted field by field, as `emit_csv` did with one f-string per field."""
-    def num(x):
-        return f"{x:.10e}"
-
     def cov_cols(series, k):
         c = series.cov[k]
         return [num(c[0, 0]), num(c[1, 1]), num(c[0, 1]), num(c[0, 2]), num(c[1, 2]), num(c[2, 2])]
 
     lines = []
-    for k in range(report.t.size):
+    for k in range(report.t.size if report.true_path is not None else 0):
         row = [num(report.t[k])] + [num(v) for v in report.true_path[k]]
         for series in (report.carleman, report.ekf):
             row += [num(v) for v in series.mean[k]] + cov_cols(series, k) if series is not None else [""] * 9
@@ -295,22 +296,53 @@ def trajectory_csv_oracle(report):
     return "".join(lines)
 
 
-@pytest.mark.parametrize("methods", [("carleman", "ekf"), ("carleman",), ("ekf",), ("carleman", "ekf", "mc")],
-                         ids=["carleman_ekf", "carleman", "ekf", "all"])
+def checkpoint_csv_oracle(report):
+    """checkpoints.csv body, field by field: t, then P_x1 and P_x2 of carleman and ekf."""
+    lines = []
+    for c in report.scenario.checkpoints if report.true_path is not None else ():
+        k = grid_index(report.scenario.dt, c)
+        row = [num(c)]
+        for i in (0, 1):
+            row += [num(s.cov[k, i, i]) if s is not None else "" for s in (report.carleman, report.ekf)]
+        lines.append(",".join(row) + "\n")
+    return "".join(lines)
+
+
+def mc_csv_oracle(report):
+    """mc_validation.csv body, field by field."""
+    keys = ("mc_mean", "ode_mean", "ode_em_mean", "stderr", "abs_err")
+    rows = report.mc.rows if report.mc is not None else []
+    return "".join(
+        ",".join([num(r["t"]), r["component"], *(num(r[key]) for key in keys), str(int(r["within_3_stderr"]))]) + "\n"
+        for r in rows
+    )
+
+
+@pytest.mark.parametrize("methods", [("carleman", "ekf"), ("carleman",), ("ekf",), ("carleman", "ekf", "mc"),
+                                     ("mc",), ()],
+                         ids=["carleman_ekf", "carleman", "ekf", "all", "mc", "none"])
 def test_trajectory_csv_equals_per_field_formatting(tmp_path, methods):
-    report = run_scenario(small_scenario(t_end=6.0, checkpoints=(0.5,)), methods=methods)
+    report = run_scenario(small_scenario(t_end=6.0, checkpoints=(0.5, 3.1, 6.0)), methods=methods)
     # Values whose text is easy to get wrong: signed zeros, non-finite and subnormal numbers.
     specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-310, 1.0, 9.99999999995e-5]
-    report.true_path[300:300 + len(specials), 1] = specials
+    if report.true_path is not None:
+        report.true_path[300:300 + len(specials), 1] = specials
     for series in (report.carleman, report.ekf):
         if series is not None:
             series.cov[310:310 + len(specials), 0, 2] = specials
             series.mean[320:320 + len(specials), 0] = specials
+            series.cov[310, 0, 0], series.cov[310, 1, 1] = -0.0, np.nan  # the checkpoint at t=3.1
+    if report.mc is not None:
+        for row, value in zip(report.mc.rows, specials):
+            row["abs_err"] = value
     emit_csv(report, str(tmp_path))
     text = (tmp_path / "trajectories.csv").read_text()
     header, body = text.split("\n", 1)
     assert report.t.size > 2 * 256  # more than one block of rows
     assert body == trajectory_csv_oracle(report)
+    for name, oracle in (("checkpoints.csv", checkpoint_csv_oracle), ("mc_validation.csv", mc_csv_oracle)):
+        header, body = (tmp_path / name).read_text().split("\n", 1)
+        assert body == oracle(report)
 
 
 def test_errors_are_absolute_differences():

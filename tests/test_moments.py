@@ -620,7 +620,6 @@ def test_crosscheck_short_horizon():
         p0 = np.diag([1.0, 1.0, p0_33])
         rep = crosscheck_mean_paths(p, SET1_X0, p0, 0.01, 20.0)
         assert rep.max_discrepancy <= 1e-9
-        assert rep.max_mean_discrepancy <= rep.max_discrepancy
         assert 0.0 <= rep.t_at_max <= 20.0
 
 
