@@ -18,14 +18,19 @@ numpy, whose x @ a^T is a BLAS product.  Reproducibility contract:
   path index, so substreams never collide;
 * an ensemble is split into contiguous worker ranges.  A worker holds
   its range as one C-contiguous (d, count) array, one column per path,
-  and steps it in place with buffers made once per call: the bilinear
-  drift is ``a @ X`` plus the ``a0`` column, times dt, and the noise
-  ``d @ X`` plus the ``g`` column, times each path's sqrt(dt) z.  Each
-  path sees the operations, in the same order, of the row-major step
-  x + f(x) dt + g(x) (sqrt(dt) z) of the whole ensemble at once
-  (OpenBLAS returns ``a @ X`` bit for bit as ``(X^T @ a^T)^T``, pinned
-  by a test).  Each path draws its normals a block of time steps at a
-  time (blocked draws from one generator equal one long draw);
+  and steps it in place with buffers made once per call.  The bilinear
+  step pays for the nonzeros of the system: the drift is ``a @ X`` plus
+  ``a0`` on its nonzero rows, times dt, and the noise is formed only on
+  the rows where ``d`` or ``g`` has a nonzero, as ``d[R] @ X`` plus
+  ``g``, times each path's sqrt(dt) z.  Each path sees the operations,
+  in the same order, of the row-major step
+  x + f(x) dt + g(x) (sqrt(dt) z) of the whole ensemble at once, less
+  adds of zero that cannot change it (OpenBLAS returns ``a @ X`` and
+  ``d[R] @ X`` bit for bit as the row-major products, pinned by a
+  test).  Each path draws its normals a block of time steps at a time
+  (blocked draws from one generator equal one long draw), and the state
+  is checked for finiteness once per block: a block that ends
+  non-finite is replayed from its start, checking every step;
 * at the grid indices asked for (``record``) each worker copies its
   state into its column slice of one (n_record, d, n_paths) snapshot.
   Once every worker is done, the mean and the unbiased variance are
@@ -217,40 +222,65 @@ def _em_step(dynamics, dt: float):
     return step
 
 
-def _ensemble_step(dynamics, dt: float):
-    """In-place Euler-Maruyama step of an ensemble held component-major.
+def _ensemble_step(dynamics, dt: float, x: np.ndarray):
+    """In-place Euler-Maruyama step of the paths held component-major in ``x``.
 
-    ``step(x, w, inc, noise)`` advances the (d, count) state ``x`` by
+    ``step(w)`` advances the (d, count) state ``x`` by
     x <- (x + f(x) dt) + g(x) w, where ``w`` holds each path's
-    sqrt(dt) z and ``inc`` and ``noise`` are (d, count) buffers it
-    overwrites.  Each entry sees the operations of the row-major form
-    ``x + f(x) * dt + g(x) * (sqrt(dt) z)`` in the same order: the
-    bilinear products are ``a @ X`` and ``d @ X``, which OpenBLAS returns
-    bit for bit as the transposes of ``X^T @ a^T`` and ``X^T @ d^T``
-    (pinned in ``tests/test_montecarlo.py``).
+    sqrt(dt) z; its buffers and row views are made here, once.  Each
+    entry sees the operations of the row-major form
+    ``x + f(x) * dt + g(x) * (sqrt(dt) z)`` in the same order, less adds
+    that cannot change it.
+
+    The bilinear step pays for the nonzeros of the system.  The drift is
+    ``a @ X`` on every row, plus ``a0`` where it is nonzero, times dt.  The
+    noise is formed only on the active rows R, where ``d`` or ``g`` has a
+    nonzero: ``d[R] @ X``, plus ``g`` where it is nonzero, times ``w``,
+    added row by row after the drift.  OpenBLAS returns ``a @ X`` and
+    ``d[R] @ X`` bit for bit as ``(X^T @ a^T)^T`` and the rows R of
+    ``(X^T @ d^T)^T`` (pinned in ``tests/test_montecarlo.py``); a one-row
+    R would be a vector-matrix product, which rounds differently, so it
+    widens to all rows.  A skipped add is of a zero (an entry of ``a0`` or
+    ``g``, or the noise of a row where ``d`` and ``g`` are zero), so
+    without it a term added to the state can differ only in the sign of a
+    zero, and adding a zero changes an entry only if that entry is -0.0.
+    x + y is -0.0 only if x is, so only a row that holds -0.0 when the
+    step is built can ever hold it; such rows keep every add.
     """
     if isinstance(dynamics, BilinearSystem):
-        a, d = dynamics.a, dynamics.d
-        a0, g = dynamics.a0[:, None], dynamics.g[:, None]
+        a, d, a0, g = dynamics.a, dynamics.d, dynamics.a0, dynamics.g
+        neg_zero = ((x == 0.0) & np.signbit(x)).any(axis=1)
+        rows = np.flatnonzero(d.any(axis=1) | (g != 0.0) | neg_zero)
+        if rows.size == 1:
+            rows = np.arange(g.size)
+        d_rows = np.ascontiguousarray(d[rows])
+        inc, noise = np.empty_like(x), np.empty((rows.size, x.shape[1]))
+        drift_adds = [(inc[r], float(a0[r])) for r in np.flatnonzero((a0 != 0.0) | neg_zero)]
+        noise_adds = [(noise[i], float(g[r])) for i, r in enumerate(rows) if g[r] != 0.0 or neg_zero[r]]
+        state_adds = [(x[r], noise[i]) for i, r in enumerate(rows)]
 
-        def step(x, w, inc, noise):
+        def step(w):
             np.matmul(a, x, out=inc)
-            inc += a0
-            inc *= dt
-            np.matmul(d, x, out=noise)
-            noise += g
-            noise *= w
-            x += inc
-            x += noise
+            for row, c in drift_adds:
+                np.add(row, c, out=row)
+            np.multiply(inc, dt, out=inc)
+            np.matmul(d_rows, x, out=noise)
+            for row, c in noise_adds:
+                np.add(row, c, out=row)
+            np.multiply(noise, w, out=noise)
+            np.add(x, inc, out=x)
+            for row, dx in state_adds:
+                np.add(row, dx, out=row)
     else:
         p = dynamics
         g = diffusion(p)[:, None]
+        inc, noise = np.empty_like(x), np.empty_like(x)
 
-        def step(x, w, inc, noise):
+        def step(w):
             np.multiply(drift(x.T, p).T, dt, out=inc)
             np.multiply(g, w, out=noise)
-            x += inc
-            x += noise
+            np.add(x, inc, out=x)
+            np.add(x, noise, out=x)
 
     return step
 
@@ -263,41 +293,56 @@ def _lockstep(cfg: PathConfig, x0: np.ndarray, dynamics, start: int, snap: np.nd
     range's (n_record, d, count) column slice of the ensemble snapshot.
     The paths are the columns of one C-contiguous (d, count) array,
     stepped in place with buffers made once.  Path i draws its normals
-    from its own substream, ``block`` steps at a time.  Returns None, or the (step, path) of the earliest step at which a
+    from its own substream, ``block`` steps at a time.
+
+    Every update adds to the state in place, so a non-finite entry never
+    becomes finite again: the state is checked once, at the end of each
+    draw block.  A block that ends non-finite is replayed from a copy of
+    its start state on the same draws, checking every step.
+
+    Returns None, or the (step, path) of the earliest step at which a
     path left the finite range, the lowest such path.
     """
     n_steps, count = cfg.n_steps, snap.shape[2]
     gens = [np.random.Generator(np.random.PCG64(substream_seed(cfg.seed, start + i))) for i in range(count)]
     z = np.empty((count, min(block, n_steps)))
     x = np.repeat(x0[:, None], count, axis=1)
-    inc, noise, w = np.empty_like(x), np.empty_like(x), np.empty(count)
-    finite = np.empty(x.shape, dtype=bool)
+    x_block, w = np.empty_like(x), np.empty(count)
+    step = _ensemble_step(dynamics, cfg.dt, x)
+    sqdt = np.sqrt(cfg.dt)
+
+    def advance(k0, n):
+        """Step the n draws of the block that starts after grid index k0, yielding each new index."""
+        for j in range(n):
+            np.multiply(z[:, j], sqdt, out=w)
+            step(w)
+            yield k0 + j + 1
+
     r = 0
     if record.size and record[0] == 0:
         snap[0] = x
         r = 1
-    step = _ensemble_step(dynamics, cfg.dt)
-    sqdt = np.sqrt(cfg.dt)
     log_every = -(-n_steps // 10)
     t_start = time.perf_counter()
-    for k in range(n_steps):
-        j = k % block
-        if j == 0:
-            n_draw = min(block, n_steps - k)
-            for i, gen in enumerate(gens):
-                gen.standard_normal(out=z[i, :n_draw])
-        np.multiply(z[:, j], sqdt, out=w)
-        step(x, w, inc, noise)
-        np.isfinite(x, out=finite)
-        if not finite.all():
-            return k + 1, start + int(np.flatnonzero(~finite.all(axis=0))[0])
-        if r < record.size and record[r] == k + 1:
-            snap[r] = x
-            r += 1
-        if progress and (k + 1) % log_every == 0 and k + 1 < n_steps:
-            elapsed = time.perf_counter() - t_start
-            logger.info("MC ensemble: step %d/%d (%.0f%%), ETA %.1f s", k + 1, n_steps,
-                        100.0 * (k + 1) / n_steps, elapsed * (n_steps - k - 1) / (k + 1))
+    for k0 in range(0, n_steps, block):
+        n = min(block, n_steps - k0)
+        for i, gen in enumerate(gens):
+            gen.standard_normal(out=z[i, :n])
+        np.copyto(x_block, x)
+        for k in advance(k0, n):
+            if r < record.size and record[r] == k:
+                snap[r] = x
+                r += 1
+            if progress and k % log_every == 0 and k < n_steps:
+                elapsed = time.perf_counter() - t_start
+                logger.info("MC ensemble: step %d/%d (%.0f%%), ETA %.1f s", k, n_steps,
+                            100.0 * k / n_steps, elapsed * (n_steps - k) / k)
+        if not np.isfinite(x).all():
+            np.copyto(x, x_block)
+            for k in advance(k0, n):
+                failed = ~np.isfinite(x).all(axis=0)
+                if failed.any():
+                    return k, start + int(np.flatnonzero(failed)[0])
     return None
 
 
@@ -325,7 +370,9 @@ def ensemble_moments(
         raise ValueError(f"n_workers must be at least 1, got {n_workers}")
     x0 = _initial_state(x0, dynamics)
     n_steps = cfg.n_steps
-    record = np.asarray(record) if len(record) else np.empty(0, dtype=int)
+    record = np.asarray(record)
+    if record.shape == (0,):
+        record = record.astype(int)
     if record.ndim != 1 or not np.issubdtype(record.dtype, np.integer):
         raise ValueError("record must be a 1-D sequence of grid indices")
     if record.size and (record.min() < 0 or record.max() > n_steps):

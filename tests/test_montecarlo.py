@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vdvcarleman import montecarlo
-from vdvcarleman.carleman import QuadraticSde, build_vandevusse, embed_order2, vandevusse_coefficients
+from vdvcarleman.carleman import BilinearSystem, QuadraticSde, build_vandevusse, embed_order2, vandevusse_coefficients
 from vdvcarleman.kronecker import reduce_square
 from vdvcarleman.model import PARAM_SET1, PARAM_SET2, ReactorParams, X0_SET1, X0_SET2, diffusion, drift
 from vdvcarleman.moments import BLOCK_STEPS, IntegrationError, augmented_mean_path, grid_index, ou_variance
@@ -449,15 +449,35 @@ def test_lockstep_ensemble_equals_chunk_loop_property(system, n_paths, workers, 
     assert np.array_equal(stats.var, var[rows])
 
 
-@pytest.mark.parametrize("p", [PARAM_SET1, PARAM_SET2], ids=["set1", "set2"])
-def test_component_major_products_equal_row_major_bit_for_bit(p):
-    # The ensemble steps its (d, n) state with a @ X and d @ X; the path
-    # loop oracle (and every earlier version) with x @ a.T on the row-major
-    # (n, d) state.  OpenBLAS returns the two bit for bit; if a numpy or
-    # BLAS build ever stops doing so, this test names the cause.
-    sys = build_vandevusse(p)
+def _random_embedding(n, seed):
+    """``embed_order2`` of a random stable quadratic SDE with nonzero ``c``.
+
+    ``g`` is nonzero in every entry but the last for n >= 3, so the system
+    has noise rows with two nonzeros in ``d`` (n >= 2), rows with one, and
+    rows with none.
+    """
+    rng = np.random.default_rng(seed)
+    g = rng.uniform(0.1, 0.4, n) * rng.choice([-1.0, 1.0], n)
+    if n >= 3:
+        g[-1] = 0.0
+    sde = QuadraticSde(c=rng.uniform(-0.2, 0.2, n), lin=rng.uniform(-0.3, 0.3, (n, n)) - np.eye(n),
+                       quad=rng.uniform(-0.1, 0.1, (n, n, n)), g=g)
+    return embed_order2(sde)
+
+
+@pytest.mark.parametrize("sys", [SYS1, build_vandevusse(PARAM_SET2), _random_embedding(3, 7)],
+                         ids=["set1", "set2", "quadratic"])
+def test_component_major_products_equal_row_major_bit_for_bit(sys):
+    # The ensemble steps its (d, n) state with a @ X and, on the active noise
+    # rows R, d[R] @ X; the path loop oracle (and every earlier version) with
+    # x @ a.T on the row-major (n, d) state.  OpenBLAS returns them bit for
+    # bit; if a numpy or BLAS build ever stops doing so, this test names the
+    # cause.
     rng = np.random.default_rng(2024)
     scale = np.abs(_initial_state(X0, sys)) + 1.0
+    active = np.flatnonzero(sys.d.any(axis=1) | (sys.g != 0.0))
+    assert active.size >= 2
+    d_active = np.ascontiguousarray(sys.d[active])
     for n in (1, 2, 7, 100, RANGE_PATHS, RANGE_PATHS + 37, 3 * RANGE_PATHS, 1536, 2560, 10_000):
         big = np.ascontiguousarray((rng.standard_normal((n, sys.a.shape[0])) * scale).T)
         rows = np.ascontiguousarray(big.T)
@@ -465,6 +485,7 @@ def test_component_major_products_equal_row_major_bit_for_bit(p):
             got = np.matmul(m, big)
             assert np.array_equal(bits(got), bits((rows @ m.T).T)), n
             assert np.array_equal(bits(got), bits((big.T @ m.T).T)), n
+        assert np.array_equal(bits(np.matmul(d_active, big)), bits((rows @ sys.d.T).T[active])), n
 
 
 def test_default_draw_block_is_bit_identical_to_chunk_loop():
@@ -474,6 +495,62 @@ def test_default_draw_block_is_bit_identical_to_chunk_loop():
     stats = ensemble_moments(cfg, X0, n, SYS1, n_workers=2, record=np.arange(cfg.n_steps + 1))
     assert np.array_equal(stats.mean, mean)
     assert np.array_equal(stats.var, var)
+
+
+@pytest.mark.parametrize("start", [(1.0, -0.0, -0.0), (-0.0, -0.0, -0.0), (-0.0, -0.0, -1e-320)],
+                         ids=["one-negzero", "negzero", "subnormal"])
+def test_signed_zero_starts_are_bit_identical_to_chunk_loop(start):
+    # The sparse step skips adds of zero, which can change only an entry of
+    # -0.0, and only rows that start at -0.0 can hold one.  From the
+    # subnormal start x1's drift increment underflows to -0.0 at the first
+    # step, so x1 stays -0.0 unless its (0 + 0) * w noise add is made: the
+    # step keeps every add on the rows that start at -0.0.
+    x0 = _initial_state(start, SYS1)
+    assert np.signbit(x0).any()
+    cfg = PathConfig(dt=0.05, t_end=1.0, seed=23)
+    n = 2 * RANGE_PATHS + 37
+    mean, var = _oracle_ensemble(cfg, start, n, SYS1)
+    for workers in (1, 3):
+        stats = ensemble_moments(cfg, start, n, SYS1, n_workers=workers, record=np.arange(cfg.n_steps + 1))
+        assert np.array_equal(bits(stats.mean), bits(mean))
+        assert np.array_equal(bits(stats.var), bits(var))
+    # numpy sums -0.0 entries to +0.0, so the statistics cannot show the sign
+    # of a zero; the state itself is compared with the row-major step.
+    w = np.sqrt(cfg.dt) * np.random.default_rng(5).standard_normal((20, 7))
+    x = np.repeat(x0[:, None], 7, axis=1)
+    step = montecarlo._ensemble_step(SYS1, cfg.dt, x)
+    drift_fn, noise_fn = _oracle_fns(SYS1)
+    rows = np.tile(x0, (7, 1))
+    for wk in w:
+        step(wk)
+        rows = rows + drift_fn(rows) * cfg.dt + noise_fn(rows) * wk[:, None]
+        assert np.array_equal(bits(x), bits(rows.T))
+
+
+def _one_noise_row():
+    """A system whose only noise row, row 4, sums five products."""
+    d = np.zeros((5, 5))
+    d[4] = (0.31, -0.17, 0.23, 0.11, -0.29)
+    return BilinearSystem(n=2, a0=np.zeros(5), a=-np.eye(5), d=d, g=np.zeros(5))
+
+
+@pytest.mark.parametrize("sys", [*(_random_embedding(n, 100 + n) for n in (1, 2, 3, 4)), _one_noise_row()],
+                         ids=["quadratic-n1", "quadratic-n2", "quadratic-n3", "quadratic-n4", "one-noise-row"])
+def test_general_bilinear_ensembles_are_bit_identical_to_chunk_loop(sys):
+    # Noise rows of embed_order2 hold up to two nonzeros of d, and for n >= 3
+    # some rows have no noise: the step forms the active rows as one
+    # row-subset product d[R] @ X.  A single noise row would make that a
+    # vector-matrix product, which rounds differently; the step widens R to
+    # all rows.
+    assert sys.n == 1 or (np.count_nonzero(sys.d, axis=1) >= 2).any()
+    cfg = PathConfig(dt=0.05, t_end=1.0, seed=41)
+    x0 = np.random.default_rng(sys.n).uniform(-1.0, 1.0, sys.n)
+    paths = 2 * RANGE_PATHS + 37
+    mean, var = _oracle_ensemble(cfg, x0, paths, sys)
+    for workers in (1, 3):
+        stats = ensemble_moments(cfg, x0, paths, sys, n_workers=workers, record=np.arange(cfg.n_steps + 1))
+        assert np.array_equal(bits(stats.mean), bits(mean))
+        assert np.array_equal(bits(stats.var), bits(var))
 
 
 def test_recorded_rows_equal_full_grid_rows():
@@ -493,7 +570,7 @@ def test_recorded_rows_equal_full_grid_rows():
 
 def test_record_rejects_bad_indices():
     cfg = PathConfig(dt=0.05, t_end=3.0, seed=8)
-    for bad in ([61], [-1], [0.5], [[1, 2]]):
+    for bad in ([61], [-1], [0.5], [[1, 2]], 5, None, np.int64(3), np.array(4)):
         with pytest.raises(ValueError, match="record"):
             ensemble_moments(cfg, X0, 4, SYS1, record=bad)
 
@@ -532,6 +609,33 @@ def test_ensemble_blowup_reports_earliest_step_over_all_chunks():
     for workers in (1, 3):
         with pytest.raises(SimulationError, match=rf"path {path} non-finite at step {step} \("):
             ensemble_moments(cfg, x0, n, unstable, n_workers=workers, record=[cfg.n_steps])
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_bilinear_blowup_inside_a_draw_block_reports_earliest_step(monkeypatch):
+    # The product slot y steps y <- y (1 + 100 dt + 100 sqrt(dt) z): its
+    # multiplicative noise sets the step at which each path overflows.  For
+    # this seed the first divergence is in the third of 3 worker ranges.
+    # The state is checked once per 64-step draw block, so the failing block
+    # is replayed; the failure falls mid-block, with a recorded index after
+    # it in the same block.
+    sys = BilinearSystem(n=1, a0=[0.0, 0.0], a=[[0.0, 0.0], [0.0, 100.0]], d=[[0.0, 0.0], [0.0, 100.0]],
+                         g=[1.0, 0.0])
+    cfg = PathConfig(dt=1.0, t_end=180.0, seed=34)
+    n = 2 * RANGE_PATHS + 37
+    failures = []
+    for i in range(n):
+        z = np.random.Generator(np.random.PCG64(substream_seed(cfg.seed, i))).standard_normal(cfg.n_steps)
+        with pytest.raises(SimulationError) as exc:
+            simulate_path(cfg, [1.0], sys, increments=z)
+        failures.append((int(re.search(r"step (\d+)", str(exc.value)).group(1)), i))
+    step, path = min(failures)
+    block = 64
+    assert path >= 2 * n // 3 and 0 < (step - 1) % block < block - 1
+    monkeypatch.setattr(montecarlo, "DRAW_BUFFER", block * n)
+    for workers in (1, 3):
+        with pytest.raises(SimulationError, match=rf"^path {path} non-finite at step {step} \("):
+            ensemble_moments(cfg, [1.0], n, sys, n_workers=workers, record=[step - 1, step + 1])
 
 
 def test_ensemble_progress_is_logged(caplog):
