@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from dataclasses import replace
 
@@ -19,6 +20,14 @@ from .experiments import METHODS, builtin_scenario, emit_charts, emit_csv, load_
 from .validation import run_all
 
 logger = logging.getLogger(__name__)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or the machine's count where affinity is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -34,7 +43,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--t-end", type=float, default=None, help="override horizon [s]")
     run.add_argument("--mc-paths", type=int, default=None, help="override ensemble size")
     run.add_argument("--seed", type=int, default=None, help="override RNG seed")
-    run.add_argument("--mc-workers", type=int, default=1, help="ensemble worker threads")
+    run.add_argument("--mc-workers", type=int, default=_usable_cpus(),
+                     help="ensemble worker processes (default: the CPUs this process may use)")
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--no-charts", action="store_true", help="skip SVG emission")
 

@@ -25,9 +25,11 @@ products:
   P and of z z^T, by one matrix (`_augmented_step_map`), and reads the
   mean from the (i, dim) entries of z z^T.
 
-`integrate` is the float RK4 loop for nonlinear right-hand sides.  It
-serves the EKF mean and `physical_rhs`, the nine hand-derived moment
-ODEs, which `crosscheck_mean_paths` compares with `integrate_physical`:
+`integrate` is the float RK4 loop for nonlinear right-hand sides, on
+`_float_path`, the block-stored and checked loop of a float state that
+also steps the EKF mean's unrolled RK4.  It serves `physical_rhs`, the
+nine hand-derived moment ODEs, which `crosscheck_mean_paths` compares
+with `integrate_physical`:
 two independent formulations of one ODE, whose maximum discrepancy
 should sit at integrator-noise level.  The augmented COVARIANCE differs
 from the physical one by construction (it treats each product slot as an
@@ -103,12 +105,33 @@ def integrate(rhs, y0, dt: float, t_end: float) -> tuple[np.ndarray, np.ndarray]
     Python floats, entry by entry in the operation order of the array
     expressions y + h k and y + dt/6 (k1 + 2 k2 + 2 k3 + k4), so it rounds
     as they do.  Returns (t, Y) with Y[k] the state at t[k]; Y[0] is y0.
+    Steps are stored and checked as `_float_path` stores and checks them.
+    """
+    sixth = dt / 6.0
+    half = 0.5 * dt
+
+    def step(y):
+        k1 = rhs(y)
+        k2 = rhs([a + half * b for a, b in zip(y, k1)])
+        k3 = rhs([a + half * b for a, b in zip(y, k2)])
+        k4 = rhs([a + dt * b for a, b in zip(y, k3)])
+        return [a + sixth * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
+
+    return _float_path(step, y0, dt, t_end)
+
+
+def _float_path(step, y0, dt: float, t_end: float) -> tuple[np.ndarray, np.ndarray]:
+    """The path y[k+1] = step(y[k]) of a float state on the dt-grid of [0, t_end].
+
+    ``step`` maps the state, a list of floats, to the next, a sequence of
+    floats of the same length.  Returns (t, Y) with Y[k] the state at
+    t[k]; Y[0] is y0.
 
     Steps are stored in blocks of `BLOCK_STEPS` rows, and each block is
     checked as it is stored: `IntegrationError` names the time of the
-    first non-finite state.  An `OverflowError` from ``rhs`` (a float
+    first non-finite state.  An `OverflowError` from ``step`` (a float
     power beyond the double range) ends the run the same way, at the step
-    it interrupted.  Within a block ``rhs`` may see non-finite states.
+    it interrupted.  Within a block ``step`` may see non-finite states.
     """
     n = grid_steps(dt, t_end)
     y0 = np.array(y0, dtype=float)
@@ -117,17 +140,11 @@ def integrate(rhs, y0, dt: float, t_end: float) -> tuple[np.ndarray, np.ndarray]
     out = np.empty((n + 1, y0.size))
     out[0] = y0
     y = y0.tolist()
-    sixth = dt / 6.0
-    half = 0.5 * dt
     for start in range(1, n + 1, BLOCK_STEPS):
         rows = []
         try:
             for _ in range(min(BLOCK_STEPS, n + 1 - start)):
-                k1 = rhs(y)
-                k2 = rhs([a + half * b for a, b in zip(y, k1)])
-                k3 = rhs([a + half * b for a, b in zip(y, k2)])
-                k4 = rhs([a + dt * b for a, b in zip(y, k3)])
-                y = [a + sixth * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
+                y = step(y)
                 rows.append(y)
         except OverflowError:
             _raise_if_nonfinite(np.reshape(rows, (-1, y0.size)), start, dt)

@@ -16,13 +16,15 @@ numpy, whose x @ a^T is a BLAS product.  Reproducibility contract:
 * ensemble path i draws from the substream seed
   ``substream_seed(seed, i)``, a SplitMix64 mix that is injective in the
   path index, so substreams never collide;
-* an ensemble is split into contiguous worker ranges.  A worker holds
-  its range as one C-contiguous (d, count) array, one column per path,
-  and steps it in place with buffers made once per call.  The bilinear
-  step pays for the nonzeros of the system: the drift is ``a @ X`` plus
-  ``a0`` on its nonzero rows, times dt, and the noise is formed only on
-  the rows where ``d`` or ``g`` has a nonzero, as ``d[R] @ X`` plus
-  ``g``, times each path's sqrt(dt) z.  Each path sees the operations,
+* an ensemble is split into contiguous worker ranges.  Range 0 runs in
+  the calling process and every other range in a child of it made by
+  ``os.fork`` (one after another in the calling process where there is
+  no fork).  A worker holds its range as one C-contiguous (d, count)
+  array, one column per path, and steps it in place with buffers made
+  once per call.  The bilinear step pays for the nonzeros of the system:
+  the drift is ``a @ X`` plus ``a0`` on its nonzero rows, times dt, and
+  the noise is formed only on the rows where ``d`` or ``g`` has a
+  nonzero, as ``d[R] @ X`` plus ``g``, times each path's sqrt(dt) z.  Each path sees the operations,
   in the same order, of the row-major step
   x + f(x) dt + g(x) (sqrt(dt) z) of the whole ensemble at once, less
   adds of zero that cannot change it (OpenBLAS returns ``a @ X`` and
@@ -32,12 +34,13 @@ numpy, whose x @ a^T is a BLAS product.  Reproducibility contract:
   is checked for finiteness once per block: a block that ends
   non-finite is replayed from its start, checking every step;
 * at the grid indices asked for (``record``) each worker copies its
-  state into its column slice of one (n_record, d, n_paths) snapshot.
-  Once every worker is done, the mean and the unbiased variance are
-  taken over the paths axis of that snapshot, in one reduction.  The
-  snapshot is the same array however the paths are split, so the
-  output bytes do not depend on worker count, draw block length or
-  which indices are recorded.
+  state into its column slice of one (n_record, d, n_paths) snapshot,
+  which lives in an anonymous shared mapping made before any fork, so
+  the children's columns land in the caller's array.  Once every worker
+  is done, the mean and the unbiased variance are taken over the paths
+  axis of that snapshot, in one reduction.  The snapshot is the same
+  array however the paths are split, so the output bytes do not depend
+  on worker count, draw block or which indices are recorded.
 
 `em_mean_reference`, the exact mean of the bilinear chain, is Euler's map
 of the augmented mean ODE; `simulate_shared_noise` is the bilinear partner
@@ -46,9 +49,11 @@ of a seed's nonlinear path, which a run simulates once.
 from __future__ import annotations
 
 import logging
+import mmap
 import operator
+import os
+import signal
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +64,7 @@ from .moments import BLOCK_STEPS, _affine_mean_path, grid_steps
 
 # An ensemble gets at most one worker range per RANGE_PATHS paths, and its
 # paths are split evenly over the ranges, so a range of a split holds more
-# than RANGE_PATHS / 2.  It sets only the work per thread: each path is
+# than RANGE_PATHS / 2.  It sets only the work per worker: each path is
 # stepped in its own column and the statistics come from the gathered
 # snapshot, so it cannot move a bit of the output.  A range is never one
 # path, whose ``a @ X`` numpy would take as a matrix-vector product, which
@@ -67,9 +72,9 @@ from .moments import BLOCK_STEPS, _affine_mean_path, grid_steps
 RANGE_PATHS = 256
 
 # Cap on the normals buffered at once, summed over all paths of an ensemble
-# (2**20 doubles, 8 MB): each path draws this many // n_paths steps at a
-# time.  Draws are sequential per substream, so the cap changes memory and
-# speed only, never the numbers.  A short ensemble buffers its whole
+# and so over its worker processes (2**20 doubles, 8 MB): each path draws
+# this many // n_paths steps at a time.  Draws are sequential per
+# substream, so the cap changes memory and speed only, never the numbers.  A short ensemble buffers its whole
 # horizon: 400 paths of 2000 steps hold all 6.4 MB of their normals at once.
 DRAW_BUFFER = 1 << 20
 
@@ -286,7 +291,7 @@ def _ensemble_step(dynamics, dt: float, x: np.ndarray):
 
 
 def _lockstep(cfg: PathConfig, x0: np.ndarray, dynamics, start: int, snap: np.ndarray,
-              record: np.ndarray, block: int, progress: bool):
+              record: np.ndarray, block: int, progress: bool, parent: int | None = None):
     """Advance paths [start, start+count) in lockstep, copying the state into ``snap`` at ``record``.
 
     ``record`` holds sorted, distinct grid indices, and ``snap`` is the
@@ -299,6 +304,10 @@ def _lockstep(cfg: PathConfig, x0: np.ndarray, dynamics, start: int, snap: np.nd
     becomes finite again: the state is checked once, at the end of each
     draw block.  A block that ends non-finite is replayed from a copy of
     its start state on the same draws, checking every step.
+
+    ``parent`` is given only in a forked worker: the pid of the process
+    that forked it.  Once its parent has gone, the worker exits at its
+    next draw block.
 
     Returns None, or the (step, path) of the earliest step at which a
     path left the finite range, the lowest such path.
@@ -325,6 +334,8 @@ def _lockstep(cfg: PathConfig, x0: np.ndarray, dynamics, start: int, snap: np.nd
     log_every = -(-n_steps // 10)
     t_start = time.perf_counter()
     for k0 in range(0, n_steps, block):
+        if parent is not None and os.getppid() != parent:
+            os._exit(1)
         n = min(block, n_steps - k0)
         for i, gen in enumerate(gens):
             gen.standard_normal(out=z[i, :n])
@@ -353,14 +364,24 @@ def ensemble_moments(
 
     Path i uses the substream seed ``substream_seed(cfg.seed, i)``.
     ``n_workers`` splits the paths into contiguous ranges, each advanced
-    in lockstep on a thread.  ``record`` lists the grid indices at which
-    statistics are kept; row r of the result belongs to grid index
-    ``record[r]``.  Every range writes its states at those indices into
-    one (n_record, d, n_paths) snapshot, and the mean and ``ddof=1``
-    variance are taken over its paths axis once the threads are done, so
-    the result is independent of ``n_workers``.  Progress goes to the
-    log, the last line with the path-steps made and the wall time per
-    path-step.
+    in lockstep by one process: range 0 by the caller, every other range
+    by a child forked for it (where ``os.fork`` is missing, the caller
+    advances the ranges one after another).  ``record`` lists the grid
+    indices at which statistics are kept; row r of the result belongs to
+    grid index ``record[r]``.  Every range writes its states at those
+    indices into one (n_record, d, n_paths) snapshot, held with a
+    (n_ranges, 3) record of each range's (failed, step, path) in an
+    anonymous shared mapping made before the forks.  The mean and
+    ``ddof=1`` variance are taken over the snapshot's paths axis once
+    every range is done, so the result is independent of ``n_workers``.
+
+    A child leaves by ``os._exit``, without logging or flushing what it
+    inherited: 0 once its range is done, non-zero on any exception, which
+    the caller reports as a `RuntimeError` naming the child's paths.  A
+    child still running when the caller leaves, on an exception or an
+    interrupt, is killed and reaped, so no process outlives the call.
+    Progress goes to the log from range 0, the last line with the
+    path-steps made and the wall time per path-step.
     """
     t_start = time.perf_counter()
     n_paths, n_workers = as_int("n_paths", n_paths), as_int("n_workers", n_workers)
@@ -382,20 +403,45 @@ def ensemble_moments(
     n_ranges = min(n_workers, -(-n_paths // RANGE_PATHS))
     bounds = [n_paths * w // n_ranges for w in range(n_ranges + 1)]
     block = max(1, DRAW_BUFFER // n_paths)
-    snap = np.empty((steps.size, x0.size, n_paths))
+    shared = mmap.mmap(-1, 8 * (steps.size * x0.size * n_paths + 3 * n_ranges))
+    snap = np.ndarray((steps.size, x0.size, n_paths), buffer=shared)
+    failures = np.ndarray((n_ranges, 3), dtype=np.int64, buffer=shared, offset=snap.nbytes)
 
-    def run(w):
+    def run(w, parent=None):
         first, last = bounds[w], bounds[w + 1]
-        return _lockstep(cfg, x0, dynamics, first, snap[:, :, first:last], steps, block, progress=w == 0)
+        failure = _lockstep(cfg, x0, dynamics, first, snap[:, :, first:last], steps, block, w == 0, parent)
+        if failure is not None:
+            failures[w] = (1, *failure)
 
-    if n_ranges > 1:
-        with ThreadPoolExecutor(max_workers=n_ranges) as pool:
-            results = list(pool.map(run, range(n_ranges)))
-    else:
-        results = [run(0)]
-    failures = [f for f in results if f is not None]
-    if failures:
-        step, path = min(failures)
+    forked = range(1, n_ranges) if hasattr(os, "fork") else range(0)
+    children, parent = {}, os.getpid()
+    try:
+        for w in forked:
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    run(w, parent)
+                    code = 0
+                finally:
+                    os._exit(code)
+            children[pid] = w
+        for w in range(n_ranges):
+            if w not in forked:
+                run(w)
+        for pid, w in list(children.items()):
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if code:
+                raise RuntimeError(f"ensemble worker for paths [{bounds[w]}, {bounds[w + 1]}) "
+                                   f"exited with status {code}")
+    finally:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    failed = [(step, path) for flag, step, path in failures.tolist() if flag]
+    if failed:
+        step, path = min(failed)
         raise SimulationError(f"path {path} non-finite at step {step} (t={step * cfg.dt:.6g})")
 
     mean, var = snap.mean(axis=2)[rows], snap.var(axis=2, ddof=1)[rows]

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
-from vdvcarleman.ekf import _LYAP_BASIS, ekf_predict
+from vdvcarleman.ekf import _LYAP_BASIS, _mean_step, ekf_predict
 from vdvcarleman.model import PARAM_SET1, PARAM_SET2, ReactorParams, X0_SET1, diffusion, drift, float_drift, jacobian
-from vdvcarleman.moments import integrate, integrate_physical
+from vdvcarleman.moments import IntegrationError, integrate, integrate_physical
 
 from test_moments import bits, ou_mean, symmetrized_rk4
 
@@ -103,7 +105,10 @@ def test_ekf_rhs_matches_textbook_form(p):
 
 @pytest.mark.parametrize("p", [PARAM_SET1, PARAM_SET2], ids=["set1", "set2"])
 def test_ekf_drift_closure_equals_array_oracle_bit_for_bit(p):
+    # The unrolled RK4 step of the EKF mean is one `integrate` step of the
+    # drift closure, signed zeros included.
     rhs = float_drift(p)
+    step = _mean_step(p, 0.01)
     rng = np.random.default_rng(41)
     for _ in range(2000):
         scale = 10.0 ** rng.uniform(-6.0, 3.0)
@@ -112,6 +117,17 @@ def test_ekf_drift_closure_equals_array_oracle_bit_for_bit(p):
         y = flat_ekf(m, np.eye(3))
         assert np.array_equal(bits(rhs(m.tolist())), bits(ekf_rhs_oracle(y, p)[:3]))
         assert np.array_equal(bits(drift(m, p)), bits(ekf_rhs_oracle(y, p)[:3]))
+        assert np.array_equal(bits(step(m.tolist())), bits(integrate(rhs, m, 0.01, 0.01)[1][1]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("x1", [-1e3, -1e5, -1e10])
+def test_ekf_mean_blowup_names_the_time_integrate_names(x1):
+    x0 = np.array([x1, 0.0, 0.0])
+    with pytest.raises(IntegrationError) as want:
+        integrate(float_drift(PARAM_SET1), x0, 0.01, 50.0)
+    with pytest.raises(IntegrationError, match=f"^{re.escape(str(want.value))}$"):
+        ekf_predict(PARAM_SET1, x0, P0_SET1, 0.01, 50.0)
 
 
 @pytest.mark.parametrize("p, p0_33", [(PARAM_SET1, 0.01), (PARAM_SET2, 0.09)])

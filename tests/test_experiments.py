@@ -1,5 +1,7 @@
+import filecmp
 import json
 import logging
+import os
 from xml.dom import minidom
 
 import numpy as np
@@ -205,6 +207,22 @@ def test_worker_count_must_be_an_integer_before_any_work(monkeypatch, methods, b
     monkeypatch.setattr(experiments, "simulate_path", no_work)
     with pytest.raises(ValueError, match=r"^mc_workers must be an integer"):
         run_scenario(small_scenario(), methods=methods, mc_workers=bad)
+
+
+def test_run_defaults_to_one_worker_per_usable_cpu(tmp_path):
+    args = cli._build_parser().parse_args(["run", "--out", str(tmp_path)])
+    assert args.mc_workers == len(os.sched_getaffinity(0))
+
+
+def test_run_with_the_default_workers_writes_the_bytes_of_one_worker(tmp_path, capsys):
+    # 600 paths allow three ranges, so any count above 1 forks.
+    argv = ["run", "--t-end", "5", "--mc-paths", "600", "--seed", "4", "--no-charts"]
+    cli.main([*argv, "--out", str(tmp_path / "default")])
+    cli.main([*argv, "--mc-workers", "1", "--out", str(tmp_path / "one")])
+    names = sorted(os.listdir(tmp_path / "one"))
+    assert names == sorted(os.listdir(tmp_path / "default")) and "mc_validation.csv" in names
+    match, mismatch, errors = filecmp.cmpfiles(tmp_path / "default", tmp_path / "one", names, shallow=False)
+    assert match == names and not mismatch and not errors
 
 
 def test_worker_count_accepts_numpy_integers():

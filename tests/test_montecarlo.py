@@ -1,6 +1,7 @@
 import logging
+import os
 import re
-import sys
+import time
 from unittest import mock
 
 import numpy as np
@@ -227,19 +228,100 @@ def test_zero_noise_ensemble_has_zero_variance():
 
 
 def test_worker_count_does_not_change_results():
-    # Four threads write their columns of the one snapshot while switching
-    # every microsecond; a lost or misplaced column would move the statistics.
+    # The caller and three forked children write their columns of the one
+    # shared snapshot; a lost or misplaced column would move the statistics.
     cfg = PathConfig(dt=0.01, t_end=1.0, seed=6)
     n = 4 * RANGE_PATHS + 37  # an uneven four-range split
     a = ensemble_moments(cfg, X0, n, SYS1, n_workers=1, record=[0, 50, 100])
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        b = ensemble_moments(cfg, X0, n, SYS1, n_workers=4, record=[0, 50, 100])
-    finally:
-        sys.setswitchinterval(interval)
+    b = ensemble_moments(cfg, X0, n, SYS1, n_workers=4, record=[0, 50, 100])
     assert np.array_equal(a.mean, b.mean)
     assert np.array_equal(a.var, b.var)
+
+
+def _recording_fork(monkeypatch):
+    """Patch ``os.fork`` to record the pid of every child it makes; returns the list."""
+    pids, fork = [], os.fork
+
+    def recorded():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
+def _assert_reaped(pids):
+    assert pids and 0 not in pids
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def test_failed_worker_process_raises_naming_its_paths(monkeypatch):
+    # Both children raise; the first one joined names its range, and the
+    # other is reaped as the caller leaves.
+    pids = _recording_fork(monkeypatch)
+    lockstep = montecarlo._lockstep
+
+    def failing(cfg, x0, dynamics, start, *args):
+        if start != 0:
+            raise ValueError("worker range failed")
+        return lockstep(cfg, x0, dynamics, start, *args)
+
+    monkeypatch.setattr(montecarlo, "_lockstep", failing)
+    cfg = PathConfig(dt=0.01, t_end=0.5, seed=2)
+    with pytest.raises(RuntimeError, match=r"^ensemble worker for paths \[256, 512\) exited with status 1$"):
+        ensemble_moments(cfg, X0, 3 * RANGE_PATHS, SYS1, n_workers=3, record=[50])
+    assert len(pids) == 2
+    _assert_reaped(pids)
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_exception_in_the_callers_range_kills_and_reaps_the_workers(monkeypatch, error):
+    # The children would sleep for a minute; the caller's range fails at
+    # once, and the call returns as soon as they are killed.
+    pids = _recording_fork(monkeypatch)
+
+    def lockstep(cfg, x0, dynamics, start, *args):
+        if start != 0:
+            time.sleep(60.0)
+        raise error("caller's range failed")
+
+    monkeypatch.setattr(montecarlo, "_lockstep", lockstep)
+    cfg = PathConfig(dt=0.01, t_end=0.5, seed=2)
+    t0 = time.perf_counter()
+    with pytest.raises(error, match="caller's range failed"):
+        ensemble_moments(cfg, X0, 3 * RANGE_PATHS, SYS1, n_workers=3, record=[50])
+    assert time.perf_counter() - t0 < 30.0
+    assert len(pids) == 2
+    _assert_reaped(pids)
+
+
+def test_orphaned_worker_exits_at_its_next_draw_block():
+    # The forked process is told its parent is a pid that is not its
+    # parent, as a worker sees once its parent has gone: it must leave by
+    # os._exit(1) at the first draw block instead of returning.
+    cfg = PathConfig(dt=0.01, t_end=1.0, seed=2)
+    snap = np.empty((0, 9, 4))
+    pid = os.fork()
+    if pid == 0:
+        try:
+            montecarlo._lockstep(cfg, _initial_state(X0, SYS1), SYS1, 0, snap, np.arange(0), 10, False, -1)
+        finally:
+            os._exit(0)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 1
+
+
+def test_without_fork_the_ranges_run_in_the_caller_bit_for_bit(monkeypatch):
+    cfg = PathConfig(dt=0.05, t_end=1.0, seed=12)
+    n = 3 * RANGE_PATHS + 5
+    record = np.arange(cfg.n_steps + 1)
+    forked = ensemble_moments(cfg, X0, n, SYS1, n_workers=3, record=record)
+    monkeypatch.delattr(os, "fork")
+    alone = ensemble_moments(cfg, X0, n, SYS1, n_workers=3, record=record)
+    assert np.array_equal(bits(alone.mean), bits(forked.mean))
+    assert np.array_equal(bits(alone.var), bits(forked.var))
 
 
 def test_path_count_is_normalized_at_the_boundary():
@@ -609,6 +691,27 @@ def test_ensemble_blowup_reports_earliest_step_over_all_chunks():
     for workers in (1, 3):
         with pytest.raises(SimulationError, match=rf"path {path} non-finite at step {step} \("):
             ensemble_moments(cfg, x0, n, unstable, n_workers=workers, record=[cfg.n_steps])
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_blowups_in_the_callers_range_and_a_child_report_as_one_range():
+    # Every path of the unstable OU factor diverges, so the caller's range
+    # and both forked ranges record failures at once; several paths of
+    # different ranges fail at the earliest step, and the lowest of them is
+    # reported, in the caller's range for some seeds and a child's for
+    # others, as with one range.
+    unstable = ReactorParams(k1=0.01, k2=0.01, k3=0.01, caf=1.0, v=1.0, alpha=0.25, beta=1.0)
+    x0 = np.array([1.0, 0.0, 0.0])
+    n = 2 * RANGE_PATHS + 37
+    ranges = set()
+    for seed in (30, 31, 32, 33):
+        cfg = PathConfig(dt=10.0, t_end=300.0, seed=seed)
+        with pytest.raises(SimulationError) as want:
+            ensemble_moments(cfg, x0, n, unstable, n_workers=1, record=[cfg.n_steps])
+        with pytest.raises(SimulationError, match=f"^{re.escape(str(want.value))}$"):
+            ensemble_moments(cfg, x0, n, unstable, n_workers=3, record=[cfg.n_steps])
+        ranges.add(int(re.search(r"^path (\d+)", str(want.value)).group(1)) * 3 // n)
+    assert ranges == {0, 1}
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
