@@ -11,23 +11,15 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from dataclasses import replace
 
 from .carleman import build_vandevusse, write_blocks
 from .experiments import METHODS, builtin_scenario, emit_charts, emit_csv, load_scenario, run_scenario
+from .montecarlo import _usable_cpus
 from .validation import run_all
 
 logger = logging.getLogger(__name__)
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on, or the machine's count where affinity is unknown."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mat.add_argument("--scenario", default="builtin:set1")
     mat.add_argument("--out", required=True, help="output directory")
 
-    sub.add_parser("validate", help="run the acceptance checks")
+    sub.add_parser("validate", help="run the acceptance checks, one process per usable CPU")
     return parser
 
 
@@ -105,7 +97,7 @@ def _cmd_matrices(args) -> int:
 
 
 def _cmd_validate() -> int:
-    results = run_all()
+    results = run_all(n_workers=_usable_cpus())
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"

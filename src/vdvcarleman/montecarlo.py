@@ -16,27 +16,30 @@ numpy, whose x @ a^T is a BLAS product.  Reproducibility contract:
 * ensemble path i draws from the substream seed
   ``substream_seed(seed, i)``, a SplitMix64 mix that is injective in the
   path index, so substreams never collide;
-* an ensemble is split into contiguous worker ranges.  Range 0 runs in
-  the calling process and every other range in a child of it made by
-  ``os.fork`` (one after another in the calling process where there is
-  no fork).  A worker holds its range as one C-contiguous (d, count)
-  array, one column per path, and steps it in place with buffers made
-  once per call.  The bilinear step pays for the nonzeros of the system:
-  the drift is ``a @ X`` plus ``a0`` on its nonzero rows, times dt, and
-  the noise is formed only on the rows where ``d`` or ``g`` has a
-  nonzero, as ``d[R] @ X`` plus ``g``, times each path's sqrt(dt) z.  Each path sees the operations,
-  in the same order, of the row-major step
-  x + f(x) dt + g(x) (sqrt(dt) z) of the whole ensemble at once, less
-  adds of zero that cannot change it (OpenBLAS returns ``a @ X`` and
-  ``d[R] @ X`` bit for bit as the row-major products, pinned by a
-  test).  Each path draws its normals a block of time steps at a time
-  (blocked draws from one generator equal one long draw), and the state
-  is checked for finiteness once per block: a block that ends
-  non-finite is replayed from its start, checking every step;
+* an ensemble is split into contiguous worker ranges.  A single range
+  runs in the calling process; two or more run each in a child of it
+  made by ``os.fork`` (one after another in the calling process where
+  there is no fork), through `_fork_map`, the one place where this
+  package forks, waits and kills.  A worker holds its range as one
+  C-contiguous (d, count) array, one column per path, and steps it in
+  place with buffers made once per call.  The bilinear step pays for
+  the nonzeros of the system: the drift is ``a @ X`` plus ``a0`` on its
+  nonzero rows, times dt, and the noise is formed only on the rows
+  where ``d`` or ``g`` has a nonzero, as ``d[R] @ X`` plus ``g``, times
+  each path's sqrt(dt) z.  Each path sees the operations, in the same
+  order, of the row-major step x + f(x) dt + g(x) (sqrt(dt) z) of the
+  whole ensemble at once, less adds of zero that cannot change it
+  (OpenBLAS returns ``a @ X`` and ``d[R] @ X`` bit for bit as the
+  row-major products, pinned by a test).  Each path draws its normals a
+  block of time steps at a time (blocked draws from one generator equal
+  one long draw), and the state is checked for finiteness once per
+  block: a block that ends non-finite is replayed from its start,
+  checking every step;
 * at the grid indices asked for (``record``) each worker copies its
   state into its column slice of one (n_record, d, n_paths) snapshot,
   which lives in an anonymous shared mapping made before any fork, so
-  the children's columns land in the caller's array.  Once every worker
+  the children's columns land in the caller's array; a worker's
+  earliest blow-up comes back through its pipe.  Once every worker
   is done, the mean and the unbiased variance are taken over the paths
   axis of that snapshot, in one reduction.  The snapshot is the same
   array however the paths are split, so the output bytes do not depend
@@ -44,7 +47,9 @@ numpy, whose x @ a^T is a BLAS product.  Reproducibility contract:
 
 `em_mean_reference`, the exact mean of the bilinear chain, is Euler's map
 of the augmented mean ODE; `simulate_shared_noise` is the bilinear partner
-of a seed's nonlinear path, which a run simulates once.
+of a seed's nonlinear path, which a run simulates once.  `_fork_map`
+also runs the acceptance checks of `validation.run_all`, and
+`_usable_cpus` gives the CLI its default process count.
 """
 from __future__ import annotations
 
@@ -52,6 +57,8 @@ import logging
 import mmap
 import operator
 import os
+import pickle
+import select
 import signal
 import time
 from dataclasses import dataclass
@@ -357,6 +364,68 @@ def _lockstep(cfg: PathConfig, x0: np.ndarray, dynamics, start: int, snap: np.nd
     return None
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or the machine's count where affinity is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _fork_map(tasks, n_procs: int) -> list:
+    """The values of ``tasks``, (name, callable) pairs, in task order, each called in a forked child.
+
+    At most ``n_procs`` children run at once, and the next task is forked
+    as soon as one of them is done.  A child sends its value back pickled,
+    through a pipe of its own, and leaves by ``os._exit``, without logging
+    or flushing what it inherited: 0 once its value is written, non-zero
+    on any exception, which the caller reports as a `RuntimeError` naming
+    the task.  The caller reads each pipe to EOF and then waits on that
+    child's pid alone.  A child still running when the caller leaves, on
+    an exception or an interrupt, is killed and reaped, so no process
+    outlives the call.  With ``n_procs == 1``, or where there is no
+    ``os.fork``, the tasks run in the caller, in order.
+    """
+    if n_procs == 1 or not hasattr(os, "fork"):
+        return [fn() for _, fn in tasks]
+    values, todo = [None] * len(tasks), list(enumerate(tasks))[::-1]
+    running = {}  # read end of a child's pipe -> (task index, pid, bytes read)
+    try:
+        while todo or running:
+            while todo and len(running) < n_procs:
+                i, (_, fn) = todo.pop()
+                r, w = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        with open(w, "wb") as out:
+                            pickle.dump(fn(), out, pickle.HIGHEST_PROTOCOL)
+                        code = 0
+                    finally:
+                        os._exit(code)
+                running[r] = (i, pid, [])
+                os.close(w)
+            for r in select.select(list(running), [], [])[0]:
+                i, pid, chunks = running[r]
+                chunk = os.read(r, 1 << 16)
+                if chunk:
+                    chunks.append(chunk)
+                    continue
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del running[r]
+                os.close(r)
+                if code:
+                    raise RuntimeError(f"{tasks[i][0]} exited with status {code}")
+                values[i] = pickle.loads(b"".join(chunks))
+    finally:
+        for r, (_, pid, _) in running.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(r)
+    return values
+
+
 def ensemble_moments(
     cfg: PathConfig, x0, n_paths: int, dynamics, n_workers: int = 1, *, record
 ) -> EnsembleStats:
@@ -364,24 +433,22 @@ def ensemble_moments(
 
     Path i uses the substream seed ``substream_seed(cfg.seed, i)``.
     ``n_workers`` splits the paths into contiguous ranges, each advanced
-    in lockstep by one process: range 0 by the caller, every other range
-    by a child forked for it (where ``os.fork`` is missing, the caller
-    advances the ranges one after another).  ``record`` lists the grid
-    indices at which statistics are kept; row r of the result belongs to
-    grid index ``record[r]``.  Every range writes its states at those
-    indices into one (n_record, d, n_paths) snapshot, held with a
-    (n_ranges, 3) record of each range's (failed, step, path) in an
-    anonymous shared mapping made before the forks.  The mean and
+    in lockstep by one process.  One range runs in the caller; two or
+    more run each in a child forked for it by `_fork_map`, while the
+    caller only dispatches and reaps (where ``os.fork`` is missing, the
+    caller advances the ranges one after another).  ``record`` lists the
+    grid indices at which statistics are kept; row r of the result
+    belongs to grid index ``record[r]``.  Every range writes its states at
+    those indices into one (n_record, d, n_paths) snapshot, held in an
+    anonymous shared mapping made before the forks, and returns the
+    (step, path) of its earliest blow-up, or None.  The mean and
     ``ddof=1`` variance are taken over the snapshot's paths axis once
     every range is done, so the result is independent of ``n_workers``.
 
-    A child leaves by ``os._exit``, without logging or flushing what it
-    inherited: 0 once its range is done, non-zero on any exception, which
-    the caller reports as a `RuntimeError` naming the child's paths.  A
-    child still running when the caller leaves, on an exception or an
-    interrupt, is killed and reaped, so no process outlives the call.
-    Progress goes to the log from range 0, the last line with the
-    path-steps made and the wall time per path-step.
+    A range whose child fails is a `RuntimeError` naming its paths, and
+    no child outlives the call (see `_fork_map`).  Progress goes to the
+    log from range 0, the last line, from the caller, with the path-steps
+    made and the wall time per path-step.
     """
     t_start = time.perf_counter()
     n_paths, n_workers = as_int("n_paths", n_paths), as_int("n_workers", n_workers)
@@ -403,43 +470,21 @@ def ensemble_moments(
     n_ranges = min(n_workers, -(-n_paths // RANGE_PATHS))
     bounds = [n_paths * w // n_ranges for w in range(n_ranges + 1)]
     block = max(1, DRAW_BUFFER // n_paths)
-    shared = mmap.mmap(-1, 8 * (steps.size * x0.size * n_paths + 3 * n_ranges))
-    snap = np.ndarray((steps.size, x0.size, n_paths), buffer=shared)
-    failures = np.ndarray((n_ranges, 3), dtype=np.int64, buffer=shared, offset=snap.nbytes)
+    nbytes = 8 * steps.size * x0.size * n_paths
+    # An anonymous mapping cannot be empty, so one with nothing to record holds a byte.
+    snap = np.ndarray((steps.size, x0.size, n_paths), buffer=mmap.mmap(-1, max(1, nbytes)))
+    caller = os.getpid()
 
-    def run(w, parent=None):
+    def task(w):
         first, last = bounds[w], bounds[w + 1]
-        failure = _lockstep(cfg, x0, dynamics, first, snap[:, :, first:last], steps, block, w == 0, parent)
-        if failure is not None:
-            failures[w] = (1, *failure)
 
-    forked = range(1, n_ranges) if hasattr(os, "fork") else range(0)
-    children, parent = {}, os.getpid()
-    try:
-        for w in forked:
-            pid = os.fork()
-            if pid == 0:
-                code = 1
-                try:
-                    run(w, parent)
-                    code = 0
-                finally:
-                    os._exit(code)
-            children[pid] = w
-        for w in range(n_ranges):
-            if w not in forked:
-                run(w)
-        for pid, w in list(children.items()):
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[pid]
-            if code:
-                raise RuntimeError(f"ensemble worker for paths [{bounds[w]}, {bounds[w + 1]}) "
-                                   f"exited with status {code}")
-    finally:
-        for pid in children:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    failed = [(step, path) for flag, step, path in failures.tolist() if flag]
+        def run():
+            parent = None if os.getpid() == caller else caller
+            return _lockstep(cfg, x0, dynamics, first, snap[:, :, first:last], steps, block, w == 0, parent)
+
+        return f"ensemble worker for paths [{first}, {last})", run
+
+    failed = [f for f in _fork_map([task(w) for w in range(n_ranges)], n_ranges) if f is not None]
     if failed:
         step, path = min(failed)
         raise SimulationError(f"path {path} non-finite at step {step} (t={step * cfg.dt:.6g})")

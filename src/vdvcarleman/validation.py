@@ -2,14 +2,20 @@
 
 Each check is independent and returns a `CheckResult`; `run_all` executes
 the full suite (also reachable via the CLI ``validate`` subcommand, which
-exits nonzero if anything fails).  Reference values for the variance
-tables come from the published benchmark tables; where a reference cell
-is internally inconsistent the check says so in its detail string rather
-than silently adjusting.
+exits nonzero if anything fails).  The checks share no state, so
+``run_all(n_workers)`` runs them in forked children, at most that many at
+once, through `montecarlo._fork_map`, and returns their results in
+criterion order; ``validate`` asks for one child per usable CPU, and the
+library default of one runs them in the caller.  Each check's wall time,
+measured where it ran, goes to the log at INFO.  Reference values for
+the variance tables come from the published benchmark tables; where a
+reference cell is internally inconsistent the check says so in its
+detail string rather than silently adjusting.
 """
 from __future__ import annotations
 
 import filecmp
+import logging
 import tempfile
 import time
 from dataclasses import dataclass, replace
@@ -21,6 +27,9 @@ from .ekf import ekf_predict
 from .model import PARAM_SET1, PARAM_SET2
 from .moments import crosscheck_mean_paths, grid_steps, integrate_augmented, integrate_physical, ou_variance
 from .experiments import builtin_scenario, emit_csv, run_scenario
+from .montecarlo import _fork_map, as_int
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -236,8 +245,9 @@ def _compare_csv(path_a: str, path_b: str, tol: float) -> float:
 
 def check_determinism() -> CheckResult:
     """Same seed, different worker counts: emitted CSVs must agree to 1e-12."""
+    # 1024 paths allow four ranges, so the 4-worker run forks four children.
     scenario = replace(
-        builtin_scenario("set1"), t_end=20.0, checkpoints=(1.0, 5.0, 10.0, 20.0), mc_paths=400
+        builtin_scenario("set1"), t_end=20.0, checkpoints=(1.0, 5.0, 10.0, 20.0), mc_paths=1024
     )
     with tempfile.TemporaryDirectory(prefix="vdv_det_1_") as out_1, \
             tempfile.TemporaryDirectory(prefix="vdv_det_4_") as out_4:
@@ -273,6 +283,28 @@ ALL_CHECKS = (
 )
 
 
-def run_all() -> list[CheckResult]:
-    """Run every acceptance check in order."""
-    return [check() for check in ALL_CHECKS]
+def _timed(check):
+    """A task that runs ``check`` and returns its result with its wall time in seconds."""
+
+    def run():
+        t0 = time.perf_counter()
+        result = check()
+        return result, time.perf_counter() - t0
+
+    return run
+
+
+def run_all(n_workers: int = 1) -> list[CheckResult]:
+    """Run every check of `ALL_CHECKS`, in ``n_workers`` processes, and return the results in order.
+
+    `ALL_CHECKS` is read at call time.  With more than one worker each
+    check runs in a forked child, and a check that raises there is a
+    `RuntimeError` naming it.
+    """
+    n_workers = as_int("n_workers", n_workers)
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be at least 1, got {n_workers}")
+    timed = _fork_map([(f"acceptance check {check.__name__}", _timed(check)) for check in ALL_CHECKS], n_workers)
+    for result, elapsed in timed:
+        logger.info("criterion %d ran in %.3f s", result.number, elapsed)
+    return [result for result, _ in timed]

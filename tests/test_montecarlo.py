@@ -1,6 +1,9 @@
+import contextlib
+import functools
 import logging
 import os
 import re
+import signal
 import time
 from unittest import mock
 
@@ -228,8 +231,8 @@ def test_zero_noise_ensemble_has_zero_variance():
 
 
 def test_worker_count_does_not_change_results():
-    # The caller and three forked children write their columns of the one
-    # shared snapshot; a lost or misplaced column would move the statistics.
+    # Four forked children write their columns of the one shared snapshot;
+    # a lost or misplaced column would move the statistics.
     cfg = PathConfig(dt=0.01, t_end=1.0, seed=6)
     n = 4 * RANGE_PATHS + 37  # an uneven four-range split
     a = ensemble_moments(cfg, X0, n, SYS1, n_workers=1, record=[0, 50, 100])
@@ -258,14 +261,29 @@ def _assert_reaped(pids):
             os.kill(pid, 0)
 
 
+@contextlib.contextmanager
+def _raising_after(seconds, error):
+    """Raise ``error`` in this process, from a SIGALRM handler, ``seconds`` from now."""
+    def handler(signum, frame):
+        raise error("interrupted while waiting")
+
+    previous = signal.signal(signal.SIGALRM, handler)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_failed_worker_process_raises_naming_its_paths(monkeypatch):
-    # Both children raise; the first one joined names its range, and the
-    # other is reaped as the caller leaves.
+    # Every range runs in a child; the middle one raises, and the other two
+    # are done or killed and reaped as the caller leaves.
     pids = _recording_fork(monkeypatch)
     lockstep = montecarlo._lockstep
 
     def failing(cfg, x0, dynamics, start, *args):
-        if start != 0:
+        if start == RANGE_PATHS:
             raise ValueError("worker range failed")
         return lockstep(cfg, x0, dynamics, start, *args)
 
@@ -273,29 +291,113 @@ def test_failed_worker_process_raises_naming_its_paths(monkeypatch):
     cfg = PathConfig(dt=0.01, t_end=0.5, seed=2)
     with pytest.raises(RuntimeError, match=r"^ensemble worker for paths \[256, 512\) exited with status 1$"):
         ensemble_moments(cfg, X0, 3 * RANGE_PATHS, SYS1, n_workers=3, record=[50])
-    assert len(pids) == 2
+    assert len(pids) == 3
     _assert_reaped(pids)
 
 
 @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
-def test_exception_in_the_callers_range_kills_and_reaps_the_workers(monkeypatch, error):
-    # The children would sleep for a minute; the caller's range fails at
-    # once, and the call returns as soon as they are killed.
+def test_an_error_while_waiting_kills_and_reaps_the_workers(monkeypatch, error):
+    # The children would sleep for a minute; the caller is interrupted while
+    # it waits for them, and the call returns as soon as they are killed.
     pids = _recording_fork(monkeypatch)
 
-    def lockstep(cfg, x0, dynamics, start, *args):
-        if start != 0:
-            time.sleep(60.0)
-        raise error("caller's range failed")
+    def lockstep(*args):
+        time.sleep(60.0)
 
     monkeypatch.setattr(montecarlo, "_lockstep", lockstep)
     cfg = PathConfig(dt=0.01, t_end=0.5, seed=2)
     t0 = time.perf_counter()
-    with pytest.raises(error, match="caller's range failed"):
+    with pytest.raises(error, match="interrupted while waiting"), _raising_after(0.2, error):
         ensemble_moments(cfg, X0, 3 * RANGE_PATHS, SYS1, n_workers=3, record=[50])
+    assert time.perf_counter() - t0 < 30.0
+    assert len(pids) == 3
+    _assert_reaped(pids)
+
+
+def test_fork_map_returns_values_in_task_order_when_tasks_finish_out_of_order():
+    # The last task is done first; the first one sends more than a pipe holds.
+    def task(i):
+        def run():
+            time.sleep(0.2 * (3 - i))
+            return i, time.monotonic(), np.arange(100_000 if i == 0 else i)
+
+        return f"task {i}", run
+
+    values = montecarlo._fork_map([task(i) for i in range(4)], 4)
+    assert [v[0] for v in values] == [0, 1, 2, 3]
+    done = [v[1] for v in values]
+    assert done == sorted(done, reverse=True)
+    assert np.array_equal(values[0][2], np.arange(100_000)) and values[3][2].tolist() == [0, 1, 2]
+
+
+def test_fork_map_never_has_more_than_n_procs_children(monkeypatch):
+    # A child counts from its fork until the caller has reaped it.
+    alive, most = set(), []
+    fork, waitpid = os.fork, os.waitpid
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            alive.add(pid)
+            most.append(len(alive))
+        return pid
+
+    def counted_waitpid(pid, options):
+        status = waitpid(pid, options)
+        alive.discard(pid)
+        return status
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(os, "waitpid", counted_waitpid)
+    tasks = [(f"task {i}", functools.partial(time.sleep, 0.05 * (i % 3))) for i in range(7)]
+    assert montecarlo._fork_map(tasks, 2) == [None] * 7
+    assert len(most) == 7 and max(most) == 2 and not alive
+
+
+def test_fork_map_names_a_raising_task_and_kills_and_reaps_the_others(monkeypatch):
+    pids = _recording_fork(monkeypatch)
+
+    def fail():
+        raise ValueError("task failed")
+
+    sleep = functools.partial(time.sleep, 60.0)
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match=r"^the failing task exited with status 1$"):
+        montecarlo._fork_map([("sleeper", sleep), ("the failing task", fail), ("sleeper", sleep)], 3)
+    assert time.perf_counter() - t0 < 30.0
+    assert len(pids) == 3
+    _assert_reaped(pids)
+
+
+def test_fork_map_interrupted_while_waiting_kills_and_reaps_every_child(monkeypatch):
+    pids = _recording_fork(monkeypatch)
+    tasks = [(f"sleeper {i}", functools.partial(time.sleep, 60.0)) for i in range(2)]
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt), _raising_after(0.2, KeyboardInterrupt):
+        montecarlo._fork_map(tasks, 2)
     assert time.perf_counter() - t0 < 30.0
     assert len(pids) == 2
     _assert_reaped(pids)
+
+
+def test_fork_map_without_fork_or_with_one_process_runs_the_tasks_in_the_caller(monkeypatch):
+    ran = []
+
+    def task(i):
+        def run():
+            ran.append(i)
+            return i * i, os.getpid()
+
+        return f"task {i}", run
+
+    forked = montecarlo._fork_map([task(i) for i in range(3)], 3)
+    assert ran == [] and all(pid != os.getpid() for _, pid in forked)
+    assert montecarlo._fork_map([task(i) for i in range(3)], 1) == [(i * i, os.getpid()) for i in range(3)]
+    monkeypatch.delattr(os, "fork")
+    alone = montecarlo._fork_map([task(i) for i in range(3)], 3)
+    assert ran == [0, 1, 2, 0, 1, 2]
+    assert alone == [(i * i, os.getpid()) for i in range(3)]
+    assert [v for v, _ in alone] == [v for v, _ in forked]
 
 
 def test_orphaned_worker_exits_at_its_next_draw_block():
@@ -694,12 +796,12 @@ def test_ensemble_blowup_reports_earliest_step_over_all_chunks():
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
-def test_blowups_in_the_callers_range_and_a_child_report_as_one_range():
-    # Every path of the unstable OU factor diverges, so the caller's range
-    # and both forked ranges record failures at once; several paths of
-    # different ranges fail at the earliest step, and the lowest of them is
-    # reported, in the caller's range for some seeds and a child's for
-    # others, as with one range.
+def test_blowups_in_several_ranges_report_as_one_range():
+    # Every path of the unstable OU factor diverges, so all three forked
+    # ranges return failures at once; several paths of different ranges
+    # fail at the earliest step, and the lowest of them is reported, in the
+    # first range for some seeds and the second for others, as with one
+    # range.
     unstable = ReactorParams(k1=0.01, k2=0.01, k3=0.01, caf=1.0, v=1.0, alpha=0.25, beta=1.0)
     x0 = np.array([1.0, 0.0, 0.0])
     n = 2 * RANGE_PATHS + 37
@@ -742,14 +844,18 @@ def test_bilinear_blowup_inside_a_draw_block_reports_earliest_step(monkeypatch):
 
 
 def test_ensemble_progress_is_logged(caplog):
+    # One range logs its progress in the caller; a forked range 0 logs in its
+    # child, and the caller writes only the last line.
     cfg = PathConfig(dt=0.01, t_end=2.0, seed=1)
-    with caplog.at_level(logging.INFO, logger="vdvcarleman.montecarlo"):
-        ensemble_moments(cfg, X0, 2 * RANGE_PATHS, SYS1, n_workers=2, record=[])
-    lines = [r.message for r in caplog.records if r.name == "vdvcarleman.montecarlo"]
-    assert 1 <= len(lines) <= 10
-    assert "step 200/200 (100%)" in lines[-1] and "ETA" in lines[-1]
-    # the last line, written once every worker is done, carries the cost
-    m = re.search(r"; (\d+) path-steps in ([0-9.]+) s, ([0-9.]+) ns per path-step$", lines[-1])
-    assert m and int(m.group(1)) == 2 * RANGE_PATHS * 200
-    assert float(m.group(3)) > 0.0
-    assert all("path-steps" not in line for line in lines[:-1])
+    for workers, n_lines in ((1, 10), (2, 1)):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="vdvcarleman.montecarlo"):
+            ensemble_moments(cfg, X0, 2 * RANGE_PATHS, SYS1, n_workers=workers, record=[])
+        lines = [r.message for r in caplog.records if r.name == "vdvcarleman.montecarlo"]
+        assert len(lines) == n_lines
+        assert "step 200/200 (100%)" in lines[-1] and "ETA" in lines[-1]
+        # the last line, written once every worker is done, carries the cost
+        m = re.search(r"; (\d+) path-steps in ([0-9.]+) s, ([0-9.]+) ns per path-step$", lines[-1])
+        assert m and int(m.group(1)) == 2 * RANGE_PATHS * 200
+        assert float(m.group(3)) > 0.0
+        assert all("path-steps" not in line for line in lines[:-1])
