@@ -48,8 +48,8 @@ numpy, whose x @ a^T is a BLAS product.  Reproducibility contract:
 `em_mean_reference`, the exact mean of the bilinear chain, is Euler's map
 of the augmented mean ODE; `simulate_shared_noise` is the bilinear partner
 of a seed's nonlinear path, which a run simulates once.  `_fork_map`
-also runs the acceptance checks of `validation.run_all`, and
-`_usable_cpus` gives the CLI its default process count.
+also runs the acceptance checks of `validation.run_all`, one per usable
+CPU (`_usable_cpus`, also the default worker count of ``run``).
 """
 from __future__ import annotations
 
@@ -61,6 +61,7 @@ import pickle
 import select
 import signal
 import time
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -377,14 +378,16 @@ def _fork_map(tasks, n_procs: int) -> list:
 
     At most ``n_procs`` children run at once, and the next task is forked
     as soon as one of them is done.  A child sends its value back pickled,
-    through a pipe of its own, and leaves by ``os._exit``, without logging
-    or flushing what it inherited: 0 once its value is written, non-zero
-    on any exception, which the caller reports as a `RuntimeError` naming
-    the task.  The caller reads each pipe to EOF and then waits on that
-    child's pid alone.  A child still running when the caller leaves, on
-    an exception or an interrupt, is killed and reaped, so no process
-    outlives the call.  With ``n_procs == 1``, or where there is no
-    ``os.fork``, the tasks run in the caller, in order.
+    through a pipe of its own, and leaves by ``os._exit``: 0 once its value
+    is written, 1 on any exception, after writing its traceback to the
+    pipe instead.  A child may log through the handlers it inherited, but
+    it never flushes inherited stdio buffers or runs the caller's exit
+    handlers.  The caller reads each pipe to EOF and then waits on that
+    child's pid alone; a non-zero exit is a `RuntimeError` naming the task,
+    followed by the child's traceback.  A child still running when the
+    caller leaves, on an exception or an interrupt, is killed and reaped,
+    so no process outlives the call.  With ``n_procs == 1``, or where there
+    is no ``os.fork``, the tasks run in the caller, in order.
     """
     if n_procs == 1 or not hasattr(os, "fork"):
         return [fn() for _, fn in tasks]
@@ -400,7 +403,12 @@ def _fork_map(tasks, n_procs: int) -> list:
                     code = 1
                     try:
                         with open(w, "wb") as out:
-                            pickle.dump(fn(), out, pickle.HIGHEST_PROTOCOL)
+                            try:
+                                value = pickle.dumps(fn(), pickle.HIGHEST_PROTOCOL)
+                            except BaseException:
+                                out.write(traceback.format_exc().encode())
+                                raise
+                            out.write(value)
                         code = 0
                     finally:
                         os._exit(code)
@@ -416,7 +424,8 @@ def _fork_map(tasks, n_procs: int) -> list:
                 del running[r]
                 os.close(r)
                 if code:
-                    raise RuntimeError(f"{tasks[i][0]} exited with status {code}")
+                    told = b"".join(chunks).decode(errors="replace")
+                    raise RuntimeError(f"{tasks[i][0]} exited with status {code}" + (f"\n{told}" if told else ""))
                 values[i] = pickle.loads(b"".join(chunks))
     finally:
         for r, (_, pid, _) in running.items():

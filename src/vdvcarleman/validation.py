@@ -3,11 +3,10 @@
 Each check is independent and returns a `CheckResult`; `run_all` executes
 the full suite (also reachable via the CLI ``validate`` subcommand, which
 exits nonzero if anything fails).  The checks share no state, so
-``run_all(n_workers)`` runs them in forked children, at most that many at
-once, through `montecarlo._fork_map`, and returns their results in
-criterion order; ``validate`` asks for one child per usable CPU, and the
-library default of one runs them in the caller.  Each check's wall time,
-measured where it ran, goes to the log at INFO.  Reference values for
+`run_all` runs them in forked children, one per usable CPU at a time,
+through `montecarlo._fork_map`, and returns their results in criterion
+order.  Each check's wall time, measured where it ran, goes to the log at
+INFO.  Reference values for
 the variance tables come from the published benchmark tables; where a
 reference cell is internally inconsistent the check says so in its
 detail string rather than silently adjusting.
@@ -27,7 +26,7 @@ from .ekf import ekf_predict
 from .model import PARAM_SET1, PARAM_SET2
 from .moments import crosscheck_mean_paths, grid_steps, integrate_augmented, integrate_physical, ou_variance
 from .experiments import builtin_scenario, emit_csv, run_scenario
-from .montecarlo import _fork_map, as_int
+from .montecarlo import _fork_map, _usable_cpus
 
 logger = logging.getLogger(__name__)
 
@@ -294,17 +293,15 @@ def _timed(check):
     return run
 
 
-def run_all(n_workers: int = 1) -> list[CheckResult]:
-    """Run every check of `ALL_CHECKS`, in ``n_workers`` processes, and return the results in order.
+def run_all() -> list[CheckResult]:
+    """Run every check of `ALL_CHECKS`, one process per usable CPU, and return the results in order.
 
-    `ALL_CHECKS` is read at call time.  With more than one worker each
-    check runs in a forked child, and a check that raises there is a
-    `RuntimeError` naming it.
+    `ALL_CHECKS` is read at call time.  With more than one CPU each check
+    runs in a forked child, and a check that raises there is a
+    `RuntimeError` naming it, with its traceback.
     """
-    n_workers = as_int("n_workers", n_workers)
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be at least 1, got {n_workers}")
-    timed = _fork_map([(f"acceptance check {check.__name__}", _timed(check)) for check in ALL_CHECKS], n_workers)
+    timed = _fork_map([(f"acceptance check {check.__name__}", _timed(check)) for check in ALL_CHECKS],
+                      _usable_cpus())
     for result, elapsed in timed:
         logger.info("criterion %d ran in %.3f s", result.number, elapsed)
     return [result for result, _ in timed]

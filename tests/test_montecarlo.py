@@ -289,8 +289,9 @@ def test_failed_worker_process_raises_naming_its_paths(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_lockstep", failing)
     cfg = PathConfig(dt=0.01, t_end=0.5, seed=2)
-    with pytest.raises(RuntimeError, match=r"^ensemble worker for paths \[256, 512\) exited with status 1$"):
+    with pytest.raises(RuntimeError, match=r"^ensemble worker for paths \[256, 512\) exited with status 1\n") as got:
         ensemble_moments(cfg, X0, 3 * RANGE_PATHS, SYS1, n_workers=3, record=[50])
+    assert str(got.value).endswith("ValueError: worker range failed\n")
     assert len(pids) == 3
     _assert_reaped(pids)
 
@@ -362,8 +363,9 @@ def test_fork_map_names_a_raising_task_and_kills_and_reaps_the_others(monkeypatc
 
     sleep = functools.partial(time.sleep, 60.0)
     t0 = time.perf_counter()
-    with pytest.raises(RuntimeError, match=r"^the failing task exited with status 1$"):
+    with pytest.raises(RuntimeError, match=r"^the failing task exited with status 1\nTraceback ") as got:
         montecarlo._fork_map([("sleeper", sleep), ("the failing task", fail), ("sleeper", sleep)], 3)
+    assert str(got.value).endswith("ValueError: task failed\n")
     assert time.perf_counter() - t0 < 30.0
     assert len(pids) == 3
     _assert_reaped(pids)

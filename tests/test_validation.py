@@ -24,7 +24,7 @@ def _stub(number, passed=True, delay=0.0):
 def test_validate_prints_in_criterion_order_and_exits_1_on_a_failure(monkeypatch, capsys, failing):
     # The later criteria are done first; each runs in a child of its own.
     pids = _recording_fork(monkeypatch)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(validation, "_usable_cpus", lambda: 4)
     checks = tuple(_stub(n, n not in failing, 0.1 * (4 - n)) for n in range(1, 5))
     monkeypatch.setattr(validation, "ALL_CHECKS", checks)
     code = cli.main(["validate"])
@@ -35,35 +35,39 @@ def test_validate_prints_in_criterion_order_and_exits_1_on_a_failure(monkeypatch
 
 
 def test_run_all_logs_each_criterions_wall_time_in_order(monkeypatch, caplog):
+    monkeypatch.setattr(validation, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(validation, "ALL_CHECKS", (_stub(1, delay=0.3), _stub(2)))
     with caplog.at_level(logging.INFO, logger="vdvcarleman.validation"):
-        results = validation.run_all(n_workers=2)
+        results = validation.run_all()
     assert [r.number for r in results] == [1, 2]
     times = [re.fullmatch(r"criterion (\d) ran in ([0-9.]+) s", r.message) for r in caplog.records]
     assert [m.group(1) for m in times] == ["1", "2"]
     assert float(times[0].group(2)) >= 0.3 > float(times[1].group(2))
 
 
+def _run_all_on(monkeypatch, cpus):
+    monkeypatch.setattr(validation, "_usable_cpus", lambda: cpus)
+    return validation.run_all()
+
+
 def test_run_all_in_children_equals_run_all_in_the_caller(monkeypatch):
     monkeypatch.setattr(validation, "ALL_CHECKS", tuple(_stub(n, n % 2 == 0) for n in range(1, 6)))
-    assert validation.run_all(n_workers=3) == validation.run_all()
+    pids = _recording_fork(monkeypatch)
+    assert _run_all_on(monkeypatch, 3) == _run_all_on(monkeypatch, 1)
+    assert len(pids) == 5
 
 
-def test_a_check_that_raises_in_a_child_is_named(monkeypatch):
+def test_a_check_that_raises_in_a_child_is_named_with_its_traceback(monkeypatch):
     def check_broken():
         raise ValueError("broken check")
 
     monkeypatch.setattr(validation, "ALL_CHECKS", (_stub(1), check_broken))
-    with pytest.raises(RuntimeError, match=r"^acceptance check check_broken exited with status 1$"):
-        validation.run_all(n_workers=2)
+    with pytest.raises(RuntimeError, match=r"^acceptance check check_broken exited with status 1\n") as got:
+        _run_all_on(monkeypatch, 2)
+    assert "in check_broken\n" in str(got.value)
+    assert str(got.value).endswith("ValueError: broken check\n")
     with pytest.raises(ValueError, match="broken check"):
-        validation.run_all()
-
-
-@pytest.mark.parametrize("bad", [0, 1.0, True])
-def test_run_all_rejects_a_bad_worker_count(bad):
-    with pytest.raises(ValueError, match="n_workers"):
-        validation.run_all(n_workers=bad)
+        _run_all_on(monkeypatch, 1)
 
 
 def test_criterion_10_splits_its_ensemble_four_ways(monkeypatch):
