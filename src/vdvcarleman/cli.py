@@ -9,13 +9,23 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
+import os
 import sys
 from dataclasses import replace
 
 from .carleman import build_vandevusse, write_blocks
-from .experiments import METHODS, builtin_scenario, emit_charts, emit_csv, load_scenario, run_scenario
+from .experiments import (
+    METHODS,
+    builtin_scenario,
+    emit_charts,
+    emit_summary,
+    emit_trajectories,
+    load_scenario,
+    run_scenario,
+)
 from .montecarlo import _usable_cpus
 
 logger = logging.getLogger(__name__)
@@ -74,11 +84,23 @@ def _apply_overrides(scenario, args):
 def _cmd_run(args) -> int:
     scenario = _apply_overrides(load_scenario(args.scenario), args)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    report = run_scenario(scenario, methods, mc_workers=args.mc_workers)
-    paths = emit_csv(report, args.out)
-    if not args.no_charts:
-        paths += emit_charts(report, args.out)
-    for p in paths:
+    paths, charts = [], []
+
+    def emit_beside_the_ensemble(report):
+        paths.extend(emit_trajectories(report, args.out))
+        if not args.no_charts:
+            charts.extend(emit_charts(report, args.out))
+
+    try:
+        report = run_scenario(scenario, methods, mc_workers=args.mc_workers, meanwhile=emit_beside_the_ensemble)
+        paths += emit_summary(report, args.out)
+    except BaseException:
+        # A failed run leaves none of the files it wrote.
+        for p in paths + charts:
+            with contextlib.suppress(OSError):
+                os.remove(p)
+        raise
+    for p in paths + charts:
         print(p)
     return 0
 

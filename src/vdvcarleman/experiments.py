@@ -11,8 +11,12 @@ on one shared time grid:
 
 All methods are compared against one seeded realization of the nonlinear
 SDE ("true" path, simulated once); absolute prediction errors are
-e_i(t) = |x_i_true(t) - mean_i(t)| for the two concentrations.  Reports
-can be emitted as CSV files and standalone SVG charts.
+e_i(t) = |x_i_true(t) - mean_i(t)| for the two concentrations.  Only the
+Monte Carlo rows read the ensemble statistics: everything else, and a
+caller's ``meanwhile(report)``, runs while the ensemble's forked ranges
+do.  Reports can be emitted as CSV files and standalone SVG charts;
+`emit_trajectories` and `emit_charts` need no ensemble statistics,
+`emit_summary` does, and `emit_csv` writes both CSV halves.
 """
 from __future__ import annotations
 
@@ -202,8 +206,6 @@ class McResult:
     stats: EnsembleStats
     ode_mean: np.ndarray  # (n_grid, 9), augmented mean ODE from the point start
     rows: list[dict]  # per (checkpoint, component) comparison
-    coupled_xi: np.ndarray  # (n_grid, 9) bilinear path on the noise of the report's true path
-    tracking_max_abs_dx1: float  # max |x1| gap between the true path and coupled_xi
 
 
 @dataclass
@@ -220,13 +222,26 @@ class ComparisonReport:
     errors: dict = field(default_factory=dict)  # method -> (n_grid, 2)
     psd_min_eig: dict = field(default_factory=dict)  # method -> {t: min eigenvalue}
     notes: list = field(default_factory=list)
+    coupled_xi: np.ndarray | None = None  # (n_grid, 9) bilinear path on the noise of the true path (mc only)
+    tracking_max_abs_dx1: float | None = None  # max |x1| gap between the true path and coupled_xi
 
 
 _COMPONENTS = ("x1", "x2", "x3", "x1x1", "x1x2", "x1x3", "x2x2", "x2x3", "x3x3")
 
 
-def run_scenario(scenario: Scenario, methods, mc_workers: int = 1) -> ComparisonReport:
-    """Execute the selected methods on the scenario's shared grid."""
+def run_scenario(scenario: Scenario, methods, mc_workers: int = 1, meanwhile=None) -> ComparisonReport:
+    """Execute the selected methods on the scenario's shared grid.
+
+    Everything but the ensemble statistics is made first: the true path,
+    ``carleman`` and ``ekf`` with their errors and PSD minima and, for
+    ``mc``, the augmented and Euler mean references and the shared-noise
+    pair.  Then ``meanwhile(report)``, if given, is called with the report
+    so far (``report.mc`` still None).  With ``mc`` this all runs while the
+    ensemble's forked ranges do (see `montecarlo.ensemble_moments`), and
+    ``report.mc`` is filled in once they are done.  A failing method is a
+    `RuntimeError` naming it; the true path fails first, then
+    ``carleman``, ``ekf`` and ``mc``.
+    """
     requested = set(methods)
     unknown = requested - set(METHODS)
     if unknown:
@@ -242,10 +257,15 @@ def run_scenario(scenario: Scenario, methods, mc_workers: int = 1) -> Comparison
     if scenario.name == "set1":
         report.notes.append(TABLE_NOTE_SET1)
     if not methods:
+        if meanwhile is not None:
+            meanwhile(report)
         return report
 
     sys = build_vandevusse(p)
     x0 = scenario.x0.as_array()
+    cfg = PathConfig(dt=dt, t_end=t_end, seed=scenario.seed)
+    ks = [grid_index(dt, c) for c in scenario.checkpoints]
+    mc_references = []  # (ode, euler), once everything beside the ensemble is done
 
     def run(name, fn):
         try:
@@ -253,23 +273,43 @@ def run_scenario(scenario: Scenario, methods, mc_workers: int = 1) -> Comparison
         except (IntegrationError, RuntimeError) as exc:
             raise RuntimeError(f"method {name!r} failed: {exc}") from exc
 
-    # One seeded realization of the exact SDE is the error reference.
-    cfg_true = PathConfig(dt=dt, t_end=t_end, seed=scenario.seed)
-    _, true_path = run("true", lambda: simulate_path(cfg_true, x0, p))
-    report.true_path = true_path
+    def beside_the_ensemble():
+        # One seeded realization of the exact SDE is the error reference.
+        _, true_path = run("true", lambda: simulate_path(cfg, x0, p))
+        report.true_path = true_path
+        if "carleman" in methods:
+            series = run("carleman", lambda: integrate_physical(p, x0, np.diag(scenario.p0_diag), dt, t_end))
+            report.carleman = series
+            report.errors["carleman"] = np.abs(true_path[:, :2] - series.mean[:, :2])
+            report.psd_min_eig["carleman"] = _psd_at_checkpoints(series, scenario)
+        if "ekf" in methods:
+            series = run("ekf", lambda: ekf_predict(p, x0, np.diag(scenario.p0_diag), dt, t_end))
+            report.ekf = series
+            report.errors["ekf"] = np.abs(true_path[:, :2] - series.mean[:, :2])
+            report.psd_min_eig["ekf"] = _psd_at_checkpoints(series, scenario)
+        if "mc" in methods:
+            references = run("mc", lambda: _mc_references(scenario, sys, x0, ks))
+            # The true path is the nonlinear half of the shared-noise pair.
+            _, report.coupled_xi = run("mc", lambda: simulate_shared_noise(sys, x0, dt, t_end, scenario.seed))
+            report.tracking_max_abs_dx1 = float(np.abs(true_path[:, 0] - report.coupled_xi[:, 0]).max())
+            logger.info("shared-noise pair: max |x1 difference| = %.6g over [0, %g]",
+                        report.tracking_max_abs_dx1, t_end)
+        if meanwhile is not None:
+            meanwhile(report)
+        if "mc" in methods:
+            mc_references.append(references)
 
-    if "carleman" in methods:
-        series = run("carleman", lambda: integrate_physical(p, x0, np.diag(scenario.p0_diag), dt, t_end))
-        report.carleman = series
-        report.errors["carleman"] = np.abs(true_path[:, :2] - series.mean[:, :2])
-        report.psd_min_eig["carleman"] = _psd_at_checkpoints(series, scenario)
-    if "ekf" in methods:
-        series = run("ekf", lambda: ekf_predict(p, x0, np.diag(scenario.p0_diag), dt, t_end))
-        report.ekf = series
-        report.errors["ekf"] = np.abs(true_path[:, :2] - series.mean[:, :2])
-        report.psd_min_eig["ekf"] = _psd_at_checkpoints(series, scenario)
-    if "mc" in methods:
-        report.mc = run("mc", lambda: _run_mc(scenario, sys, x0, true_path, mc_workers))
+    if "mc" not in methods:
+        beside_the_ensemble()
+        return report
+    try:
+        stats = ensemble_moments(cfg, x0, scenario.mc_paths, sys, n_workers=mc_workers, record=ks,
+                                 meanwhile=beside_the_ensemble)
+    except (IntegrationError, RuntimeError) as exc:
+        if not mc_references:  # raised beside the ensemble, and named there
+            raise
+        raise RuntimeError(f"method 'mc' failed: {exc}") from exc
+    report.mc = _mc_result(scenario, stats, *mc_references[0])
     return report
 
 
@@ -281,22 +321,24 @@ def _psd_at_checkpoints(series: MomentSeries, scenario: Scenario) -> dict:
     return out
 
 
-def _run_mc(scenario: Scenario, sys: BilinearSystem, x0: np.ndarray, true_path: np.ndarray, workers: int) -> McResult:
+def _mc_references(scenario: Scenario, sys: BilinearSystem, x0: np.ndarray, ks: list) -> tuple:
+    """(ode, euler): the whole augmented mean path, and the Euler mean at the grid indices ``ks``."""
     dt, t_end = scenario.dt, scenario.t_end
-    cfg = PathConfig(dt=dt, t_end=t_end, seed=scenario.seed)
-    ks = [grid_index(dt, c) for c in scenario.checkpoints]
-    stats = ensemble_moments(cfg, x0, scenario.mc_paths, sys, n_workers=workers, record=ks)
-
     # The bilinear mean obeys the augmented mean ODE exactly; paths start
     # at a point, so the ODE starts from the lifted state with no spread.
     _, ode = augmented_mean_path(sys, point_lift(x0), dt, t_end)
     # Bias-free reference: the exact expectation of the simulated chain.
-    _, euler_ode = em_mean_reference(sys, x0, dt, t_end)
+    _, euler = em_mean_reference(sys, x0, dt, t_end)
+    return ode, euler[ks]
 
+
+def _mc_result(scenario: Scenario, stats: EnsembleStats, ode: np.ndarray, euler: np.ndarray) -> McResult:
+    """The validation rows of ``stats`` against the references; ``euler`` row r is checkpoint r."""
     rows = []
-    for r, (c, k) in enumerate(zip(scenario.checkpoints, ks)):
+    for r, c in enumerate(scenario.checkpoints):
+        k = grid_index(scenario.dt, c)
         for j, comp in enumerate(_COMPONENTS):
-            err = abs(float(stats.mean[r, j] - euler_ode[k, j]))
+            err = abs(float(stats.mean[r, j] - euler[r, j]))
             se = float(stats.stderr[r, j])
             rows.append(
                 {
@@ -304,18 +346,13 @@ def _run_mc(scenario: Scenario, sys: BilinearSystem, x0: np.ndarray, true_path: 
                     "component": comp,
                     "mc_mean": float(stats.mean[r, j]),
                     "ode_mean": float(ode[k, j]),
-                    "ode_em_mean": float(euler_ode[k, j]),
+                    "ode_em_mean": float(euler[r, j]),
                     "stderr": se,
                     "abs_err": err,
                     "within_3_stderr": int(err <= 3.0 * se),
                 }
             )
-
-    # The true path is the nonlinear half of the shared-noise pair.
-    _, xi_bl = simulate_shared_noise(sys, x0, dt, t_end, scenario.seed)
-    gap = float(np.abs(true_path[:, 0] - xi_bl[:, 0]).max())
-    logger.info("shared-noise pair: max |x1 difference| = %.6g over [0, %g]", gap, t_end)
-    return McResult(stats=stats, ode_mean=ode, rows=rows, coupled_xi=xi_bl, tracking_max_abs_dx1=gap)
+    return McResult(stats=stats, ode_mean=ode, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +405,20 @@ def emit_csv(report: ComparisonReport, out_dir: str) -> list[str]:
 
     Every CSV is one '%'-format line per row: numbers are '%.10e' (the
     digits of a per-field f"{x:.10e}") with '.' decimal separator and
-    UNIX newlines.  trajectories.csv holds the report's series on the
-    whole grid, checkpoints.csv their diagonal covariances at the
-    scenario's checkpoint times; series a report does not contain leave
-    their fields empty.
+    UNIX newlines.  The files are written in two halves, which ``run``
+    calls apart: `emit_trajectories`, which needs no ensemble statistics,
+    and `emit_summary`.
+    """
+    return emit_trajectories(report, out_dir) + emit_summary(report, out_dir)
+
+
+def emit_trajectories(report: ComparisonReport, out_dir: str) -> list[str]:
+    """Write trajectories.csv and checkpoints.csv.
+
+    trajectories.csv holds the report's series on the whole grid,
+    checkpoints.csv their diagonal covariances at the scenario's
+    checkpoint times; series a report does not contain leave their fields
+    empty.
     """
     os.makedirs(out_dir, exist_ok=True)
     traj, ckpt = [], []
@@ -387,12 +434,17 @@ def emit_csv(report: ComparisonReport, out_dir: str) -> list[str]:
             traj += [None] * 2 if err is None else [*err.T]
         for i in (0, 1):
             ckpt += [None if series is None else series.cov[ks, i, i] for series in (report.carleman, report.ekf)]
-    mc_rows = [] if report.mc is None else [[row[key] for key in _MC_COLUMNS] for row in report.mc.rows]
-    paths = [
+    return [
         _write_csv(os.path.join(out_dir, "trajectories.csv"), _TRAJ_COLUMNS, *_series_table(traj)),
         _write_csv(os.path.join(out_dir, "checkpoints.csv"), _CKPT_COLUMNS, *_series_table(ckpt)),
-        _write_csv(os.path.join(out_dir, "mc_validation.csv"), _MC_COLUMNS, _MC_LINE, [mc_rows]),
     ]
+
+
+def emit_summary(report: ComparisonReport, out_dir: str) -> list[str]:
+    """Write mc_validation.csv, the Monte Carlo rows, and report.json, the run's metadata."""
+    os.makedirs(out_dir, exist_ok=True)
+    mc_rows = [] if report.mc is None else [[row[key] for key in _MC_COLUMNS] for row in report.mc.rows]
+    mc_path = _write_csv(os.path.join(out_dir, "mc_validation.csv"), _MC_COLUMNS, _MC_LINE, [mc_rows])
 
     meta = {
         "scenario": report.scenario.to_dict(),
@@ -407,7 +459,7 @@ def emit_csv(report: ComparisonReport, out_dir: str) -> list[str]:
     if report.mc is not None:
         meta["mc"] = {
             "n_paths": report.mc.stats.n_paths,
-            "tracking_max_abs_dx1": report.mc.tracking_max_abs_dx1,
+            "tracking_max_abs_dx1": report.tracking_max_abs_dx1,
             "validation_rows_within_3_stderr": sum(r["within_3_stderr"] for r in report.mc.rows),
             "validation_rows_total": len(report.mc.rows),
         }
@@ -415,7 +467,7 @@ def emit_csv(report: ComparisonReport, out_dir: str) -> list[str]:
     with open(meta_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return paths + [meta_path]
+    return [mc_path, meta_path]
 
 
 _TRUE_STYLE = dict(color="#000000", style="solid")
@@ -450,7 +502,7 @@ def emit_charts(report: ComparisonReport, out_dir: str) -> list[str]:
     """
     os.makedirs(out_dir, exist_ok=True)
     # Every series holds one column per state.
-    series = {"true path": report.true_path, "bilinear path": None if report.mc is None else report.mc.coupled_xi}
+    series = {"true path": report.true_path, "bilinear path": report.coupled_xi}
     for method in ("carleman", "ekf"):
         s = getattr(report, method)
         series[f"{method} mean"] = None if s is None else s.mean

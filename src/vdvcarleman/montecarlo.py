@@ -1,7 +1,8 @@
 """Seeded Euler-Maruyama simulation and ensemble moment estimation.
 
-Paths of either the exact nonlinear reactor SDE or its bilinear Carleman
-embedding are generated with the Euler-Maruyama scheme
+Single paths of either the exact nonlinear reactor SDE or its bilinear
+Carleman embedding, and ensembles of the embedding, are generated with
+the Euler-Maruyama scheme
 
     x[k+1] = x[k] + f(x[k]) dt + g(x[k]) sqrt(dt) z[k],
 
@@ -20,7 +21,8 @@ numpy, whose x @ a^T is a BLAS product.  Reproducibility contract:
   runs in the calling process; two or more run each in a child of it
   made by ``os.fork`` (one after another in the calling process where
   there is no fork), through `_fork_map`, the one place where this
-  package forks, waits and kills.  A worker holds its range as one
+  package forks, waits and kills, while the caller does the work it was
+  handed as ``meanwhile``.  A worker holds its range as one
   C-contiguous (d, count) array, one column per path, and steps it in
   place with buffers made once per call.  The bilinear step pays for
   the nonzeros of the system: the drift is ``a @ X`` plus ``a0`` on its
@@ -38,12 +40,15 @@ numpy, whose x @ a^T is a BLAS product.  Reproducibility contract:
 * at the grid indices asked for (``record``) each worker copies its
   state into its column slice of one (n_record, d, n_paths) snapshot,
   which lives in an anonymous shared mapping made before any fork, so
-  the children's columns land in the caller's array; a worker's
-  earliest blow-up comes back through its pipe.  Once every worker
-  is done, the mean and the unbiased variance are taken over the paths
-  axis of that snapshot, in one reduction.  The snapshot is the same
-  array however the paths are split, so the output bytes do not depend
-  on worker count, draw block or which indices are recorded.
+  the children's columns land in the caller's array; a worker's wall
+  time and earliest blow-up come back through its pipe.  Once every
+  worker is done, the mean and the unbiased variance are taken over the
+  paths axis of that snapshot, one recorded index at a time (numpy sums
+  each entry over the same contiguous paths axis as in one reduction of
+  the whole array), and the caller gives back the shared pages of each
+  row it has reduced.  The snapshot is the same array however the paths
+  are split, so the output bytes do not depend on worker count, draw
+  block or which indices are recorded.
 
 `em_mean_reference`, the exact mean of the bilinear chain, is Euler's map
 of the augmented mean ODE; `simulate_shared_noise` is the bilinear partner
@@ -67,7 +72,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .carleman import BilinearSystem, point_lift
-from .model import ReactorParams, diffusion, drift, float_drift
+from .model import ReactorParams, float_drift
 from .moments import BLOCK_STEPS, _affine_mean_path, grid_steps
 
 # An ensemble gets at most one worker range per RANGE_PATHS paths, and its
@@ -235,8 +240,8 @@ def _em_step(dynamics, dt: float):
     return step
 
 
-def _ensemble_step(dynamics, dt: float, x: np.ndarray):
-    """In-place Euler-Maruyama step of the paths held component-major in ``x``.
+def _ensemble_step(sys: BilinearSystem, dt: float, x: np.ndarray):
+    """In-place Euler-Maruyama step of the bilinear paths held component-major in ``x``.
 
     ``step(w)`` advances the (d, count) state ``x`` by
     x <- (x + f(x) dt) + g(x) w, where ``w`` holds each path's
@@ -245,7 +250,7 @@ def _ensemble_step(dynamics, dt: float, x: np.ndarray):
     ``x + f(x) * dt + g(x) * (sqrt(dt) z)`` in the same order, less adds
     that cannot change it.
 
-    The bilinear step pays for the nonzeros of the system.  The drift is
+    The step pays for the nonzeros of the system.  The drift is
     ``a @ X`` on every row, plus ``a0`` where it is nonzero, times dt.  The
     noise is formed only on the active rows R, where ``d`` or ``g`` has a
     nonzero: ``d[R] @ X``, plus ``g`` where it is nonzero, times ``w``,
@@ -260,53 +265,42 @@ def _ensemble_step(dynamics, dt: float, x: np.ndarray):
     x + y is -0.0 only if x is, so only a row that holds -0.0 when the
     step is built can ever hold it; such rows keep every add.
     """
-    if isinstance(dynamics, BilinearSystem):
-        a, d, a0, g = dynamics.a, dynamics.d, dynamics.a0, dynamics.g
-        neg_zero = ((x == 0.0) & np.signbit(x)).any(axis=1)
-        rows = np.flatnonzero(d.any(axis=1) | (g != 0.0) | neg_zero)
-        if rows.size == 1:
-            rows = np.arange(g.size)
-        d_rows = np.ascontiguousarray(d[rows])
-        inc, noise = np.empty_like(x), np.empty((rows.size, x.shape[1]))
-        drift_adds = [(inc[r], float(a0[r])) for r in np.flatnonzero((a0 != 0.0) | neg_zero)]
-        noise_adds = [(noise[i], float(g[r])) for i, r in enumerate(rows) if g[r] != 0.0 or neg_zero[r]]
-        state_adds = [(x[r], noise[i]) for i, r in enumerate(rows)]
+    a, d, a0, g = sys.a, sys.d, sys.a0, sys.g
+    neg_zero = ((x == 0.0) & np.signbit(x)).any(axis=1)
+    rows = np.flatnonzero(d.any(axis=1) | (g != 0.0) | neg_zero)
+    if rows.size == 1:
+        rows = np.arange(g.size)
+    d_rows = np.ascontiguousarray(d[rows])
+    inc, noise = np.empty_like(x), np.empty((rows.size, x.shape[1]))
+    drift_adds = [(inc[r], float(a0[r])) for r in np.flatnonzero((a0 != 0.0) | neg_zero)]
+    noise_adds = [(noise[i], float(g[r])) for i, r in enumerate(rows) if g[r] != 0.0 or neg_zero[r]]
+    state_adds = [(x[r], noise[i]) for i, r in enumerate(rows)]
 
-        def step(w):
-            np.matmul(a, x, out=inc)
-            for row, c in drift_adds:
-                np.add(row, c, out=row)
-            np.multiply(inc, dt, out=inc)
-            np.matmul(d_rows, x, out=noise)
-            for row, c in noise_adds:
-                np.add(row, c, out=row)
-            np.multiply(noise, w, out=noise)
-            np.add(x, inc, out=x)
-            for row, dx in state_adds:
-                np.add(row, dx, out=row)
-    else:
-        p = dynamics
-        g = diffusion(p)[:, None]
-        inc, noise = np.empty_like(x), np.empty_like(x)
-
-        def step(w):
-            np.multiply(drift(x.T, p).T, dt, out=inc)
-            np.multiply(g, w, out=noise)
-            np.add(x, inc, out=x)
-            np.add(x, noise, out=x)
-
+    def step(w):
+        np.matmul(a, x, out=inc)
+        for row, c in drift_adds:
+            np.add(row, c, out=row)
+        np.multiply(inc, dt, out=inc)
+        np.matmul(d_rows, x, out=noise)
+        for row, c in noise_adds:
+            np.add(row, c, out=row)
+        np.multiply(noise, w, out=noise)
+        np.add(x, inc, out=x)
+        for row, dx in state_adds:
+            np.add(row, dx, out=row)
     return step
 
 
-def _lockstep(cfg: PathConfig, x0: np.ndarray, dynamics, start: int, snap: np.ndarray,
-              record: np.ndarray, block: int, progress: bool, parent: int | None = None):
+def _lockstep(cfg: PathConfig, x0: np.ndarray, sys: BilinearSystem, start: int, snap: np.ndarray,
+              record: np.ndarray, block: int, progress: str | None, parent: int | None = None):
     """Advance paths [start, start+count) in lockstep, copying the state into ``snap`` at ``record``.
 
     ``record`` holds sorted, distinct grid indices, and ``snap`` is the
     range's (n_record, d, count) column slice of the ensemble snapshot.
     The paths are the columns of one C-contiguous (d, count) array,
     stepped in place with buffers made once.  Path i draws its normals
-    from its own substream, ``block`` steps at a time.
+    from its own substream, ``block`` steps at a time.  ``progress``, if
+    given, names the ensemble on the progress lines this range logs.
 
     Every update adds to the state in place, so a non-finite entry never
     becomes finite again: the state is checked once, at the end of each
@@ -325,7 +319,7 @@ def _lockstep(cfg: PathConfig, x0: np.ndarray, dynamics, start: int, snap: np.nd
     z = np.empty((count, min(block, n_steps)))
     x = np.repeat(x0[:, None], count, axis=1)
     x_block, w = np.empty_like(x), np.empty(count)
-    step = _ensemble_step(dynamics, cfg.dt, x)
+    step = _ensemble_step(sys, cfg.dt, x)
     sqdt = np.sqrt(cfg.dt)
 
     def advance(k0, n):
@@ -354,7 +348,7 @@ def _lockstep(cfg: PathConfig, x0: np.ndarray, dynamics, start: int, snap: np.nd
                 r += 1
             if progress and k % log_every == 0 and k < n_steps:
                 elapsed = time.perf_counter() - t_start
-                logger.info("MC ensemble: step %d/%d (%.0f%%), ETA %.1f s", k, n_steps,
+                logger.info("%s: step %d/%d (%.0f%%), ETA %.1f s", progress, k, n_steps,
                             100.0 * k / n_steps, elapsed * (n_steps - k) / k)
         if not np.isfinite(x).all():
             np.copyto(x, x_block)
@@ -373,11 +367,13 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _fork_map(tasks, n_procs: int) -> list:
+def _fork_map(tasks, n_procs: int, meanwhile=None) -> list:
     """The values of ``tasks``, (name, callable) pairs, in task order, each called in a forked child.
 
     At most ``n_procs`` children run at once, and the next task is forked
-    as soon as one of them is done.  A child sends its value back pickled,
+    as soon as one of them is done.  Once the first children are forked
+    (as many as ``n_procs`` allows), the caller calls ``meanwhile()``, if
+    given, before it reads any pipe, so its own work overlaps theirs.  A child sends its value back pickled,
     through a pipe of its own, and leaves by ``os._exit``: 0 once its value
     is written, 1 on any exception, after writing its traceback to the
     pipe instead.  A child may log through the handlers it inherited, but
@@ -385,11 +381,14 @@ def _fork_map(tasks, n_procs: int) -> list:
     handlers.  The caller reads each pipe to EOF and then waits on that
     child's pid alone; a non-zero exit is a `RuntimeError` naming the task,
     followed by the child's traceback.  A child still running when the
-    caller leaves, on an exception or an interrupt, is killed and reaped,
-    so no process outlives the call.  With ``n_procs == 1``, or where there
-    is no ``os.fork``, the tasks run in the caller, in order.
+    caller leaves, on an exception or an interrupt (from ``meanwhile``
+    too), is killed and reaped, so no process outlives the call.  With
+    ``n_procs == 1``, no tasks, or where there is no ``os.fork``,
+    ``meanwhile()`` runs first and then the tasks, in the caller, in order.
     """
-    if n_procs == 1 or not hasattr(os, "fork"):
+    if n_procs == 1 or not tasks or not hasattr(os, "fork"):
+        if meanwhile is not None:
+            meanwhile()
         return [fn() for _, fn in tasks]
     values, todo = [None] * len(tasks), list(enumerate(tasks))[::-1]
     running = {}  # read end of a child's pipe -> (task index, pid, bytes read)
@@ -414,6 +413,9 @@ def _fork_map(tasks, n_procs: int) -> list:
                         os._exit(code)
                 running[r] = (i, pid, [])
                 os.close(w)
+            if meanwhile is not None:
+                work, meanwhile = meanwhile, None
+                work()
             for r in select.select(list(running), [], [])[0]:
                 i, pid, chunks = running[r]
                 chunk = os.read(r, 1 << 16)
@@ -436,36 +438,43 @@ def _fork_map(tasks, n_procs: int) -> list:
 
 
 def ensemble_moments(
-    cfg: PathConfig, x0, n_paths: int, dynamics, n_workers: int = 1, *, record
+    cfg: PathConfig, x0, n_paths: int, sys: BilinearSystem, n_workers: int = 1, *, record, meanwhile=None
 ) -> EnsembleStats:
-    """Sample mean and unbiased variance over a seeded ensemble.
+    """Sample mean and unbiased variance over a seeded ensemble of the bilinear system ``sys``.
 
     Path i uses the substream seed ``substream_seed(cfg.seed, i)``.
     ``n_workers`` splits the paths into contiguous ranges, each advanced
     in lockstep by one process.  One range runs in the caller; two or
     more run each in a child forked for it by `_fork_map`, while the
-    caller only dispatches and reaps (where ``os.fork`` is missing, the
-    caller advances the ranges one after another).  ``record`` lists the
-    grid indices at which statistics are kept; row r of the result
-    belongs to grid index ``record[r]``.  Every range writes its states at
-    those indices into one (n_record, d, n_paths) snapshot, held in an
-    anonymous shared mapping made before the forks, and returns the
-    (step, path) of its earliest blow-up, or None.  The mean and
-    ``ddof=1`` variance are taken over the snapshot's paths axis once
-    every range is done, so the result is independent of ``n_workers``.
+    caller calls ``meanwhile()``, if given, and then only reaps (where
+    ``os.fork`` is missing, the caller advances the ranges one after
+    another).  With one range, ``meanwhile()`` runs before it.
+    ``record`` lists the grid indices at which statistics are kept; row r
+    of the result belongs to grid index ``record[r]``.  Every range writes
+    its states at those indices into one (n_record, d, n_paths) snapshot,
+    held in an anonymous shared mapping made before the forks, and returns
+    its wall time and the (step, path) of its earliest blow-up, or None.
+    The mean and ``ddof=1`` variance are taken over the snapshot's paths
+    axis once every range is done, so the result is independent of
+    ``n_workers``; the caller gives back the snapshot's pages row by row as
+    it reduces them, so they do not add to its peak memory.
 
-    A range whose child fails is a `RuntimeError` naming its paths, and
-    no child outlives the call (see `_fork_map`).  Progress goes to the
-    log from range 0, the last line, from the caller, with the path-steps
-    made and the wall time per path-step.
+    A nonlinear ``ReactorParams`` is a `TypeError`: only its single path,
+    `simulate_path`, is simulated.  A range whose child fails is a
+    `RuntimeError` naming its paths, and no child outlives the call (see
+    `_fork_map`).  Progress goes to the log from range 0, every line
+    tagged with the path count and seed; the last line, from the caller,
+    adds the path-steps made and the wall time of the slowest range, in
+    total and per path-step.
     """
-    t_start = time.perf_counter()
     n_paths, n_workers = as_int("n_paths", n_paths), as_int("n_workers", n_workers)
     if n_paths < 2:
         raise ValueError(f"n_paths must be at least 2, got {n_paths}")
     if n_workers < 1:
         raise ValueError(f"n_workers must be at least 1, got {n_workers}")
-    x0 = _initial_state(x0, dynamics)
+    if not isinstance(sys, BilinearSystem):
+        raise TypeError(f"an ensemble steps a BilinearSystem, got {type(sys).__name__}")
+    x0 = _initial_state(x0, sys)
     n_steps = cfg.n_steps
     record = np.asarray(record)
     if record.shape == (0,):
@@ -481,28 +490,45 @@ def ensemble_moments(
     block = max(1, DRAW_BUFFER // n_paths)
     nbytes = 8 * steps.size * x0.size * n_paths
     # An anonymous mapping cannot be empty, so one with nothing to record holds a byte.
-    snap = np.ndarray((steps.size, x0.size, n_paths), buffer=mmap.mmap(-1, max(1, nbytes)))
+    shared = mmap.mmap(-1, max(1, nbytes))
+    snap = np.ndarray((steps.size, x0.size, n_paths), buffer=shared)
     caller = os.getpid()
+    tag = f"MC ensemble ({n_paths} paths, seed {cfg.seed})"
 
     def task(w):
         first, last = bounds[w], bounds[w + 1]
 
         def run():
             parent = None if os.getpid() == caller else caller
-            return _lockstep(cfg, x0, dynamics, first, snap[:, :, first:last], steps, block, w == 0, parent)
+            t0 = time.perf_counter()
+            failed = _lockstep(cfg, x0, sys, first, snap[:, :, first:last], steps, block,
+                               tag if w == 0 else None, parent)
+            return time.perf_counter() - t0, failed
 
         return f"ensemble worker for paths [{first}, {last})", run
 
-    failed = [f for f in _fork_map([task(w) for w in range(n_ranges)], n_ranges) if f is not None]
+    ranges = _fork_map([task(w) for w in range(n_ranges)], n_ranges, meanwhile)
+    failed = [f for _, f in ranges if f is not None]
     if failed:
         step, path = min(failed)
         raise SimulationError(f"path {path} non-finite at step {step} (t={step * cfg.dt:.6g})")
 
-    mean, var = snap.mean(axis=2)[rows], snap.var(axis=2, ddof=1)[rows]
+    # One recorded index at a time, and the pages of the rows reduced so far
+    # given back: the caller may hold the rest of a run by now, which the
+    # whole snapshot mapped in at once would add to.
+    mean, var = np.empty((2, steps.size, x0.size))
+    given_back = 0
+    for r, row in enumerate(snap):
+        mean[r], var[r] = row.mean(axis=1), row.var(axis=1, ddof=1)
+        end = (r + 1) * row.nbytes // mmap.PAGESIZE * mmap.PAGESIZE
+        if end > given_back and hasattr(mmap, "MADV_DONTNEED"):
+            shared.madvise(mmap.MADV_DONTNEED, given_back, end - given_back)
+            given_back = end
+    mean, var = mean[rows], var[rows]
     path_steps = n_paths * n_steps
-    elapsed = time.perf_counter() - t_start
-    logger.info("MC ensemble: step %d/%d (100%%), ETA 0.0 s; %d path-steps in %.2f s, %.1f ns per path-step",
-                n_steps, n_steps, path_steps, elapsed, 1e9 * elapsed / max(path_steps, 1))
+    elapsed = max(t for t, _ in ranges)
+    logger.info("%s: step %d/%d (100%%), ETA 0.0 s; %d path-steps in %.2f s, %.1f ns per path-step",
+                tag, n_steps, n_steps, path_steps, elapsed, 1e9 * elapsed / max(path_steps, 1))
     return EnsembleStats(n_paths=n_paths, t=record * cfg.dt, mean=mean, var=var, stderr=np.sqrt(var / n_paths))
 
 

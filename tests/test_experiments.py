@@ -225,6 +225,58 @@ def test_run_with_the_default_workers_writes_the_bytes_of_one_worker(tmp_path, c
     assert match == names and not mismatch and not errors
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_run_whose_ensemble_fails_leaves_none_of_its_files(tmp_path, monkeypatch, workers):
+    # Every range reports a blow-up once the files that need no ensemble
+    # statistics are written; the run fails as the mc method, and removes
+    # them but nothing else.
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "earlier.txt").write_text("kept")
+    written = []
+
+    def emitted(emit):
+        def call(report, out_dir):
+            paths = emit(report, out_dir)
+            assert paths and all(os.path.exists(p) for p in paths)
+            written.extend(paths)
+            return paths
+
+        return call
+
+    monkeypatch.setattr(cli, "emit_trajectories", emitted(cli.emit_trajectories))
+    monkeypatch.setattr(cli, "emit_charts", emitted(cli.emit_charts))
+    monkeypatch.setattr(montecarlo, "_lockstep", lambda *args: (3, 7))
+    argv = ["run", "--t-end", "1", "--mc-paths", "600", "--mc-workers", str(workers), "--out", str(out)]
+    with pytest.raises(RuntimeError, match=r"^method 'mc' failed: path 7 non-finite at step 3 \(t=0\.03\)$"):
+        cli.main(argv)
+    assert len(written) == 2 + 8
+    assert os.listdir(out) == ["earlier.txt"]
+
+
+@pytest.mark.parametrize("methods", ["carleman,ekf,mc", "carleman,ekf", "carleman,mc", "ekf,mc", "carleman", "ekf",
+                                     "mc", ""])
+def test_every_method_subset_writes_its_files_and_prints_them_in_order(tmp_path, capsys, methods):
+    # The run writes what needs no ensemble statistics while the ensemble
+    # runs, and the rest after it: the same files, bytes and printed order
+    # as the library writers called one after another.
+    argv = ["run", "--t-end", "2", "--mc-paths", "600", "--seed", "5", "--methods", methods]
+    cli.main([*argv, "--out", str(tmp_path / "cli")])
+    printed = capsys.readouterr().out.splitlines()
+    chosen = tuple(m for m in methods.split(",") if m)
+    figs = [1] * ("mc" in chosen) + [2, 3, 4] * ({"carleman", "ekf"} <= set(chosen))
+    names = ["trajectories.csv", "checkpoints.csv", "mc_validation.csv", "report.json",
+             *(f"fig{n}{s}.svg" for s in "ab" for n in figs)]
+    assert printed == [str(tmp_path / "cli" / name) for name in names]
+    assert sorted(os.listdir(tmp_path / "cli")) == sorted(names)
+    args = cli._build_parser().parse_args([*argv, "--out", str(tmp_path / "lib")])
+    report = run_scenario(cli._apply_overrides(builtin_scenario("set1"), args), chosen, mc_workers=2)
+    emit_csv(report, str(tmp_path / "lib"))
+    emit_charts(report, str(tmp_path / "lib"))
+    match, mismatch, errors = filecmp.cmpfiles(tmp_path / "cli", tmp_path / "lib", names, shallow=False)
+    assert match == names and not mismatch and not errors
+
+
 def test_worker_count_accepts_numpy_integers():
     s = small_scenario(t_end=1.0, checkpoints=(1.0,), mc_paths=8)
     assert run_scenario(s, ("carleman",), mc_workers=np.int64(2)).carleman is not None
@@ -510,6 +562,15 @@ def test_physical_overflow_is_a_method_failure():
     bad = small_scenario(x0=PhysicalState(1e103, 1.0, 0.01), t_end=0.01, checkpoints=(0.01,))
     with pytest.raises(RuntimeError, match=r"^method 'carleman' failed: non-finite state at t=0\.01$"):
         run_scenario(bad, methods=("carleman",))
+
+
+@pytest.mark.parametrize("mc_paths, workers", [(60, 1), (600, 2)], ids=["serial", "forked"])
+def test_a_method_failing_beside_the_ensemble_keeps_its_name(mc_paths, workers):
+    # The physical path fails while the ensemble runs (or before it, with one
+    # range): it is reported as itself, first, not as a failure of mc.
+    bad = small_scenario(x0=PhysicalState(1e103, 1.0, 0.01), t_end=0.01, checkpoints=(0.01,), mc_paths=mc_paths)
+    with pytest.raises(RuntimeError, match=r"^method 'carleman' failed: non-finite state at t=0\.01$"):
+        run_scenario(bad, methods=("carleman", "ekf", "mc"), mc_workers=workers)
 
 
 def test_report_is_plain_dataclass_of_results():

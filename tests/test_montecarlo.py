@@ -34,6 +34,7 @@ from test_moments import bits, ou_mean
 
 X0 = X0_SET1.as_array()
 SYS1 = build_vandevusse(PARAM_SET1)
+SYS2 = build_vandevusse(PARAM_SET2)
 
 
 def em_path_oracle(cfg, x0, p, increments=None):
@@ -108,7 +109,7 @@ def test_path_config_validation():
     cfg = PathConfig(dt=0.01, t_end=1.0, seed=np.int64(3))
     assert cfg.seed == 3 and type(cfg.seed) is int
     with pytest.raises(TypeError, match="dynamics must be ReactorParams or BilinearSystem, got dict"):
-        ensemble_moments(PathConfig(dt=0.01, t_end=1.0, seed=0), X0, 4, {"k1": 1.0}, record=[])
+        simulate_path(PathConfig(dt=0.01, t_end=1.0, seed=0), X0, {"k1": 1.0})
     assert PathConfig(dt=0.01, t_end=1.0, seed=0).n_steps == 100
 
 
@@ -149,10 +150,9 @@ _CFG = PathConfig(dt=0.01, t_end=0.1, seed=1)
 @pytest.mark.parametrize("start", [
     lambda x0: simulate_path(_CFG, x0, PARAM_SET1),
     lambda x0: simulate_path(_CFG, x0, SYS1),
-    lambda x0: ensemble_moments(_CFG, x0, 4, PARAM_SET1, record=[10]),
     lambda x0: ensemble_moments(_CFG, x0, 4, SYS1, record=[10]),
     lambda x0: em_mean_reference(SYS1, x0, _CFG.dt, _CFG.t_end),
-], ids=["path-nonlinear", "path-bilinear", "ensemble-nonlinear", "ensemble-bilinear", "em-mean"])
+], ids=["path-nonlinear", "path-bilinear", "ensemble-bilinear", "em-mean"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_nonfinite_start_is_rejected_at_the_boundary(start, bad):
     with pytest.raises(ValueError, match=r"^initial state must be finite, got \[0\.8, "):
@@ -209,11 +209,19 @@ def test_ensemble_matches_individually_simulated_paths():
     assert np.allclose(stats.stderr, np.sqrt(stats.var / n), atol=1e-300)
 
 
+@pytest.mark.parametrize("dynamics", [PARAM_SET1, {"k1": 1.0}], ids=["reactor", "dict"])
+def test_an_ensemble_takes_only_a_bilinear_system(dynamics):
+    # The nonlinear reactor is simulated one path at a time (`simulate_path`).
+    name = type(dynamics).__name__
+    with pytest.raises(TypeError, match=f"^an ensemble steps a BilinearSystem, got {name}$"):
+        ensemble_moments(PathConfig(dt=0.01, t_end=1.0, seed=0), X0, 4, dynamics, record=[])
+
+
 def test_ensemble_requires_two_paths_and_nonneg_variance():
     cfg = PathConfig(dt=0.01, t_end=0.2, seed=5)
     with pytest.raises(ValueError):
-        ensemble_moments(cfg, X0, 1, PARAM_SET1, record=[0])
-    stats = ensemble_moments(cfg, X0, 30, PARAM_SET1, record=np.arange(cfg.n_steps + 1))
+        ensemble_moments(cfg, X0, 1, SYS1, record=[0])
+    stats = ensemble_moments(cfg, X0, 30, SYS1, record=np.arange(cfg.n_steps + 1))
     assert np.all(stats.var >= 0.0)
     # All paths share the initial point; the sample mean of n identical
     # values rounds in the last bit for non-power-of-two n, so the t=0
@@ -222,11 +230,12 @@ def test_ensemble_requires_two_paths_and_nonneg_variance():
 
 
 def test_zero_noise_ensemble_has_zero_variance():
-    p = ReactorParams(k1=0.01388, k2=0.02778, k3=0.002778, caf=0.0027, v=10.0, alpha=0.1, beta=0.0)
+    quiet = build_vandevusse(ReactorParams(k1=0.01388, k2=0.02778, k3=0.002778, caf=0.0027, v=10.0, alpha=0.1,
+                                           beta=0.0))
     cfg = PathConfig(dt=0.01, t_end=1.0, seed=2)
-    stats = ensemble_moments(cfg, X0, 2, p, record=np.arange(cfg.n_steps + 1))
+    stats = ensemble_moments(cfg, X0, 2, quiet, record=np.arange(cfg.n_steps + 1))
     assert np.abs(stats.var).max() == 0.0
-    _, path = simulate_path(cfg, X0, p)
+    _, path = simulate_path(cfg, X0, quiet)
     assert np.allclose(stats.mean, path, atol=1e-300)
 
 
@@ -402,6 +411,65 @@ def test_fork_map_without_fork_or_with_one_process_runs_the_tasks_in_the_caller(
     assert [v for v, _ in alone] == [v for v, _ in forked]
 
 
+def test_fork_map_calls_meanwhile_while_the_children_run(monkeypatch):
+    # Every ensemble range blocks on a pipe until it reads a byte, and only
+    # the caller's meanwhile writes them: the call can end only if meanwhile
+    # runs while the ranges are alive.
+    cfg = PathConfig(dt=0.05, t_end=1.0, seed=12)
+    n = 3 * RANGE_PATHS + 5
+    want = ensemble_moments(cfg, X0, n, SYS1, n_workers=3, record=[0, 10, 20])
+    pids = _recording_fork(monkeypatch)
+    gate_r, gate_w = os.pipe()
+    lockstep = montecarlo._lockstep
+
+    def gated(*args):
+        assert os.read(gate_r, 1) == b"g"
+        return lockstep(*args)
+
+    def meanwhile():
+        assert len(pids) == 3
+        for pid in pids:
+            assert os.waitpid(pid, os.WNOHANG) == (0, 0)  # still running
+        os.write(gate_w, b"ggg")
+
+    monkeypatch.setattr(montecarlo, "_lockstep", gated)
+    try:
+        with _raising_after(30.0, TimeoutError):
+            got = ensemble_moments(cfg, X0, n, SYS1, n_workers=3, record=[0, 10, 20], meanwhile=meanwhile)
+    finally:
+        os.close(gate_r)
+        os.close(gate_w)
+    assert np.array_equal(bits(got.mean), bits(want.mean)) and np.array_equal(bits(got.var), bits(want.var))
+    _assert_reaped(pids)
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_fork_map_kills_and_reaps_every_child_when_meanwhile_raises(monkeypatch, error):
+    pids = _recording_fork(monkeypatch)
+
+    def meanwhile():
+        raise error("raised in meanwhile")
+
+    tasks = [(f"sleeper {i}", functools.partial(time.sleep, 60.0)) for i in range(3)]
+    t0 = time.perf_counter()
+    with pytest.raises(error, match="^raised in meanwhile$"):
+        montecarlo._fork_map(tasks, 2, meanwhile)
+    assert time.perf_counter() - t0 < 30.0
+    assert len(pids) == 2
+    _assert_reaped(pids)
+
+
+def test_fork_map_calls_meanwhile_first_where_nothing_is_forked(monkeypatch):
+    calls = []
+    tasks = [(f"task {i}", functools.partial(calls.append, i)) for i in range(3)]
+    montecarlo._fork_map(tasks, 1, lambda: calls.append("meanwhile"))
+    assert calls == ["meanwhile", 0, 1, 2]
+    assert montecarlo._fork_map([], 2, lambda: calls.append("no tasks")) == []
+    monkeypatch.delattr(os, "fork")
+    montecarlo._fork_map(tasks, 3, lambda: calls.append("no fork"))
+    assert calls == ["meanwhile", 0, 1, 2, "no tasks", "no fork", 0, 1, 2]
+
+
 def test_orphaned_worker_exits_at_its_next_draw_block():
     # The forked process is told its parent is a pid that is not its
     # parent, as a worker sees once its parent has gone: it must leave by
@@ -411,7 +479,7 @@ def test_orphaned_worker_exits_at_its_next_draw_block():
     pid = os.fork()
     if pid == 0:
         try:
-            montecarlo._lockstep(cfg, _initial_state(X0, SYS1), SYS1, 0, snap, np.arange(0), 10, False, -1)
+            montecarlo._lockstep(cfg, _initial_state(X0, SYS1), SYS1, 0, snap, np.arange(0), 10, None, -1)
         finally:
             os._exit(0)
     assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 1
@@ -451,11 +519,12 @@ def test_worker_count_below_one_is_rejected():
 
 
 def test_nonlinear_ensemble_flow_rate_statistics():
-    # The flow coordinate is an exact OU process started at a point, so the
+    # The reactor's flow coordinate is an exact OU process started at a
+    # point, and row 2 of its embedding is that same process, so the
     # analytic mean and variance are an independent oracle for the sampler.
     p = PARAM_SET1
     cfg = PathConfig(dt=0.01, t_end=20.0, seed=2024)
-    stats = ensemble_moments(cfg, X0, 10000, p, record=[grid_index(cfg.dt, 10.0), grid_index(cfg.dt, 20.0)])
+    stats = ensemble_moments(cfg, X0, 10000, SYS1, record=[grid_index(cfg.dt, 10.0), grid_index(cfg.dt, 20.0)])
     mean_exact = float(ou_mean(X0[2], p.alpha, np.array([10.0]))[0])
     assert abs(stats.mean[0, 2] - mean_exact) <= 3.0 * stats.stderr[0, 2]
     var_exact = float(ou_variance(0.0, p.alpha, p.beta, np.array([20.0]))[0])
@@ -557,9 +626,9 @@ def test_shared_noise_pair_tracks():
 
 def test_ensemble_stats_container_shape():
     cfg = PathConfig(dt=0.1, t_end=1.0, seed=0)
-    stats = ensemble_moments(cfg, X0, 8, PARAM_SET1, record=np.arange(cfg.n_steps + 1))
+    stats = ensemble_moments(cfg, X0, 8, SYS1, record=np.arange(cfg.n_steps + 1))
     assert isinstance(stats, EnsembleStats)
-    assert stats.mean.shape == stats.var.shape == stats.stderr.shape == (11, 3)
+    assert stats.mean.shape == stats.var.shape == stats.stderr.shape == (11, 9)
     assert stats.t[-1] == pytest.approx(1.0)
 
 
@@ -569,20 +638,17 @@ def test_ensemble_stats_container_shape():
 # ---------------------------------------------------------------------------
 
 
-def _oracle_fns(dynamics):
+def _oracle_fns(sys):
     """(drift_fn, noise_fn) of row-major (paths, d) states: the array form
     of the Euler-Maruyama step that the ensemble must match bit for bit."""
-    if isinstance(dynamics, ReactorParams):
-        g = diffusion(dynamics)
-        return (lambda x: drift(x, dynamics)), (lambda x: np.broadcast_to(g, x.shape))
-    return (lambda x: dynamics.a0 + x @ dynamics.a.T), (lambda x: dynamics.g + x @ dynamics.d.T)
+    return (lambda x: sys.a0 + x @ sys.a.T), (lambda x: sys.g + x @ sys.d.T)
 
 
-def _oracle_ensemble(cfg, x0, n_paths, dynamics):
+def _oracle_ensemble(cfg, x0, n_paths, sys):
     """Full-grid (mean, var): every path stepped row-major with ``x @ a.T``,
     ``x.T`` snapshot into (n_grid, d, n_paths), one reduction over axis 2."""
-    drift_fn, noise_fn = _oracle_fns(dynamics)
-    x0 = _initial_state(x0, dynamics)
+    drift_fn, noise_fn = _oracle_fns(sys)
+    x0 = _initial_state(x0, sys)
     n_steps = cfg.n_steps
     z = np.empty((n_paths, n_steps))
     for i in range(n_paths):
@@ -597,27 +663,27 @@ def _oracle_ensemble(cfg, x0, n_paths, dynamics):
     return snap.mean(axis=2), snap.var(axis=2, ddof=1)
 
 
-@pytest.mark.parametrize("system", ["bilinear", "nonlinear"])
+@pytest.mark.parametrize("sys", [SYS1, SYS2], ids=["bilinear", "set2"])
 @pytest.mark.parametrize("n_paths", [2, 3, 100, RANGE_PATHS, RANGE_PATHS + 1, RANGE_PATHS + 37, 3 * RANGE_PATHS])
-def test_lockstep_ensemble_is_bit_identical_to_chunk_loop(monkeypatch, system, n_paths):
-    # The name predates the path-loop oracle; it is kept so the test ids stay.
+def test_lockstep_ensemble_is_bit_identical_to_chunk_loop(monkeypatch, sys, n_paths):
+    # The name predates the path-loop oracle, and the id "bilinear" (set 1)
+    # the set 2 case; both are kept so the test ids stay.
     # 60 steps drawn 7 at a time: the last draw block is partial.  With 2 or
     # 3 paths, 4 workers get one range, as 1 worker does.  Cutting 257 paths
     # at 256 would leave a one-path range, whose matrix-vector product
     # rounds differently; the even split gives 128 and 129.
     monkeypatch.setattr(montecarlo, "DRAW_BUFFER", 7 * n_paths)
     cfg = PathConfig(dt=0.05, t_end=3.0, seed=17)
-    dynamics = SYS1 if system == "bilinear" else PARAM_SET1
-    mean, var = _oracle_ensemble(cfg, X0, n_paths, dynamics)
+    mean, var = _oracle_ensemble(cfg, X0, n_paths, sys)
     for workers in (1, 2, 3, 4):
-        stats = ensemble_moments(cfg, X0, n_paths, dynamics, n_workers=workers, record=np.arange(cfg.n_steps + 1))
+        stats = ensemble_moments(cfg, X0, n_paths, sys, n_workers=workers, record=np.arange(cfg.n_steps + 1))
         assert np.array_equal(stats.mean, mean)
         assert np.array_equal(stats.var, var)
 
 
 @settings(max_examples=120, deadline=None)
 @given(
-    system=st.sampled_from(["bilinear", "nonlinear"]),
+    system=st.sampled_from(["set1", "set2"]),
     n_paths=st.integers(min_value=2, max_value=800),
     workers=st.integers(min_value=1, max_value=4),
     block=st.integers(min_value=1, max_value=13),
@@ -626,11 +692,11 @@ def test_lockstep_ensemble_is_bit_identical_to_chunk_loop(monkeypatch, system, n
 )
 def test_lockstep_ensemble_equals_chunk_loop_property(system, n_paths, workers, block, seed, record):
     cfg = PathConfig(dt=0.05, t_end=0.6, seed=seed)  # 12 steps
-    dynamics = SYS1 if system == "bilinear" else PARAM_SET1
-    mean, var = _oracle_ensemble(cfg, X0, n_paths, dynamics)
+    sys = SYS1 if system == "set1" else SYS2
+    mean, var = _oracle_ensemble(cfg, X0, n_paths, sys)
     rows = np.asarray(record, dtype=int)
     with mock.patch.object(montecarlo, "DRAW_BUFFER", block * n_paths):
-        stats = ensemble_moments(cfg, X0, n_paths, dynamics, n_workers=workers, record=record)
+        stats = ensemble_moments(cfg, X0, n_paths, sys, n_workers=workers, record=record)
     assert np.array_equal(stats.mean, mean[rows])
     assert np.array_equal(stats.var, var[rows])
 
@@ -774,48 +840,60 @@ def test_blocked_draws_equal_one_long_draw():
     assert np.array_equal(np.concatenate(blocks), long)
 
 
+# The embedded reactor with an unstable OU factor, 1 - alpha dt = -4 at
+# dt = 20: every path's x3 x3 slot overflows near step 320, at a step set
+# by the path's own noise.
+UNSTABLE = build_vandevusse(ReactorParams(k1=0.01, k2=0.01, k3=0.01, caf=1.0, v=1.0, alpha=0.25, beta=1.0))
+
+
+def _first_nonfinite_steps(cfg, x0, n_paths, sys):
+    """Per path, the first step at which the row-major path loop leaves the finite range."""
+    drift_fn, noise_fn = _oracle_fns(sys)
+    x = np.tile(_initial_state(x0, sys), (n_paths, 1))
+    first = np.zeros(n_paths, dtype=int)
+    sqdt = np.sqrt(cfg.dt)
+    gens = [np.random.Generator(np.random.PCG64(substream_seed(cfg.seed, i))) for i in range(n_paths)]
+    z = np.array([gen.standard_normal(cfg.n_steps) for gen in gens])
+    for k in range(cfg.n_steps):
+        x = x + drift_fn(x) * cfg.dt + noise_fn(x) * (sqdt * z[:, k, None])
+        first[(first == 0) & ~np.isfinite(x).all(axis=1)] = k + 1
+    assert first.all()
+    return first
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_ensemble_blowup_reports_earliest_step_over_all_chunks():
-    # The unstable OU factor (1 - alpha dt = -1.5) makes every path diverge
-    # at a step set by its own noise.  For this seed the first divergence
-    # is in the second of 3 worker ranges, one step before any path of the
-    # first.
-    unstable = ReactorParams(k1=0.01, k2=0.01, k3=0.01, caf=1.0, v=1.0, alpha=0.25, beta=1.0)
-    cfg = PathConfig(dt=10.0, t_end=300.0, seed=33)
+    # For this seed the first divergence is in the second of 3 worker
+    # ranges, one step before any path of the first.
+    cfg = PathConfig(dt=20.0, t_end=7000.0, seed=33)
     x0 = np.array([1.0, 0.0, 0.0])
     n = 2 * RANGE_PATHS + 37
-    failures = []
-    for i in range(n):
-        z = np.random.Generator(np.random.PCG64(substream_seed(cfg.seed, i))).standard_normal(cfg.n_steps)
-        with pytest.raises(SimulationError) as exc:
-            simulate_path(cfg, x0, unstable, increments=z)
-        failures.append((int(re.search(r"step (\d+)", str(exc.value)).group(1)), i))
-    step, path = min(failures)
-    assert path >= n // 3 and step < min(failures[:n // 3])[0]
+    first = _first_nonfinite_steps(cfg, x0, n, UNSTABLE)
+    path = int(np.argmin(first))
+    step = int(first[path])
+    assert path >= n // 3 and step < first[:n // 3].min()
     for workers in (1, 3):
         with pytest.raises(SimulationError, match=rf"path {path} non-finite at step {step} \("):
-            ensemble_moments(cfg, x0, n, unstable, n_workers=workers, record=[cfg.n_steps])
+            ensemble_moments(cfg, x0, n, UNSTABLE, n_workers=workers, record=[cfg.n_steps])
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_blowups_in_several_ranges_report_as_one_range():
-    # Every path of the unstable OU factor diverges, so all three forked
-    # ranges return failures at once; several paths of different ranges
-    # fail at the earliest step, and the lowest of them is reported, in the
-    # first range for some seeds and the second for others, as with one
-    # range.
-    unstable = ReactorParams(k1=0.01, k2=0.01, k3=0.01, caf=1.0, v=1.0, alpha=0.25, beta=1.0)
+    # Every path diverges, so all three forked ranges return failures at
+    # once; for seeds 30 and 33 paths of two ranges fail at the earliest
+    # step.  The lowest of them is reported, in the first range for some
+    # seeds and in the second or third for others, as with one range.
     x0 = np.array([1.0, 0.0, 0.0])
     n = 2 * RANGE_PATHS + 37
     ranges = set()
     for seed in (30, 31, 32, 33):
-        cfg = PathConfig(dt=10.0, t_end=300.0, seed=seed)
+        cfg = PathConfig(dt=20.0, t_end=7000.0, seed=seed)
         with pytest.raises(SimulationError) as want:
-            ensemble_moments(cfg, x0, n, unstable, n_workers=1, record=[cfg.n_steps])
+            ensemble_moments(cfg, x0, n, UNSTABLE, n_workers=1, record=[cfg.n_steps])
         with pytest.raises(SimulationError, match=f"^{re.escape(str(want.value))}$"):
-            ensemble_moments(cfg, x0, n, unstable, n_workers=3, record=[cfg.n_steps])
+            ensemble_moments(cfg, x0, n, UNSTABLE, n_workers=3, record=[cfg.n_steps])
         ranges.add(int(re.search(r"^path (\d+)", str(want.value)).group(1)) * 3 // n)
-    assert ranges == {0, 1}
+    assert ranges == {0, 1, 2}
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
@@ -847,17 +925,21 @@ def test_bilinear_blowup_inside_a_draw_block_reports_earliest_step(monkeypatch):
 
 def test_ensemble_progress_is_logged(caplog):
     # One range logs its progress in the caller; a forked range 0 logs in its
-    # child, and the caller writes only the last line.
+    # child, and the caller writes only the last line.  Every line names its
+    # ensemble, and the cost on the last one is the ranges' own: it leaves
+    # out the second that the caller's meanwhile sleeps.
     cfg = PathConfig(dt=0.01, t_end=2.0, seed=1)
     for workers, n_lines in ((1, 10), (2, 1)):
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="vdvcarleman.montecarlo"):
-            ensemble_moments(cfg, X0, 2 * RANGE_PATHS, SYS1, n_workers=workers, record=[])
+            ensemble_moments(cfg, X0, 2 * RANGE_PATHS, SYS1, n_workers=workers, record=[],
+                             meanwhile=functools.partial(time.sleep, 1.0))
         lines = [r.message for r in caplog.records if r.name == "vdvcarleman.montecarlo"]
         assert len(lines) == n_lines
+        assert all(line.startswith("MC ensemble (512 paths, seed 1): step ") for line in lines)
         assert "step 200/200 (100%)" in lines[-1] and "ETA" in lines[-1]
         # the last line, written once every worker is done, carries the cost
         m = re.search(r"; (\d+) path-steps in ([0-9.]+) s, ([0-9.]+) ns per path-step$", lines[-1])
         assert m and int(m.group(1)) == 2 * RANGE_PATHS * 200
-        assert float(m.group(3)) > 0.0
+        assert 0.0 < float(m.group(3)) and float(m.group(2)) < 1.0
         assert all("path-steps" not in line for line in lines[:-1])
