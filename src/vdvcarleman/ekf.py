@@ -11,15 +11,16 @@ with F the drift Jacobian and G the constant diffusion column.  The full
 set matches the Carleman moment path.  No measurement updates.
 
 The mean does not depend on P: it is the RK4 path of the drift ODE,
-stepped on three floats by `_mean_step`, which writes `moments.integrate`
-of `model.float_drift` out in one function.  Along that path the
-covariance ODE is affine in P, so one RK4 step of it is an affine map
-p <- T_k p + c_k on the six distinct entries p of P (upper-triangle
-storage), applied as one matrix on (p, 1) as the augmented mean steps
-z = (m, 1).  That matrix is `moments._rk4_map` of the step's four stage
-generators [[L_s, q], [0, 0]], with L_s from the Jacobian at the stage
-mean (recomputed with `model.drift`) and q the packed g g^T; the maps are
-built for a block of steps at once, and the covariance is exactly
+stepped on `moments._float_path` by `_mean_step`, which writes
+`moments.integrate` of `model.float_drift` out on three floats.  Along
+that path the covariance ODE is affine in P, so one RK4 step of it is an
+affine map p <- T_k p + c_k on the six distinct entries p of P
+(upper-triangle storage), one matrix on (p, 1), stepped by
+`moments._linear_path` as the augmented mean is.  That matrix is
+`moments._rk4_map` of the step's four stage generators [[L_s, q], [0, 0]],
+with L_s from the Jacobian at the stage mean (recomputed with
+`model.drift`) and q the packed g g^T.  The maps of a block of
+`_COV_BLOCK` steps are built at once, and the covariance is exactly
 symmetric by construction.
 """
 from __future__ import annotations
@@ -27,11 +28,11 @@ from __future__ import annotations
 import numpy as np
 
 from .model import ReactorParams, diffusion, drift, jacobian
-from .moments import MomentSeries, _checked_moments, _float_path, _packed, _raise_if_nonfinite, _rk4_map
+from .moments import MomentSeries, _checked_moments, _fill_symmetric, _float_path, _linear_path, _packed, _rk4_map
 
-# Steps per block of covariance maps: each step holds four 7x7 stage
-# generators and their RK4 stage products, so a block's temporaries stay
-# about 1 MB.
+# Steps per block of `moments._linear_path` here: a block's covariance maps
+# hold four 7x7 stage generators a step and their RK4 stage products, so
+# its temporaries stay about 1 MB.
 _COV_BLOCK = 256
 
 # Row e is the packed 6x6 operator of X -> F X + X F^T for F = E_e, the
@@ -104,30 +105,19 @@ def ekf_predict(p: ReactorParams, x0, cov0, dt: float, t_end: float) -> MomentSe
 
     A non-finite mean ends the run at its first non-finite time, as
     `moments.integrate` ends it.  Along a finite mean the covariance steps
-    in blocks of `_COV_BLOCK` maps, written straight into the returned
-    covariance; each block is checked as it is stored, and
-    `IntegrationError` names the time of the first non-finite covariance.
+    on `moments._linear_path`, in blocks of `_COV_BLOCK` per-step maps;
+    each block is checked before both triangles of the returned
+    covariance are written from it, and `IntegrationError` names the time
+    of the first non-finite covariance.
     """
     x0, cov0 = _checked_moments(x0, cov0, 3)
     t, mean = _float_path(_mean_step(p, dt), x0, dt, t_end)
-    n_steps = t.size - 1
     iu, ju = np.triu_indices(3)
     g = diffusion(p)
     q = np.outer(g, g)[iu, ju]
 
-    cov = np.empty((n_steps + 1, 3, 3))
-    cov[0] = cov0
-    packed = np.empty((_COV_BLOCK + 1, iu.size + 1))
-    packed[0, :-1] = cov0[iu, ju]
-    packed[0, -1] = 1.0
-    for start in range(0, n_steps, _COV_BLOCK):
-        stop = min(start + _COV_BLOCK, n_steps)
-        maps = _covariance_maps(p, mean[start:stop], q, dt)
-        block = packed[:stop - start + 1]
-        for k in range(stop - start):
-            np.dot(maps[k], block[k], out=block[k + 1])
-        _raise_if_nonfinite(block[1:], start + 1, dt)
-        cov[start + 1:stop + 1, iu, ju] = block[1:, :-1]
-        cov[start + 1:stop + 1, ju, iu] = block[1:, :-1]
-        packed[0] = block[-1]
+    cov = np.empty((t.size, 3, 3))
+    maps = lambda start, stop: _covariance_maps(p, mean[start:stop], q, dt)
+    for k, rows in _linear_path(maps, np.append(cov0[iu, ju], 1.0), dt, t.size - 1, _COV_BLOCK):
+        _fill_symmetric(cov[k:k + len(rows)], rows[:, :-1])
     return MomentSeries(dt=dt, t=t, mean=mean, cov=cov)

@@ -7,9 +7,9 @@ Under the lift the moment equations of the bilinear state are linear,
 and a forced or affine linear ODE is a linear ODE on an augmented state
 (Van Loan, IEEE TAC 23(3), 1978).  So one fixed RK4 step of each moment
 path here is an exact linear map, which `_rk4_map` builds from the
-step's four stage generators once per call (`ekf` builds its per-step
-covariance maps with it too) and which is applied by matrix-vector
-products:
+step's four stage generators once per call, and `_linear_path`, the one
+loop of y[k+1] = A_k y[k], applies it (`ekf` builds and steps its
+per-step covariance maps with the same two):
 
 * the augmented mean (`augmented_mean_path`) steps z = (m, 1) by a
   (dim+1)x(dim+1) matrix; it is the one integrator of the augmented
@@ -25,24 +25,24 @@ products:
   P and of z z^T, by one matrix (`_augmented_step_map`), and reads the
   mean from the (i, dim) entries of z z^T.
 
-`integrate` is the float RK4 loop for nonlinear right-hand sides, on
-`_float_path`, the block-stored and checked loop of a float state that
-also steps the EKF mean's unrolled RK4.  It serves `physical_rhs`, the
-nine hand-derived moment ODEs, which `crosscheck_mean_paths` compares
-with `integrate_physical`:
-two independent formulations of one ODE, whose maximum discrepancy
-should sit at integrator-noise level.  The augmented COVARIANCE differs
-from the physical one by construction (it treats each product slot as an
-independent coordinate) and is never reconciled with it.
+`_float_path` is the one loop of a float state: the EKF mean's unrolled
+RK4 and the single Euler-Maruyama path of `montecarlo` step on it, and so
+does `integrate`, the float RK4 of `physical_rhs`, the nine hand-derived
+moment ODEs, which `crosscheck_mean_paths` compares with
+`integrate_physical`: two independent formulations of one ODE, whose
+maximum discrepancy should sit at integrator-noise level.  The augmented
+COVARIANCE differs from the physical one by construction (it treats each
+product slot as an independent coordinate) and is never reconciled with
+it.
 
 Every `MomentSeries` path takes the same initial data: a plain mean
 vector and covariance matrix of the physical state, checked for shape and
 finiteness and symmetrized on entry.  Every path keeps the covariance
-exactly symmetric without a post-step: the physical path writes both
-triangles from one recovered entry, and the augmented path and the EKF
-step the upper triangle.  No positive-semidefiniteness repair is
-applied: order-2 truncation can legitimately drive the physical
-covariance indefinite, and that behaviour must stay observable.
+exactly symmetric without a post-step: it computes the upper triangle
+only, and `_fill_symmetric` writes both from it.  No positive-
+semidefiniteness repair is applied: order-2 truncation can legitimately
+drive the physical covariance indefinite, and that behaviour must stay
+observable.
 """
 from __future__ import annotations
 
@@ -60,14 +60,17 @@ PAIRS = MonomialIndexMap(3, 2).pairs
 
 GRID_TOL = 1e-9
 
-# Steps per block of every fixed-step loop: the augmented propagator's
-# temporaries and the row lists of the float loops stay small whatever
-# the horizon.
+# Steps per block of `_float_path` and, by default, of `_linear_path`:
+# their row lists and buffers stay small whatever the horizon.
 BLOCK_STEPS = 1024
 
 
 class IntegrationError(RuntimeError):
-    """Raised when an integration produces a non-finite state."""
+    """Raised when an integration produces a non-finite state, the one at grid index ``step``."""
+
+    def __init__(self, message: str, step: int | None = None):
+        super().__init__(message)
+        self.step = step
 
 
 def _check_dt(dt: float) -> None:
@@ -136,7 +139,7 @@ def _float_path(step, y0, dt: float, t_end: float) -> tuple[np.ndarray, np.ndarr
     n = grid_steps(dt, t_end)
     y0 = np.array(y0, dtype=float)
     if not np.isfinite(y0).all():
-        raise IntegrationError("non-finite initial state")
+        raise IntegrationError("non-finite initial state", 0)
     out = np.empty((n + 1, y0.size))
     out[0] = y0
     y = y0.tolist()
@@ -147,8 +150,7 @@ def _float_path(step, y0, dt: float, t_end: float) -> tuple[np.ndarray, np.ndarr
                 y = step(y)
                 rows.append(y)
         except OverflowError:
-            _raise_if_nonfinite(np.reshape(rows, (-1, y0.size)), start, dt)
-            raise IntegrationError(f"non-finite state at t={(start + len(rows)) * dt:.6g}") from None
+            rows.append([math.nan] * y0.size)  # the state of the step it interrupted
         block = out[start:start + len(rows)]
         block[:] = rows
         _raise_if_nonfinite(block, start, dt)
@@ -245,8 +247,8 @@ def integrate_physical(p: ReactorParams, mean0, cov0, dt: float, t_end: float) -
     cov = np.empty((t.size, 3, 3))
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (i, j) in enumerate(PAIRS):
-            cov[:, i, j] = aug[:, 3 + k] - mean[:, i] * mean[:, j]
-            cov[:, j, i] = cov[:, i, j]
+            aug[:, 3 + k] -= mean[:, i] * mean[:, j]
+    _fill_symmetric(cov, aug[:, 3:])
     cov[0] = cov0
     _raise_if_nonfinite(cov.reshape(t.size, 9), 0, dt)
     return MomentSeries(dt=dt, t=t, mean=mean, cov=cov)
@@ -366,17 +368,41 @@ def _augmented_step_map(sys: BilinearSystem, h: float) -> np.ndarray:
     return step
 
 
-def _step_affine(step: np.ndarray, out: np.ndarray) -> None:
-    """Fill out[1:] from out[0] by out[k+1] = step @ out[k]."""
-    for k in range(out.shape[0] - 1):
-        np.dot(step, out[k], out=out[k + 1])
-
-
 def _raise_if_nonfinite(states: np.ndarray, k0: int, dt: float) -> None:
     """IntegrationError naming the first non-finite row; row r is grid step k0 + r."""
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():
-        raise IntegrationError(f"non-finite state at t={(k0 + int(np.argmin(finite))) * dt:.6g}")
+        k = k0 + int(np.argmin(finite))
+        raise IntegrationError(f"non-finite state at t={k * dt:.6g}", k)
+
+
+def _linear_path(maps, y0: np.ndarray, dt: float, n_steps: int, block: int = BLOCK_STEPS):
+    """The path y[k+1] = A_k y[k], yielded as (k, rows): y0 alone, then block by block.
+
+    ``maps(start, stop)`` gives the maps A_start..A_{stop-1}: one matrix
+    repeated, or a stack of per-step maps.  rows[r] is the state at grid
+    step k + r; it is a view of a buffer of ``block`` + 1 rows, which the
+    next block overwrites.  Rows are checked before they are yielded:
+    `IntegrationError` names the time of the first non-finite state.
+    """
+    buf = np.empty((min(block, n_steps) + 1, y0.size))
+    buf[0] = y0
+    _raise_if_nonfinite(buf[:1], 0, dt)
+    yield 0, buf[:1]
+    for start in range(0, n_steps, block):
+        rows = buf[1:min(block, n_steps - start) + 1]
+        for k, a in enumerate(maps(start, start + len(rows))):
+            np.dot(a, buf[k], out=buf[k + 1])
+        _raise_if_nonfinite(rows, start + 1, dt)
+        yield start + 1, rows
+        buf[0] = rows[-1]
+
+
+def _fill_symmetric(cov: np.ndarray, packed: np.ndarray) -> None:
+    """Write the upper-triangle rows ``packed`` into both triangles of the matrix stack ``cov``."""
+    iu, ju = np.triu_indices(cov.shape[-1])
+    cov[:, iu, ju] = packed
+    cov[:, ju, iu] = packed
 
 
 def augmented_mean_path(sys: BilinearSystem, mean0, dt: float, t_end: float) -> tuple[np.ndarray, np.ndarray]:
@@ -396,12 +422,11 @@ def augmented_mean_path(sys: BilinearSystem, mean0, dt: float, t_end: float) -> 
 def _affine_mean_path(sys: BilinearSystem, mean0: np.ndarray, dt: float, t_end: float, scheme):
     """Checked (t, mean) path of z = (m, 1) under the one-step map ``scheme(_mean_generator(sys), dt)``."""
     n_steps = grid_steps(dt, t_end)
-    z = np.empty((n_steps + 1, sys.dim + 1))
-    z[0, :-1] = mean0
-    z[0, -1] = 1.0
-    _step_affine(scheme(_mean_generator(sys), dt), z)
-    _raise_if_nonfinite(z, 0, dt)
-    return np.arange(n_steps + 1) * dt, z[:, :-1]
+    step = scheme(_mean_generator(sys), dt)
+    mean = np.empty((n_steps + 1, sys.dim))
+    for k, rows in _linear_path(lambda start, stop: [step] * (stop - start), np.append(mean0, 1.0), dt, n_steps):
+        mean[k:k + len(rows)] = rows[:, :-1]
+    return np.arange(n_steps + 1) * dt, mean
 
 
 def integrate_augmented(sys: BilinearSystem, mean0, cov0, dt: float, t_end: float) -> MomentSeries:
@@ -410,11 +435,10 @@ def integrate_augmented(sys: BilinearSystem, mean0, cov0, dt: float, t_end: floa
     ``mean0`` and ``cov0`` are the physical moments; the augmented initial
     state is their `gaussian_lift`.  One state, the upper triangles of the
     covariance and of z z^T with z = (mean, 1), takes RK4's exact one-step
-    map (`_augmented_step_map`) in blocks of `BLOCK_STEPS` steps; the mean
-    is read from the (i, dim) entries of z z^T.  The covariance is written
-    straight into the returned array, symmetric by construction.  Each
-    block is checked as it is stored, so a blow-up is reported at the
-    first non-finite step of the state.
+    map (`_augmented_step_map`) on `_linear_path`; the mean is read from
+    the (i, dim) entries of z z^T, and both triangles of the covariance
+    are written from the upper one.  A blow-up is reported at the first
+    non-finite step of the state.
     """
     mean0, cov0 = _checked_moments(mean0, cov0, sys.n)
     n_steps = grid_steps(dt, t_end)
@@ -423,27 +447,17 @@ def integrate_augmented(sys: BilinearSystem, mean0, cov0, dt: float, t_end: floa
     iu, ju = np.triu_indices(dim)
     zi, zj = np.triu_indices(dim + 1)
     z0 = np.append(lift_mean, 1.0)
-    state = np.empty((BLOCK_STEPS + 1, iu.size + zi.size))
-    state[0, :iu.size] = lift_cov[iu, ju]
-    state[0, iu.size:] = z0[zi] * z0[zj]
-    if not np.isfinite(state[0]).all():
+    state0 = np.concatenate([lift_cov[iu, ju], z0[zi] * z0[zj]])
+    if not np.isfinite(state0).all():
         raise IntegrationError("non-finite initial state")
     step = _augmented_step_map(sys, dt)
     mean_cols = iu.size + np.flatnonzero(zj == dim)[:-1]
 
     mean = np.empty((n_steps + 1, dim))
-    mean[0] = lift_mean
     cov = np.empty((n_steps + 1, dim, dim))
-    cov[0] = lift_cov
-    for start in range(0, n_steps, BLOCK_STEPS):
-        stop = min(start + BLOCK_STEPS, n_steps)
-        block = state[:stop - start + 1]
-        _step_affine(step, block)
-        _raise_if_nonfinite(block[1:], start + 1, dt)
-        mean[start + 1:stop + 1] = block[1:, mean_cols]
-        cov[start + 1:stop + 1, iu, ju] = block[1:, :iu.size]
-        cov[start + 1:stop + 1, ju, iu] = block[1:, :iu.size]
-        state[0] = block[-1]
+    for k, rows in _linear_path(lambda start, stop: [step] * (stop - start), state0, dt, n_steps):
+        mean[k:k + len(rows)] = rows[:, mean_cols]
+        _fill_symmetric(cov[k:k + len(rows)], rows[:, :iu.size])
     return MomentSeries(dt=dt, t=np.arange(n_steps + 1) * dt, mean=mean, cov=cov)
 
 

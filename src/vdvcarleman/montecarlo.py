@@ -9,7 +9,9 @@ the Euler-Maruyama scheme
 with z[k] i.i.d. standard normal.  A single path (`simulate_path`) of
 the nonlinear reactor steps Python floats in the operation order of the
 array form, so it is bit-identical to it; a single bilinear path stays on
-numpy, whose x @ a^T is a BLAS product.  Reproducibility contract:
+numpy, whose x @ a^T is a BLAS product.  Both step on
+`moments._float_path`, the checked loop of every float state.
+Reproducibility contract:
 
 * normal increments come from numpy's PCG64 generator (ziggurat
   transform), so a given seed yields bit-identical trajectories across
@@ -73,7 +75,7 @@ import numpy as np
 
 from .carleman import BilinearSystem, point_lift
 from .model import ReactorParams, float_drift
-from .moments import BLOCK_STEPS, _affine_mean_path, grid_steps
+from .moments import BLOCK_STEPS, IntegrationError, _affine_mean_path, _float_path, grid_steps
 
 # An ensemble gets at most one worker range per RANGE_PATHS paths, and its
 # paths are split evenly over the ranges, so a range of a split holds more
@@ -176,65 +178,49 @@ def _initial_state(x0, dynamics) -> np.ndarray:
     return point_lift(x0) if bilinear else x0
 
 
-def simulate_path(cfg: PathConfig, x0, dynamics, increments: np.ndarray | None = None):
+def simulate_path(cfg: PathConfig, x0, dynamics):
     """Euler-Maruyama trajectory of one path.  Returns (t, X).
 
     ``dynamics`` is ReactorParams for the nonlinear system or a
     BilinearSystem for the embedded one; the start ``x0`` is always the
-    physical n-vector, lifted onto the product slots for the latter.
-    ``increments``, if given, are the standard-normal draws to consume
-    (length n_steps); passing the same array to both systems couples them
-    through shared noise.  Omitted, they come from the seeded generator.
-    Steps are stored in blocks of `BLOCK_STEPS` rows, each checked as it
-    is stored: `SimulationError` names the first non-finite step.
+    physical n-vector, lifted onto the product slots for the latter.  The
+    normals come from the generator seeded with ``cfg.seed``, so both
+    systems on one seed share their noise.  The path is stepped on
+    `moments._float_path`, which stores and checks it in blocks of
+    `BLOCK_STEPS` rows: `SimulationError` names the first non-finite step.
     """
     x = _initial_state(x0, dynamics)
     n_steps = cfg.n_steps
-    if increments is None:
-        increments = np.random.Generator(np.random.PCG64(cfg.seed)).standard_normal(n_steps)
-    else:
-        increments = np.asarray(increments, dtype=float)
-        if increments.shape != (n_steps,):
-            raise ValueError(f"need {n_steps} increments, got shape {increments.shape}")
-    step = _em_step(dynamics, cfg.dt)
-    out = np.empty((n_steps + 1, x.size))
-    out[0] = x
-    if isinstance(dynamics, ReactorParams):
-        x = x.tolist()
-    for start in range(1, n_steps + 1, BLOCK_STEPS):
-        rows = []
-        for z in increments[start - 1:start - 1 + BLOCK_STEPS].tolist():
-            x = step(x, z)
-            rows.append(x)
-        block = out[start:start + len(rows)]
-        block[:] = rows
-        finite = np.isfinite(block).all(axis=1)
-        if not finite.all():
-            k = start + int(np.argmin(finite))
-            raise SimulationError(f"non-finite state at step {k} (t={k * cfg.dt:.6g})")
-    return np.arange(n_steps + 1) * cfg.dt, out
+    draws = np.random.Generator(np.random.PCG64(cfg.seed)).standard_normal(n_steps)
+    # Python floats a block at a time: one list of the whole horizon would add to the peak memory.
+    normals = (z for k in range(0, n_steps, BLOCK_STEPS) for z in draws[k:k + BLOCK_STEPS].tolist())
+    try:
+        return _float_path(_em_step(dynamics, cfg.dt, normals), x, cfg.dt, cfg.t_end)
+    except IntegrationError as err:
+        raise SimulationError(f"non-finite state at step {err.step} (t={err.step * cfg.dt:.6g})") from None
 
 
-def _em_step(dynamics, dt: float):
+def _em_step(dynamics, dt: float, normals):
     """One Euler-Maruyama step x <- (x + f(x) dt) + g(x) (sqrt(dt) z) of a single path.
 
-    The nonlinear reactor steps a tuple of floats with `model.float_drift`;
-    the zero entries of its diffusion column still add their
-    0.0 * (sqrt(dt) z) terms, so signed zeros come out as the array form
-    gives them.  The bilinear system steps a numpy vector, since its
-    x @ a^T and x @ d^T are BLAS products.
+    Each call of the returned ``step(x)`` takes its z from the iterator
+    ``normals``.  The nonlinear reactor steps a sequence of floats with
+    `model.float_drift`; the zero entries of its diffusion column still
+    add their 0.0 * (sqrt(dt) z) terms, so signed zeros come out as the
+    array form gives them.  The bilinear system steps a numpy vector,
+    since its x @ a^T and x @ d^T are BLAS products.
     """
     sqdt = np.sqrt(dt)
     if isinstance(dynamics, BilinearSystem):
         sys = dynamics
-        return lambda x, z: x + (sys.a0 + x @ sys.a.T) * dt + (sys.g + x @ sys.d.T) * (sqdt * z)
+        return lambda x: x + (sys.a0 + x @ sys.a.T) * dt + (sys.g + x @ sys.d.T) * (sqdt * next(normals))
     f, b = float_drift(dynamics), dynamics.beta
     sqdt = float(sqdt)
 
-    def step(x, z):
+    def step(x):
         x1, x2, x3 = x
         f1, f2, f3 = f(x)
-        w = sqdt * z
+        w = sqdt * next(normals)
         return (x1 + f1 * dt + 0.0 * w, x2 + f2 * dt + 0.0 * w, x3 + f3 * dt + b * w)
 
     return step
@@ -397,7 +383,12 @@ def _fork_map(tasks, n_procs: int, meanwhile=None) -> list:
             while todo and len(running) < n_procs:
                 i, (_, fn) = todo.pop()
                 r, w = os.pipe()
-                pid = os.fork()
+                try:
+                    pid = os.fork()
+                except BaseException:
+                    os.close(r)
+                    os.close(w)
+                    raise
                 if pid == 0:
                     code = 1
                     try:

@@ -539,6 +539,56 @@ def test_augmented_mean_path_t_end_zero_returns_start():
         augmented_mean_path(sys, SET1_X0, 0.01, 1.0)
 
 
+def _linear_path_rows(maps, y0, dt, n):
+    """The rows `_linear_path` yields, up to its error: (rows, IntegrationError or None)."""
+    rows = []
+    try:
+        for k, block in moments._linear_path(maps, np.array(y0), dt, n):
+            assert k == len(rows)
+            rows.extend(block.copy())
+    except IntegrationError as err:
+        return np.array(rows), err
+    return np.array(rows), None
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("per_step", [False, True], ids=["constant", "stack"])
+def test_linear_path_equals_a_plain_loop_and_names_its_first_nonfinite_time(per_step):
+    # Growth 1.5 a step: the first state past the double range is step 1751,
+    # inside the second block.
+    n, dt = 2500, 0.01
+    rng = np.random.Generator(np.random.PCG64(8))
+    if per_step:
+        # signed permutations times 1.5, a different one at every step
+        stack = np.stack([1.5 * np.eye(3)[rng.permutation(3)] * rng.choice([-1.0, 1.0], size=(3, 1))
+                          for _ in range(n)])
+        maps = lambda start, stop: stack[start:stop]
+    else:
+        a = np.array([[1.5, 0.0, 0.0], [0.25, 0.5, 0.0], [0.1, -0.3, -0.75]])
+        maps = lambda start, stop: [a] * (stop - start)
+    y0 = np.array([1.0, -0.5, 0.25])
+    want = [y0]
+    for a_k in maps(0, n):
+        want.append(np.dot(a_k, want[-1]))
+    want = np.array(want)
+    first = int(np.argmin(np.isfinite(want).all(axis=1)))
+    assert first == 1751 and 0 < (first - 1) % BLOCK_STEPS < BLOCK_STEPS - 1
+
+    rows, err = _linear_path_rows(maps, y0, dt, first - 1)
+    assert err is None and np.array_equal(bits(rows), bits(want[:first]))
+    rows, err = _linear_path_rows(maps, y0, dt, n)
+    assert str(err) == f"non-finite state at t={first * dt:.6g}" and err.step == first
+    # the blocks before the failing one were handed out, and nothing after
+    assert rows.shape[0] == BLOCK_STEPS + 1
+    assert np.array_equal(bits(rows), bits(want[:BLOCK_STEPS + 1]))
+    # a non-finite start is reported at t=0, even with no step to take
+    for steps in (0, 5):
+        rows, err = _linear_path_rows(maps, [1.0, np.nan, 0.0], dt, steps)
+        assert rows.shape == (0,) and str(err) == "non-finite state at t=0" and err.step == 0
+    rows, err = _linear_path_rows(maps, y0, dt, 0)
+    assert err is None and np.array_equal(bits(rows), bits(y0[None]))
+
+
 @st.composite
 def quadratic_sdes(draw):
     n = draw(st.integers(min_value=1, max_value=4))

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import functools
 import logging
 import os
@@ -55,30 +56,37 @@ def em_path_oracle(cfg, x0, p, increments=None):
     return out
 
 
+def em_rows(cfg, x0, p, z):
+    """The float path of `_em_step` from x0 on the normals z, unchecked, one row per grid index."""
+    step = montecarlo._em_step(p, cfg.dt, iter(z.tolist()))
+    rows = [tuple(x0.tolist())]
+    for _ in range(z.size):
+        rows.append(step(rows[-1]))
+    return np.array(rows)
+
+
 @pytest.mark.parametrize("p, x0", [(PARAM_SET1, X0), (PARAM_SET2, X0_SET2.as_array())], ids=["set1", "set2"])
 def test_nonlinear_path_equals_array_oracle_bit_for_bit(p, x0):
     cfg = PathConfig(dt=0.01, t_end=60.0, seed=17)
     _, path = simulate_path(cfg, x0, p)
     assert np.array_equal(bits(path), bits(em_path_oracle(cfg, x0, p)))
-    # Explicit increments with zeros of both signs, from starts with signed
-    # zeros.  Where f_i dt underflows to -0.0 at x_i = -0.0 (the subnormal
-    # starts), the 0.0 * noise term decides the sign of the zero sum.
+    # Normals with zeros of both signs, from starts with signed zeros, stepped
+    # by `_em_step`.  Where f_i dt underflows to -0.0 at x_i = -0.0 (the
+    # subnormal starts), the 0.0 * noise term decides the sign of the zero sum.
     z = np.random.Generator(np.random.PCG64(3)).standard_normal(cfg.n_steps)
     z[::7] = 0.0
     z[3::7] = -0.0
     starts = (x0, np.array([0.0, -0.0, 0.0]), np.array([-0.0, -0.0, -0.0]),
               np.array([-0.0, -0.0, -2e-320]), np.array([-1e-322, -0.0, 0.0]))
     for start in starts:
-        _, path = simulate_path(cfg, start, p, increments=z)
-        assert np.array_equal(bits(path), bits(em_path_oracle(cfg, start, p, z)))
-    # An infinite increment makes every zero-noise term 0.0 * inf = nan.
+        assert np.array_equal(bits(em_rows(cfg, start, p, z)), bits(em_path_oracle(cfg, start, p, z)))
+    # An infinite normal makes every zero-noise term 0.0 * inf = nan.
     z[2500] = np.inf
-    with pytest.raises(SimulationError, match=r"^non-finite state at step 2501 ") as got:
-        simulate_path(cfg, x0, p, increments=z)
+    finite = np.isfinite(em_rows(cfg, x0, p, z)).all(axis=1)
+    assert finite[:2501].all() and not finite[2501]
     with np.errstate(invalid="ignore"):
-        with pytest.raises(SimulationError) as want:
+        with pytest.raises(SimulationError, match=r"^non-finite state at step 2501 "):
             em_path_oracle(cfg, x0, p, z)
-    assert str(got.value) == str(want.value)
 
 
 def test_substream_seeds_distinct_and_stable():
@@ -144,6 +152,16 @@ def test_bilinear_start_is_lifted_consistently():
             simulate_path(cfg, lifted, dynamics)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_a_start_whose_lift_overflows_fails_at_step_0():
+    # The start is finite but its square is not, so the lifted state at
+    # step 0 is the first non-finite one, with or without steps to take.
+    sys = embed_order2(QuadraticSde(c=[0.0], lin=[[-1.0]], quad=[[[0.0]]], g=[1.0]))
+    for t_end in (0.0, 1.0):
+        with pytest.raises(SimulationError, match=r"^non-finite state at step 0 \(t=0\)$"):
+            simulate_path(PathConfig(dt=0.01, t_end=t_end, seed=0), [1e200], sys)
+
+
 _CFG = PathConfig(dt=0.01, t_end=0.1, seed=1)
 
 
@@ -159,10 +177,8 @@ def test_nonfinite_start_is_rejected_at_the_boundary(start, bad):
         start([0.8, bad, 0.0])
 
 
-def test_increment_shape_and_type_validation():
+def test_simulate_path_names_coefficients_passed_as_dynamics():
     cfg = PathConfig(dt=0.01, t_end=1.0, seed=1)
-    with pytest.raises(ValueError):
-        simulate_path(cfg, X0, PARAM_SET1, increments=np.zeros(5))
     with pytest.raises(TypeError, match="got QuadraticSde"):
         simulate_path(cfg, X0, vandevusse_coefficients(PARAM_SET1))  # coefficients, not dynamics
 
@@ -201,8 +217,8 @@ def test_ensemble_matches_individually_simulated_paths():
     stats = ensemble_moments(cfg, X0, n, SYS1, record=np.arange(cfg.n_steps + 1))
     paths = []
     for i in range(n):
-        z = np.random.Generator(np.random.PCG64(substream_seed(cfg.seed, i))).standard_normal(cfg.n_steps)
-        paths.append(simulate_path(cfg, X0, SYS1, increments=z)[1])
+        single = PathConfig(dt=cfg.dt, t_end=cfg.t_end, seed=substream_seed(cfg.seed, i))
+        paths.append(simulate_path(single, X0, SYS1)[1])
     stack = np.stack(paths)
     assert np.allclose(stats.mean, stack.mean(axis=0), atol=1e-12)
     assert np.allclose(stats.var, stack.var(axis=0, ddof=1), atol=1e-12)
@@ -910,9 +926,8 @@ def test_bilinear_blowup_inside_a_draw_block_reports_earliest_step(monkeypatch):
     n = 2 * RANGE_PATHS + 37
     failures = []
     for i in range(n):
-        z = np.random.Generator(np.random.PCG64(substream_seed(cfg.seed, i))).standard_normal(cfg.n_steps)
         with pytest.raises(SimulationError) as exc:
-            simulate_path(cfg, [1.0], sys, increments=z)
+            simulate_path(PathConfig(dt=cfg.dt, t_end=cfg.t_end, seed=substream_seed(cfg.seed, i)), [1.0], sys)
         failures.append((int(re.search(r"step (\d+)", str(exc.value)).group(1)), i))
     step, path = min(failures)
     block = 64
@@ -943,3 +958,23 @@ def test_ensemble_progress_is_logged(caplog):
         assert m and int(m.group(1)) == 2 * RANGE_PATHS * 200
         assert 0.0 < float(m.group(3)) and float(m.group(2)) < 1.0
         assert all("path-steps" not in line for line in lines[:-1])
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_fork_map_closes_the_pipe_of_a_fork_that_fails(monkeypatch):
+    # The second fork fails as it would when the process limit is reached;
+    # the first child is killed and reaped, and no descriptor is left open.
+    real_fork, forks = os.fork, []
+
+    def fork():
+        forks.append(len(forks))
+        if len(forks) == 2:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    before = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError):
+        montecarlo._fork_map([("sleeper", functools.partial(time.sleep, 30.0)), ("second", int)], 2)
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert forks == [0, 1]
