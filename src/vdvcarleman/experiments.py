@@ -16,7 +16,9 @@ Monte Carlo rows read the ensemble statistics: everything else, and a
 caller's ``meanwhile(report)``, runs while the ensemble's forked ranges
 do.  Reports can be emitted as CSV files and standalone SVG charts;
 `emit_trajectories` and `emit_charts` need no ensemble statistics,
-`emit_summary` does, and `emit_csv` writes both CSV halves.
+`emit_summary` does, and `emit_csv` writes both CSV halves.  Every CSV
+goes through one writer, which formats a block of rows at a time in
+numpy, byte for byte as Python's '%.10e' (`_format_fields`).
 """
 from __future__ import annotations
 
@@ -370,42 +372,116 @@ _COV_ENTRIES = ((0, 0), (1, 1), (0, 1), (0, 2), (1, 2), (2, 2))
 _CKPT_COLUMNS = ("t", "carleman_P_x1", "ekf_P_x1", "carleman_P_x2", "ekf_P_x2")
 
 _MC_COLUMNS = ("t", "component", "mc_mean", "ode_mean", "ode_em_mean", "stderr", "abs_err", "within_3_stderr")
-_MC_LINE = "%.10e,%s,%.10e,%.10e,%.10e,%.10e,%.10e,%d\n"
+# The text columns of mc_validation.csv and their formats; the rest are numbers.
+_MC_TEXT = {"component": "%s", "within_3_stderr": "%d"}
 
-# Rows formatted per block: the block's row lists stay small.
+# Rows formatted per block: the block's arrays stay small.
 _CSV_BLOCK_ROWS = 256
 
-
-def _write_csv(path: str, header, line: str, blocks) -> str:
-    """Write the ``header`` row, then ``line % row`` for each row of each block."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for rows in blocks:
-            fh.write("".join([line % tuple(row) for row in rows]))
-    return path
+# 10^k for 0 <= k <= 22, each an exact double, and the ASCII of every
+# two-digit pair, its first digit in the low byte.
+_POW10 = np.array([float(10 ** k) for k in range(23)])
+_DIGIT_PAIRS = np.array([ord(str(i // 10)) | ord(str(i % 10)) << 8 for i in range(100)], dtype=np.uint32)
 
 
-def _series_table(columns: list) -> tuple:
-    """The '%'-format line of one '%.10e' field per column, and its row blocks.
+def _scaled(a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """a * 10^(10 - e): one correctly rounded multiply or divide by an exact power of ten."""
+    k = 10 - e
+    return a * _POW10.take(np.clip(k, 0, 22)) / _POW10.take(np.clip(-k, 0, 22))
 
-    A None column, a series the report lacks, gets an empty format and no field.
+
+def _format_fields(x: np.ndarray) -> tuple:
+    """('%.10e' % v for every v in ``x``, as five uint32 words each, zero-padded; fallback count).
+
+    s = |v| 10^(10 - e), e = floor(log10 |v|), holds the 11 significant
+    digits; below 1e11 it is within 0.5 ulp (< 1e-5) of the exact value,
+    so rint(s) has the digits of the correctly rounded '%.10e' unless s is
+    within 1e-4 of a rounding tie.  Such fields, non-finite ones, decades
+    outside [-12, 32] (|k| <= 22 keeps 10^k exact) and any s left outside
+    [1e10, 1e11) after one correction of e are formatted by Python's '%'.
+    Bytes: [sign] d '.' 0 dddd dddd dd 'e' +- dd 0 0; byte 19 is left
+    zero for the separator.
     """
-    line = ",".join("" if c is None else "%.10e" for c in columns) + "\n"
-    present = [c for c in columns if c is not None]
-    n = len(present[0]) if present else 0
-    blocks = (
-        np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in present]).tolist()
-        for start in range(0, n, _CSV_BLOCK_ROWS)
-    )
-    return line, blocks
+    a = np.abs(x)
+    finite = np.isfinite(a)
+    zero = a == 0.0
+    a = np.where(finite & ~zero, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    s = _scaled(a, e)
+    off = (s >= 1e11).astype(np.int64) - (s < 1e10)
+    if off.any():  # log10 near a power of ten
+        e += off
+        s = _scaled(a, e)
+    slow = ~finite | (e < -12) | (e > 32) | (s < 1e10) | (s >= 1e11) | (np.abs(s - np.floor(s) - 0.5) < 1e-4)
+    blank = zero | slow
+    m = np.where(blank, 0.0, np.rint(s)).astype(np.int64)
+    carry = m == 10 ** 11  # 9.99999999995 and above round to 1.0000000000 of the next decade
+    m[carry] = 10 ** 10
+    e = np.where(blank, 0, e + carry)
+    pairs = []
+    for _ in range(5):
+        q = m // 100
+        pairs.append(_DIGIT_PAIRS.take(m - 100 * q))
+        m = q
+    p5, p4, p3, p2, p1 = pairs
+    words = np.empty(x.shape + (5,), np.uint32)
+    words[..., 0] = np.where(np.signbit(x), 0x2E302D, 0x2E3000) + (m.astype(np.uint32) << 8)
+    words[..., 1] = p1 | p2 << 16
+    words[..., 2] = p3 | p4 << 16
+    words[..., 3] = p5 | np.where(e < 0, 0x2D650000, 0x2B650000)
+    words[..., 4] = _DIGIT_PAIRS.take(np.abs(e))
+    n_slow = int(np.count_nonzero(slow))
+    if n_slow:
+        words[slow] = _text_words(["%.10e" % v for v in x[slow].tolist()])
+    return words, n_slow
+
+
+def _text_words(texts) -> np.ndarray:
+    """Each str or bytes of at most 19 bytes as five uint32 words, zero-padded."""
+    return np.array(texts, "S20").view("<u4").reshape(-1, 5)
+
+
+def _write_csv(path: str, header, columns) -> str:
+    """Write the ``header`` row, then row i of ``columns``, a block of rows at a time.
+
+    A column is a float array, each number written '%.10e'; an 'S' array
+    of at most 19 bytes an entry, written as it is; or None, an empty
+    field.  Each block is one array of five uint32 words per field, its
+    separator in the last byte, written with the zero padding dropped.
+    How many fields took the '%' fallback of `_format_fields` is logged
+    at DEBUG.
+    """
+    present = [j for j, c in enumerate(columns) if c is not None]
+    texts = [j for j in present if columns[j].dtype.kind == "S"]
+    numbers = [j for j in present if j not in texts]
+    n = len(columns[present[0]]) if present else 0
+    separators = np.full(len(header), ord(","), np.uint32) << 24
+    separators[-1] = ord("\n") << 24
+    n_slow = 0
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, n, _CSV_BLOCK_ROWS):
+            stop = min(n, start + _CSV_BLOCK_ROWS)
+            words = np.zeros((stop - start, len(header), 5), np.uint32)
+            if numbers:
+                words[:, numbers], slow = _format_fields(np.column_stack([columns[j][start:stop] for j in numbers]))
+                n_slow += slow
+            for j in texts:
+                words[:, j] = _text_words(columns[j][start:stop])
+            words[..., 4] |= separators
+            fh.write(words.tobytes().translate(None, b"\0"))
+    logger.debug("%s: %d of %d fields formatted by '%%'", os.path.basename(path), n_slow, n * len(numbers))
+    return path
 
 
 def emit_csv(report: ComparisonReport, out_dir: str) -> list[str]:
     """Write trajectories.csv, checkpoints.csv, mc_validation.csv, report.json.
 
-    Every CSV is one '%'-format line per row: numbers are '%.10e' (the
-    digits of a per-field f"{x:.10e}") with '.' decimal separator and
-    UNIX newlines.  The files are written in two halves, which ``run``
+    Every number is written byte for byte as '%.10e' % x (the digits of
+    a per-field f"{x:.10e}"), with '.' decimal separator and UNIX
+    newlines; `_write_csv` formats them a block of rows at a time in
+    numpy and leaves the fields it cannot round with certainty to
+    Python's '%'.  The files are written in two halves, which ``run``
     calls apart: `emit_trajectories`, which needs no ensemble statistics,
     and `emit_summary`.
     """
@@ -426,7 +502,7 @@ def emit_trajectories(report: ComparisonReport, out_dir: str) -> list[str]:
         scenario = report.scenario
         ks = [grid_index(scenario.dt, c) for c in scenario.checkpoints]
         traj = [report.t, *report.true_path.T]
-        ckpt = [scenario.checkpoints]
+        ckpt = [np.array(scenario.checkpoints, dtype=float)]
         for series in (report.carleman, report.ekf):
             traj += [None] * 9 if series is None else [*series.mean.T, *(series.cov[:, i, j] for i, j in _COV_ENTRIES)]
         for method in ("carleman", "ekf"):
@@ -435,16 +511,21 @@ def emit_trajectories(report: ComparisonReport, out_dir: str) -> list[str]:
         for i in (0, 1):
             ckpt += [None if series is None else series.cov[ks, i, i] for series in (report.carleman, report.ekf)]
     return [
-        _write_csv(os.path.join(out_dir, "trajectories.csv"), _TRAJ_COLUMNS, *_series_table(traj)),
-        _write_csv(os.path.join(out_dir, "checkpoints.csv"), _CKPT_COLUMNS, *_series_table(ckpt)),
+        _write_csv(os.path.join(out_dir, "trajectories.csv"), _TRAJ_COLUMNS, traj),
+        _write_csv(os.path.join(out_dir, "checkpoints.csv"), _CKPT_COLUMNS, ckpt),
     ]
 
 
 def emit_summary(report: ComparisonReport, out_dir: str) -> list[str]:
     """Write mc_validation.csv, the Monte Carlo rows, and report.json, the run's metadata."""
     os.makedirs(out_dir, exist_ok=True)
-    mc_rows = [] if report.mc is None else [[row[key] for key in _MC_COLUMNS] for row in report.mc.rows]
-    mc_path = _write_csv(os.path.join(out_dir, "mc_validation.csv"), _MC_COLUMNS, _MC_LINE, [mc_rows])
+    rows = [] if report.mc is None else report.mc.rows
+    mc_columns = [
+        np.array([(_MC_TEXT[key] % row[key]).encode() for row in rows], "S")
+        if key in _MC_TEXT else np.array([row[key] for row in rows], dtype=float)
+        for key in _MC_COLUMNS
+    ]
+    mc_path = _write_csv(os.path.join(out_dir, "mc_validation.csv"), _MC_COLUMNS, mc_columns)
 
     meta = {
         "scenario": report.scenario.to_dict(),

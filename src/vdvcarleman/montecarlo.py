@@ -70,6 +70,7 @@ import signal
 import time
 import traceback
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -193,7 +194,7 @@ def simulate_path(cfg: PathConfig, x0, dynamics):
     n_steps = cfg.n_steps
     draws = np.random.Generator(np.random.PCG64(cfg.seed)).standard_normal(n_steps)
     # Python floats a block at a time: one list of the whole horizon would add to the peak memory.
-    normals = (z for k in range(0, n_steps, BLOCK_STEPS) for z in draws[k:k + BLOCK_STEPS].tolist())
+    normals = chain.from_iterable(draws[k:k + BLOCK_STEPS].tolist() for k in range(0, n_steps, BLOCK_STEPS))
     try:
         return _float_path(_em_step(dynamics, cfg.dt, normals), x, cfg.dt, cfg.t_end)
     except IntegrationError as err:
