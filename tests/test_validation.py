@@ -57,6 +57,27 @@ def test_run_all_in_children_equals_run_all_in_the_caller(monkeypatch):
     assert len(pids) == 5
 
 
+def test_run_all_starts_the_slowest_checks_first_and_returns_criterion_order(monkeypatch):
+    started = []
+
+    def recording(number):
+        check = _stub(number)
+
+        def run():
+            started.append(number)
+            return check()
+
+        return run
+
+    checks = tuple(recording(n) for n in range(1, 6))
+    monkeypatch.setattr(validation, "ALL_CHECKS", checks)
+    monkeypatch.setattr(validation, "SLOWEST_FIRST", (checks[3], checks[1]))
+    # With one CPU the checks run in the caller, in the order they start.
+    assert [r.number for r in _run_all_on(monkeypatch, 1)] == [1, 2, 3, 4, 5]
+    assert started == [4, 2, 1, 3, 5]
+    assert [r.number for r in _run_all_on(monkeypatch, 2)] == [1, 2, 3, 4, 5]
+
+
 def test_a_check_that_raises_in_a_child_is_named_with_its_traceback(monkeypatch):
     def check_broken():
         raise ValueError("broken check")
