@@ -5,7 +5,11 @@ A quadratic-drift SDE with constant diffusion and one Brownian channel,
     dx_i = (c_i + L_i . x + x^T Q_i x) dt + g_i dB,
 
 is lifted onto the augmented state xi = (x, distinct pairwise products
-of x).  The product dynamics follow from the Ito product rule
+of x).  Product slot k holds x_i x_j for (i, j) the k-th entry of
+``np.triu_indices(n)``, the packed upper triangle of x x^T (for n = 3:
+x1x1, x1x2, x1x3, x2x2, x2x3, x3x3); every product state and packed
+covariance in the package uses this order.  The product dynamics follow
+from the Ito product rule
 
     d(x_i x_j) = x_i dx_j + x_j dx_i + g_i g_j dt,
 
@@ -28,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kronecker import MonomialIndexMap, reduce_square, reduced_dim
 from .model import ReactorParams
 
 
@@ -55,7 +58,9 @@ class QuadraticSde:
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
-        n = c.shape[0]
+        if c.ndim != 1 or c.size < 1:
+            raise ValueError(f"c must be a nonempty vector, got shape {c.shape}")
+        n = c.size
         lin = np.asarray(self.lin, dtype=float)
         quad = np.asarray(self.quad, dtype=float)
         g = np.asarray(self.g, dtype=float)
@@ -90,6 +95,8 @@ class BilinearSystem:
     g: np.ndarray
 
     def __post_init__(self):
+        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
+            raise ValueError(f"n must be a positive integer, got {self.n!r}")
         m = self.dim
         a0 = np.asarray(self.a0, dtype=float)
         a = np.asarray(self.a, dtype=float)
@@ -104,7 +111,7 @@ class BilinearSystem:
 
     @property
     def dim(self) -> int:
-        return self.n + reduced_dim(self.n, 2)
+        return self.n + self.n * (self.n + 1) // 2
 
     def blocks(self) -> dict[str, np.ndarray]:
         """Read-only block views: suffix 1 = physical coordinates, 2 = product coordinates.
@@ -123,7 +130,8 @@ class BilinearSystem:
 
 def point_lift(x: np.ndarray) -> np.ndarray:
     """Augmented state (x, distinct pairwise products of x) of a physical point."""
-    return np.concatenate([x, reduce_square(x)])
+    i, j = np.triu_indices(x.size)
+    return np.concatenate([x, x[i] * x[j]])
 
 
 def embed_order2(sde: QuadraticSde) -> BilinearSystem:
@@ -131,13 +139,13 @@ def embed_order2(sde: QuadraticSde) -> BilinearSystem:
 
     Expands d(x_i x_j) by the Ito product rule, classifies every drift
     monomial by total degree, deletes degree >= 3, and keeps all diffusion
-    terms plus the Ito correction g_i*g_j.  Product slots follow
-    ``MonomialIndexMap(sde.n, 2)``.
+    terms plus the Ito correction g_i*g_j.
     """
     n = sde.n
-    imap = MonomialIndexMap(n, 2)
-    m2 = len(imap)
-    dim = n + m2
+    iu, ju = np.triu_indices(n)
+    slot = np.empty((n, n), dtype=int)  # slot[i, j]: column of x_i x_j
+    slot[iu, ju] = slot[ju, iu] = n + np.arange(iu.size)
+    dim = n + iu.size
     a0 = np.zeros(dim)
     a = np.zeros((dim, dim))
     d = np.zeros((dim, dim))
@@ -146,22 +154,18 @@ def embed_order2(sde: QuadraticSde) -> BilinearSystem:
     # Physical block: the drift is exactly quadratic, nothing is dropped.
     a0[:n] = sde.c
     a[:n, :n] = sde.lin
-    for i in range(n):
-        for k, (p, q) in enumerate(imap.pairs):
-            a[i, n + k] = sde.quad[i, p, p] if p == q else sde.quad[i, p, q] + sde.quad[i, q, p]
+    a[:n, n:] = np.where(iu == ju, sde.quad[:, iu, ju], sde.quad[:, iu, ju] + sde.quad[:, ju, iu])
     g[:n] = sde.g
 
     # Product block: x_i dx_j + x_j dx_i + g_i g_j dt, truncated at degree 2.
-    for k, (i, j) in enumerate(imap.pairs):
-        row = n + k
-        for src, other in ((j, i), (i, j)):
-            # x_other * drift_src contributes c deg-1 and L deg-2 terms;
-            # the Q deg-3 terms are the truncation residual.
-            a[row, other] += sde.c[src]
-            for m in range(n):
-                a[row, n + imap.position((other, m))] += sde.lin[src, m]
-            d[row, other] += sde.g[src]
-        a0[row] += sde.g[i] * sde.g[j]
+    rows = np.arange(n, dim)
+    for src, other in ((ju, iu), (iu, ju)):
+        # x_other * drift_src contributes c deg-1 and L deg-2 terms;
+        # the Q deg-3 terms are the truncation residual.
+        a[rows, other] += sde.c[src]
+        a[rows[:, None], slot[other]] += sde.lin[src]
+        d[rows, other] += sde.g[src]
+    a0[rows] += sde.g[iu] * sde.g[ju]
 
     return BilinearSystem(n=n, a0=a0, a=a, d=d, g=g)
 
@@ -187,7 +191,7 @@ def vandevusse_coefficients(p: ReactorParams) -> QuadraticSde:
 def build_vandevusse(p: ReactorParams) -> BilinearSystem:
     """Closed-form order-2 embedding of the van de Vusse reactor.
 
-    Slot order of the product block: x1^2, x1x2, x1x3, x2^2, x2x3, x3^2.
+    The product block follows the slot order of the module docstring.
     """
     k1, k2, k3 = p.k1, p.k2, p.k3
     caf, v, alpha, beta = p.caf, p.v, p.alpha, p.beta

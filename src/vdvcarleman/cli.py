@@ -26,6 +26,7 @@ from .experiments import (
     load_scenario,
     run_scenario,
 )
+from .moments import grid_steps
 from .montecarlo import _usable_cpus
 
 logger = logging.getLogger(__name__)
@@ -72,8 +73,9 @@ def _apply_overrides(scenario, args):
         updates["seed"] = args.seed
     if not updates:
         return scenario
-    t_end = updates.get("t_end", scenario.t_end)
-    kept = tuple(c for c in scenario.checkpoints if c <= t_end + 1e-9)
+    dt, t_end = updates.get("dt", scenario.dt), updates.get("t_end", scenario.t_end)
+    n_steps = grid_steps(dt, t_end)
+    kept = tuple(c for c in scenario.checkpoints if round(c / dt) <= n_steps)
     if len(kept) != len(scenario.checkpoints):
         logger.info("dropping checkpoints beyond t_end=%g", t_end)
     updates["checkpoints"] = kept

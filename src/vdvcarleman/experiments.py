@@ -101,10 +101,9 @@ class Scenario:
         if not (isinstance(self.checkpoints, (list, tuple)) and all(map(_is_real, self.checkpoints))):
             raise ValueError(f"checkpoints must be a list of finite real numbers, got {self.checkpoints!r}")
         object.__setattr__(self, "checkpoints", tuple(self.checkpoints))
-        grid_steps(self.dt, self.t_end)  # validates dt > 0 and t_end on the grid
+        n_steps = grid_steps(self.dt, self.t_end)  # validates dt > 0 and t_end on the grid
         for c in self.checkpoints:
-            grid_index(self.dt, c)  # raises off-grid
-            if c > self.t_end + 1e-9:
+            if grid_index(self.dt, c) > n_steps:  # raises off-grid
                 raise ValueError(f"checkpoint {c} beyond t_end={self.t_end}")
         object.__setattr__(self, "mc_paths", as_int("mc_paths", self.mc_paths))
         object.__setattr__(self, "seed", as_int("seed", self.seed))
@@ -228,7 +227,8 @@ class ComparisonReport:
     tracking_max_abs_dx1: float | None = None  # max |x1| gap between the true path and coupled_xi
 
 
-_COMPONENTS = ("x1", "x2", "x3", "x1x1", "x1x2", "x1x3", "x2x2", "x2x3", "x3x3")
+_COMPONENTS = (*(f"x{i + 1}" for i in range(3)),
+               *(f"x{i + 1}x{j + 1}" for i, j in zip(*np.triu_indices(3))))
 
 
 def run_scenario(scenario: Scenario, methods, mc_workers: int = 1, meanwhile=None) -> ComparisonReport:

@@ -52,13 +52,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .carleman import BilinearSystem, build_vandevusse
-from .kronecker import MonomialIndexMap
 from .model import ReactorParams
 
-# Canonical order of the distinct covariance entries of a 3-state system.
-PAIRS = MonomialIndexMap(3, 2).pairs
-
-GRID_TOL = 1e-9
+GRID_TOL = 1e-7  # steps off the grid still counted on it: 1e-9 s at dt = 0.01
 
 # Steps per block of `_float_path` and, by default, of `_linear_path`:
 # their row lists and buffers stay small whatever the horizon.
@@ -84,7 +80,7 @@ def grid_steps(dt: float, t_end: float) -> int:
     if not (math.isfinite(t_end) and t_end >= 0.0):
         raise ValueError(f"t_end must be a finite nonnegative number, got {t_end!r}")
     n = round(t_end / dt)
-    if abs(n * dt - t_end) > GRID_TOL:
+    if abs(t_end / dt - n) > GRID_TOL:
         raise ValueError(f"t_end={t_end} is not a multiple of dt={dt}")
     return n
 
@@ -95,7 +91,7 @@ def grid_index(dt: float, time: float) -> int:
     if not math.isfinite(time):
         raise ValueError(f"time must be finite, got {time!r}")
     k = round(time / dt)
-    if k < 0 or abs(k * dt - time) > GRID_TOL:
+    if k < 0 or abs(time / dt - k) > GRID_TOL:
         raise ValueError(f"time {time} is not on the dt={dt} grid")
     return k
 
@@ -246,7 +242,7 @@ def integrate_physical(p: ReactorParams, mean0, cov0, dt: float, t_end: float) -
     mean = aug[:, :3].copy()
     cov = np.empty((t.size, 3, 3))
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (i, j) in enumerate(PAIRS):
+        for k, (i, j) in enumerate(zip(*np.triu_indices(3))):
             aug[:, 3 + k] -= mean[:, i] * mean[:, j]
     _fill_symmetric(cov, aug[:, 3:])
     cov[0] = cov0
@@ -255,9 +251,9 @@ def integrate_physical(p: ReactorParams, mean0, cov0, dt: float, t_end: float) -
 
 
 def _lifted_mean(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Augmented mean of physical moments: m, then E[x_i x_j] = P_ij + m_i m_j in pair order."""
+    """Augmented mean of physical moments: m, then E[x_i x_j] = P_ij + m_i m_j in slot order."""
     second = cov + np.outer(mean, mean)
-    return np.concatenate([mean, [second[i, j] for (i, j) in MonomialIndexMap(mean.size, 2).pairs]])
+    return np.concatenate([mean, second[np.triu_indices(mean.size)]])
 
 
 def gaussian_lift(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -276,19 +272,15 @@ def gaussian_lift(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.nda
     """
     m, P = mean, cov
     n = m.size
-    pairs = MonomialIndexMap(n, 2).pairs
-    lifted = np.zeros((n + len(pairs), n + len(pairs)))
+    k, l = np.triu_indices(n)  # column slots x_k x_l
+    i, j = k[:, None], l[:, None]  # row slots x_i x_j
+    lifted = np.zeros((n + k.size, n + k.size))
     lifted[:n, :n] = P
-    for b, (i, j) in enumerate(pairs):
-        for k in range(n):
-            c = m[i] * P[k, j] + m[j] * P[k, i]
-            lifted[k, n + b] = c
-            lifted[n + b, k] = c
-    for a, (i, j) in enumerate(pairs):
-        for b, (k, l) in enumerate(pairs):
-            lifted[n + a, n + b] = (P[i, k] * P[j, l] + P[i, l] * P[j, k]
-                                    + m[i] * m[k] * P[j, l] + m[i] * m[l] * P[j, k]
-                                    + m[j] * m[k] * P[i, l] + m[j] * m[l] * P[i, k])
+    lifted[:n, n:] = m[k] * P[:, l] + m[l] * P[:, k]
+    lifted[n:, :n] = lifted[:n, n:].T
+    lifted[n:, n:] = (P[i, k] * P[j, l] + P[i, l] * P[j, k]
+                      + m[i] * m[k] * P[j, l] + m[i] * m[l] * P[j, k]
+                      + m[j] * m[k] * P[i, l] + m[j] * m[l] * P[i, k])
     return _lifted_mean(m, P), 0.5 * (lifted + lifted.T)
 
 
@@ -480,7 +472,7 @@ def crosscheck_mean_paths(p: ReactorParams, mean0, cov0, dt: float, t_end: float
     """
     mean0, cov0 = _checked_moments(mean0, cov0, 3)
     series = integrate_physical(p, mean0, cov0, dt, t_end)
-    iu, ju = np.array(PAIRS).T
+    iu, ju = np.triu_indices(3)
     t, phys = integrate(physical_rhs(p), np.concatenate([mean0, cov0[iu, ju]]), dt, t_end)
 
     mean_diff = np.abs(phys[:, :3] - series.mean)

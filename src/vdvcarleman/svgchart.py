@@ -45,6 +45,8 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     v = first
     while v <= hi + 1e-12 * span:
         ticks.append(0.0 if abs(v) < 1e-12 * span else float(v))
+        if v + step == v:  # a range a few ulps wide: the step is lost in rounding
+            break
         v += step
     return ticks
 

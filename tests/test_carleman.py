@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,6 @@ from vdvcarleman.carleman import (
     vandevusse_coefficients,
     write_blocks,
 )
-from vdvcarleman.kronecker import MonomialIndexMap, reduce_square
 from vdvcarleman.model import PARAM_SET1, PARAM_SET2, X0_SET1, drift
 
 BLOCK_NAMES = ("a01", "a02", "a11", "a12", "a21", "a22", "d11", "d12", "d21", "d22", "g1", "g2")
@@ -71,7 +72,7 @@ def dropped_cubic_terms(sde: QuadraticSde) -> dict[int, dict[tuple[int, int, int
     coefficient}; zero coefficients are omitted.
     """
     n = sde.n
-    pairs = MonomialIndexMap(n, 2).pairs
+    pairs = list(zip(*np.triu_indices(n)))
     dropped: dict[int, dict[tuple[int, int, int], float]] = {k: {} for k in range(len(pairs))}
     for k, (i, j) in enumerate(pairs):
         for src, other in ((j, i), (i, j)):
@@ -193,7 +194,7 @@ def test_embedding_matches_truncated_product_rates_on_random_sdes():
     # slot bookkeeping.
     rng = np.random.default_rng(11)
     for n in (2, 3, 4):
-        pairs = MonomialIndexMap(n, 2).pairs
+        pairs = list(zip(*np.triu_indices(n)))
         for _ in range(5):
             quad = rng.normal(size=(n, n, n))
             sde = QuadraticSde(
@@ -202,7 +203,7 @@ def test_embedding_matches_truncated_product_rates_on_random_sdes():
             sys = embed_order2(sde)
             for _ in range(4):
                 x = rng.normal(size=n)
-                xi = np.concatenate([x, reduce_square(x)])
+                xi = point_lift(x)
                 rate = sys.a0 + sys.a @ xi
                 noise = sys.g + sys.d @ xi
                 assert np.allclose(rate[:n], quadratic_drift(sde, x), rtol=1e-12, atol=1e-12)
@@ -226,7 +227,7 @@ def test_augmented_drift_on_consistency_manifold_matches_model():
     p = PARAM_SET1
     sys = build_vandevusse(p)
     x = X0_SET1.as_array()
-    xi = np.concatenate([x, reduce_square(x)])
+    xi = point_lift(x)
     got = sys.a0 + sys.a @ xi
     assert np.allclose(got[:3], drift(x, p), rtol=1e-12, atol=1e-300)
     assert np.allclose(got[:3], [-0.0694978274, 0.009459264, -0.0009528], rtol=1e-8)
@@ -283,6 +284,45 @@ def test_blocks_tile_the_system_matrices(sde):
 
 
 def test_point_lift_appends_the_pairwise_products():
-    x = X0_SET1.as_array()
-    assert np.array_equal(point_lift(x), np.concatenate([x, reduce_square(x)]))
+    # Slot k is x_i x_j for the k-th pair (i <= j) in lexicographic order.
+    x = np.array([2.0, 3.0, 5.0])
+    assert point_lift(x).tolist() == [2.0, 3.0, 5.0, 4.0, 6.0, 10.0, 9.0, 15.0, 25.0]
+    assert point_lift(np.array([1.0, 0.0, 0.0])).tolist() == [1, 0, 0, 1, 0, 0, 0, 0, 0]
     assert point_lift(np.array([2.0])).tolist() == [2.0, 4.0]
+    # Every unordered pair once: distinct primes give distinct products.
+    for n in range(1, 6):
+        primes = np.array([2.0, 3.0, 5.0, 7.0, 11.0][:n])
+        expected = [primes[i] * primes[j] for i, j in itertools.combinations_with_replacement(range(n), 2)]
+        assert point_lift(primes)[n:].tolist() == expected
+
+
+def test_point_lift_operating_point_products():
+    v = np.array([3.0, 1.12, 0.009528])
+    expected = [v[i] * v[j] for (i, j) in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))]
+    got = point_lift(v)
+    assert np.array_equal(got, np.concatenate([v, expected]))
+    assert np.allclose(got[3:], [9.0, 3.36, 0.028584, 1.2544, 0.01067136, 9.0782784e-5], rtol=1e-12)
+    for c in np.random.default_rng(0).normal(size=20):  # the products are quadratic in x
+        assert np.allclose(point_lift(c * v)[3:], c * c * got[3:], rtol=1e-14, atol=1e-300)
+
+
+def test_augmented_dimension_counts_distinct_products():
+    # Independent oracle: exponent vectors (a1..an) with sum 2.
+    for n in range(1, 6):
+        squares = sum(sum(e) == 2 for e in itertools.product(range(3), repeat=n))
+        sde = QuadraticSde(c=np.zeros(n), lin=np.zeros((n, n)), quad=np.zeros((n, n, n)), g=np.zeros(n))
+        assert embed_order2(sde).dim == n + squares == point_lift(np.ones(n)).size
+    assert build_vandevusse(PARAM_SET1).dim == 9
+
+
+@pytest.mark.parametrize("c", [1.0, [[1.0]], []])
+def test_quadratic_sde_rejects_a_c_that_is_not_a_nonempty_vector(c):
+    n = np.size(c)
+    with pytest.raises(ValueError, match=r"^c must be a nonempty vector"):
+        QuadraticSde(c=c, lin=np.zeros((n, n)), quad=np.zeros((n, n, n)), g=np.zeros(n))
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.0])
+def test_bilinear_system_rejects_an_empty_state(n):
+    with pytest.raises(ValueError, match=r"^n must be a positive integer"):
+        BilinearSystem(n=n, a0=np.zeros(0), a=np.zeros((0, 0)), d=np.zeros((0, 0)), g=np.zeros(0))

@@ -2,6 +2,7 @@ import filecmp
 import json
 import logging
 import os
+import signal
 from xml.dom import minidom
 
 import numpy as np
@@ -54,12 +55,20 @@ def test_scenario_validation():
         small_scenario(checkpoints=(0.503,))  # off the dt grid: no interpolation
     with pytest.raises(ValueError):
         small_scenario(checkpoints=(6.0,))  # beyond t_end
+    with pytest.raises(ValueError, match=r"^checkpoint 3e-10 beyond t_end=2e-10$"):
+        small_scenario(dt=1e-10, t_end=2e-10, checkpoints=(3e-10,))  # one step beyond, at a tiny dt
     with pytest.raises(ValueError):
         small_scenario(mc_paths=1)
     with pytest.raises(ValueError, match="seed"):
         small_scenario(seed=-1)
     with pytest.raises(ValueError, match="seed"):
         Scenario.from_dict({**small_scenario().to_dict(), "seed": -1})
+
+
+def test_overrides_drop_a_checkpoint_one_step_past_t_end():
+    s = small_scenario(dt=1e-10, t_end=4e-10, checkpoints=(2e-10, 3e-10))
+    args = cli._build_parser().parse_args(["run", "--t-end", "2e-10", "--out", "unused"])
+    assert cli._apply_overrides(s, args).checkpoints == (2e-10,)
 
 
 _MUST_BE = {
@@ -596,6 +605,24 @@ def test_chart_text_is_escaped(tmp_path):
     paths = emit_charts(report, str(tmp_path))
     titles = [minidom.parse(p).getElementsByTagName("text")[0].firstChild.data for p in paths]
     assert titles and all(title.startswith("R&D <run>: ") for title in titles)
+
+
+def test_chart_of_a_series_two_ulps_wide_returns_within_a_second():
+    # The tick step of a range a few ulps wide is lost in rounding: v + step == v.
+    y = np.array([3.0, np.nextafter(3.0, 4.0), np.nextafter(np.nextafter(3.0, 4.0), 4.0)])
+
+    def stuck(signum, frame):
+        raise TimeoutError("line_chart did not return within 1 s")
+
+    previous = signal.signal(signal.SIGALRM, stuck)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        svg = svgchart.line_chart([svgchart.Series("x1", np.arange(3.0), y)], "t", "x", "y")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    ticks = [t.firstChild.data for t in minidom.parseString(svg).getElementsByTagName("text")]
+    assert ticks.count("3") == 1
 
 
 def test_set2_uses_second_figure_numbering(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -6,13 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vdvcarleman import moments
-from vdvcarleman.carleman import BilinearSystem, QuadraticSde, build_vandevusse, embed_order2
+from vdvcarleman.carleman import BilinearSystem, QuadraticSde, build_vandevusse, embed_order2, point_lift
 from vdvcarleman.ekf import ekf_predict
-from vdvcarleman.kronecker import reduce_square
 from vdvcarleman.model import PARAM_SET1, PARAM_SET2, ReactorParams, X0_SET1
 from vdvcarleman.moments import (
     BLOCK_STEPS,
-    PAIRS,
     IntegrationError,
     augmented_mean_path,
     crosscheck_mean_paths,
@@ -33,9 +32,12 @@ SET1_P0 = np.diag([1.0, 1.0, 0.01])
 # (m1, m2, m3, P11, P12, P13, P22, P23, P33).
 P11, P22, P33 = 3, 6, 8
 
+# The (i, j) of each product slot and packed covariance entry.
+IU, JU = np.triu_indices(3)
+
 
 def flat_physical(mean, cov):
-    return np.concatenate([mean, [cov[i][j] for (i, j) in PAIRS]])
+    return np.concatenate([mean, np.asarray(cov)[IU, JU]])
 
 
 def bits(a):
@@ -287,6 +289,14 @@ def test_grid_rejects_non_finite_step_and_horizon(dt, t_end, field):
             grid_index(dt, 1.0)
 
 
+def test_grid_position_is_checked_in_steps_at_tiny_dt():
+    with pytest.raises(ValueError, match=r"^t_end=1\.5e-12 is not a multiple of dt=1e-12$"):
+        grid_steps(1e-12, 1.5e-12)
+    with pytest.raises(ValueError, match=r"^time 3\.3e-10 is not on the dt=1e-10 grid$"):
+        grid_index(1e-10, 3.3e-10)
+    assert grid_steps(1e-12, 3e-12) == grid_index(1e-10, 3e-10) == 3
+
+
 @pytest.mark.parametrize("time", [float("inf"), float("-inf"), float("nan")])
 def test_grid_index_rejects_non_finite_time(time):
     with pytest.raises(ValueError, match=r"^time must be finite"):
@@ -319,8 +329,7 @@ def physical_from_augmented(p, mean0, cov0, dt, t_end):
     t, aug = augmented_mean_path(build_vandevusse(p), gaussian_lift(mean0, cov0)[0], dt, t_end)
     mean = aug[:, :3]
     second = np.empty((t.size, 3, 3))
-    for k, (i, j) in enumerate(PAIRS):
-        second[:, i, j] = second[:, j, i] = aug[:, 3 + k]
+    second[:, IU, JU] = second[:, JU, IU] = aug[:, 3:]
     with np.errstate(over="ignore", invalid="ignore"):
         cov = second - mean[:, :, None] * mean[:, None, :]
     cov[0] = cov0
@@ -342,7 +351,7 @@ def test_physical_path_equals_array_rk4_bit_for_bit(p, p0_33):
     # rounding: 1.1e-12 over set 1's 200 s.
     _, ys = rk4_oracle(lambda y: physical_rhs_oracle(y, p), flat_physical(SET1_X0, cov0), 0.01, 60.0)
     assert np.abs(series.mean - ys[:, :3]).max() <= 1e-11
-    assert np.abs(np.stack([series.cov[:, i, j] for (i, j) in PAIRS], axis=1) - ys[:, 3:]).max() <= 1e-11
+    assert np.abs(series.cov[:, IU, JU] - ys[:, 3:]).max() <= 1e-11
 
 
 def test_integrate_blowup_inside_a_block_matches_array_oracle():
@@ -401,16 +410,16 @@ def test_augmented_initialization_gaussian_closure():
     P = np.array([[1.0, 0.1, 0.2], [0.1, 2.0, 0.3], [0.2, 0.3, 0.5]])
     aug_mean, aug_cov = gaussian_lift(m, P)
     second = P + np.outer(m, m)
-    for k, (i, j) in enumerate(PAIRS):
+    for k, (i, j) in enumerate(zip(IU, JU)):
         assert np.isclose(aug_mean[3 + k], second[i, j], rtol=1e-14)
     assert np.allclose(aug_cov[:3, :3], P)
     # product-slot variance: Var(x_i x_j) for a Gaussian vector
-    for k, (i, j) in enumerate(PAIRS):
+    for k, (i, j) in enumerate(zip(IU, JU)):
         var = (P[i, i] * P[j, j] + P[i, j] ** 2 + m[i] ** 2 * P[j, j]
                + m[j] ** 2 * P[i, i] + 2 * m[i] * m[j] * P[i, j])
         assert np.isclose(aug_cov[3 + k, 3 + k], var, rtol=1e-12)
     # cross block: Cov(x_k, x_i x_j) = m_i P_kj + m_j P_ki
-    for b, (i, j) in enumerate(PAIRS):
+    for b, (i, j) in enumerate(zip(IU, JU)):
         for k in range(3):
             assert np.isclose(aug_cov[k, 3 + b], m[i] * P[k, j] + m[j] * P[k, i], rtol=1e-12)
     assert np.array_equal(aug_cov, aug_cov.T)
@@ -418,6 +427,37 @@ def test_augmented_initialization_gaussian_closure():
     series = integrate_augmented(build_vandevusse(PARAM_SET1), m, P, 0.01, 0.0)
     assert np.array_equal(series.mean[0], aug_mean)
     assert np.array_equal(series.cov[0], aug_cov)
+
+
+def gaussian_lift_loops(m, P):
+    """`gaussian_lift` written entry by entry over the product pairs, in its operation order."""
+    n = m.size
+    pairs = list(itertools.combinations_with_replacement(range(n), 2))
+    lifted = np.zeros((n + len(pairs), n + len(pairs)))
+    lifted[:n, :n] = P
+    for b, (i, j) in enumerate(pairs):
+        for k in range(n):
+            c = m[i] * P[k, j] + m[j] * P[k, i]
+            lifted[k, n + b] = c
+            lifted[n + b, k] = c
+    for a, (i, j) in enumerate(pairs):
+        for b, (k, l) in enumerate(pairs):
+            lifted[n + a, n + b] = (P[i, k] * P[j, l] + P[i, l] * P[j, k]
+                                    + m[i] * m[k] * P[j, l] + m[i] * m[l] * P[j, k]
+                                    + m[j] * m[k] * P[i, l] + m[j] * m[l] * P[i, k])
+    second = P + np.outer(m, m)
+    return np.concatenate([m, [second[i, j] for (i, j) in pairs]]), 0.5 * (lifted + lifted.T)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gaussian_lift_equals_isserlis_loops_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        m = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
+        c = rng.normal(size=(n, n))
+        got, want = gaussian_lift(m, c @ c.T), gaussian_lift_loops(m, c @ c.T)
+        assert np.array_equal(bits(got[0]), bits(want[0]))
+        assert np.array_equal(bits(got[1]), bits(want[1]))
 
 
 def test_augmented_cov_rhs_lyapunov_when_noiseless():
@@ -441,7 +481,7 @@ def test_augmented_cov_rhs_pointlike_diffusion_outer_product():
     p = PARAM_SET1
     sys = build_vandevusse(p)
     x = X0_SET1.as_array()
-    mean = np.concatenate([x, reduce_square(x)])
+    mean = point_lift(x)
     got = _augmented_cov_rhs(sys, mean, np.zeros((9, 9)))
     w = sys.g + sys.d @ mean
     assert np.allclose(got, np.outer(w, w), rtol=1e-14, atol=1e-300)

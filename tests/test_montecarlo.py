@@ -14,8 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vdvcarleman import montecarlo
-from vdvcarleman.carleman import BilinearSystem, QuadraticSde, build_vandevusse, embed_order2, vandevusse_coefficients
-from vdvcarleman.kronecker import reduce_square
+from vdvcarleman.carleman import (
+    BilinearSystem,
+    QuadraticSde,
+    build_vandevusse,
+    embed_order2,
+    point_lift,
+    vandevusse_coefficients,
+)
 from vdvcarleman.model import PARAM_SET1, PARAM_SET2, ReactorParams, X0_SET1, X0_SET2, diffusion, drift
 from vdvcarleman.moments import BLOCK_STEPS, IntegrationError, augmented_mean_path, grid_index, ou_variance
 from vdvcarleman.montecarlo import (
@@ -144,7 +150,7 @@ def test_bilinear_start_is_lifted_consistently():
     cfg = PathConfig(dt=0.01, t_end=0.5, seed=1)
     _, path = simulate_path(cfg, X0, SYS1)
     assert path.shape[1] == 9
-    lifted = np.concatenate([X0, reduce_square(X0)])
+    lifted = np.concatenate([X0, np.outer(X0, X0)[np.triu_indices(3)]])
     assert np.array_equal(path[0], lifted)
     # the physical 3-vector is the only start: a 9-vector is a shape error
     for dynamics in (SYS1, PARAM_SET1):
@@ -604,7 +610,7 @@ def test_bilinear_x1_slot_mean_matches_mean_ode():
     cfg = PathConfig(dt=0.01, t_end=10.0, seed=42)
     ks = [grid_index(cfg.dt, 5.0), grid_index(cfg.dt, 10.0)]
     stats = ensemble_moments(cfg, X0, 2500, SYS1, record=ks)
-    xi0 = np.concatenate([X0, reduce_square(X0)])
+    xi0 = point_lift(X0)
     _, ode = augmented_mean_path(SYS1, xi0, cfg.dt, cfg.t_end)
     for r, k in enumerate(ks):
         assert abs(stats.mean[r, 0] - ode[k, 0]) <= 3.0 * stats.stderr[r, 0]
@@ -617,7 +623,7 @@ def test_bilinear_ensemble_mean_tracks_mean_ode_with_bias_floor():
     cfg = PathConfig(dt=0.01, t_end=5.0, seed=12)
     ks = [grid_index(cfg.dt, 1.0), grid_index(cfg.dt, 5.0)]
     stats = ensemble_moments(cfg, X0, 2000, SYS1, record=ks)
-    xi0 = np.concatenate([X0, reduce_square(X0)])
+    xi0 = point_lift(X0)
     _, ode = augmented_mean_path(SYS1, xi0, cfg.dt, cfg.t_end)
     rates = SYS1.a0 + ode[::50] @ SYS1.a.T
     floor = 2.0 * cfg.dt * np.abs(rates).max(axis=0)
