@@ -1,94 +1,74 @@
+"""The order-2 product basis: slot n + k of the augmented state is x_i x_j
+for the k-th pair (i <= j) of np.triu_indices(n), each unordered pair once."""
+
 import itertools
 
 import numpy as np
 import pytest
 
-from vdvcarleman.kronecker import MonomialIndexMap, reduce_square, reduced_dim
+from vdvcarleman.carleman import BilinearSystem, QuadraticSde, build_vandevusse, embed_order2, point_lift
+from vdvcarleman.model import PARAM_SET1
 
 
-def brute_force_monomial_count(n, r):
-    # Independent oracle: enumerate exponent vectors (a1..an) with sum r.
-    count = 0
-    for combo in itertools.product(range(r + 1), repeat=n):
-        count += sum(combo) == r
-    return count
+def brute_force_square_count(n):
+    # Independent oracle: enumerate exponent vectors (a1..an) with sum 2.
+    return sum(sum(e) == 2 for e in itertools.product(range(3), repeat=n))
+
+
+def zero_sde(n):
+    return QuadraticSde(c=np.zeros(n), lin=np.zeros((n, n)), quad=np.zeros((n, n, n)), g=np.zeros(n))
 
 
 def test_reduced_dim_examples():
-    assert reduced_dim(3, 2) == 6
-    for n in (1, 2, 5, 9):
-        assert reduced_dim(n, 1) == n
-    assert brute_force_monomial_count(2, 3) == 4
-    assert reduced_dim(2, 3) == 4
+    assert embed_order2(zero_sde(3)).dim == 3 + 6
+    assert embed_order2(zero_sde(1)).dim == 1 + 1
+    assert brute_force_square_count(2) == 3
+    assert point_lift(np.ones(2)).size == 2 + 3
 
 
 def test_reduced_dim_matches_enumeration():
-    for n in range(1, 5):
-        for r in range(1, 5):
-            assert reduced_dim(n, r) == brute_force_monomial_count(n, r)
+    for n in range(1, 6):
+        assert embed_order2(zero_sde(n)).dim == n + brute_force_square_count(n) == point_lift(np.ones(n)).size
 
 
 def test_reduced_dim_rejects_degenerate_arguments():
-    with pytest.raises(ValueError):
-        reduced_dim(0, 2)
-    with pytest.raises(ValueError):
-        reduced_dim(3, 0)
+    with pytest.raises(ValueError, match=r"^c must be a nonempty vector"):
+        zero_sde(0)
+    with pytest.raises(ValueError, match=r"^n must be a positive integer"):
+        BilinearSystem(n=0, a0=np.zeros(0), a=np.zeros((0, 0)), d=np.zeros((0, 0)), g=np.zeros(0))
 
 
 def test_augmented_dimension_is_nine_for_three_states():
-    assert reduced_dim(3, 2) + 3 == 9
+    assert build_vandevusse(PARAM_SET1).dim == 9
 
 
 def test_pair_ordering_matches_canonical_listing():
-    imap = MonomialIndexMap(3, 2)
-    assert imap.pairs == ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-    assert len(imap) == 6
+    pairs = list(zip(*np.triu_indices(3)))
+    assert pairs == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+    assert pairs == list(itertools.combinations_with_replacement(range(3), 2))
 
 
 def test_every_multiset_appears_exactly_once():
-    imap = MonomialIndexMap(4, 3)
-    seen = set(imap.pairs)
-    assert len(seen) == len(imap.pairs) == reduced_dim(4, 3)
-    for combo in itertools.combinations_with_replacement(range(4), 3):
-        assert combo in seen
-
-
-def test_index_of_pair_examples():
-    imap = MonomialIndexMap(3, 2)
-    assert imap.position((0, 0)) == 0
-    assert imap.position((2, 2)) == 5
-    assert imap.position((2, 0)) == 2  # symmetry with (0, 2)
-
-
-def test_index_of_pair_roundtrip_and_symmetry():
-    imap = MonomialIndexMap(3, 2)
-    for i in range(3):
-        for j in range(3):
-            k = imap.position((i, j))
-            assert imap.pairs[k] == (min(i, j), max(i, j))
-            assert k == imap.position((j, i))
-
-
-def test_position_rejects_out_of_range():
-    imap = MonomialIndexMap(3, 2)
-    with pytest.raises(IndexError):
-        imap.position((0, 3))
-    with pytest.raises(IndexError):
-        imap.position((-1, 0))
+    # Distinct primes give distinct products, so each slot names one pair.
+    for n in range(1, 6):
+        primes = np.array([2.0, 3.0, 5.0, 7.0, 11.0][:n])
+        expected = [primes[i] * primes[j] for i, j in itertools.combinations_with_replacement(range(n), 2)]
+        assert point_lift(primes)[n:].tolist() == expected
+        assert len(set(expected)) == len(expected) == brute_force_square_count(n)
 
 
 def test_reduce_square_unit_and_ones():
-    assert np.array_equal(reduce_square([1.0, 0.0, 0.0]), [1, 0, 0, 0, 0, 0])
-    assert np.array_equal(reduce_square([1.0, 1.0, 1.0]), [1, 1, 1, 1, 1, 1])
+    assert point_lift(np.array([1.0, 0.0, 0.0]))[3:].tolist() == [1, 0, 0, 0, 0, 0]
+    assert point_lift(np.ones(3))[3:].tolist() == [1, 1, 1, 1, 1, 1]
 
 
 def test_reduce_square_operating_point():
     v = np.array([3.0, 1.12, 0.009528])
     # Direct pairwise products as the oracle.
     expected = [v[i] * v[j] for (i, j) in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))]
-    got = reduce_square(v)
-    assert np.array_equal(got, expected)
-    assert np.allclose(got, [9.0, 3.36, 0.028584, 1.2544, 0.01067136, 9.0782784e-5], rtol=1e-12)
+    got = point_lift(v)
+    assert np.array_equal(got, np.concatenate([v, expected]))
+    assert np.allclose(got[3:], [9.0, 3.36, 0.028584, 1.2544, 0.01067136, 9.0782784e-5], rtol=1e-12)
 
 
 def test_reduce_square_is_quadratic_map():
@@ -96,18 +76,6 @@ def test_reduce_square_is_quadratic_map():
     for _ in range(50):
         v = rng.normal(size=3)
         c = rng.normal()
-        lhs = reduce_square(c * v)
-        rhs = c * c * reduce_square(v)
+        lhs = point_lift(c * v)[3:]
+        rhs = c * c * point_lift(v)[3:]
         assert np.allclose(lhs, rhs, rtol=1e-14, atol=1e-300)
-
-
-def test_reduce_square_broadcasts():
-    batch = np.arange(12.0).reshape(4, 3)
-    out = reduce_square(batch)
-    assert out.shape == (4, 6)
-    assert np.array_equal(out[2], reduce_square(batch[2]))
-
-
-def test_reduce_square_rejects_non_finite():
-    with pytest.raises(ValueError):
-        reduce_square([1.0, np.nan, 0.0])
