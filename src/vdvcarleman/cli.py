@@ -26,7 +26,7 @@ from .experiments import (
     load_scenario,
     run_scenario,
 )
-from .moments import grid_steps
+from .moments import grid_index, grid_steps
 from .montecarlo import _usable_cpus
 
 logger = logging.getLogger(__name__)
@@ -75,7 +75,7 @@ def _apply_overrides(scenario, args):
         return scenario
     dt, t_end = updates.get("dt", scenario.dt), updates.get("t_end", scenario.t_end)
     n_steps = grid_steps(dt, t_end)
-    kept = tuple(c for c in scenario.checkpoints if round(c / dt) <= n_steps)
+    kept = tuple(c for c in scenario.checkpoints if grid_index(dt, c) <= n_steps)
     if len(kept) != len(scenario.checkpoints):
         logger.info("dropping checkpoints beyond t_end=%g", t_end)
     updates["checkpoints"] = kept

@@ -100,7 +100,7 @@ class Scenario:
             object.__setattr__(self, name, float(value))
         if not (isinstance(self.checkpoints, (list, tuple)) and all(map(_is_real, self.checkpoints))):
             raise ValueError(f"checkpoints must be a list of finite real numbers, got {self.checkpoints!r}")
-        object.__setattr__(self, "checkpoints", tuple(self.checkpoints))
+        object.__setattr__(self, "checkpoints", tuple(map(float, self.checkpoints)))
         n_steps = grid_steps(self.dt, self.t_end)  # validates dt > 0 and t_end on the grid
         for c in self.checkpoints:
             if grid_index(self.dt, c) > n_steps:  # raises off-grid
@@ -200,15 +200,6 @@ def load_scenario(source: str) -> Scenario:
         return Scenario.from_dict(json.load(fh))
 
 
-@dataclass(frozen=True)
-class McResult:
-    """Monte Carlo outputs: ensemble stats, ODE reference, and validation rows."""
-
-    stats: EnsembleStats
-    ode_mean: np.ndarray  # (n_grid, 9), augmented mean ODE from the point start
-    rows: list[dict]  # per (checkpoint, component) comparison
-
-
 @dataclass
 class ComparisonReport:
     """Everything `run_scenario` produced, ready for emission."""
@@ -219,7 +210,7 @@ class ComparisonReport:
     true_path: np.ndarray | None = None
     carleman: MomentSeries | None = None
     ekf: MomentSeries | None = None
-    mc: McResult | None = None
+    mc: dict | None = None  # the columns of mc_validation.csv, `_MC_COLUMNS` -> array
     errors: dict = field(default_factory=dict)  # method -> (n_grid, 2)
     psd_min_eig: dict = field(default_factory=dict)  # method -> {t: min eigenvalue}
     notes: list = field(default_factory=list)
@@ -279,16 +270,12 @@ def run_scenario(scenario: Scenario, methods, mc_workers: int = 1, meanwhile=Non
         # One seeded realization of the exact SDE is the error reference.
         _, true_path = run("true", lambda: simulate_path(cfg, x0, p))
         report.true_path = true_path
-        if "carleman" in methods:
-            series = run("carleman", lambda: integrate_physical(p, x0, np.diag(scenario.p0_diag), dt, t_end))
-            report.carleman = series
-            report.errors["carleman"] = np.abs(true_path[:, :2] - series.mean[:, :2])
-            report.psd_min_eig["carleman"] = _psd_at_checkpoints(series, scenario)
-        if "ekf" in methods:
-            series = run("ekf", lambda: ekf_predict(p, x0, np.diag(scenario.p0_diag), dt, t_end))
-            report.ekf = series
-            report.errors["ekf"] = np.abs(true_path[:, :2] - series.mean[:, :2])
-            report.psd_min_eig["ekf"] = _psd_at_checkpoints(series, scenario)
+        for name, moment_path in (("carleman", integrate_physical), ("ekf", ekf_predict)):
+            if name in methods:
+                series = run(name, lambda: moment_path(p, x0, np.diag(scenario.p0_diag), dt, t_end))
+                setattr(report, name, series)
+                report.errors[name] = np.abs(true_path[:, :2] - series.mean[:, :2])
+                report.psd_min_eig[name] = _psd_at_checkpoints(series, scenario)
         if "mc" in methods:
             references = run("mc", lambda: _mc_references(scenario, sys, x0, ks))
             # The true path is the nonlinear half of the shared-noise pair.
@@ -324,37 +311,33 @@ def _psd_at_checkpoints(series: MomentSeries, scenario: Scenario) -> dict:
 
 
 def _mc_references(scenario: Scenario, sys: BilinearSystem, x0: np.ndarray, ks: list) -> tuple:
-    """(ode, euler): the whole augmented mean path, and the Euler mean at the grid indices ``ks``."""
+    """(ode, euler): the augmented mean path and the Euler mean, each at the grid indices ``ks``."""
     dt, t_end = scenario.dt, scenario.t_end
     # The bilinear mean obeys the augmented mean ODE exactly; paths start
     # at a point, so the ODE starts from the lifted state with no spread.
     _, ode = augmented_mean_path(sys, point_lift(x0), dt, t_end)
     # Bias-free reference: the exact expectation of the simulated chain.
     _, euler = em_mean_reference(sys, x0, dt, t_end)
-    return ode, euler[ks]
+    return ode[ks], euler[ks]
 
 
-def _mc_result(scenario: Scenario, stats: EnsembleStats, ode: np.ndarray, euler: np.ndarray) -> McResult:
-    """The validation rows of ``stats`` against the references; ``euler`` row r is checkpoint r."""
-    rows = []
-    for r, c in enumerate(scenario.checkpoints):
-        k = grid_index(scenario.dt, c)
-        for j, comp in enumerate(_COMPONENTS):
-            err = abs(float(stats.mean[r, j] - euler[r, j]))
-            se = float(stats.stderr[r, j])
-            rows.append(
-                {
-                    "t": c,
-                    "component": comp,
-                    "mc_mean": float(stats.mean[r, j]),
-                    "ode_mean": float(ode[k, j]),
-                    "ode_em_mean": float(euler[r, j]),
-                    "stderr": se,
-                    "abs_err": err,
-                    "within_3_stderr": int(err <= 3.0 * se),
-                }
-            )
-    return McResult(stats=stats, ode_mean=ode, rows=rows)
+def _mc_result(scenario: Scenario, stats: EnsembleStats, ode: np.ndarray, euler: np.ndarray) -> dict:
+    """The columns of mc_validation.csv, an entry per (checkpoint, component), checkpoint-major.
+
+    Row r of ``stats``, ``ode`` and ``euler`` is checkpoint r.
+    """
+    abs_err = np.abs(stats.mean - euler).ravel()
+    stderr = stats.stderr.ravel()
+    return dict(zip(_MC_COLUMNS, (
+        np.repeat(scenario.checkpoints, len(_COMPONENTS)),
+        np.tile(np.array(_COMPONENTS, "S"), len(scenario.checkpoints)),
+        stats.mean.ravel(),
+        ode.ravel(),
+        euler.ravel(),
+        stderr,
+        abs_err,
+        np.where(abs_err <= 3.0 * stderr, b"1", b"0"),
+    )))
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +355,6 @@ _COV_ENTRIES = ((0, 0), (1, 1), (0, 1), (0, 2), (1, 2), (2, 2))
 _CKPT_COLUMNS = ("t", "carleman_P_x1", "ekf_P_x1", "carleman_P_x2", "ekf_P_x2")
 
 _MC_COLUMNS = ("t", "component", "mc_mean", "ode_mean", "ode_em_mean", "stderr", "abs_err", "within_3_stderr")
-# The text columns of mc_validation.csv and their formats; the rest are numbers.
-_MC_TEXT = {"component": "%s", "within_3_stderr": "%d"}
 
 # Rows formatted per block: the block's arrays stay small.
 _CSV_BLOCK_ROWS = 256
@@ -517,15 +498,10 @@ def emit_trajectories(report: ComparisonReport, out_dir: str) -> list[str]:
 
 
 def emit_summary(report: ComparisonReport, out_dir: str) -> list[str]:
-    """Write mc_validation.csv, the Monte Carlo rows, and report.json, the run's metadata."""
+    """Write mc_validation.csv, the Monte Carlo columns, and report.json, the run's metadata."""
     os.makedirs(out_dir, exist_ok=True)
-    rows = [] if report.mc is None else report.mc.rows
-    mc_columns = [
-        np.array([(_MC_TEXT[key] % row[key]).encode() for row in rows], "S")
-        if key in _MC_TEXT else np.array([row[key] for row in rows], dtype=float)
-        for key in _MC_COLUMNS
-    ]
-    mc_path = _write_csv(os.path.join(out_dir, "mc_validation.csv"), _MC_COLUMNS, mc_columns)
+    mc = report.mc or {}
+    mc_path = _write_csv(os.path.join(out_dir, "mc_validation.csv"), _MC_COLUMNS, [mc.get(key) for key in _MC_COLUMNS])
 
     meta = {
         "scenario": report.scenario.to_dict(),
@@ -537,12 +513,12 @@ def emit_summary(report: ComparisonReport, out_dir: str) -> list[str]:
             m: {str(t): v for t, v in d.items()} for m, d in report.psd_min_eig.items()
         },
     }
-    if report.mc is not None:
+    if mc:
         meta["mc"] = {
-            "n_paths": report.mc.stats.n_paths,
+            "n_paths": report.scenario.mc_paths,
             "tracking_max_abs_dx1": report.tracking_max_abs_dx1,
-            "validation_rows_within_3_stderr": sum(r["within_3_stderr"] for r in report.mc.rows),
-            "validation_rows_total": len(report.mc.rows),
+            "validation_rows_within_3_stderr": int(np.count_nonzero(mc["within_3_stderr"] == b"1")),
+            "validation_rows_total": len(mc["t"]),
         }
     meta_path = os.path.join(out_dir, "report.json")
     with open(meta_path, "w", encoding="utf-8", newline="\n") as fh:

@@ -74,25 +74,36 @@ def _check_dt(dt: float) -> None:
         raise ValueError(f"dt must be a finite positive number, got {dt!r}")
 
 
+class _OffGrid(ValueError):
+    """A time that is not a whole number of steps, within GRID_TOL of one."""
+
+
 def grid_steps(dt: float, t_end: float) -> int:
-    """Number of fixed steps covering [0, t_end]; t_end must sit on the grid."""
+    """Number of fixed steps covering [0, t_end]: `grid_index` of t_end, which must sit on the grid."""
     _check_dt(dt)
     if not (math.isfinite(t_end) and t_end >= 0.0):
         raise ValueError(f"t_end must be a finite nonnegative number, got {t_end!r}")
-    n = round(t_end / dt)
-    if abs(t_end / dt - n) > GRID_TOL:
-        raise ValueError(f"t_end={t_end} is not a multiple of dt={dt}")
-    return n
+    try:
+        return grid_index(dt, t_end)
+    except _OffGrid:
+        raise ValueError(f"t_end={t_end} is not a multiple of dt={dt}") from None
 
 
 def grid_index(dt: float, time: float) -> int:
-    """Exact grid lookup: index of ``time`` on the dt-grid, no interpolation."""
+    """Exact grid lookup: index of ``time`` on the dt-grid, no interpolation.
+
+    Raises `ValueError` for a time off the grid, and for one whose step
+    count time / dt is not finite or above the largest array index.
+    """
     _check_dt(dt)
     if not math.isfinite(time):
         raise ValueError(f"time must be finite, got {time!r}")
-    k = round(time / dt)
-    if k < 0 or abs(time / dt - k) > GRID_TOL:
-        raise ValueError(f"time {time} is not on the dt={dt} grid")
+    q = time / dt
+    if not math.fabs(q) <= np.iinfo(np.intp).max:  # a float against an int: exact; rejects inf
+        raise ValueError(f"time {time} is {q:g} steps of dt={dt}, more than a grid can index")
+    k = round(q)
+    if k < 0 or abs(q - k) > GRID_TOL:
+        raise _OffGrid(f"time {time} is not on the dt={dt} grid")
     return k
 
 

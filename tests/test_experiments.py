@@ -25,7 +25,7 @@ from vdvcarleman.experiments import (
 )
 from vdvcarleman.carleman import build_vandevusse, point_lift
 from vdvcarleman.model import PARAM_SET1, PhysicalState, ReactorParams
-from vdvcarleman.moments import augmented_mean_path, grid_index
+from vdvcarleman.moments import augmented_mean_path, grid_index, grid_steps
 from vdvcarleman.montecarlo import PathConfig, ensemble_moments
 
 
@@ -98,6 +98,19 @@ def test_scenario_rejects_non_integer_seed_and_paths(field, value):
         small_scenario(**{field: value})
     with pytest.raises(ValueError, match=want):
         Scenario.from_dict({**small_scenario().to_dict(), field: value})
+
+
+def test_scenario_stores_checkpoints_as_floats(tmp_path):
+    # As dt and t_end: an int-spelled checkpoint is the same time, and
+    # report.json names it as the float it is.
+    s = Scenario.from_dict({**small_scenario().to_dict(), "t_end": 2, "checkpoints": [1, 2.0]})
+    assert s.checkpoints == (1.0, 2.0) and all(type(c) is float for c in s.checkpoints)
+    assert s.to_dict()["checkpoints"] == [1.0, 2.0] and s.to_dict()["t_end"] == 2.0
+    assert s == small_scenario(t_end=2.0, checkpoints=(1.0, 2.0))
+    experiments.emit_summary(run_scenario(s, ("carleman",)), str(tmp_path))
+    meta = json.loads((tmp_path / "report.json").read_text())
+    assert list(meta["psd_min_eig_at_checkpoints"]["carleman"]) == ["1.0", "2.0"]
+    assert all(type(c) is float for c in meta["scenario"]["checkpoints"])
 
 
 def test_scenario_normalizes_numpy_integers():
@@ -289,8 +302,37 @@ def test_every_method_subset_writes_its_files_and_prints_them_in_order(tmp_path,
 def test_worker_count_accepts_numpy_integers():
     s = small_scenario(t_end=1.0, checkpoints=(1.0,), mc_paths=8)
     assert run_scenario(s, ("carleman",), mc_workers=np.int64(2)).carleman is not None
-    got = run_scenario(s, ("mc",), mc_workers=np.int64(2)).mc.rows
-    assert got == run_scenario(s, ("mc",), mc_workers=1).mc.rows
+    got = run_scenario(s, ("mc",), mc_workers=np.int64(2)).mc
+    want = run_scenario(s, ("mc",), mc_workers=1).mc
+    assert list(got) == list(want) == list(experiments._MC_COLUMNS)
+    assert all(np.array_equal(got[key], want[key]) for key in want)
+
+
+@pytest.mark.parametrize("call", [
+    lambda out: grid_steps(1e-320, 400.0),
+    lambda out: grid_index(1e-320, 5.0),
+    lambda out: grid_steps(0.01, 1e300),
+    lambda out: PathConfig(dt=1e-320, t_end=400.0, seed=0),
+    lambda out: small_scenario(dt=1e-320),
+    lambda out: small_scenario(t_end=1e300),
+    lambda out: cli.main(["run", "--dt", "1e-320", "--out", out]),
+    lambda out: cli.main(["run", "--dt", "1e-320", "--t-end", "0", "--out", out]),  # a checkpoint overflows
+    lambda out: cli.main(["run", "--t-end", "1e300", "--out", out]),
+], ids=["grid_steps", "grid_index", "grid_steps_long", "path_config", "scenario", "scenario_long",
+        "cli_dt", "cli_dt_t_end_0", "cli_t_end"])
+def test_a_step_count_beyond_any_array_index_is_a_value_error(tmp_path, call):
+    with pytest.raises(ValueError, match=r"^time \S+ is \S+ steps of dt=\S+, more than a grid can index$"):
+        call(str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+
+
+def test_grid_index_counts_up_to_the_largest_array_index():
+    top = float(np.iinfo(np.intp).max)  # rounds up, one past the largest index
+    below = np.nextafter(top, 0.0)
+    assert grid_index(1.0, below) == grid_steps(1.0, below) == int(below)
+    for time in (top, np.float64(top)):
+        with pytest.raises(ValueError, match="more than a grid can index"):
+            grid_index(1.0, time)
 
 
 def test_run_scenario_rejects_unknown_method():
@@ -388,12 +430,13 @@ def checkpoint_csv_oracle(report):
 
 
 def mc_csv_oracle(report):
-    """mc_validation.csv body, field by field."""
+    """mc_validation.csv body, field by field, from the Monte Carlo columns."""
+    mc = report.mc if report.mc is not None else {"t": []}
     keys = ("mc_mean", "ode_mean", "ode_em_mean", "stderr", "abs_err")
-    rows = report.mc.rows if report.mc is not None else []
     return "".join(
-        ",".join([num(r["t"]), r["component"], *(num(r[key]) for key in keys), str(int(r["within_3_stderr"]))]) + "\n"
-        for r in rows
+        ",".join([num(mc["t"][i]), mc["component"][i].decode(), *(num(mc[key][i]) for key in keys),
+                  str(int(mc["within_3_stderr"][i]))]) + "\n"
+        for i in range(len(mc["t"]))
     )
 
 
@@ -412,8 +455,7 @@ def test_trajectory_csv_equals_per_field_formatting(tmp_path, methods):
             series.mean[320:320 + len(specials), 0] = specials
             series.cov[310, 0, 0], series.cov[310, 1, 1] = -0.0, np.nan  # the checkpoint at t=3.1
     if report.mc is not None:
-        for row, value in zip(report.mc.rows, specials):
-            row["abs_err"] = value
+        report.mc["abs_err"][:len(specials)] = specials
     emit_csv(report, str(tmp_path))
     text = (tmp_path / "trajectories.csv").read_text()
     header, body = text.split("\n", 1)
@@ -504,14 +546,20 @@ def test_report_determinism_same_seed(tmp_path):
 def test_mc_validation_rows_and_report_metadata(tmp_path):
     report = run_scenario(small_scenario(), methods=("carleman", "ekf", "mc"))
     assert report.mc is not None
-    # 2 checkpoints x 9 components
-    assert len(report.mc.rows) == 18
+    # 2 checkpoints x 9 components, one array per column
+    assert list(report.mc) == list(experiments._MC_COLUMNS)
+    assert all(len(column) == 18 for column in report.mc.values())
+    assert report.mc["component"].dtype.kind == "S"
     emit_csv(report, str(tmp_path))
     lines = (tmp_path / "mc_validation.csv").read_text().splitlines()
     assert lines[0].startswith("t,component,mc_mean,ode_mean,ode_em_mean,stderr")
     assert len(lines) == 1 + 18
     meta = json.loads((tmp_path / "report.json").read_text())
     assert meta["mc"]["n_paths"] == 60
+    within = report.mc["abs_err"] <= 3.0 * report.mc["stderr"]
+    assert report.mc["within_3_stderr"].tolist() == [b"1" if w else b"0" for w in within]
+    assert meta["mc"]["validation_rows_total"] == len(report.mc["t"]) == 18
+    assert meta["mc"]["validation_rows_within_3_stderr"] == np.count_nonzero(within)
     assert meta["mc"]["tracking_max_abs_dx1"] > 0.0
     assert meta["scenario"]["seed"] == meta["seed"] == 42
     assert any("t=150" in note for note in meta["notes"])
@@ -526,22 +574,20 @@ def test_mc_rows_read_the_ensemble_at_each_checkpoint():
     cfg = PathConfig(dt=s.dt, t_end=s.t_end, seed=s.seed)
     full = ensemble_moments(cfg, s.x0.as_array(), s.mc_paths, build_vandevusse(s.params),
                             record=np.arange(cfg.n_steps + 1))
-    rows = report.mc.rows
-    assert [r["t"] for r in rows[::9]] == [5.0, 0.5, 5.0]
-    for row in rows:
-        k = grid_index(s.dt, row["t"])
-        j = [r["component"] for r in rows[:9]].index(row["component"])
-        assert row["mc_mean"] == float(full.mean[k, j])
-        assert row["stderr"] == float(full.stderr[k, j])
+    mc = report.mc
+    assert mc["t"].tolist() == [c for c in (5.0, 0.5, 5.0) for _ in range(9)]
+    k = [grid_index(s.dt, t) for t in mc["t"]]
+    j = [mc["component"][:9].tolist().index(comp) for comp in mc["component"]]
+    assert np.array_equal(mc["mc_mean"], full.mean[k, j])
+    assert np.array_equal(mc["stderr"], full.stderr[k, j])
 
 
 def test_mc_ode_mean_is_the_augmented_mean_path():
     s = small_scenario(mc_paths=4)
     mc = run_scenario(s, methods=("mc",)).mc
     _, ode = augmented_mean_path(build_vandevusse(s.params), point_lift(s.x0.as_array()), s.dt, s.t_end)
-    assert np.array_equal(mc.ode_mean, ode)
-    for r, row in enumerate(mc.rows):
-        assert row["ode_mean"] == float(ode[grid_index(s.dt, row["t"]), r % 9])
+    k = [grid_index(s.dt, t) for t in mc["t"]]
+    assert mc["ode_mean"].tobytes() == ode[k, np.tile(np.arange(9), len(s.checkpoints))].tobytes()
 
 
 def test_run_simulates_the_nonlinear_realization_once(tmp_path, monkeypatch):
