@@ -49,6 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="ensemble worker processes (default: the CPUs this process may use)")
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--no-charts", action="store_true", help="skip SVG emission")
+    run.set_defaults(parser=run)
 
     dump = sub.add_parser("dump-scenario", help="print a builtin scenario as JSON")
     dump.add_argument("name", choices=("set1", "set2"))
@@ -56,6 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mat = sub.add_parser("matrices", help="dump the bilinear system blocks as text")
     mat.add_argument("--scenario", default="builtin:set1")
     mat.add_argument("--out", required=True, help="output directory")
+    mat.set_defaults(parser=mat)
 
     sub.add_parser("validate", help="run the acceptance checks, one process per usable CPU")
     return parser
@@ -83,9 +85,22 @@ def _apply_overrides(scenario, args):
     return replace(scenario, **updates)
 
 
+@contextlib.contextmanager
+def _usage_errors(parser):
+    """End a configuration error raised inside as ``parser``'s one-line usage error (exit 2)."""
+    try:
+        yield
+    except (KeyError, ValueError, OSError) as exc:
+        parser.error(exc.args[0] if isinstance(exc, KeyError) else str(exc))  # str() would quote a KeyError
+
+
 def _cmd_run(args) -> int:
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+    unknown = sorted(set(methods) - set(METHODS))
+    if unknown:
+        args.parser.error(f"unknown methods: {', '.join(unknown)} (choose from {', '.join(METHODS)})")
+    with _usage_errors(args.parser):
+        scenario = _apply_overrides(load_scenario(args.scenario), args)
     paths, charts = [], []
 
     def emit_beside_the_ensemble(report):
@@ -113,7 +128,8 @@ def _cmd_dump(args) -> int:
 
 
 def _cmd_matrices(args) -> int:
-    scenario = load_scenario(args.scenario)
+    with _usage_errors(args.parser):
+        scenario = load_scenario(args.scenario)
     for p in write_blocks(build_vandevusse(scenario.params), args.out):
         print(p)
     return 0

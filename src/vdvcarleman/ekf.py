@@ -20,15 +20,15 @@ affine map p <- T_k p + c_k on the six distinct entries p of P
 `moments._rk4_map` of the step's four stage generators [[L_s, q], [0, 0]],
 with L_s from the Jacobian at the stage mean (recomputed with
 `model.drift`) and q the packed g g^T.  The maps of a block of
-`_COV_BLOCK` steps are built at once, and the covariance is exactly
-symmetric by construction.
+`_COV_BLOCK` steps are built at once, and the stepped p is the
+covariance the returned `MomentSeries` holds.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .model import ReactorParams, diffusion, drift, jacobian
-from .moments import MomentSeries, _checked_moments, _fill_symmetric, _float_path, _linear_path, _packed, _rk4_map
+from .moments import MomentSeries, _checked_moments, _float_path, _linear_path, _packed, _rk4_map
 
 # Steps per block of `moments._linear_path` here: a block's covariance maps
 # hold four 7x7 stage generators a step and their RK4 stage products, so
@@ -106,18 +106,17 @@ def ekf_predict(p: ReactorParams, x0, cov0, dt: float, t_end: float) -> MomentSe
     A non-finite mean ends the run at its first non-finite time, as
     `moments.integrate` ends it.  Along a finite mean the covariance steps
     on `moments._linear_path`, in blocks of `_COV_BLOCK` per-step maps;
-    each block is checked before both triangles of the returned
-    covariance are written from it, and `IntegrationError` names the time
-    of the first non-finite covariance.
+    each block is checked before it is stored, and `IntegrationError`
+    names the time of the first non-finite covariance.
     """
     x0, cov0 = _checked_moments(x0, cov0, 3)
-    t, mean = _float_path(_mean_step(p, dt), x0, dt, t_end)
+    _, mean = _float_path(_mean_step(p, dt), x0, dt, t_end)
     iu, ju = np.triu_indices(3)
     g = diffusion(p)
     q = np.outer(g, g)[iu, ju]
 
-    cov = np.empty((t.size, 3, 3))
+    cov = np.empty((len(mean), iu.size))
     maps = lambda start, stop: _covariance_maps(p, mean[start:stop], q, dt)
-    for k, rows in _linear_path(maps, np.append(cov0[iu, ju], 1.0), dt, t.size - 1, _COV_BLOCK):
-        _fill_symmetric(cov[k:k + len(rows)], rows[:, :-1])
-    return MomentSeries(dt=dt, t=t, mean=mean, cov=cov)
+    for k, rows in _linear_path(maps, np.append(cov0[iu, ju], 1.0), dt, len(mean) - 1, _COV_BLOCK):
+        cov[k:k + len(rows)] = rows[:, :-1]
+    return MomentSeries(dt=dt, mean=mean, cov=cov)

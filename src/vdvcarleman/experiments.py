@@ -113,7 +113,7 @@ class Scenario:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not _is_triple(self.p0_diag, nonnegative=True):
             raise ValueError(f"p0_diag must be three finite nonnegative numbers, got {self.p0_diag!r}")
-        object.__setattr__(self, "p0_diag", tuple(self.p0_diag))
+        object.__setattr__(self, "p0_diag", tuple(map(float, self.p0_diag)))
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -206,7 +206,7 @@ class ComparisonReport:
 
     scenario: Scenario
     methods: tuple[str, ...]
-    t: np.ndarray
+    t: np.ndarray | None = None  # the shared grid, once a method runs
     true_path: np.ndarray | None = None
     carleman: MomentSeries | None = None
     ekf: MomentSeries | None = None
@@ -245,8 +245,7 @@ def run_scenario(scenario: Scenario, methods, mc_workers: int = 1, meanwhile=Non
     methods = tuple(m for m in METHODS if m in requested)
     p = scenario.params
     dt, t_end = scenario.dt, scenario.t_end
-    t = np.arange(grid_steps(dt, t_end) + 1) * dt
-    report = ComparisonReport(scenario=scenario, methods=methods, t=t)
+    report = ComparisonReport(scenario=scenario, methods=methods)
     if scenario.name == "set1":
         report.notes.append(TABLE_NOTE_SET1)
     if not methods:
@@ -254,6 +253,7 @@ def run_scenario(scenario: Scenario, methods, mc_workers: int = 1, meanwhile=Non
             meanwhile(report)
         return report
 
+    report.t = np.arange(grid_steps(dt, t_end) + 1) * dt
     sys = build_vandevusse(p)
     x0 = scenario.x0.as_array()
     cfg = PathConfig(dt=dt, t_end=t_end, seed=scenario.seed)
@@ -303,11 +303,7 @@ def run_scenario(scenario: Scenario, methods, mc_workers: int = 1, meanwhile=Non
 
 
 def _psd_at_checkpoints(series: MomentSeries, scenario: Scenario) -> dict:
-    out = {}
-    for c in scenario.checkpoints:
-        k = grid_index(scenario.dt, c)
-        out[c] = float(np.linalg.eigvalsh(series.cov[k]).min())
-    return out
+    return {c: float(np.linalg.eigvalsh(series.at_time(c)[1]).min()) for c in scenario.checkpoints}
 
 
 def _mc_references(scenario: Scenario, sys: BilinearSystem, x0: np.ndarray, ks: list) -> tuple:
@@ -484,13 +480,13 @@ def emit_trajectories(report: ComparisonReport, out_dir: str) -> list[str]:
         ks = [grid_index(scenario.dt, c) for c in scenario.checkpoints]
         traj = [report.t, *report.true_path.T]
         ckpt = [np.array(scenario.checkpoints, dtype=float)]
-        for series in (report.carleman, report.ekf):
-            traj += [None] * 9 if series is None else [*series.mean.T, *(series.cov[:, i, j] for i, j in _COV_ENTRIES)]
+        for s in (report.carleman, report.ekf):
+            traj += [None] * 9 if s is None else [*s.mean.T, *(s.covariance(i, j) for i, j in _COV_ENTRIES)]
         for method in ("carleman", "ekf"):
             err = report.errors.get(method)
             traj += [None] * 2 if err is None else [*err.T]
         for i in (0, 1):
-            ckpt += [None if series is None else series.cov[ks, i, i] for series in (report.carleman, report.ekf)]
+            ckpt += [None if s is None else s.covariance(i, i)[ks] for s in (report.carleman, report.ekf)]
     return [
         _write_csv(os.path.join(out_dir, "trajectories.csv"), _TRAJ_COLUMNS, traj),
         _write_csv(os.path.join(out_dir, "checkpoints.csv"), _CKPT_COLUMNS, ckpt),
@@ -507,7 +503,8 @@ def emit_summary(report: ComparisonReport, out_dir: str) -> list[str]:
         "scenario": report.scenario.to_dict(),
         "methods": list(report.methods),
         "seed": report.scenario.seed,
-        "grid": {"dt": report.scenario.dt, "t_end": report.scenario.t_end, "n_points": int(report.t.size)},
+        "grid": {"dt": report.scenario.dt, "t_end": report.scenario.t_end,
+                 "n_points": grid_steps(report.scenario.dt, report.scenario.t_end) + 1},
         "notes": list(report.notes),
         "psd_min_eig_at_checkpoints": {
             m: {str(t): v for t, v in d.items()} for m, d in report.psd_min_eig.items()
@@ -558,13 +555,14 @@ def emit_charts(report: ComparisonReport, out_dir: str) -> list[str]:
     with a logged notice naming them.
     """
     os.makedirs(out_dir, exist_ok=True)
-    # Every series holds one column per state.
-    series = {"true path": report.true_path, "bilinear path": report.coupled_xi}
+    # series[key][i] is the path of state i: a row of a transposed array, or a variance.
+    by_state = lambda a: None if a is None else a.T
+    series = {"true path": by_state(report.true_path), "bilinear path": by_state(report.coupled_xi)}
     for method in ("carleman", "ekf"):
         s = getattr(report, method)
-        series[f"{method} mean"] = None if s is None else s.mean
-        series[f"{method} error"] = report.errors.get(method)
-        series[f"{method} variance"] = None if s is None else s.cov.diagonal(axis1=1, axis2=2)
+        series[f"{method} mean"] = None if s is None else s.mean.T
+        series[f"{method} error"] = by_state(report.errors.get(method))
+        series[f"{method} variance"] = None if s is None else [s.covariance(i, i) for i in range(3)]
     written = []
     for i, (state, suffix) in enumerate((("x1", "a"), ("x2", "b"))):
         for figs, title, ylabel, lines in _PANELS:
@@ -574,7 +572,7 @@ def emit_charts(report: ComparisonReport, out_dir: str) -> list[str]:
                 logger.info("%s skipped: no %s series in report", name, " or ".join(missing))
                 continue
             chart = svgchart.line_chart(
-                [svgchart.Series(label, report.t, series[key][:, i], **style) for label, key, style in lines],
+                [svgchart.Series(label, report.t, series[key][i], **style) for label, key, style in lines],
                 f"{report.scenario.name}: {title}, {state}",
                 "t [s]",
                 ylabel.format(state),

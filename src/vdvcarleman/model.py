@@ -33,8 +33,8 @@ class ReactorParams:
 
     Units: k1, k2 in 1/s; k3 in l/(mol*s); caf in mol/l; v in l;
     alpha in 1/s; beta in flow-rate units per sqrt(s).  Every field must
-    be a finite number and not a bool; k1, k2, k3, v and alpha strictly
-    positive, caf and beta nonnegative.
+    be a finite number and not a bool, and is held as a Python float; k1,
+    k2, k3, v and alpha strictly positive, caf and beta nonnegative.
     """
 
     k1: float
@@ -50,6 +50,7 @@ class ReactorParams:
             value = getattr(self, f.name)
             if not _is_real(value):
                 raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+            object.__setattr__(self, f.name, float(value))
         for name in ("k1", "k2", "k3", "v", "alpha"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be strictly positive")
@@ -60,7 +61,7 @@ class ReactorParams:
 
 @dataclass(frozen=True)
 class PhysicalState:
-    """Reactor state (C_A, C_B, F_r).  Components must be finite; they may be negative."""
+    """Reactor state (C_A, C_B, F_r): finite components, held as Python floats; they may be negative."""
 
     x1: float
     x2: float
@@ -69,6 +70,8 @@ class PhysicalState:
     def __post_init__(self):
         if not np.all(np.isfinite([self.x1, self.x2, self.x3])):
             raise ValueError("state components must be finite")
+        for f in fields(self):
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x1, self.x2, self.x3])

@@ -37,12 +37,11 @@ it.
 
 Every `MomentSeries` path takes the same initial data: a plain mean
 vector and covariance matrix of the physical state, checked for shape and
-finiteness and symmetrized on entry.  Every path keeps the covariance
-exactly symmetric without a post-step: it computes the upper triangle
-only, and `_fill_symmetric` writes both from it.  No positive-
-semidefiniteness repair is applied: order-2 truncation can legitimately
-drive the physical covariance indefinite, and that behaviour must stay
-observable.
+finiteness and symmetrized on entry.  Every path computes and stores the
+covariance as its upper triangle in product-slot order; only
+`MomentSeries.covariance` maps (i, j) to a slot.  No positive-semidefiniteness
+repair is applied: order-2 truncation can legitimately drive the physical
+covariance indefinite, and that behaviour must stay observable.
 """
 from __future__ import annotations
 
@@ -166,18 +165,23 @@ def _float_path(step, y0, dt: float, t_end: float) -> tuple[np.ndarray, np.ndarr
 
 @dataclass(frozen=True)
 class MomentSeries:
-    """Mean/covariance trajectory on a uniform time grid."""
+    """Mean/covariance trajectory on the uniform grid: row k is at time k * dt."""
 
     dt: float
-    t: np.ndarray
     mean: np.ndarray  # (n_grid, d)
-    cov: np.ndarray  # (n_grid, d, d)
+    cov: np.ndarray  # (n_grid, d (d + 1) / 2): upper triangles in `np.triu_indices` order
+
+    def covariance(self, i: int, j: int) -> np.ndarray:
+        """The path of P_ij = P_ji: a view of its column of ``cov``."""
+        i, j = sorted((i, j))
+        return self.cov[:, i * self.mean.shape[1] - i * (i - 1) // 2 + j - i]
 
     def at_time(self, time: float) -> tuple[np.ndarray, np.ndarray]:
         k = grid_index(self.dt, time)
-        if k >= self.t.size:
-            raise ValueError(f"time {time} beyond integration horizon {self.t[-1]}")
-        return self.mean[k], self.cov[k]
+        if k >= len(self.mean):
+            raise ValueError(f"time {time} beyond integration horizon {(len(self.mean) - 1) * self.dt}")
+        d = range(self.mean.shape[1])
+        return self.mean[k], np.array([[self.covariance(i, j)[k] for j in d] for i in d])
 
 
 def _checked_moments(mean, cov, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -249,16 +253,14 @@ def integrate_physical(p: ReactorParams, mean0, cov0, dt: float, t_end: float) -
     covariance.
     """
     mean0, cov0 = _checked_moments(mean0, cov0, 3)
-    t, aug = augmented_mean_path(build_vandevusse(p), _lifted_mean(mean0, cov0), dt, t_end)
-    mean = aug[:, :3].copy()
-    cov = np.empty((t.size, 3, 3))
+    _, aug = augmented_mean_path(build_vandevusse(p), _lifted_mean(mean0, cov0), dt, t_end)
+    mean, cov = aug[:, :3], aug[:, 3:]
+    iu, ju = np.triu_indices(3)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (i, j) in enumerate(zip(*np.triu_indices(3))):
-            aug[:, 3 + k] -= mean[:, i] * mean[:, j]
-    _fill_symmetric(cov, aug[:, 3:])
-    cov[0] = cov0
-    _raise_if_nonfinite(cov.reshape(t.size, 9), 0, dt)
-    return MomentSeries(dt=dt, t=t, mean=mean, cov=cov)
+        cov -= mean[:, iu] * mean[:, ju]
+    cov[0] = cov0[iu, ju]
+    _raise_if_nonfinite(cov, 0, dt)
+    return MomentSeries(dt=dt, mean=mean, cov=cov)
 
 
 def _lifted_mean(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -401,13 +403,6 @@ def _linear_path(maps, y0: np.ndarray, dt: float, n_steps: int, block: int = BLO
         buf[0] = rows[-1]
 
 
-def _fill_symmetric(cov: np.ndarray, packed: np.ndarray) -> None:
-    """Write the upper-triangle rows ``packed`` into both triangles of the matrix stack ``cov``."""
-    iu, ju = np.triu_indices(cov.shape[-1])
-    cov[:, iu, ju] = packed
-    cov[:, ju, iu] = packed
-
-
 def augmented_mean_path(sys: BilinearSystem, mean0, dt: float, t_end: float) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-step RK4 path of the augmented mean ODE dm = a0 + a m.
 
@@ -439,9 +434,9 @@ def integrate_augmented(sys: BilinearSystem, mean0, cov0, dt: float, t_end: floa
     state is their `gaussian_lift`.  One state, the upper triangles of the
     covariance and of z z^T with z = (mean, 1), takes RK4's exact one-step
     map (`_augmented_step_map`) on `_linear_path`; the mean is read from
-    the (i, dim) entries of z z^T, and both triangles of the covariance
-    are written from the upper one.  A blow-up is reported at the first
-    non-finite step of the state.
+    the (i, dim) entries of z z^T, and the covariance is the stepped upper
+    triangle.  A blow-up is reported at the first non-finite step of the
+    state.
     """
     mean0, cov0 = _checked_moments(mean0, cov0, sys.n)
     n_steps = grid_steps(dt, t_end)
@@ -457,11 +452,11 @@ def integrate_augmented(sys: BilinearSystem, mean0, cov0, dt: float, t_end: floa
     mean_cols = iu.size + np.flatnonzero(zj == dim)[:-1]
 
     mean = np.empty((n_steps + 1, dim))
-    cov = np.empty((n_steps + 1, dim, dim))
+    cov = np.empty((n_steps + 1, iu.size))
     for k, rows in _linear_path(lambda start, stop: [step] * (stop - start), state0, dt, n_steps):
         mean[k:k + len(rows)] = rows[:, mean_cols]
-        _fill_symmetric(cov[k:k + len(rows)], rows[:, :iu.size])
-    return MomentSeries(dt=dt, t=np.arange(n_steps + 1) * dt, mean=mean, cov=cov)
+        cov[k:k + len(rows)] = rows[:, :iu.size]
+    return MomentSeries(dt=dt, mean=mean, cov=cov)
 
 
 @dataclass(frozen=True)
@@ -487,7 +482,7 @@ def crosscheck_mean_paths(p: ReactorParams, mean0, cov0, dt: float, t_end: float
     t, phys = integrate(physical_rhs(p), np.concatenate([mean0, cov0[iu, ju]]), dt, t_end)
 
     mean_diff = np.abs(phys[:, :3] - series.mean)
-    cov_diff = np.abs(phys[:, 3:] - series.cov[:, iu, ju])
+    cov_diff = np.abs(phys[:, 3:] - series.cov)
 
     per_t = np.maximum(mean_diff.max(axis=1), cov_diff.max(axis=1))
     k_max = int(np.argmax(per_t))

@@ -7,7 +7,7 @@ from vdvcarleman.ekf import _LYAP_BASIS, _mean_step, ekf_predict
 from vdvcarleman.model import PARAM_SET1, PARAM_SET2, ReactorParams, X0_SET1, diffusion, drift, float_drift, jacobian
 from vdvcarleman.moments import IntegrationError, integrate, integrate_physical
 
-from test_moments import bits, ou_mean, symmetrized_rk4
+from test_moments import IU, JU, bits, grid, ou_mean, symmetrized_rk4
 
 P0_SET1 = np.diag([1.0, 1.0, 0.01])
 
@@ -44,7 +44,7 @@ def ekf_rhs_oracle(y, p):
 
 def test_ekf_state_symmetrizes_and_validates():
     skew = np.array([[1.0, 0.4, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    first = ekf_predict(PARAM_SET1, np.zeros(3), skew, 0.01, 0.0).cov[0]
+    first = ekf_predict(PARAM_SET1, np.zeros(3), skew, 0.01, 0.0).at_time(0.0)[1]
     assert first[0, 1] == first[1, 0] == 0.2
     with pytest.raises(ValueError, match=r"3-vector mean"):
         ekf_predict(PARAM_SET1, np.zeros(2), np.eye(3), 0.01, 1.0)
@@ -138,9 +138,9 @@ def test_ekf_predict_matches_symmetrized_loop(p, p0_33):
     cov0 = np.diag([1.0, 1.0, p0_33])
     series = ekf_predict(p, X0_SET1.as_array(), cov0, 0.01, 50.0)
     t, mean, cov = symmetrized_rk4(lambda y: ekf_rhs_oracle(y, p), X0_SET1.as_array(), cov0, 0.01, 50.0)
-    assert np.array_equal(series.t, t)
+    assert np.array_equal(grid(series), t)
     assert np.array_equal(bits(series.mean), bits(mean))
-    assert np.abs(series.cov - cov).max() <= 1e-12 * np.abs(cov).max()
+    assert np.abs(series.cov - cov[:, IU, JU]).max() <= 1e-12 * np.abs(cov).max()
 
 
 @pytest.mark.parametrize("cov0", [
@@ -154,7 +154,7 @@ def test_ekf_zero_noise_zero_starts_equal_symmetrized_loop_bit_for_bit(cov0):
     start = 0.5 * (cov0 + cov0.T)  # the boundary's symmetrization
     _, mean, cov = symmetrized_rk4(lambda y: ekf_rhs_oracle(y, p), X0_SET1.as_array(), start, 0.01, 20.0)
     assert np.array_equal(bits(series.mean), bits(mean))
-    assert np.array_equal(bits(series.cov), bits(cov))
+    assert np.array_equal(bits(series.cov), bits(cov[:, IU, JU]))
 
 
 def test_ekf_rhs_initial_variance_rate():
@@ -183,7 +183,7 @@ def test_ekf_mean_equals_deterministic_ode_solution():
 def test_ekf_flow_mean_and_stationary_variance():
     p = PARAM_SET1
     series = ekf_predict(p, X0_SET1.as_array(), P0_SET1, 0.01, 200.0)
-    exact = ou_mean(0.009528, p.alpha, series.t)
+    exact = ou_mean(0.009528, p.alpha, grid(series))
     assert np.max(np.abs(series.mean[:, 2] - exact) / np.abs(exact)) <= 1e-8
     # Riccati fixed point of the linear coordinate: b^2/(2a)
     assert np.isclose(series.at_time(200.0)[1][2, 2], 0.00968, atol=1e-9)
@@ -193,16 +193,19 @@ def test_ekf_p33_identical_to_moment_path():
     p = PARAM_SET1
     ekf = ekf_predict(p, X0_SET1.as_array(), P0_SET1, 0.01, 20.0)
     phys = integrate_physical(p, X0_SET1.as_array(), P0_SET1, 0.01, 20.0)
-    assert np.abs(ekf.cov[:, 2, 2] - phys.cov[:, 2, 2]).max() <= 1e-12
+    assert np.abs(ekf.covariance(2, 2) - phys.covariance(2, 2)).max() <= 1e-12
 
 
 def test_t_end_zero_returns_initial_state_only():
     series = ekf_predict(PARAM_SET1, X0_SET1.as_array(), P0_SET1, 0.01, 0.0)
-    assert series.t.shape == (1,)
+    assert series.mean.shape == (1, 3) and series.cov.shape == (1, 6)
     assert np.array_equal(series.mean[0], X0_SET1.as_array())
-    assert np.array_equal(series.cov[0], P0_SET1)
+    assert np.array_equal(series.at_time(0.0)[1], P0_SET1)
 
 
 def test_ekf_covariance_symmetric_along_path():
-    series = ekf_predict(PARAM_SET1, X0_SET1.as_array(), P0_SET1, 0.01, 10.0)
-    assert np.abs(series.cov - series.cov.transpose(0, 2, 1)).max() == 0.0
+    # The packed rows hold one triangle; `at_time` writes both from it.
+    series = ekf_predict(PARAM_SET1, X0_SET1.as_array(), P0_SET1 + 0.1, 0.01, 10.0)
+    for t in (0.0, 0.5, 5.0, 10.0):
+        cov = series.at_time(t)[1]
+        assert np.array_equal(cov, cov.T) and cov[0, 1] != 0.0

@@ -8,7 +8,7 @@ from xml.dom import minidom
 import numpy as np
 import pytest
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +20,7 @@ from vdvcarleman.experiments import (
     builtin_scenario,
     emit_charts,
     emit_csv,
+    emit_summary,
     load_scenario,
     run_scenario,
 )
@@ -308,6 +309,11 @@ def test_worker_count_accepts_numpy_integers():
     assert all(np.array_equal(got[key], want[key]) for key in want)
 
 
+def overridden(argv):
+    """The builtin set1 scenario with the overrides of ``run`` ``argv``: what the CLI runs."""
+    return cli._apply_overrides(builtin_scenario("set1"), cli._build_parser().parse_args(["run", *argv]))
+
+
 @pytest.mark.parametrize("call", [
     lambda out: grid_steps(1e-320, 400.0),
     lambda out: grid_index(1e-320, 5.0),
@@ -315,9 +321,9 @@ def test_worker_count_accepts_numpy_integers():
     lambda out: PathConfig(dt=1e-320, t_end=400.0, seed=0),
     lambda out: small_scenario(dt=1e-320),
     lambda out: small_scenario(t_end=1e300),
-    lambda out: cli.main(["run", "--dt", "1e-320", "--out", out]),
-    lambda out: cli.main(["run", "--dt", "1e-320", "--t-end", "0", "--out", out]),  # a checkpoint overflows
-    lambda out: cli.main(["run", "--t-end", "1e300", "--out", out]),
+    lambda out: overridden(["--dt", "1e-320", "--out", out]),
+    lambda out: overridden(["--dt", "1e-320", "--t-end", "0", "--out", out]),  # a checkpoint overflows
+    lambda out: overridden(["--t-end", "1e300", "--out", out]),
 ], ids=["grid_steps", "grid_index", "grid_steps_long", "path_config", "scenario", "scenario_long",
         "cli_dt", "cli_dt_t_end_0", "cli_t_end"])
 def test_a_step_count_beyond_any_array_index_is_a_value_error(tmp_path, call):
@@ -338,6 +344,61 @@ def test_grid_index_counts_up_to_the_largest_array_index():
 def test_run_scenario_rejects_unknown_method():
     with pytest.raises(ValueError, match="unknown"):
         run_scenario(small_scenario(), methods=("kalman",))
+
+
+def off_grid_scenario(tmp_path):
+    """A scenario file whose checkpoint 0.7 is off the grid of --dt 0.2."""
+    path = tmp_path / "custom.json"
+    path.write_text(json.dumps(small_scenario(checkpoints=(0.7,)).to_dict()))
+    return ["run", "--scenario", str(path), "--dt", "0.2", "--t-end", "0.4"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (lambda tmp: ["run", "--dt", "1e-320"], "time 200.0 is inf steps of dt=1e-320, more than a grid can index"),
+    (lambda tmp: ["run", "--methods", "carleman,bogus"], "unknown methods: bogus (choose from carleman, ekf, mc)"),
+    (lambda tmp: ["run", "--scenario", "builtin:set3"], "unknown builtin scenario 'set3'"),
+    (lambda tmp: ["matrices", "--scenario", "builtin:set3"], "unknown builtin scenario 'set3'"),
+    (lambda tmp: ["run", "--scenario", str(tmp / "missing.json")], "No such file or directory"),
+    (off_grid_scenario, "time 0.7 is not on the dt=0.2 grid"),
+], ids=["dt", "methods", "builtin", "matrices_builtin", "missing_file", "off_grid_checkpoint"])
+def test_a_configuration_error_is_a_one_line_usage_error(tmp_path, capsys, argv, message):
+    argv = argv(tmp_path)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exited:
+        cli.main([*argv, "--out", str(out)])
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = err.splitlines()[-1]
+    assert last.startswith(f"vdvcarleman {argv[0]}: error: ") and message in last
+    assert not out.exists()
+
+
+def test_scenario_inputs_are_held_as_python_floats(tmp_path):
+    k1 = np.float32(PARAM_SET1.k1)
+    s = replace(small_scenario(), params=ReactorParams(**{**asdict(PARAM_SET1), "k1": k1, "v": 10}),
+                x0=PhysicalState(np.float32(3.0), 1, np.float64(0.009528)), p0_diag=(1, np.float32(1.0), 0.01))
+    held = [*asdict(s.params).values(), *asdict(s.x0).values(), *s.p0_diag]
+    assert all(type(v) is float for v in held)
+    # The EKF steps in double precision, as from the float of k1.
+    plain = replace(s, params=replace(PARAM_SET1, k1=float(k1)), x0=PhysicalState(3.0, 1.0, 0.009528))
+    assert np.array_equal(run_scenario(s, ("ekf",)).ekf.mean, run_scenario(plain, ("ekf",)).ekf.mean)
+    emit_summary(run_scenario(s, ()), str(tmp_path))
+    echoed = json.loads((tmp_path / "report.json").read_text())["scenario"]
+    assert type(echoed["params"]["v"]) is float and type(echoed["x0"][1]) is float
+    assert echoed["params"]["k1"] == float(k1) and echoed["p0_diag"] == [1.0, 1.0, 0.01]
+
+
+def test_a_run_of_no_method_builds_no_time_grid(tmp_path):
+    # 10^14 steps: the grid alone would be 728 TiB.
+    report = run_scenario(replace(builtin_scenario("set1"), t_end=1e12), ())
+    assert report.t is None
+    cli.main(["run", "--t-end", "1e12", "--methods", "", "--out", str(tmp_path)])
+    for name, columns in (("trajectories.csv", experiments._TRAJ_COLUMNS),
+                          ("checkpoints.csv", experiments._CKPT_COLUMNS),
+                          ("mc_validation.csv", experiments._MC_COLUMNS)):
+        assert (tmp_path / name).read_text() == ",".join(columns) + "\n"
+    assert json.loads((tmp_path / "report.json").read_text())["grid"]["n_points"] == 10**14 + 1
 
 
 def test_empty_method_set_gives_metadata_only_report(tmp_path):
@@ -402,7 +463,7 @@ def num(x):
 def trajectory_csv_oracle(report):
     """trajectories.csv body formatted field by field, as `emit_csv` did with one f-string per field."""
     def cov_cols(series, k):
-        c = series.cov[k]
+        c = series.at_time(report.t[k])[1]
         return [num(c[0, 0]), num(c[1, 1]), num(c[0, 1]), num(c[0, 2]), num(c[1, 2]), num(c[2, 2])]
 
     lines = []
@@ -421,10 +482,9 @@ def checkpoint_csv_oracle(report):
     """checkpoints.csv body, field by field: t, then P_x1 and P_x2 of carleman and ekf."""
     lines = []
     for c in report.scenario.checkpoints if report.true_path is not None else ():
-        k = grid_index(report.scenario.dt, c)
         row = [num(c)]
         for i in (0, 1):
-            row += [num(s.cov[k, i, i]) if s is not None else "" for s in (report.carleman, report.ekf)]
+            row += [num(s.at_time(c)[1][i, i]) if s is not None else "" for s in (report.carleman, report.ekf)]
         lines.append(",".join(row) + "\n")
     return "".join(lines)
 
@@ -451,15 +511,15 @@ def test_trajectory_csv_equals_per_field_formatting(tmp_path, methods):
         report.true_path[300:300 + len(specials), 1] = specials
     for series in (report.carleman, report.ekf):
         if series is not None:
-            series.cov[310:310 + len(specials), 0, 2] = specials
+            series.covariance(0, 2)[310:310 + len(specials)] = specials
             series.mean[320:320 + len(specials), 0] = specials
-            series.cov[310, 0, 0], series.cov[310, 1, 1] = -0.0, np.nan  # the checkpoint at t=3.1
+            series.covariance(0, 0)[310], series.covariance(1, 1)[310] = -0.0, np.nan  # the checkpoint at t=3.1
     if report.mc is not None:
         report.mc["abs_err"][:len(specials)] = specials
     emit_csv(report, str(tmp_path))
     text = (tmp_path / "trajectories.csv").read_text()
     header, body = text.split("\n", 1)
-    assert report.t.size > 2 * 256  # more than one block of rows
+    assert grid_steps(report.scenario.dt, report.scenario.t_end) > 2 * 256  # more than one block of rows
     assert body == trajectory_csv_oracle(report)
     for name, oracle in (("checkpoints.csv", checkpoint_csv_oracle), ("mc_validation.csv", mc_csv_oracle)):
         header, body = (tmp_path / name).read_text().split("\n", 1)

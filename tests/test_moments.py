@@ -32,8 +32,10 @@ SET1_P0 = np.diag([1.0, 1.0, 0.01])
 # (m1, m2, m3, P11, P12, P13, P22, P23, P33).
 P11, P22, P33 = 3, 6, 8
 
-# The (i, j) of each product slot and packed covariance entry.
+# The (i, j) of each product slot and packed covariance entry, of the
+# physical and of the augmented state.
 IU, JU = np.triu_indices(3)
+IU9, JU9 = np.triu_indices(9)
 
 
 def flat_physical(mean, cov):
@@ -43,6 +45,11 @@ def flat_physical(mean, cov):
 def bits(a):
     """Bit patterns of a float array: equal bits also mean equal signed zeros."""
     return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def grid(series):
+    """The times of a series' rows: row k is at k * dt."""
+    return np.arange(len(series.mean)) * series.dt
 
 
 def ou_mean(x0: float, alpha: float, t: np.ndarray) -> np.ndarray:
@@ -201,14 +208,37 @@ def augmented_cov_rhs_blocks(sys, mean, cov):
 
 def test_physical_moments_symmetric_storage():
     cov = np.array([[1.0, 0.2, 0.3], [0.2, 2.0, 0.4], [0.3, 0.4, 3.0]])
-    first = integrate_physical(PARAM_SET1, [1.0, 2.0, 3.0], cov, 0.01, 0.0).cov[0]
+    series = integrate_physical(PARAM_SET1, [1.0, 2.0, 3.0], cov, 0.01, 0.0)
+    assert np.array_equal(series.cov[0], cov[IU, JU])  # one triangle is stored
+    first = series.at_time(0.0)[1]
     assert np.array_equal(first, first.T)
     assert np.array_equal(first, cov)
     # asymmetric input is averaged
     skew = cov.copy()
     skew[0, 1] = 0.0
-    first = integrate_physical(PARAM_SET1, [0.0, 0.0, 0.0], skew, 0.01, 0.0).cov[0]
+    first = integrate_physical(PARAM_SET1, [0.0, 0.0, 0.0], skew, 0.01, 0.0).at_time(0.0)[1]
     assert first[0, 1] == first[1, 0] == 0.1
+
+
+@pytest.mark.parametrize("path", ["physical", "augmented", "ekf"])
+def test_covariance_entry_is_a_view_of_its_packed_slot(path):
+    cov0 = SET1_P0 + 0.1  # every entry nonzero from the start
+    series = {
+        "physical": lambda: integrate_physical(PARAM_SET1, SET1_X0, cov0, 0.01, 50.0),
+        "augmented": lambda: integrate_augmented(build_vandevusse(PARAM_SET1), SET1_X0, cov0, 0.01, 50.0),
+        "ekf": lambda: ekf_predict(PARAM_SET1, SET1_X0, cov0, 0.01, 50.0),
+    }[path]()
+    d = series.mean.shape[1]
+    iu, ju = np.triu_indices(d)
+    matrices = {t: series.at_time(t)[1] for t in (0.0, 0.5, 5.0, 10.0, 20.0, 50.0)}
+    for i, j in itertools.product(range(d), repeat=2):
+        entry = series.covariance(i, j)
+        assert np.shares_memory(entry, series.cov)
+        assert np.array_equal(bits(entry), bits(series.covariance(j, i)))
+        slot = np.flatnonzero((iu == min(i, j)) & (ju == max(i, j)))[0]
+        assert np.array_equal(bits(entry), bits(series.cov[:, slot]))
+        for t, cov in matrices.items():
+            assert entry[grid_index(0.01, t)] == cov[i, j]
 
 
 @pytest.mark.parametrize("path", ["physical", "augmented", "ekf"])
@@ -344,14 +374,14 @@ def test_physical_path_equals_array_rk4_bit_for_bit(p, p0_33):
     cov0 = np.diag([1.0, 1.0, p0_33])
     series = integrate_physical(p, SET1_X0, cov0, 0.01, 60.0)
     t, mean, cov = physical_from_augmented(p, SET1_X0, cov0, 0.01, 60.0)
-    assert np.array_equal(series.t, t)
+    assert np.array_equal(grid(series), t)
     assert np.array_equal(bits(series.mean), bits(mean))
-    assert np.array_equal(bits(series.cov), bits(cov))
+    assert np.array_equal(bits(series.cov), bits(cov[:, IU, JU]))
     # The same path as RK4 of the nine hand-derived moment ODEs, up to
     # rounding: 1.1e-12 over set 1's 200 s.
     _, ys = rk4_oracle(lambda y: physical_rhs_oracle(y, p), flat_physical(SET1_X0, cov0), 0.01, 60.0)
     assert np.abs(series.mean - ys[:, :3]).max() <= 1e-11
-    assert np.abs(series.cov[:, IU, JU] - ys[:, 3:]).max() <= 1e-11
+    assert np.abs(series.cov - ys[:, 3:]).max() <= 1e-11
 
 
 def test_integrate_blowup_inside_a_block_matches_array_oracle():
@@ -395,9 +425,9 @@ def test_physical_path_overflow_is_an_integration_error():
 
 def test_flow_rate_moments_match_ou_analytics():
     series = integrate_physical(PARAM_SET1, SET1_X0, SET1_P0, 0.01, 10.0)
-    exact_var = ou_variance(0.01, 0.1, 0.044, series.t)
-    exact_mean = ou_mean(0.009528, 0.1, series.t)
-    assert np.max(np.abs(series.cov[:, 2, 2] - exact_var) / exact_var) <= 1e-8
+    exact_var = ou_variance(0.01, 0.1, 0.044, grid(series))
+    exact_mean = ou_mean(0.009528, 0.1, grid(series))
+    assert np.max(np.abs(series.covariance(2, 2) - exact_var) / exact_var) <= 1e-8
     assert np.max(np.abs(series.mean[:, 2] - exact_mean) / np.abs(exact_mean)) <= 1e-8
     # spot values from the closed forms
     m10, c10 = series.at_time(10.0)
@@ -426,7 +456,7 @@ def test_augmented_initialization_gaussian_closure():
     # the augmented path starts from the lift
     series = integrate_augmented(build_vandevusse(PARAM_SET1), m, P, 0.01, 0.0)
     assert np.array_equal(series.mean[0], aug_mean)
-    assert np.array_equal(series.cov[0], aug_cov)
+    assert np.array_equal(series.at_time(0.0)[1], aug_cov)
 
 
 def gaussian_lift_loops(m, P):
@@ -516,8 +546,10 @@ def test_augmented_covariance_stays_symmetric():
     for p in (PARAM_SET1, PARAM_SET2):
         # 2000 steps: the horizon spans more than one block of the propagator.
         series = integrate_augmented(build_vandevusse(p), SET1_X0, SET1_P0, 0.01, 20.0)
-        asym = np.abs(series.cov - series.cov.transpose(0, 2, 1)).max()
-        assert asym == 0.0  # both triangles are written from one packed upper triangle
+        assert series.cov.shape == (2001, 45)  # one packed upper triangle a row
+        for t in (0.0, 5.0, 10.24, 10.25, 20.0):
+            cov = series.at_time(t)[1]
+            assert np.array_equal(cov, cov.T)  # both triangles are written from it
 
 
 @pytest.mark.parametrize("p, p0_33", [(PARAM_SET1, 0.01), (PARAM_SET2, 0.09)])
@@ -528,9 +560,9 @@ def test_augmented_propagator_matches_rk4_oracle(p, p0_33):
     p0 = np.diag([1.0, 1.0, p0_33])
     series = integrate_augmented(build_vandevusse(p), SET1_X0, p0, 0.01, 50.0)
     t, mean, cov = augmented_rk4_oracle(build_vandevusse(p), SET1_X0, p0, 0.01, 50.0)
-    assert np.array_equal(series.t, t)
+    assert np.array_equal(grid(series), t)
     assert np.abs(series.mean - mean).max() <= 1e-12 * np.abs(mean).max()
-    assert np.abs(series.cov - cov).max() <= 1e-12 * np.abs(cov).max()
+    assert np.abs(series.cov - cov[:, IU9, JU9]).max() <= 1e-12 * np.abs(cov).max()
     # The mean is read from the stepped z z^T, not from A z: the two round apart.
     _, path = augmented_mean_path(build_vandevusse(p), gaussian_lift(SET1_X0, p0)[0], 0.01, 50.0)
     assert np.abs(series.mean - path).max() <= 1e-12 * np.abs(path).max()
@@ -647,8 +679,9 @@ def test_augmented_propagator_on_random_quadratic_sdes(case):
     # 50 steps; measured over 300 random systems: 2e-14 of the largest entry.
     series = integrate_augmented(sys, mean0, cov0, 0.01, 0.5)
     _, mean, cov = augmented_rk4_oracle(sys, mean0, cov0, 0.01, 0.5)
+    iu, ju = np.triu_indices(sys.dim)
     assert np.abs(series.mean - mean).max() <= 1e-12 * np.abs(mean).max()
-    assert np.abs(series.cov - cov).max() <= 1e-12 * np.abs(cov).max()
+    assert np.abs(series.cov - cov[:, iu, ju]).max() <= 1e-12 * np.abs(cov).max()
     # Without noise (g = 0, hence d = 0) a zero covariance stays exactly zero.
     quiet = embed_order2(QuadraticSde(c=sde.c, lin=sde.lin, quad=sde.quad, g=np.zeros(sys.n)))
     assert not quiet.g.any() and not quiet.d.any()
@@ -680,17 +713,17 @@ def test_augmented_t_end_zero_returns_lift():
     P = np.array([[1.0, 0.1, 0.2], [0.1, 2.0, 0.3], [0.2, 0.3, 0.5]])
     series = integrate_augmented(build_vandevusse(PARAM_SET2), m, P, 0.01, 0.0)
     lift_mean, lift_cov = gaussian_lift(m, P)
-    assert series.t.shape == (1,)
+    assert series.mean.shape == (1, 9) and series.cov.shape == (1, 45)
     assert np.array_equal(series.mean, lift_mean[None])
-    assert np.array_equal(series.cov, lift_cov[None])
+    assert np.array_equal(series.at_time(0.0)[1], lift_cov)
 
 
 def test_augmented_flow_moments_match_ou():
     sys = build_vandevusse(PARAM_SET1)
     series = integrate_augmented(sys, SET1_X0, SET1_P0, 0.01, 10.0)
-    exact_var = ou_variance(0.01, 0.1, 0.044, series.t)
-    exact_mean = ou_mean(0.009528, 0.1, series.t)
-    assert np.max(np.abs(series.cov[:, 2, 2] - exact_var) / exact_var) <= 1e-8
+    exact_var = ou_variance(0.01, 0.1, 0.044, grid(series))
+    exact_mean = ou_mean(0.009528, 0.1, grid(series))
+    assert np.max(np.abs(series.covariance(2, 2) - exact_var) / exact_var) <= 1e-8
     assert np.max(np.abs(series.mean[:, 2] - exact_mean) / np.abs(exact_mean)) <= 1e-8
 
 
@@ -727,7 +760,7 @@ def test_crosscheck_reads_the_reporting_path(monkeypatch):
 
     def offset(*args):
         series = real(*args)
-        series.cov[-1, 0, 0] += 1e-6
+        series.covariance(0, 0)[-1] += 1e-6
         return series
 
     monkeypatch.setattr(moments, "integrate_physical", offset)
@@ -753,4 +786,4 @@ def test_physical_path_zero_noise_truncation_residual():
         assert series.at_time(t)[1][0, 0] == pytest.approx(p11, rel=1e-3)
     # The flow rate is exactly linear, so its true P33 is 0.  P33 = S33 - m3^2
     # keeps RK4's residual R(2z) - R(z)^2 for the step factors of S33 and m3.
-    assert np.abs(series.cov[:, 2, 2]).max() <= 1e-16
+    assert np.abs(series.covariance(2, 2)).max() <= 1e-16
