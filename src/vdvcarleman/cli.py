@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Subcommands:
-  run            execute a scenario and write CSV/SVG outputs
+  run            execute a scenario and write CSV/SVG outputs; with
+                 --mc-workers above one, the ensemble's ranges, the EKF
+                 and the chart rendering run in forked children
   dump-scenario  print a builtin scenario as JSON
   matrices       dump the embedded system's coefficient blocks
   validate       run the acceptance checks (exit 0 only if all pass)
@@ -20,14 +22,15 @@ from .carleman import build_vandevusse, write_blocks
 from .experiments import (
     METHODS,
     builtin_scenario,
-    emit_charts,
     emit_summary,
     emit_trajectories,
     load_scenario,
+    render_charts,
     run_scenario,
+    write_charts,
 )
 from .moments import grid_index, grid_steps
-from .montecarlo import _usable_cpus
+from .montecarlo import _fork_map, _usable_cpus
 
 logger = logging.getLogger(__name__)
 
@@ -46,7 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--mc-paths", type=int, default=None, help="override ensemble size")
     run.add_argument("--seed", type=int, default=None, help="override RNG seed")
     run.add_argument("--mc-workers", type=int, default=_usable_cpus(),
-                     help="ensemble worker processes (default: the CPUs this process may use)")
+                     help="worker processes: the ensemble's ranges, and the EKF and chart children "
+                          "beside them (default: the CPUs this process may use)")
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--no-charts", action="store_true", help="skip SVG emission")
     run.set_defaults(parser=run)
@@ -99,14 +103,19 @@ def _cmd_run(args) -> int:
     unknown = sorted(set(methods) - set(METHODS))
     if unknown:
         args.parser.error(f"unknown methods: {', '.join(unknown)} (choose from {', '.join(METHODS)})")
+    if args.mc_workers < 1:
+        args.parser.error(f"--mc-workers must be at least 1, got {args.mc_workers}")
     with _usage_errors(args.parser):
         scenario = _apply_overrides(load_scenario(args.scenario), args)
     paths, charts = [], []
 
     def emit_beside_the_ensemble(report):
-        paths.extend(emit_trajectories(report, args.out))
-        if not args.no_charts:
-            charts.extend(emit_charts(report, args.out))
+        # A child only renders the charts, while the caller writes the CSVs:
+        # every file of the run is written, and so removed on failure, here.
+        render = [] if args.no_charts else [("chart rendering", lambda: render_charts(report))]
+        write_csvs = lambda: paths.extend(emit_trajectories(report, args.out))
+        for rendered in _fork_map(render, args.mc_workers, write_csvs):
+            charts.extend(write_charts(rendered, args.out))
 
     try:
         report = run_scenario(scenario, methods, mc_workers=args.mc_workers, meanwhile=emit_beside_the_ensemble)

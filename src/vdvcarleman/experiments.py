@@ -14,9 +14,13 @@ SDE ("true" path, simulated once); absolute prediction errors are
 e_i(t) = |x_i_true(t) - mean_i(t)| for the two concentrations.  Only the
 Monte Carlo rows read the ensemble statistics: everything else, and a
 caller's ``meanwhile(report)``, runs while the ensemble's forked ranges
-do.  Reports can be emitted as CSV files and standalone SVG charts;
-`emit_trajectories` and `emit_charts` need no ensemble statistics,
-`emit_summary` does, and `emit_csv` writes both CSV halves.  Every CSV
+do, and the EKF runs in a forked child of its own beside the true and
+physical paths (both through `montecarlo._fork_map`, within the
+``mc_workers`` budget).  Reports can be emitted as CSV files and
+standalone SVG charts; `emit_trajectories` and `emit_charts` need no
+ensemble statistics, `emit_summary` does, and `emit_csv` writes both CSV
+halves.  `emit_charts` is `render_charts`, which only makes the SVG
+text, then `write_charts`; ``run`` calls them apart.  Every CSV
 goes through one writer, which formats a block of rows at a time in
 numpy, byte for byte as Python's '%.10e' (`_format_fields`).
 """
@@ -54,6 +58,7 @@ from .moments import (
 from .montecarlo import (
     EnsembleStats,
     PathConfig,
+    _fork_map,
     as_int,
     em_mean_reference,
     ensemble_moments,
@@ -231,9 +236,14 @@ def run_scenario(scenario: Scenario, methods, mc_workers: int = 1, meanwhile=Non
     pair.  Then ``meanwhile(report)``, if given, is called with the report
     so far (``report.mc`` still None).  With ``mc`` this all runs while the
     ensemble's forked ranges do (see `montecarlo.ensemble_moments`), and
-    ``report.mc`` is filled in once they are done.  A failing method is a
-    `RuntimeError` naming it; the true path fails first, then
-    ``carleman``, ``ekf`` and ``mc``.
+    ``report.mc`` is filled in once they are done.  ``mc_workers`` is the
+    budget of worker processes: above one, ``ekf_predict`` runs in a child
+    forked by `montecarlo._fork_map` while the caller makes the true and
+    physical paths; with one, everything runs in the caller, in the order
+    above.  A failing method is a `RuntimeError` naming it; the true path
+    fails first, then ``carleman``, ``ekf`` and ``mc`` (an EKF child is
+    killed when the true or physical path fails, and its own failure comes
+    back as its value and is raised after them).
     """
     requested = set(methods)
     unknown = requested - set(METHODS)
@@ -255,7 +265,7 @@ def run_scenario(scenario: Scenario, methods, mc_workers: int = 1, meanwhile=Non
 
     report.t = np.arange(grid_steps(dt, t_end) + 1) * dt
     sys = build_vandevusse(p)
-    x0 = scenario.x0.as_array()
+    x0, cov0 = scenario.x0.as_array(), np.diag(scenario.p0_diag)
     cfg = PathConfig(dt=dt, t_end=t_end, seed=scenario.seed)
     ks = [grid_index(dt, c) for c in scenario.checkpoints]
     mc_references = []  # (ode, euler), once everything beside the ensemble is done
@@ -266,21 +276,34 @@ def run_scenario(scenario: Scenario, methods, mc_workers: int = 1, meanwhile=Non
         except (IntegrationError, RuntimeError) as exc:
             raise RuntimeError(f"method {name!r} failed: {exc}") from exc
 
-    def beside_the_ensemble():
+    def keep(name, series):
+        setattr(report, name, series)
+        report.errors[name] = np.abs(report.true_path[:, :2] - series.mean[:, :2])
+        report.psd_min_eig[name] = _psd_at_checkpoints(series, scenario)
+
+    def ekf_or_its_failure():
+        try:
+            return ekf_predict(p, x0, cov0, dt, t_end)
+        except (IntegrationError, RuntimeError) as exc:
+            return exc  # raised by the caller, after the true and physical paths
+
+    def true_and_physical():
         # One seeded realization of the exact SDE is the error reference.
-        _, true_path = run("true", lambda: simulate_path(cfg, x0, p))
-        report.true_path = true_path
-        for name, moment_path in (("carleman", integrate_physical), ("ekf", ekf_predict)):
-            if name in methods:
-                series = run(name, lambda: moment_path(p, x0, np.diag(scenario.p0_diag), dt, t_end))
-                setattr(report, name, series)
-                report.errors[name] = np.abs(true_path[:, :2] - series.mean[:, :2])
-                report.psd_min_eig[name] = _psd_at_checkpoints(series, scenario)
+        _, report.true_path = run("true", lambda: simulate_path(cfg, x0, p))
+        if "carleman" in methods:
+            keep("carleman", run("carleman", lambda: integrate_physical(p, x0, cov0, dt, t_end)))
+
+    def beside_the_ensemble():
+        # The EKF needs nothing the caller makes: with mc_workers above one
+        # it runs in a child while the caller makes the true and physical paths.
+        ekf = [("ekf_predict", ekf_or_its_failure)] if "ekf" in methods else []
+        for value in _fork_map(ekf, mc_workers, true_and_physical):
+            keep("ekf", run("ekf", lambda: _raise_if_exception(value)))
         if "mc" in methods:
             references = run("mc", lambda: _mc_references(scenario, sys, x0, ks))
             # The true path is the nonlinear half of the shared-noise pair.
             _, report.coupled_xi = run("mc", lambda: simulate_shared_noise(sys, x0, dt, t_end, scenario.seed))
-            report.tracking_max_abs_dx1 = float(np.abs(true_path[:, 0] - report.coupled_xi[:, 0]).max())
+            report.tracking_max_abs_dx1 = float(np.abs(report.true_path[:, 0] - report.coupled_xi[:, 0]).max())
             logger.info("shared-noise pair: max |x1 difference| = %.6g over [0, %g]",
                         report.tracking_max_abs_dx1, t_end)
         if meanwhile is not None:
@@ -300,6 +323,13 @@ def run_scenario(scenario: Scenario, methods, mc_workers: int = 1, meanwhile=Non
         raise RuntimeError(f"method 'mc' failed: {exc}") from exc
     report.mc = _mc_result(scenario, stats, *mc_references[0])
     return report
+
+
+def _raise_if_exception(value):
+    """``value``, unless it is an exception a task returned in place of raising it."""
+    if isinstance(value, BaseException):
+        raise value
+    return value
 
 
 def _psd_at_checkpoints(series: MomentSeries, scenario: Scenario) -> dict:
@@ -554,7 +584,11 @@ def emit_charts(report: ComparisonReport, out_dir: str) -> list[str]:
     dotted = EKF.  A panel whose series the report lacks is skipped
     with a logged notice naming them.
     """
-    os.makedirs(out_dir, exist_ok=True)
+    return write_charts(render_charts(report), out_dir)
+
+
+def render_charts(report: ComparisonReport) -> list[tuple[str, str]]:
+    """(name, SVG text) of every figure `emit_charts` writes, in its order; nothing is written."""
     # series[key][i] is the path of state i: a row of a transposed array, or a variance.
     by_state = lambda a: None if a is None else a.T
     series = {"true path": by_state(report.true_path), "bilinear path": by_state(report.coupled_xi)}
@@ -563,7 +597,7 @@ def emit_charts(report: ComparisonReport, out_dir: str) -> list[str]:
         series[f"{method} mean"] = None if s is None else s.mean.T
         series[f"{method} error"] = by_state(report.errors.get(method))
         series[f"{method} variance"] = None if s is None else [s.covariance(i, i) for i in range(3)]
-    written = []
+    rendered = []
     for i, (state, suffix) in enumerate((("x1", "a"), ("x2", "b"))):
         for figs, title, ylabel, lines in _PANELS:
             name = f"fig{figs[report.scenario.name == 'set2']}{suffix}"
@@ -571,14 +605,22 @@ def emit_charts(report: ComparisonReport, out_dir: str) -> list[str]:
             if missing:
                 logger.info("%s skipped: no %s series in report", name, " or ".join(missing))
                 continue
-            chart = svgchart.line_chart(
+            rendered.append((name, svgchart.line_chart(
                 [svgchart.Series(label, report.t, series[key][i], **style) for label, key, style in lines],
                 f"{report.scenario.name}: {title}, {state}",
                 "t [s]",
                 ylabel.format(state),
-            )
-            path = os.path.join(out_dir, f"{name}.svg")
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(chart)
-            written.append(path)
+            )))
+    return rendered
+
+
+def write_charts(rendered, out_dir: str) -> list[str]:
+    """Write each (name, SVG text) of `render_charts` as ``<name>.svg`` in ``out_dir``; their paths."""
+    os.makedirs(out_dir, exist_ok=True)
+    written = []
+    for name, chart in rendered:
+        path = os.path.join(out_dir, f"{name}.svg")
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(chart)
+        written.append(path)
     return written

@@ -257,7 +257,9 @@ def integrate_physical(p: ReactorParams, mean0, cov0, dt: float, t_end: float) -
     mean, cov = aug[:, :3], aug[:, 3:]
     iu, ju = np.triu_indices(3)
     with np.errstate(over="ignore", invalid="ignore"):
-        cov -= mean[:, iu] * mean[:, ju]
+        products = mean[:, iu]
+        products *= mean[:, ju]
+        cov -= products
     cov[0] = cov0[iu, ju]
     _raise_if_nonfinite(cov, 0, dt)
     return MomentSeries(dt=dt, mean=mean, cov=cov)

@@ -56,7 +56,8 @@ Reproducibility contract:
 of the augmented mean ODE; `simulate_shared_noise` is the bilinear partner
 of a seed's nonlinear path, which a run simulates once.  `_fork_map`
 also runs the acceptance checks of `validation.run_all`, one per usable
-CPU (`_usable_cpus`, also the default worker count of ``run``).
+CPU (`_usable_cpus`, also the default worker count of ``run``), and
+``run``'s EKF and chart rendering beside the caller's work.
 """
 from __future__ import annotations
 
@@ -417,10 +418,12 @@ def _fork_map(tasks, n_procs: int, meanwhile=None) -> list:
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 del running[r]
                 os.close(r)
+                sent = b"".join(chunks)
+                chunks.clear()  # only the joined copy is held while it is unpickled
                 if code:
-                    told = b"".join(chunks).decode(errors="replace")
+                    told = sent.decode(errors="replace")
                     raise RuntimeError(f"{tasks[i][0]} exited with status {code}" + (f"\n{told}" if told else ""))
-                values[i] = pickle.loads(b"".join(chunks))
+                values[i] = pickle.loads(sent)
     finally:
         for r, (_, pid, _) in running.items():
             os.kill(pid, signal.SIGKILL)

@@ -138,8 +138,9 @@ def line_chart(series: list[Series], title: str, xlabel: str, ylabel: str) -> st
     # series
     for s in series:
         pts = _downsample(np.column_stack([np.asarray(s.x, float), np.asarray(s.y, float)]))
-        keep = np.isfinite(pts).all(axis=1)
-        coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts[keep])
+        x, y = pts[np.isfinite(pts).all(axis=1)].T
+        # px and py on whole rows: each point sees the operations of the scalar form.
+        coords = " ".join(["%.2f,%.2f" % xy for xy in zip(px(x).tolist(), py(y).tolist())])
         dash = DASH.get(s.style)
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         out.append(

@@ -2,7 +2,10 @@ import filecmp
 import json
 import logging
 import os
+import pickle
+import re
 import signal
+import time
 from xml.dom import minidom
 
 import numpy as np
@@ -21,13 +24,16 @@ from vdvcarleman.experiments import (
     emit_charts,
     emit_csv,
     emit_summary,
+    emit_trajectories,
     load_scenario,
     run_scenario,
 )
 from vdvcarleman.carleman import build_vandevusse, point_lift
 from vdvcarleman.model import PARAM_SET1, PhysicalState, ReactorParams
-from vdvcarleman.moments import augmented_mean_path, grid_index, grid_steps
+from vdvcarleman.moments import IntegrationError, augmented_mean_path, grid_index, grid_steps
 from vdvcarleman.montecarlo import PathConfig, ensemble_moments
+
+from test_montecarlo import _assert_reaped, _recording_fork
 
 
 def small_scenario(**overrides):
@@ -212,13 +218,16 @@ def test_scenario_json_roundtrip_property(s):
     assert Scenario.from_dict(json.loads(json.dumps(s.to_dict()))) == s
 
 
-def test_worker_count_below_one_is_rejected_before_any_work(tmp_path):
-    with pytest.raises(ValueError, match="n_workers"):
-        run_scenario(small_scenario(), methods=("carleman",), mc_workers=0)
-    out = tmp_path / "out"
-    with pytest.raises(ValueError, match="n_workers"):
-        cli.main(["run", "--scenario", "builtin:set1", "--mc-workers", "-3", "--out", str(out)])
-    assert not out.exists()
+def test_worker_count_below_one_is_rejected_before_any_work(monkeypatch):
+    # The CLI's own check is a usage error (test_a_configuration_error_is_a_one_line_usage_error).
+    def no_work(*args, **kwargs):
+        raise AssertionError("run_scenario started work")
+
+    monkeypatch.setattr(experiments, "simulate_path", no_work)
+    for methods in (("carleman",), ("carleman", "ekf", "mc")):
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="n_workers"):
+                run_scenario(small_scenario(), methods=methods, mc_workers=bad)
 
 
 @pytest.mark.parametrize("methods", [("carleman",), ("carleman", "mc")], ids=["no-mc", "mc"])
@@ -237,15 +246,29 @@ def test_run_defaults_to_one_worker_per_usable_cpu(tmp_path):
     assert args.mc_workers == len(os.sched_getaffinity(0))
 
 
-def test_run_with_the_default_workers_writes_the_bytes_of_one_worker(tmp_path, capsys):
-    # 600 paths allow three ranges, so any count above 1 forks.
-    argv = ["run", "--t-end", "5", "--mc-paths", "600", "--seed", "4", "--no-charts"]
-    cli.main([*argv, "--out", str(tmp_path / "default")])
-    cli.main([*argv, "--mc-workers", "1", "--out", str(tmp_path / "one")])
-    names = sorted(os.listdir(tmp_path / "one"))
-    assert names == sorted(os.listdir(tmp_path / "default")) and "mc_validation.csv" in names
-    match, mismatch, errors = filecmp.cmpfiles(tmp_path / "default", tmp_path / "one", names, shallow=False)
-    assert match == names and not mismatch and not errors
+def test_run_with_the_default_workers_writes_the_bytes_of_one_worker(tmp_path, capsys, monkeypatch):
+    # 600 paths allow three ranges, so two default workers fork two ranges;
+    # the EKF and the chart rendering are forked with or without them.
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    pids = _recording_fork(monkeypatch)
+    for methods in ("carleman,ekf,mc", "carleman,ekf"):
+        for charts in (False, True):
+            case = tmp_path / f"{methods}-{charts}"
+            argv = ["run", "--t-end", "5", "--mc-paths", "600", "--seed", "4", "--methods", methods,
+                    *([] if charts else ["--no-charts"])]
+            mc = methods.endswith(",mc")
+            del pids[:]
+            cli.main([*argv, "--out", str(case / "default")])
+            assert len(pids) == 2 * mc + 1 + charts
+            printed = capsys.readouterr().out
+            cli.main([*argv, "--mc-workers", "1", "--out", str(case / "one")])
+            assert len(pids) == 2 * mc + 1 + charts
+            assert capsys.readouterr().out == printed.replace(str(case / "default"), str(case / "one"))
+            names = sorted(os.listdir(case / "one"))
+            assert names == sorted(os.listdir(case / "default"))
+            assert len(names) == 4 + charts * (8 if mc else 6)
+            match, mismatch, errors = filecmp.cmpfiles(case / "default", case / "one", names, shallow=False)
+            assert match == names and not mismatch and not errors
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -268,12 +291,70 @@ def test_a_run_whose_ensemble_fails_leaves_none_of_its_files(tmp_path, monkeypat
         return call
 
     monkeypatch.setattr(cli, "emit_trajectories", emitted(cli.emit_trajectories))
-    monkeypatch.setattr(cli, "emit_charts", emitted(cli.emit_charts))
+    monkeypatch.setattr(cli, "write_charts", emitted(cli.write_charts))
     monkeypatch.setattr(montecarlo, "_lockstep", lambda *args: (3, 7))
     argv = ["run", "--t-end", "1", "--mc-paths", "600", "--mc-workers", str(workers), "--out", str(out)]
     with pytest.raises(RuntimeError, match=r"^method 'mc' failed: path 7 non-finite at step 3 \(t=0\.03\)$"):
         cli.main(argv)
     assert len(written) == 2 + 8
+    assert os.listdir(out) == ["earlier.txt"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_run_whose_chart_rendering_fails_leaves_none_of_its_files(tmp_path, monkeypatch, workers):
+    # The charts are rendered in a child beside the CSV writes; the CSVs the
+    # caller wrote are removed once the child's failure is read.
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "earlier.txt").write_text("kept")
+    written = []
+
+    def emitted(report, out_dir):
+        paths = emit_trajectories(report, out_dir)
+        written.extend(paths)
+        return paths
+
+    def broken(report):
+        raise ValueError("no chart today")
+
+    monkeypatch.setattr(cli, "emit_trajectories", emitted)
+    monkeypatch.setattr(cli, "render_charts", broken)
+    pids = _recording_fork(monkeypatch)
+    argv = ["run", "--t-end", "1", "--methods", "carleman,ekf", "--mc-workers", str(workers), "--out", str(out)]
+    if workers == 1:
+        with pytest.raises(ValueError, match="^no chart today$"):
+            cli.main(argv)
+        assert not pids
+    else:
+        with pytest.raises(RuntimeError, match=r"^chart rendering exited with status 1\n(.|\n)*"
+                                               r"ValueError: no chart today\n$"):
+            cli.main(argv)
+        _assert_reaped(pids)
+    assert len(written) == 2
+    assert os.listdir(out) == ["earlier.txt"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_csv_failure_beside_the_chart_child_leaves_none_of_its_files(tmp_path, monkeypatch, workers):
+    # The CSV write fails in the caller while the child renders: the child is
+    # killed and reaped, and no chart is written.
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "earlier.txt").write_text("kept")
+
+    def full_disk(report, out_dir):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "emit_trajectories", full_disk)
+    pids = _recording_fork(monkeypatch)
+    argv = ["run", "--t-end", "1", "--methods", "carleman,ekf", "--mc-workers", str(workers), "--out", str(out)]
+    with pytest.raises(OSError, match="No space left on device"):
+        cli.main(argv)
+    if workers == 1:
+        assert not pids
+    else:
+        assert len(pids) == 2  # the EKF, then the chart rendering
+        _assert_reaped(pids)
     assert os.listdir(out) == ["earlier.txt"]
 
 
@@ -360,7 +441,10 @@ def off_grid_scenario(tmp_path):
     (lambda tmp: ["matrices", "--scenario", "builtin:set3"], "unknown builtin scenario 'set3'"),
     (lambda tmp: ["run", "--scenario", str(tmp / "missing.json")], "No such file or directory"),
     (off_grid_scenario, "time 0.7 is not on the dt=0.2 grid"),
-], ids=["dt", "methods", "builtin", "matrices_builtin", "missing_file", "off_grid_checkpoint"])
+    (lambda tmp: ["run", "--mc-workers", "0", "--t-end", "1"], "--mc-workers must be at least 1, got 0"),
+    (lambda tmp: ["run", "--mc-workers", "-3", "--methods", ""], "--mc-workers must be at least 1, got -3"),
+], ids=["dt", "methods", "builtin", "matrices_builtin", "missing_file", "off_grid_checkpoint", "mc_workers_0",
+        "mc_workers_negative"])
 def test_a_configuration_error_is_a_one_line_usage_error(tmp_path, capsys, argv, message):
     argv = argv(tmp_path)
     out = tmp_path / "out"
@@ -731,6 +815,73 @@ def test_chart_of_a_series_two_ulps_wide_returns_within_a_second():
     assert ticks.count("3") == 1
 
 
+def _polyline_points_per_point(series):
+    """The points of each polyline of `svgchart.line_chart`, one f-string per point: the oracle."""
+    xs = np.concatenate([np.asarray(s.x, float) for s in series])
+    ys = np.concatenate([np.asarray(s.y, float) for s in series])
+    finite = np.isfinite(xs) & np.isfinite(ys)
+    x_lo, x_hi = float(xs[finite].min()), float(xs[finite].max())
+    y_lo, y_hi = float(ys[finite].min()), float(ys[finite].max())
+    if y_hi == y_lo:
+        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    plot_w = svgchart.WIDTH - svgchart.MARGIN_L - svgchart.MARGIN_R
+    plot_h = svgchart.HEIGHT - svgchart.MARGIN_T - svgchart.MARGIN_B
+
+    def px(x):
+        return svgchart.MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
+
+    def py(y):
+        return svgchart.MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
+
+    points = []
+    for s in series:
+        pts = svgchart._downsample(np.column_stack([np.asarray(s.x, float), np.asarray(s.y, float)]))
+        keep = np.isfinite(pts).all(axis=1)
+        points.append(" ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts[keep]))
+    return points
+
+
+def _polyline_points(series):
+    return re.findall(r'<polyline points="([^"]*)"', svgchart.line_chart(series, "t", "x", "y"))
+
+
+def test_polylines_equal_the_per_point_form():
+    # x on eighths puts many pixel columns on .xx5 ties of '%.2f'; the y
+    # series hold NaN and +-inf rows, negatives, decimal .xx5 values, a
+    # constant, and one is longer than MAX_POINTS, so it is downsampled.
+    n = 624 * 8 + 1
+    x = np.arange(n) / 8.0
+    ramp = np.linspace(-2.345, 7.125, n)
+    ramp[[3, 50, 4000]] = np.nan, np.inf, -np.inf
+    x_holed = x.copy()
+    x_holed[[7, 8]] = np.nan, -np.inf
+    cases = [
+        [svgchart.Series("ramp", x, ramp), svgchart.Series("wave", x_holed, -np.cos(x) * 1e-3 - 0.005)],
+        [svgchart.Series("constant", x[:100], np.full(100, -1.005))],
+        [svgchart.Series("ties", np.arange(8.0), np.array([0.005, 0.015, 0.125, -0.375, 1.005, 2.675, 0.0, -0.0]))],
+        [svgchart.Series("one", np.array([2.0]), np.array([-3.0]))],
+    ]
+    for series in cases:
+        assert _polyline_points(series) == _polyline_points_per_point(series)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, width=64), min_size=2, max_size=300),
+       st.floats(min_value=-1e6, max_value=1e6), st.floats(min_value=1e-6, max_value=1e6))
+def test_polylines_equal_the_per_point_form_on_any_floats(ys, x0, dx):
+    y = np.array(ys)
+    if not np.isfinite(y).any():
+        y[0] = 0.0
+    x = x0 + dx * np.arange(y.size)
+    series = [svgchart.Series("y", x, y), svgchart.Series("-y", x, -y[::-1])]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _polyline_points(series) == _polyline_points_per_point(series)
+
+
 def test_set2_uses_second_figure_numbering(tmp_path):
     s = replace(builtin_scenario("set2"), t_end=2.0, checkpoints=(0.5,), mc_paths=10)
     report = run_scenario(s, methods=("carleman", "ekf"))
@@ -754,6 +905,49 @@ def test_physical_overflow_is_a_method_failure():
     bad = small_scenario(x0=PhysicalState(1e103, 1.0, 0.01), t_end=0.01, checkpoints=(0.01,))
     with pytest.raises(RuntimeError, match=r"^method 'carleman' failed: non-finite state at t=0\.01$"):
         run_scenario(bad, methods=("carleman",))
+
+
+@pytest.mark.parametrize("methods", [("ekf",), ("carleman", "ekf", "mc")], ids=["ekf", "all"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_ekf_failing_in_its_child_reads_as_with_one_worker(monkeypatch, workers, methods):
+    # ekf_predict raises in the forked child; the caller raises the returned
+    # error, with its grid index, as the EKF's failure.
+    def blows_up(*args):
+        raise IntegrationError("non-finite state at t=0.03", step=3)
+
+    monkeypatch.setattr(experiments, "ekf_predict", blows_up)
+    pids = _recording_fork(monkeypatch)
+    with pytest.raises(RuntimeError, match=r"^method 'ekf' failed: non-finite state at t=0\.03$") as got:
+        run_scenario(small_scenario(mc_paths=600), methods=methods, mc_workers=workers)
+    assert isinstance(got.value.__cause__, IntegrationError) and got.value.__cause__.step == 3
+    assert len(pids) == (0 if workers == 1 else 1 + 2 * ("mc" in methods))
+    if pids:
+        _assert_reaped(pids)
+
+
+def test_an_integration_error_pickles_with_its_step():
+    back = pickle.loads(pickle.dumps(IntegrationError("non-finite state at t=0.5", step=50)))
+    assert type(back) is IntegrationError and str(back) == "non-finite state at t=0.5" and back.step == 50
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_true_path_failure_kills_the_ekf_child_and_is_reported_first(monkeypatch, workers):
+    def slow_ekf(*args):
+        time.sleep(30)
+
+    def broken_path(*args):
+        raise IntegrationError("non-finite state at t=0.01", step=1)
+
+    monkeypatch.setattr(experiments, "ekf_predict", slow_ekf)
+    monkeypatch.setattr(experiments, "simulate_path", broken_path)
+    pids = _recording_fork(monkeypatch)
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match=r"^method 'true' failed: non-finite state at t=0\.01$"):
+        run_scenario(small_scenario(), methods=("carleman", "ekf"), mc_workers=workers)
+    assert time.perf_counter() - t0 < 10.0
+    assert len(pids) == (workers > 1)
+    if pids:
+        _assert_reaped(pids)
 
 
 @pytest.mark.parametrize("mc_paths, workers", [(60, 1), (600, 2)], ids=["serial", "forked"])

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from vdvcarleman import cli, validation
+from vdvcarleman import cli, experiments, montecarlo, validation
 
 from test_montecarlo import _recording_fork
 
@@ -92,8 +92,24 @@ def test_a_check_that_raises_in_a_child_is_named_with_its_traceback(monkeypatch)
 
 
 def test_criterion_10_splits_its_ensemble_four_ways(monkeypatch):
-    # The 1-worker run stays in the caller; the 4-worker run forks a child per range.
+    # The 1-worker run stays in the caller; the 4-worker run forks a child per
+    # range, and one for the EKF beside them.
     pids = _recording_fork(monkeypatch)
+    forked = []
+
+    def recording(fork_map):
+        def call(tasks, n_procs, meanwhile=None):
+            if n_procs > 1:
+                forked.extend(name for name, _ in tasks)
+            return fork_map(tasks, n_procs, meanwhile)
+
+        return call
+
+    monkeypatch.setattr(montecarlo, "_fork_map", recording(montecarlo._fork_map))
+    monkeypatch.setattr(experiments, "_fork_map", recording(experiments._fork_map))
     result = validation.check_determinism()
     assert result.passed, result.detail
-    assert len(pids) == 4
+    assert len(pids) == len(forked) == 5
+    ranges = [name for name in forked if name.startswith("ensemble worker for paths ")]
+    assert ranges == [f"ensemble worker for paths [{256 * w}, {256 * (w + 1)})" for w in range(4)]
+    assert sorted(set(forked) - set(ranges)) == ["ekf_predict"]
