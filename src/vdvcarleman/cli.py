@@ -25,6 +25,7 @@ from .experiments import (
     emit_summary,
     emit_trajectories,
     load_scenario,
+    removed_on_failure,
     render_charts,
     run_scenario,
     write_charts,
@@ -51,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--mc-workers", type=int, default=_usable_cpus(),
                      help="worker processes: the ensemble's ranges, and the EKF and chart children "
                           "beside them (default: the CPUs this process may use)")
-    run.add_argument("--out", required=True, help="output directory")
+    run.add_argument("--out", type=_out_dir, required=True, help="output directory")
     run.add_argument("--no-charts", action="store_true", help="skip SVG emission")
     run.set_defaults(parser=run)
 
@@ -60,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     mat = sub.add_parser("matrices", help="dump the bilinear system blocks as text")
     mat.add_argument("--scenario", default="builtin:set1")
-    mat.add_argument("--out", required=True, help="output directory")
+    mat.add_argument("--out", type=_out_dir, required=True, help="output directory")
     mat.set_defaults(parser=mat)
 
     sub.add_parser("validate", help="run the acceptance checks, one process per usable CPU")
@@ -87,6 +88,13 @@ def _apply_overrides(scenario, args):
     updates["checkpoints"] = kept
     # checkpoint/grid compatibility is re-validated by the Scenario itself
     return replace(scenario, **updates)
+
+
+def _out_dir(path: str) -> str:
+    """An ``--out`` value: a directory, or a path where none exists yet."""
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path} exists and is not a directory")
+    return path
 
 
 @contextlib.contextmanager
@@ -117,15 +125,9 @@ def _cmd_run(args) -> int:
         for rendered in _fork_map(render, args.mc_workers, write_csvs):
             charts.extend(write_charts(rendered, args.out))
 
-    try:
+    with removed_on_failure(paths, charts):  # a failed run leaves none of the files it wrote
         report = run_scenario(scenario, methods, mc_workers=args.mc_workers, meanwhile=emit_beside_the_ensemble)
         paths += emit_summary(report, args.out)
-    except BaseException:
-        # A failed run leaves none of the files it wrote.
-        for p in paths + charts:
-            with contextlib.suppress(OSError):
-                os.remove(p)
-        raise
     for p in paths + charts:
         print(p)
     return 0

@@ -20,8 +20,8 @@ affine map p <- T_k p + c_k on the six distinct entries p of P
 `moments._rk4_map` of the step's four stage generators [[L_s, q], [0, 0]],
 with L_s from the Jacobian at the stage mean (recomputed with
 `model.drift`) and q the packed g g^T.  The maps of a block of
-`_COV_BLOCK` steps are built at once, and the stepped p is the
-covariance the returned `MomentSeries` holds.
+`_COV_BLOCK` steps are built at once, and the p columns `_linear_path`
+returns are the covariance the returned `MomentSeries` holds.
 """
 from __future__ import annotations
 
@@ -110,13 +110,10 @@ def ekf_predict(p: ReactorParams, x0, cov0, dt: float, t_end: float) -> MomentSe
     names the time of the first non-finite covariance.
     """
     x0, cov0 = _checked_moments(x0, cov0, 3)
-    _, mean = _float_path(_mean_step(p, dt), x0, dt, t_end)
+    mean = _float_path(_mean_step(p, dt), x0, dt, t_end)
     iu, ju = np.triu_indices(3)
     g = diffusion(p)
     q = np.outer(g, g)[iu, ju]
-
-    cov = np.empty((len(mean), iu.size))
     maps = lambda start, stop: _covariance_maps(p, mean[start:stop], q, dt)
-    for k, rows in _linear_path(maps, np.append(cov0[iu, ju], 1.0), dt, len(mean) - 1, _COV_BLOCK):
-        cov[k:k + len(rows)] = rows[:, :-1]
+    cov = _linear_path(maps, np.append(cov0[iu, ju], 1.0), dt, len(mean) - 1, slice(-1), _COV_BLOCK)
     return MomentSeries(dt=dt, mean=mean, cov=cov)

@@ -26,6 +26,7 @@ numpy, byte for byte as Python's '%.10e' (`_format_fields`).
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import os
@@ -289,7 +290,7 @@ def run_scenario(scenario: Scenario, methods, mc_workers: int = 1, meanwhile=Non
 
     def true_and_physical():
         # One seeded realization of the exact SDE is the error reference.
-        _, report.true_path = run("true", lambda: simulate_path(cfg, x0, p))
+        report.true_path = run("true", lambda: simulate_path(cfg, x0, p))
         if "carleman" in methods:
             keep("carleman", run("carleman", lambda: integrate_physical(p, x0, cov0, dt, t_end)))
 
@@ -302,7 +303,7 @@ def run_scenario(scenario: Scenario, methods, mc_workers: int = 1, meanwhile=Non
         if "mc" in methods:
             references = run("mc", lambda: _mc_references(scenario, sys, x0, ks))
             # The true path is the nonlinear half of the shared-noise pair.
-            _, report.coupled_xi = run("mc", lambda: simulate_shared_noise(sys, x0, dt, t_end, scenario.seed))
+            report.coupled_xi = run("mc", lambda: simulate_shared_noise(sys, x0, dt, t_end, scenario.seed))
             report.tracking_max_abs_dx1 = float(np.abs(report.true_path[:, 0] - report.coupled_xi[:, 0]).max())
             logger.info("shared-noise pair: max |x1 difference| = %.6g over [0, %g]",
                         report.tracking_max_abs_dx1, t_end)
@@ -341,10 +342,8 @@ def _mc_references(scenario: Scenario, sys: BilinearSystem, x0: np.ndarray, ks: 
     dt, t_end = scenario.dt, scenario.t_end
     # The bilinear mean obeys the augmented mean ODE exactly; paths start
     # at a point, so the ODE starts from the lifted state with no spread.
-    _, ode = augmented_mean_path(sys, point_lift(x0), dt, t_end)
-    # Bias-free reference: the exact expectation of the simulated chain.
-    _, euler = em_mean_reference(sys, x0, dt, t_end)
-    return ode[ks], euler[ks]
+    # The Euler mean is the bias-free one: the exact expectation of the simulated chain.
+    return augmented_mean_path(sys, point_lift(x0), dt, t_end)[ks], em_mean_reference(sys, x0, dt, t_end)[ks]
 
 
 def _mc_result(scenario: Scenario, stats: EnsembleStats, ode: np.ndarray, euler: np.ndarray) -> dict:
@@ -448,8 +447,32 @@ def _text_words(texts) -> np.ndarray:
     return np.array(texts, "S20").view("<u4").reshape(-1, 5)
 
 
-def _write_csv(path: str, header, columns) -> str:
-    """Write the ``header`` row, then row i of ``columns``, a block of rows at a time.
+@contextlib.contextmanager
+def removed_on_failure(*lists):
+    """Run the block; if it raises, remove every file in ``lists``, as they then stand, and re-raise."""
+    try:
+        yield
+    except BaseException:
+        for path in (p for paths in lists for p in paths):
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
+def _write_files(out_dir: str, files) -> list[str]:
+    """Call ``write(fh)`` for each (name, write) of ``files``, on ``out_dir/name`` opened "wb"; the paths, or none."""
+    os.makedirs(out_dir, exist_ok=True)
+    written = []
+    with removed_on_failure(written):
+        for name, write in files:
+            with open(os.path.join(out_dir, name), "wb") as fh:
+                written.append(fh.name)  # opened, so removed if the call fails
+                write(fh)
+    return written
+
+
+def _write_csv(fh, header, columns) -> None:
+    """Write the ``header`` row, then row i of ``columns``, a block of rows at a time, to ``fh``.
 
     A column is a float array, each number written '%.10e'; an 'S' array
     of at most 19 bytes an entry, written as it is; or None, an empty
@@ -465,32 +488,27 @@ def _write_csv(path: str, header, columns) -> str:
     separators = np.full(len(header), ord(","), np.uint32) << 24
     separators[-1] = ord("\n") << 24
     n_slow = 0
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        for start in range(0, n, _CSV_BLOCK_ROWS):
-            stop = min(n, start + _CSV_BLOCK_ROWS)
-            words = np.zeros((stop - start, len(header), 5), np.uint32)
-            if numbers:
-                words[:, numbers], slow = _format_fields(np.column_stack([columns[j][start:stop] for j in numbers]))
-                n_slow += slow
-            for j in texts:
-                words[:, j] = _text_words(columns[j][start:stop])
-            words[..., 4] |= separators
-            fh.write(words.tobytes().translate(None, b"\0"))
-    logger.debug("%s: %d of %d fields formatted by '%%'", os.path.basename(path), n_slow, n * len(numbers))
-    return path
+    fh.write((",".join(header) + "\n").encode())
+    for start in range(0, n, _CSV_BLOCK_ROWS):
+        stop = min(n, start + _CSV_BLOCK_ROWS)
+        words = np.zeros((stop - start, len(header), 5), np.uint32)
+        if numbers:
+            words[:, numbers], slow = _format_fields(np.column_stack([columns[j][start:stop] for j in numbers]))
+            n_slow += slow
+        for j in texts:
+            words[:, j] = _text_words(columns[j][start:stop])
+        words[..., 4] |= separators
+        fh.write(words.tobytes().translate(None, b"\0"))
+    logger.debug("%s: %d of %d fields formatted by '%%'", os.path.basename(fh.name), n_slow, n * len(numbers))
 
 
 def emit_csv(report: ComparisonReport, out_dir: str) -> list[str]:
     """Write trajectories.csv, checkpoints.csv, mc_validation.csv, report.json.
 
-    Every number is written byte for byte as '%.10e' % x (the digits of
-    a per-field f"{x:.10e}"), with '.' decimal separator and UNIX
-    newlines; `_write_csv` formats them a block of rows at a time in
-    numpy and leaves the fields it cannot round with certainty to
-    Python's '%'.  The files are written in two halves, which ``run``
-    calls apart: `emit_trajectories`, which needs no ensemble statistics,
-    and `emit_summary`.
+    Every number is written byte for byte as '%.10e' % x, with '.'
+    decimal separator and UNIX newlines.  ``run`` calls the two halves,
+    `emit_trajectories` and `emit_summary`, apart; each writes all of its
+    files or, failing, removes them.
     """
     return emit_trajectories(report, out_dir) + emit_summary(report, out_dir)
 
@@ -503,7 +521,6 @@ def emit_trajectories(report: ComparisonReport, out_dir: str) -> list[str]:
     checkpoint times; series a report does not contain leave their fields
     empty.
     """
-    os.makedirs(out_dir, exist_ok=True)
     traj, ckpt = [], []
     if report.true_path is not None:
         scenario = report.scenario
@@ -517,17 +534,15 @@ def emit_trajectories(report: ComparisonReport, out_dir: str) -> list[str]:
             traj += [None] * 2 if err is None else [*err.T]
         for i in (0, 1):
             ckpt += [None if s is None else s.covariance(i, i)[ks] for s in (report.carleman, report.ekf)]
-    return [
-        _write_csv(os.path.join(out_dir, "trajectories.csv"), _TRAJ_COLUMNS, traj),
-        _write_csv(os.path.join(out_dir, "checkpoints.csv"), _CKPT_COLUMNS, ckpt),
-    ]
+    return _write_files(out_dir, [
+        ("trajectories.csv", lambda fh: _write_csv(fh, _TRAJ_COLUMNS, traj)),
+        ("checkpoints.csv", lambda fh: _write_csv(fh, _CKPT_COLUMNS, ckpt)),
+    ])
 
 
 def emit_summary(report: ComparisonReport, out_dir: str) -> list[str]:
     """Write mc_validation.csv, the Monte Carlo columns, and report.json, the run's metadata."""
-    os.makedirs(out_dir, exist_ok=True)
     mc = report.mc or {}
-    mc_path = _write_csv(os.path.join(out_dir, "mc_validation.csv"), _MC_COLUMNS, [mc.get(key) for key in _MC_COLUMNS])
 
     meta = {
         "scenario": report.scenario.to_dict(),
@@ -547,11 +562,10 @@ def emit_summary(report: ComparisonReport, out_dir: str) -> list[str]:
             "validation_rows_within_3_stderr": int(np.count_nonzero(mc["within_3_stderr"] == b"1")),
             "validation_rows_total": len(mc["t"]),
         }
-    meta_path = os.path.join(out_dir, "report.json")
-    with open(meta_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return [mc_path, meta_path]
+    return _write_files(out_dir, [
+        ("mc_validation.csv", lambda fh: _write_csv(fh, _MC_COLUMNS, [mc.get(key) for key in _MC_COLUMNS])),
+        ("report.json", lambda fh: fh.write((json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())),
+    ])
 
 
 _TRUE_STYLE = dict(color="#000000", style="solid")
@@ -616,11 +630,5 @@ def render_charts(report: ComparisonReport) -> list[tuple[str, str]]:
 
 def write_charts(rendered, out_dir: str) -> list[str]:
     """Write each (name, SVG text) of `render_charts` as ``<name>.svg`` in ``out_dir``; their paths."""
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-    for name, chart in rendered:
-        path = os.path.join(out_dir, f"{name}.svg")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(chart)
-        written.append(path)
-    return written
+    return _write_files(out_dir, [(f"{name}.svg", lambda fh, text=chart: fh.write(text.encode()))
+                                  for name, chart in rendered])

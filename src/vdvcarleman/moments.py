@@ -8,8 +8,8 @@ and a forced or affine linear ODE is a linear ODE on an augmented state
 (Van Loan, IEEE TAC 23(3), 1978).  So one fixed RK4 step of each moment
 path here is an exact linear map, which `_rk4_map` builds from the
 step's four stage generators once per call, and `_linear_path`, the one
-loop of y[k+1] = A_k y[k], applies it (`ekf` builds and steps its
-per-step covariance maps with the same two):
+loop of y[k+1] = A_k y[k], applies it and returns the kept columns
+(`ekf` builds and steps its per-step covariance maps with the same two):
 
 * the augmented mean (`augmented_mean_path`) steps z = (m, 1) by a
   (dim+1)x(dim+1) matrix; it is the one integrator of the augmented
@@ -35,6 +35,7 @@ COVARIANCE differs from the physical one by construction (it treats each
 product slot as an independent coordinate) and is never reconciled with
 it.
 
+No path returns a time grid: row k of every path is at time k * dt.
 Every `MomentSeries` path takes the same initial data: a plain mean
 vector and covariance matrix of the physical state, checked for shape and
 finiteness and symmetrized on entry.  Every path computes and stores the
@@ -106,14 +107,14 @@ def grid_index(dt: float, time: float) -> int:
     return k
 
 
-def integrate(rhs, y0, dt: float, t_end: float) -> tuple[np.ndarray, np.ndarray]:
+def integrate(rhs, y0, dt: float, t_end: float) -> np.ndarray:
     """Classical fixed-step RK4 on a uniform grid.
 
     ``rhs`` maps the state, a list of floats, to its time derivative, a
     sequence of floats of the same length.  The stage arithmetic runs on
     Python floats, entry by entry in the operation order of the array
     expressions y + h k and y + dt/6 (k1 + 2 k2 + 2 k3 + k4), so it rounds
-    as they do.  Returns (t, Y) with Y[k] the state at t[k]; Y[0] is y0.
+    as they do.  Returns Y with Y[k] the state at time k * dt; Y[0] is y0.
     Steps are stored and checked as `_float_path` stores and checks them.
     """
     sixth = dt / 6.0
@@ -129,12 +130,12 @@ def integrate(rhs, y0, dt: float, t_end: float) -> tuple[np.ndarray, np.ndarray]
     return _float_path(step, y0, dt, t_end)
 
 
-def _float_path(step, y0, dt: float, t_end: float) -> tuple[np.ndarray, np.ndarray]:
+def _float_path(step, y0, dt: float, t_end: float) -> np.ndarray:
     """The path y[k+1] = step(y[k]) of a float state on the dt-grid of [0, t_end].
 
     ``step`` maps the state, a list of floats, to the next, a sequence of
-    floats of the same length.  Returns (t, Y) with Y[k] the state at
-    t[k]; Y[0] is y0.
+    floats of the same length.  Returns Y with Y[k] the state at time
+    k * dt; Y[0] is y0.
 
     Steps are stored in blocks of `BLOCK_STEPS` rows, and each block is
     checked as it is stored: `IntegrationError` names the time of the
@@ -160,7 +161,7 @@ def _float_path(step, y0, dt: float, t_end: float) -> tuple[np.ndarray, np.ndarr
         block = out[start:start + len(rows)]
         block[:] = rows
         _raise_if_nonfinite(block, start, dt)
-    return np.arange(n + 1) * dt, out
+    return out
 
 
 @dataclass(frozen=True)
@@ -253,7 +254,7 @@ def integrate_physical(p: ReactorParams, mean0, cov0, dt: float, t_end: float) -
     covariance.
     """
     mean0, cov0 = _checked_moments(mean0, cov0, 3)
-    _, aug = augmented_mean_path(build_vandevusse(p), _lifted_mean(mean0, cov0), dt, t_end)
+    aug = augmented_mean_path(build_vandevusse(p), _lifted_mean(mean0, cov0), dt, t_end)
     mean, cov = aug[:, :3], aug[:, 3:]
     iu, ju = np.triu_indices(3)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -383,34 +384,35 @@ def _raise_if_nonfinite(states: np.ndarray, k0: int, dt: float) -> None:
         raise IntegrationError(f"non-finite state at t={k * dt:.6g}", k)
 
 
-def _linear_path(maps, y0: np.ndarray, dt: float, n_steps: int, block: int = BLOCK_STEPS):
-    """The path y[k+1] = A_k y[k], yielded as (k, rows): y0 alone, then block by block.
+def _linear_path(maps, y0: np.ndarray, dt: float, n_steps: int, cols, block: int = BLOCK_STEPS) -> np.ndarray:
+    """The path y[k+1] = A_k y[k] over ``n_steps`` steps; row k of the result is y[k][cols].
 
     ``maps(start, stop)`` gives the maps A_start..A_{stop-1}: one matrix
-    repeated, or a stack of per-step maps.  rows[r] is the state at grid
-    step k + r; it is a view of a buffer of ``block`` + 1 rows, which the
-    next block overwrites.  Rows are checked before they are yielded:
-    `IntegrationError` names the time of the first non-finite state.
+    repeated, or a stack of per-step maps.  Each block of ``block`` steps
+    is checked before its ``cols`` are stored: `IntegrationError` names
+    the time of the first non-finite state.
     """
     buf = np.empty((min(block, n_steps) + 1, y0.size))
     buf[0] = y0
     _raise_if_nonfinite(buf[:1], 0, dt)
-    yield 0, buf[:1]
+    out = np.empty((n_steps + 1, buf[0, cols].size))
+    out[0] = buf[0, cols]
     for start in range(0, n_steps, block):
         rows = buf[1:min(block, n_steps - start) + 1]
         for k, a in enumerate(maps(start, start + len(rows))):
             np.dot(a, buf[k], out=buf[k + 1])
         _raise_if_nonfinite(rows, start + 1, dt)
-        yield start + 1, rows
+        out[start + 1:start + 1 + len(rows)] = rows[:, cols]
         buf[0] = rows[-1]
+    return out
 
 
-def augmented_mean_path(sys: BilinearSystem, mean0, dt: float, t_end: float) -> tuple[np.ndarray, np.ndarray]:
+def augmented_mean_path(sys: BilinearSystem, mean0, dt: float, t_end: float) -> np.ndarray:
     """Fixed-step RK4 path of the augmented mean ODE dm = a0 + a m.
 
     ``mean0`` is the augmented start vector (physical mean, then second
     moments).  Each step applies RK4's exact one-step map of the affine
-    ODE to z = (m, 1).  Returns (t, M) with M[k] the mean at t[k];
+    ODE to z = (m, 1).  Returns M with M[k] the mean at time k * dt;
     `IntegrationError` names the time of the first non-finite mean.
     """
     mean0 = np.asarray(mean0, dtype=float)
@@ -419,14 +421,11 @@ def augmented_mean_path(sys: BilinearSystem, mean0, dt: float, t_end: float) -> 
     return _affine_mean_path(sys, mean0, dt, t_end, lambda gen, h: _rk4_map((gen,) * 4, h)[1])
 
 
-def _affine_mean_path(sys: BilinearSystem, mean0: np.ndarray, dt: float, t_end: float, scheme):
-    """Checked (t, mean) path of z = (m, 1) under the one-step map ``scheme(_mean_generator(sys), dt)``."""
+def _affine_mean_path(sys: BilinearSystem, mean0: np.ndarray, dt: float, t_end: float, scheme) -> np.ndarray:
+    """Checked mean path of z = (m, 1) under the one-step map ``scheme(_mean_generator(sys), dt)``."""
     n_steps = grid_steps(dt, t_end)
     step = scheme(_mean_generator(sys), dt)
-    mean = np.empty((n_steps + 1, sys.dim))
-    for k, rows in _linear_path(lambda start, stop: [step] * (stop - start), np.append(mean0, 1.0), dt, n_steps):
-        mean[k:k + len(rows)] = rows[:, :-1]
-    return np.arange(n_steps + 1) * dt, mean
+    return _linear_path(lambda start, stop: [step] * (stop - start), np.append(mean0, 1.0), dt, n_steps, slice(-1))
 
 
 def integrate_augmented(sys: BilinearSystem, mean0, cov0, dt: float, t_end: float) -> MomentSeries:
@@ -435,10 +434,9 @@ def integrate_augmented(sys: BilinearSystem, mean0, cov0, dt: float, t_end: floa
     ``mean0`` and ``cov0`` are the physical moments; the augmented initial
     state is their `gaussian_lift`.  One state, the upper triangles of the
     covariance and of z z^T with z = (mean, 1), takes RK4's exact one-step
-    map (`_augmented_step_map`) on `_linear_path`; the mean is read from
-    the (i, dim) entries of z z^T, and the covariance is the stepped upper
-    triangle.  A blow-up is reported at the first non-finite step of the
-    state.
+    map (`_augmented_step_map`) on `_linear_path`, which returns the stepped
+    covariance and the mean, the (i, dim) entries of z z^T, as the column
+    views of one array.  A blow-up is reported at its first non-finite step.
     """
     mean0, cov0 = _checked_moments(mean0, cov0, sys.n)
     n_steps = grid_steps(dt, t_end)
@@ -451,14 +449,9 @@ def integrate_augmented(sys: BilinearSystem, mean0, cov0, dt: float, t_end: floa
     if not np.isfinite(state0).all():
         raise IntegrationError("non-finite initial state")
     step = _augmented_step_map(sys, dt)
-    mean_cols = iu.size + np.flatnonzero(zj == dim)[:-1]
-
-    mean = np.empty((n_steps + 1, dim))
-    cov = np.empty((n_steps + 1, iu.size))
-    for k, rows in _linear_path(lambda start, stop: [step] * (stop - start), state0, dt, n_steps):
-        mean[k:k + len(rows)] = rows[:, mean_cols]
-        cov[k:k + len(rows)] = rows[:, :iu.size]
-    return MomentSeries(dt=dt, mean=mean, cov=cov)
+    cols = np.concatenate([np.arange(iu.size), iu.size + np.flatnonzero(zj == dim)[:-1]])
+    path = _linear_path(lambda start, stop: [step] * (stop - start), state0, dt, n_steps, cols)
+    return MomentSeries(dt=dt, mean=path[:, iu.size:], cov=path[:, :iu.size])
 
 
 @dataclass(frozen=True)
@@ -481,14 +474,14 @@ def crosscheck_mean_paths(p: ReactorParams, mean0, cov0, dt: float, t_end: float
     mean0, cov0 = _checked_moments(mean0, cov0, 3)
     series = integrate_physical(p, mean0, cov0, dt, t_end)
     iu, ju = np.triu_indices(3)
-    t, phys = integrate(physical_rhs(p), np.concatenate([mean0, cov0[iu, ju]]), dt, t_end)
+    phys = integrate(physical_rhs(p), np.concatenate([mean0, cov0[iu, ju]]), dt, t_end)
 
     mean_diff = np.abs(phys[:, :3] - series.mean)
     cov_diff = np.abs(phys[:, 3:] - series.cov)
 
     per_t = np.maximum(mean_diff.max(axis=1), cov_diff.max(axis=1))
     k_max = int(np.argmax(per_t))
-    return CrosscheckReport(max_discrepancy=float(per_t[k_max]), t_at_max=float(t[k_max]))
+    return CrosscheckReport(max_discrepancy=float(per_t[k_max]), t_at_max=k_max * dt)
 
 
 def ou_variance(p0: float, alpha: float, beta: float, t: np.ndarray) -> np.ndarray:

@@ -10,8 +10,8 @@ with z[k] i.i.d. standard normal.  A single path (`simulate_path`) of
 the nonlinear reactor steps Python floats in the operation order of the
 array form, so it is bit-identical to it; a single bilinear path stays on
 numpy, whose x @ a^T is a BLAS product.  Both step on
-`moments._float_path`, the checked loop of every float state.
-Reproducibility contract:
+`moments._float_path`, the checked loop of every float state, and
+return its states alone.  Reproducibility contract:
 
 * normal increments come from numpy's PCG64 generator (ziggurat
   transform), so a given seed yields bit-identical trajectories across
@@ -157,10 +157,9 @@ class PathConfig:
 
 @dataclass(frozen=True)
 class EnsembleStats:
-    """Per-component sample mean/variance over an ensemble at the recorded grid times."""
+    """Per-component sample mean/variance over an ensemble: row r is at the r-th recorded grid index."""
 
     n_paths: int
-    t: np.ndarray  # (n_record,)
     mean: np.ndarray  # (n_record, d)
     var: np.ndarray  # (n_record, d), unbiased
     stderr: np.ndarray  # sqrt(var / n_paths)
@@ -180,8 +179,8 @@ def _initial_state(x0, dynamics) -> np.ndarray:
     return point_lift(x0) if bilinear else x0
 
 
-def simulate_path(cfg: PathConfig, x0, dynamics):
-    """Euler-Maruyama trajectory of one path.  Returns (t, X).
+def simulate_path(cfg: PathConfig, x0, dynamics) -> np.ndarray:
+    """Euler-Maruyama trajectory of one path: X[k] is the state at time k * dt.
 
     ``dynamics`` is ReactorParams for the nonlinear system or a
     BilinearSystem for the embedded one; the start ``x0`` is always the
@@ -524,10 +523,10 @@ def ensemble_moments(
     elapsed = max(t for t, _ in ranges)
     logger.info("%s: step %d/%d (100%%), ETA 0.0 s; %d path-steps in %.2f s, %.1f ns per path-step",
                 tag, n_steps, n_steps, path_steps, elapsed, 1e9 * elapsed / max(path_steps, 1))
-    return EnsembleStats(n_paths=n_paths, t=record * cfg.dt, mean=mean, var=var, stderr=np.sqrt(var / n_paths))
+    return EnsembleStats(n_paths=n_paths, mean=mean, var=var, stderr=np.sqrt(var / n_paths))
 
 
-def em_mean_reference(sys: BilinearSystem, x0, dt: float, t_end: float) -> tuple[np.ndarray, np.ndarray]:
+def em_mean_reference(sys: BilinearSystem, x0, dt: float, t_end: float) -> np.ndarray:
     """Exact expectation of the Euler-Maruyama chain for the bilinear system.
 
     Because the system is bilinear and the increments are zero-mean and
@@ -544,8 +543,8 @@ def em_mean_reference(sys: BilinearSystem, x0, dt: float, t_end: float) -> tuple
     return _affine_mean_path(sys, _initial_state(x0, sys), dt, t_end, lambda gen, h: np.eye(len(gen)) + h * gen)
 
 
-def simulate_shared_noise(sys: BilinearSystem, x0, dt: float, t_end: float, seed: int):
-    """(t, xi): the bilinear `simulate_path` on the normals of ``seed``'s nonlinear path.
+def simulate_shared_noise(sys: BilinearSystem, x0, dt: float, t_end: float, seed: int) -> np.ndarray:
+    """The bilinear `simulate_path` on the normals of ``seed``'s nonlinear path.
 
     Shared noise makes the pair directly comparable: the remaining gap is
     the truncation error, not realization noise.

@@ -165,7 +165,7 @@ def check_mc_mean_validation() -> CheckResult:
     s = replace(builtin_scenario("set1"), dt=0.005, t_end=10.0, checkpoints=(1.0, 5.0, 10.0), mc_paths=10000)
     mc = run_scenario(s, ("mc",)).mc
     sys = build_vandevusse(s.params)
-    _, ode = augmented_mean_path(sys, point_lift(s.x0.as_array()), s.dt, s.t_end)
+    ode = augmented_mean_path(sys, point_lift(s.x0.as_array()), s.dt, s.t_end)
     rates = np.abs(sys.a0 + ode[::100] @ sys.a.T)
     bias_floor = 2.0 * s.dt * rates.max(axis=0)
 

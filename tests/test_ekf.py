@@ -117,7 +117,7 @@ def test_ekf_drift_closure_equals_array_oracle_bit_for_bit(p):
         y = flat_ekf(m, np.eye(3))
         assert np.array_equal(bits(rhs(m.tolist())), bits(ekf_rhs_oracle(y, p)[:3]))
         assert np.array_equal(bits(drift(m, p)), bits(ekf_rhs_oracle(y, p)[:3]))
-        assert np.array_equal(bits(step(m.tolist())), bits(integrate(rhs, m, 0.01, 0.01)[1][1]))
+        assert np.array_equal(bits(step(m.tolist())), bits(integrate(rhs, m, 0.01, 0.01)[1]))
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
@@ -176,7 +176,7 @@ def test_ekf_mean_equals_deterministic_ode_solution():
     # the plain RK4 solution of the drift ODE on the same grid.
     p = PARAM_SET1
     series = ekf_predict(p, X0_SET1.as_array(), P0_SET1, 0.01, 20.0)
-    _, ode = integrate(lambda y: drift(y, p).tolist(), X0_SET1.as_array(), 0.01, 20.0)
+    ode = integrate(lambda y: drift(y, p).tolist(), X0_SET1.as_array(), 0.01, 20.0)
     assert np.array_equal(series.mean, ode)
 
 

@@ -6,6 +6,7 @@ import pickle
 import re
 import signal
 import time
+from pathlib import Path
 from xml.dom import minidom
 
 import numpy as np
@@ -335,6 +336,21 @@ def test_a_run_whose_chart_rendering_fails_leaves_none_of_its_files(tmp_path, mo
 
 
 @pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("blocked", ["checkpoints.csv", "fig2b.svg", "report.json"])
+def test_a_file_that_cannot_be_opened_leaves_none_of_the_run_files(tmp_path, workers, blocked):
+    # A directory stands where the run writes ``blocked``: the files written
+    # before it, in the same emitting call or earlier, are all removed.
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    (out / "earlier.txt").write_text("kept")
+    argv = ["run", "--methods", "carleman,ekf", "--t-end", "10", "--mc-workers", str(workers), "--out", str(out)]
+    with pytest.raises(IsADirectoryError):
+        cli.main(argv)
+    assert sorted(os.listdir(out)) == sorted([blocked, "earlier.txt"])
+    assert (out / "earlier.txt").read_text() == "kept" and not os.listdir(out / blocked)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
 def test_a_csv_failure_beside_the_chart_child_leaves_none_of_its_files(tmp_path, monkeypatch, workers):
     # The CSV write fails in the caller while the child renders: the child is
     # killed and reaped, and no chart is written.
@@ -434,6 +450,20 @@ def off_grid_scenario(tmp_path):
     return ["run", "--scenario", str(path), "--dt", "0.2", "--t-end", "0.4"]
 
 
+def out_is_a_file(command):
+    """The ``command`` arguments, with a regular file where its --out directory goes."""
+    def argv(tmp_path):
+        (tmp_path / "out").write_text("kept")
+        return [command]
+
+    return argv
+
+
+def _tree(root):
+    """Every path under ``root``, with the bytes of each file."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
 @pytest.mark.parametrize("argv, message", [
     (lambda tmp: ["run", "--dt", "1e-320"], "time 200.0 is inf steps of dt=1e-320, more than a grid can index"),
     (lambda tmp: ["run", "--methods", "carleman,bogus"], "unknown methods: bogus (choose from carleman, ekf, mc)"),
@@ -443,11 +473,20 @@ def off_grid_scenario(tmp_path):
     (off_grid_scenario, "time 0.7 is not on the dt=0.2 grid"),
     (lambda tmp: ["run", "--mc-workers", "0", "--t-end", "1"], "--mc-workers must be at least 1, got 0"),
     (lambda tmp: ["run", "--mc-workers", "-3", "--methods", ""], "--mc-workers must be at least 1, got -3"),
+    (out_is_a_file("run"), "out exists and is not a directory"),
+    (out_is_a_file("matrices"), "out exists and is not a directory"),
 ], ids=["dt", "methods", "builtin", "matrices_builtin", "missing_file", "off_grid_checkpoint", "mc_workers_0",
-        "mc_workers_negative"])
-def test_a_configuration_error_is_a_one_line_usage_error(tmp_path, capsys, argv, message):
+        "mc_workers_negative", "out_is_a_file", "matrices_out_is_a_file"])
+def test_a_configuration_error_is_a_one_line_usage_error(tmp_path, capsys, monkeypatch, argv, message):
     argv = argv(tmp_path)
     out = tmp_path / "out"
+    before = _tree(tmp_path)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the usage error")
+
+    monkeypatch.setattr(cli, "run_scenario", no_work)
+    monkeypatch.setattr(cli, "write_blocks", no_work)
     with pytest.raises(SystemExit) as exited:
         cli.main([*argv, "--out", str(out)])
     assert exited.value.code == 2
@@ -455,7 +494,7 @@ def test_a_configuration_error_is_a_one_line_usage_error(tmp_path, capsys, argv,
     assert "Traceback" not in err
     last = err.splitlines()[-1]
     assert last.startswith(f"vdvcarleman {argv[0]}: error: ") and message in last
-    assert not out.exists()
+    assert _tree(tmp_path) == before
 
 
 def test_scenario_inputs_are_held_as_python_floats(tmp_path):
@@ -493,7 +532,7 @@ def test_empty_method_set_gives_metadata_only_report(tmp_path):
     for p in paths:
         name = p.rsplit("/", 1)[-1]
         if name.endswith(".csv"):
-            lines = open(p).read().splitlines()
+            lines = Path(p).read_text().splitlines()
             assert len(lines) == 1  # header only
     meta = json.loads((tmp_path / "report.json").read_text())
     assert meta["grid"]["n_points"] == 501
@@ -729,7 +768,7 @@ def test_mc_rows_read_the_ensemble_at_each_checkpoint():
 def test_mc_ode_mean_is_the_augmented_mean_path():
     s = small_scenario(mc_paths=4)
     mc = run_scenario(s, methods=("mc",)).mc
-    _, ode = augmented_mean_path(build_vandevusse(s.params), point_lift(s.x0.as_array()), s.dt, s.t_end)
+    ode = augmented_mean_path(build_vandevusse(s.params), point_lift(s.x0.as_array()), s.dt, s.t_end)
     k = [grid_index(s.dt, t) for t in mc["t"]]
     assert mc["ode_mean"].tobytes() == ode[k, np.tile(np.arange(9), len(s.checkpoints))].tobytes()
 

@@ -290,8 +290,8 @@ def test_physical_rhs_origin_fixed_point():
 
 
 def test_integrate_constant_for_zero_rhs():
-    t, ys = integrate(lambda y: [0.0] * len(y), np.array([1.0, -2.0]), 0.1, 1.0)
-    assert t.shape == (11,)
+    ys = integrate(lambda y: [0.0] * len(y), np.array([1.0, -2.0]), 0.1, 1.0)
+    assert ys.shape == (11, 2)
     assert np.all(ys == [1.0, -2.0])
 
 
@@ -356,7 +356,8 @@ def physical_from_augmented(p, mean0, cov0, dt, t_end):
     Returns (t, mean, cov), or raises an IntegrationError naming the time of
     the first non-finite row: the oracle for `integrate_physical`.
     """
-    t, aug = augmented_mean_path(build_vandevusse(p), gaussian_lift(mean0, cov0)[0], dt, t_end)
+    aug = augmented_mean_path(build_vandevusse(p), gaussian_lift(mean0, cov0)[0], dt, t_end)
+    t = np.arange(len(aug)) * dt
     mean = aug[:, :3]
     second = np.empty((t.size, 3, 3))
     second[:, IU, JU] = second[:, JU, IU] = aug[:, 3:]
@@ -564,8 +565,31 @@ def test_augmented_propagator_matches_rk4_oracle(p, p0_33):
     assert np.abs(series.mean - mean).max() <= 1e-12 * np.abs(mean).max()
     assert np.abs(series.cov - cov[:, IU9, JU9]).max() <= 1e-12 * np.abs(cov).max()
     # The mean is read from the stepped z z^T, not from A z: the two round apart.
-    _, path = augmented_mean_path(build_vandevusse(p), gaussian_lift(SET1_X0, p0)[0], 0.01, 50.0)
+    path = augmented_mean_path(build_vandevusse(p), gaussian_lift(SET1_X0, p0)[0], 0.01, 50.0)
     assert np.abs(series.mean - path).max() <= 1e-12 * np.abs(path).max()
+
+
+@pytest.mark.parametrize("p, p0_33", [(PARAM_SET1, 0.01), (PARAM_SET2, 0.09)], ids=["set1", "set2"])
+def test_augmented_moments_are_the_stepped_state_bit_for_bit(p, p0_33):
+    # A plain loop of the one-step map on (upper triangle of P, upper
+    # triangle of z z^T): the series' covariance is the first part of each
+    # state and its mean the (i, dim) entries of z z^T.  2500 steps: three
+    # blocks of the propagator.
+    sys = build_vandevusse(p)
+    cov0 = np.diag([1.0, 1.0, p0_33])
+    series = integrate_augmented(sys, SET1_X0, cov0, 0.01, 25.0)
+    lift_mean, lift_cov = gaussian_lift(SET1_X0, cov0)
+    z = np.append(lift_mean, 1.0)
+    zi, zj = np.triu_indices(10)
+    states = [np.concatenate([lift_cov[IU9, JU9], np.outer(z, z)[zi, zj]])]
+    step = moments._augmented_step_map(sys, 0.01)
+    for _ in range(2500):
+        states.append(np.dot(step, states[-1]))
+    states = np.array(states)
+    zz = np.empty((len(states), 10, 10))
+    zz[:, zi, zj] = states[:, IU9.size:]
+    assert np.array_equal(bits(series.cov), bits(states[:, :IU9.size]))
+    assert np.array_equal(bits(series.mean), bits(zz[:, :9, 9]))
 
 
 @pytest.mark.parametrize("p, p0_33", [(PARAM_SET1, 0.01), (PARAM_SET2, 0.09)], ids=["set1", "set2"])
@@ -574,10 +598,9 @@ def test_augmented_mean_path_matches_rk4_oracle(p, p0_33):
     # rate a0 + a m up to rounding, over 50 s (5000 steps).
     sys = build_vandevusse(p)
     mean0 = gaussian_lift(SET1_X0, np.diag([1.0, 1.0, p0_33]))[0]
-    t, mean = augmented_mean_path(sys, mean0, 0.01, 50.0)
-    t_ref, ref = rk4_oracle(lambda m: sys.a0 + sys.a @ m, mean0, 0.01, 50.0)
-    assert np.array_equal(t, t_ref)
-    assert mean.shape == (5001, 9)
+    mean = augmented_mean_path(sys, mean0, 0.01, 50.0)
+    _, ref = rk4_oracle(lambda m: sys.a0 + sys.a @ m, mean0, 0.01, 50.0)
+    assert mean.shape == ref.shape == (5001, 9)
     assert np.abs(mean - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -597,30 +620,17 @@ def test_augmented_mean_path_blowup_names_first_nonfinite_time():
     # The RK4 loop overflows 12 steps earlier, in its stage sum
     # k1 + 2 k2 + 2 k3 + k4 (about 12 m, and m grows 1.22x a step).
     assert 0 <= k - k_ref <= 15
-    _, before = augmented_mean_path(sys, mean0, 0.1, (k - 1) * 0.1)
+    before = augmented_mean_path(sys, mean0, 0.1, (k - 1) * 0.1)
     assert np.isfinite(before).all()
 
 
 def test_augmented_mean_path_t_end_zero_returns_start():
     sys = build_vandevusse(PARAM_SET2)
     mean0 = gaussian_lift(SET1_X0, SET1_P0)[0]
-    t, mean = augmented_mean_path(sys, mean0, 0.01, 0.0)
-    assert np.array_equal(t, [0.0])
+    mean = augmented_mean_path(sys, mean0, 0.01, 0.0)
     assert np.array_equal(bits(mean), bits(mean0[None]))
     with pytest.raises(ValueError, match="augmented start must be a 9-vector"):
         augmented_mean_path(sys, SET1_X0, 0.01, 1.0)
-
-
-def _linear_path_rows(maps, y0, dt, n):
-    """The rows `_linear_path` yields, up to its error: (rows, IntegrationError or None)."""
-    rows = []
-    try:
-        for k, block in moments._linear_path(maps, np.array(y0), dt, n):
-            assert k == len(rows)
-            rows.extend(block.copy())
-    except IntegrationError as err:
-        return np.array(rows), err
-    return np.array(rows), None
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
@@ -646,19 +656,19 @@ def test_linear_path_equals_a_plain_loop_and_names_its_first_nonfinite_time(per_
     first = int(np.argmin(np.isfinite(want).all(axis=1)))
     assert first == 1751 and 0 < (first - 1) % BLOCK_STEPS < BLOCK_STEPS - 1
 
-    rows, err = _linear_path_rows(maps, y0, dt, first - 1)
-    assert err is None and np.array_equal(bits(rows), bits(want[:first]))
-    rows, err = _linear_path_rows(maps, y0, dt, n)
-    assert str(err) == f"non-finite state at t={first * dt:.6g}" and err.step == first
-    # the blocks before the failing one were handed out, and nothing after
-    assert rows.shape[0] == BLOCK_STEPS + 1
-    assert np.array_equal(bits(rows), bits(want[:BLOCK_STEPS + 1]))
+    path = lambda start, steps, cols: moments._linear_path(maps, np.array(start), dt, steps, cols)
+    # the columns kept, as a slice or in any order, of every state up to the last finite one
+    for cols in (slice(None), slice(-1), [2, 0]):
+        for steps in (0, first - 1):
+            assert np.array_equal(bits(path(y0, steps, cols)), bits(want[:steps + 1, cols]))
+    with pytest.raises(IntegrationError) as err:
+        path(y0, n, slice(None))
+    assert str(err.value) == f"non-finite state at t={first * dt:.6g}" and err.value.step == first
     # a non-finite start is reported at t=0, even with no step to take
     for steps in (0, 5):
-        rows, err = _linear_path_rows(maps, [1.0, np.nan, 0.0], dt, steps)
-        assert rows.shape == (0,) and str(err) == "non-finite state at t=0" and err.step == 0
-    rows, err = _linear_path_rows(maps, y0, dt, 0)
-    assert err is None and np.array_equal(bits(rows), bits(y0[None]))
+        with pytest.raises(IntegrationError) as err:
+            path([1.0, np.nan, 0.0], steps, slice(-1))
+        assert str(err.value) == "non-finite state at t=0" and err.value.step == 0
 
 
 @st.composite

@@ -22,8 +22,9 @@ from vdvcarleman.carleman import (
     point_lift,
     vandevusse_coefficients,
 )
-from vdvcarleman.model import PARAM_SET1, PARAM_SET2, ReactorParams, X0_SET1, X0_SET2, diffusion, drift
-from vdvcarleman.moments import BLOCK_STEPS, IntegrationError, augmented_mean_path, grid_index, ou_variance
+from vdvcarleman.model import PARAM_SET1, PARAM_SET2, ReactorParams, X0_SET1, X0_SET2, diffusion, drift, float_drift
+from vdvcarleman.moments import (BLOCK_STEPS, IntegrationError, augmented_mean_path, grid_index, integrate,
+                                 ou_variance)
 from vdvcarleman.montecarlo import (
     RANGE_PATHS,
     EnsembleStats,
@@ -74,7 +75,7 @@ def em_rows(cfg, x0, p, z):
 @pytest.mark.parametrize("p, x0", [(PARAM_SET1, X0), (PARAM_SET2, X0_SET2.as_array())], ids=["set1", "set2"])
 def test_nonlinear_path_equals_array_oracle_bit_for_bit(p, x0):
     cfg = PathConfig(dt=0.01, t_end=60.0, seed=17)
-    _, path = simulate_path(cfg, x0, p)
+    path = simulate_path(cfg, x0, p)
     assert np.array_equal(bits(path), bits(em_path_oracle(cfg, x0, p)))
     # Normals with zeros of both signs, from starts with signed zeros, stepped
     # by `_em_step`.  Where f_i dt underflows to -0.0 at x_i = -0.0 (the
@@ -127,18 +128,30 @@ def test_path_config_validation():
     assert PathConfig(dt=0.01, t_end=1.0, seed=0).n_steps == 100
 
 
+def test_every_path_returns_one_array_of_its_states():
+    # Row k is the state at time k * dt; no path returns a time grid.
+    cfg = PathConfig(dt=0.01, t_end=0.5, seed=3)
+    for path, d in ((simulate_path(cfg, X0, PARAM_SET1), 3),
+                    (simulate_path(cfg, X0, SYS1), 9),
+                    (simulate_shared_noise(SYS1, X0, cfg.dt, cfg.t_end, cfg.seed), 9),
+                    (integrate(float_drift(PARAM_SET1), X0, cfg.dt, cfg.t_end), 3),
+                    (augmented_mean_path(SYS1, point_lift(X0), cfg.dt, cfg.t_end), 9),
+                    (em_mean_reference(SYS1, X0, cfg.dt, cfg.t_end), 9)):
+        assert type(path) is np.ndarray and path.shape == (cfg.n_steps + 1, d)
+
+
 def test_same_seed_identical_trajectories():
     cfg = PathConfig(dt=0.01, t_end=5.0, seed=314)
-    t1, x1 = simulate_path(cfg, X0, PARAM_SET1)
-    t2, x2 = simulate_path(cfg, X0, PARAM_SET1)
+    x1 = simulate_path(cfg, X0, PARAM_SET1)
+    x2 = simulate_path(cfg, X0, PARAM_SET1)
+    assert x1.shape == (cfg.n_steps + 1, 3)
     assert np.array_equal(x1, x2)
-    assert np.array_equal(t1, t2)
 
 
 def test_zero_noise_path_equals_deterministic_euler():
     p = ReactorParams(k1=0.01388, k2=0.02778, k3=0.002778, caf=0.0027, v=10.0, alpha=0.1, beta=0.0)
     cfg = PathConfig(dt=0.01, t_end=5.0, seed=9)
-    _, path = simulate_path(cfg, X0, p)
+    path = simulate_path(cfg, X0, p)
     y = X0.copy()
     for k in range(cfg.n_steps):
         y = y + drift(y, p) * cfg.dt  # diffusion column is identically zero
@@ -148,7 +161,7 @@ def test_zero_noise_path_equals_deterministic_euler():
 
 def test_bilinear_start_is_lifted_consistently():
     cfg = PathConfig(dt=0.01, t_end=0.5, seed=1)
-    _, path = simulate_path(cfg, X0, SYS1)
+    path = simulate_path(cfg, X0, SYS1)
     assert path.shape[1] == 9
     lifted = np.concatenate([X0, np.outer(X0, X0)[np.triu_indices(3)]])
     assert np.array_equal(path[0], lifted)
@@ -224,7 +237,7 @@ def test_ensemble_matches_individually_simulated_paths():
     paths = []
     for i in range(n):
         single = PathConfig(dt=cfg.dt, t_end=cfg.t_end, seed=substream_seed(cfg.seed, i))
-        paths.append(simulate_path(single, X0, SYS1)[1])
+        paths.append(simulate_path(single, X0, SYS1))
     stack = np.stack(paths)
     assert np.allclose(stats.mean, stack.mean(axis=0), atol=1e-12)
     assert np.allclose(stats.var, stack.var(axis=0, ddof=1), atol=1e-12)
@@ -257,7 +270,7 @@ def test_zero_noise_ensemble_has_zero_variance():
     cfg = PathConfig(dt=0.01, t_end=1.0, seed=2)
     stats = ensemble_moments(cfg, X0, 2, quiet, record=np.arange(cfg.n_steps + 1))
     assert np.abs(stats.var).max() == 0.0
-    _, path = simulate_path(cfg, X0, quiet)
+    path = simulate_path(cfg, X0, quiet)
     assert np.allclose(stats.mean, path, atol=1e-300)
 
 
@@ -571,9 +584,9 @@ def em_mean_oracle(sys, x0, dt, t_end):
                          ids=["set1", "set2"])
 def test_em_mean_reference_is_the_euler_recursion(p, x0, t_end):
     sys = build_vandevusse(p)
-    t, euler = em_mean_reference(sys, x0, 0.01, t_end)
+    euler = em_mean_reference(sys, x0, 0.01, t_end)
     oracle = em_mean_oracle(sys, x0, 0.01, t_end)
-    assert t.size == euler.shape[0] == oracle.shape[0]
+    assert euler.shape == oracle.shape == (round(t_end / 0.01) + 1, 9)
     assert np.abs(euler - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
@@ -583,7 +596,7 @@ def test_em_mean_reference_is_exact_expectation():
     cfg = PathConfig(dt=0.01, t_end=2.0, seed=99)
     k = grid_index(cfg.dt, 2.0)
     stats = ensemble_moments(cfg, X0, 4000, SYS1, record=[k])
-    _, euler = em_mean_reference(SYS1, X0, cfg.dt, cfg.t_end)
+    euler = em_mean_reference(SYS1, X0, cfg.dt, cfg.t_end)
     assert np.all(np.abs(stats.mean[0] - euler[k]) <= 4.0 * stats.stderr[0] + 1e-15)
 
 
@@ -597,7 +610,7 @@ def test_em_mean_reference_blowup_names_first_nonfinite_time():
     k = round(float(str(err.value).rsplit("t=", 1)[1]) / 0.1)
     assert 3800 < k < 4000
     # The step before is finite, and one more step of the Euler recursion overflows.
-    _, before = em_mean_reference(sys, [1.0], 0.1, (k - 1) * 0.1)
+    before = em_mean_reference(sys, [1.0], 0.1, (k - 1) * 0.1)
     m = before[-1]
     assert np.isfinite(before).all()
     with np.errstate(over="ignore"):
@@ -611,7 +624,7 @@ def test_bilinear_x1_slot_mean_matches_mean_ode():
     ks = [grid_index(cfg.dt, 5.0), grid_index(cfg.dt, 10.0)]
     stats = ensemble_moments(cfg, X0, 2500, SYS1, record=ks)
     xi0 = point_lift(X0)
-    _, ode = augmented_mean_path(SYS1, xi0, cfg.dt, cfg.t_end)
+    ode = augmented_mean_path(SYS1, xi0, cfg.dt, cfg.t_end)
     for r, k in enumerate(ks):
         assert abs(stats.mean[r, 0] - ode[k, 0]) <= 3.0 * stats.stderr[r, 0]
 
@@ -624,7 +637,7 @@ def test_bilinear_ensemble_mean_tracks_mean_ode_with_bias_floor():
     ks = [grid_index(cfg.dt, 1.0), grid_index(cfg.dt, 5.0)]
     stats = ensemble_moments(cfg, X0, 2000, SYS1, record=ks)
     xi0 = point_lift(X0)
-    _, ode = augmented_mean_path(SYS1, xi0, cfg.dt, cfg.t_end)
+    ode = augmented_mean_path(SYS1, xi0, cfg.dt, cfg.t_end)
     rates = SYS1.a0 + ode[::50] @ SYS1.a.T
     floor = 2.0 * cfg.dt * np.abs(rates).max(axis=0)
     for r, k in enumerate(ks):
@@ -633,15 +646,14 @@ def test_bilinear_ensemble_mean_tracks_mean_ode_with_bias_floor():
 
 
 def test_shared_noise_pair_tracks():
-    t, x_nl = simulate_path(PathConfig(dt=0.01, t_end=200.0, seed=42), X0, PARAM_SET1)
-    t_bl, xi_bl = simulate_shared_noise(SYS1, X0, 0.01, 200.0, seed=42)
-    assert np.array_equal(t, t_bl)
+    x_nl = simulate_path(PathConfig(dt=0.01, t_end=200.0, seed=42), X0, PARAM_SET1)
+    xi_bl = simulate_shared_noise(SYS1, X0, 0.01, 200.0, seed=42)
     gap1 = np.abs(x_nl[:, 0] - xi_bl[:, 0]).max()
     gap2 = np.abs(x_nl[:, 1] - xi_bl[:, 1]).max()
     # Qualitative tracking: the embedded path stays close to the exact one
     # for the whole horizon (observed ~0.08 for this seed).
     assert gap1 < 0.35 and gap2 < 0.35
-    assert x_nl.shape == (t.size, 3) and xi_bl.shape == (t.size, 9)
+    assert x_nl.shape == (20001, 3) and xi_bl.shape == (20001, 9)
     # both paths consumed identical increments: the OU coordinate agrees exactly
     assert np.abs(x_nl[:, 2] - xi_bl[:, 2]).max() <= 1e-12
 
@@ -650,8 +662,8 @@ def test_ensemble_stats_container_shape():
     cfg = PathConfig(dt=0.1, t_end=1.0, seed=0)
     stats = ensemble_moments(cfg, X0, 8, SYS1, record=np.arange(cfg.n_steps + 1))
     assert isinstance(stats, EnsembleStats)
+    assert stats.n_paths == 8
     assert stats.mean.shape == stats.var.shape == stats.stderr.shape == (11, 9)
-    assert stats.t[-1] == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -834,12 +846,11 @@ def test_recorded_rows_equal_full_grid_rows():
     record = [60, 0, 17, 17, 33]
     for workers in (1, 2):
         part = ensemble_moments(cfg, X0, n, SYS1, n_workers=workers, record=record)
-        assert np.array_equal(part.t, full.t[record])
         assert np.array_equal(part.mean, full.mean[record])
         assert np.array_equal(part.var, full.var[record])
         assert np.array_equal(part.stderr, full.stderr[record])
     empty = ensemble_moments(cfg, X0, n, SYS1, record=[])
-    assert empty.mean.shape == (0, 9) and empty.t.shape == (0,)
+    assert empty.mean.shape == empty.var.shape == empty.stderr.shape == (0, 9)
 
 
 def test_record_rejects_bad_indices():
