@@ -27,7 +27,6 @@ central correctness check on both.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,17 +236,12 @@ def write_blocks(sys: BilinearSystem, out_dir: str) -> list[str]:
 
     One file per nonzero block, row-major, entries formatted '%.12e' and
     space-separated; vectors become a single row.  Returns the written
-    paths.
+    paths; a failed call removes the files it wrote.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-    for name, block in sys.blocks().items():
-        block = np.atleast_2d(block)
-        if not np.any(block != 0.0):
-            continue
-        path = os.path.join(out_dir, f"{name}.txt")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for row in block:
-                fh.write(" ".join(f"{x:.12e}" for x in row) + "\n")
-        written.append(path)
-    return written
+    from .experiments import _write_files  # experiments imports this module
+
+    def text(block):
+        return "".join(" ".join(f"{x:.12e}" for x in row) + "\n" for row in np.atleast_2d(block)).encode()
+
+    return _write_files(out_dir, [(f"{name}.txt", lambda fh, data=text(block): fh.write(data))
+                                  for name, block in sys.blocks().items() if np.any(block != 0.0)])

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands:
-  run            execute a scenario and write CSV/SVG outputs; with
+  run            execute a scenario and write CSV/SVG outputs, all but
+                 the Monte Carlo ones while the ensemble runs; with
                  --mc-workers above one, the ensemble's ranges, the EKF
                  and the chart rendering run in forked children
   dump-scenario  print a builtin scenario as JSON
@@ -27,7 +28,7 @@ from .experiments import (
     load_scenario,
     removed_on_failure,
     render_charts,
-    run_scenario,
+    scenario_run,
     write_charts,
 )
 from .moments import grid_index, grid_steps
@@ -116,17 +117,15 @@ def _cmd_run(args) -> int:
     with _usage_errors(args.parser):
         scenario = _apply_overrides(load_scenario(args.scenario), args)
     paths, charts = [], []
-
-    def emit_beside_the_ensemble(report):
-        # A child only renders the charts, while the caller writes the CSVs:
-        # every file of the run is written, and so removed on failure, here.
-        render = [] if args.no_charts else [("chart rendering", lambda: render_charts(report))]
-        write_csvs = lambda: paths.extend(emit_trajectories(report, args.out))
-        for rendered in _fork_map(render, args.mc_workers, write_csvs):
-            charts.extend(write_charts(rendered, args.out))
-
     with removed_on_failure(paths, charts):  # a failed run leaves none of the files it wrote
-        report = run_scenario(scenario, methods, mc_workers=args.mc_workers, meanwhile=emit_beside_the_ensemble)
+        with scenario_run(scenario, methods, args.mc_workers) as report:
+            # Beside the ensemble, a child only renders the charts while the caller
+            # writes the CSVs: every file of the run is written, and so removed on failure, here.
+            render = [] if args.no_charts else [("chart rendering", lambda: render_charts(report))]
+            with _fork_map(render, args.mc_workers) as join:
+                paths += emit_trajectories(report, args.out)
+                for rendered in join():
+                    charts += write_charts(rendered, args.out)
         paths += emit_summary(report, args.out)
     for p in paths + charts:
         print(p)

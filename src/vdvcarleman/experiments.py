@@ -1,8 +1,9 @@
 """Scenario management, metrics, and comparison reports.
 
 A scenario bundles parameters, initial moments, grid, checkpoint times,
-and Monte Carlo settings.  `run_scenario` executes the selected methods
-on one shared time grid:
+and Monte Carlo settings.  `scenario_run` executes the selected methods
+on one shared time grid, around the caller's ``with`` block, and
+`run_scenario` is it with an empty block:
 
 * ``carleman`` - the physical moment ODEs (reporting path);
 * ``ekf``      - the EKF prediction baseline;
@@ -12,9 +13,9 @@ on one shared time grid:
 All methods are compared against one seeded realization of the nonlinear
 SDE ("true" path, simulated once); absolute prediction errors are
 e_i(t) = |x_i_true(t) - mean_i(t)| for the two concentrations.  Only the
-Monte Carlo rows read the ensemble statistics: everything else, and a
-caller's ``meanwhile(report)``, runs while the ensemble's forked ranges
-do, and the EKF runs in a forked child of its own beside the true and
+Monte Carlo rows read the ensemble statistics: everything else, and the
+body of the caller's block, runs while the ensemble's forked ranges do,
+and the EKF runs in a forked child of its own beside the true and
 physical paths (both through `montecarlo._fork_map`, within the
 ``mc_workers`` budget).  Reports can be emitted as CSV files and
 standalone SVG charts; `emit_trajectories` and `emit_charts` need no
@@ -228,23 +229,24 @@ _COMPONENTS = (*(f"x{i + 1}" for i in range(3)),
                *(f"x{i + 1}x{j + 1}" for i, j in zip(*np.triu_indices(3))))
 
 
-def run_scenario(scenario: Scenario, methods, mc_workers: int = 1, meanwhile=None) -> ComparisonReport:
-    """Execute the selected methods on the scenario's shared grid.
+@contextlib.contextmanager
+def scenario_run(scenario: Scenario, methods, mc_workers: int):
+    """Execute the selected methods on the scenario's shared grid, around a ``with`` block.
 
-    Everything but the ensemble statistics is made first: the true path,
-    ``carleman`` and ``ekf`` with their errors and PSD minima and, for
-    ``mc``, the augmented and Euler mean references and the shared-noise
-    pair.  Then ``meanwhile(report)``, if given, is called with the report
-    so far (``report.mc`` still None).  With ``mc`` this all runs while the
-    ensemble's forked ranges do (see `montecarlo.ensemble_moments`), and
-    ``report.mc`` is filled in once they are done.  ``mc_workers`` is the
-    budget of worker processes: above one, ``ekf_predict`` runs in a child
-    forked by `montecarlo._fork_map` while the caller makes the true and
-    physical paths; with one, everything runs in the caller, in the order
-    above.  A failing method is a `RuntimeError` naming it; the true path
-    fails first, then ``carleman``, ``ekf`` and ``mc`` (an EKF child is
-    killed when the true or physical path fails, and its own failure comes
-    back as its value and is raised after them).
+    The block gets the report with everything but the ensemble
+    statistics: the true path, ``carleman`` and ``ekf`` with their errors
+    and PSD minima and, for ``mc``, the augmented and Euler mean
+    references and the shared-noise pair.  ``report.mc`` is filled in as
+    the block ends.  With ``mc`` the ensemble's ranges are forked first
+    (see `montecarlo.ensemble_moments`), so all of that, and the body of
+    the block, runs beside them.  ``mc_workers`` is the budget of worker
+    processes: above one, ``ekf_predict`` runs in a child forked by
+    `montecarlo._fork_map` while the caller makes the true and physical
+    paths; with one, everything runs in the caller, in the order above.
+    A failing method is a `RuntimeError` naming it; the true path fails
+    first, then ``carleman``, ``ekf`` and ``mc`` (an EKF child is killed
+    when the true or physical path fails, and its own failure comes back
+    as its value and is raised after them).
     """
     requested = set(methods)
     unknown = requested - set(METHODS)
@@ -260,16 +262,14 @@ def run_scenario(scenario: Scenario, methods, mc_workers: int = 1, meanwhile=Non
     if scenario.name == "set1":
         report.notes.append(TABLE_NOTE_SET1)
     if not methods:
-        if meanwhile is not None:
-            meanwhile(report)
-        return report
+        yield report
+        return
 
     report.t = np.arange(grid_steps(dt, t_end) + 1) * dt
     sys = build_vandevusse(p)
     x0, cov0 = scenario.x0.as_array(), np.diag(scenario.p0_diag)
     cfg = PathConfig(dt=dt, t_end=t_end, seed=scenario.seed)
     ks = [grid_index(dt, c) for c in scenario.checkpoints]
-    mc_references = []  # (ode, euler), once everything beside the ensemble is done
 
     def run(name, fn):
         try:
@@ -288,41 +288,33 @@ def run_scenario(scenario: Scenario, methods, mc_workers: int = 1, meanwhile=Non
         except (IntegrationError, RuntimeError) as exc:
             return exc  # raised by the caller, after the true and physical paths
 
-    def true_and_physical():
-        # One seeded realization of the exact SDE is the error reference.
-        report.true_path = run("true", lambda: simulate_path(cfg, x0, p))
-        if "carleman" in methods:
-            keep("carleman", run("carleman", lambda: integrate_physical(p, x0, cov0, dt, t_end)))
-
-    def beside_the_ensemble():
+    with (ensemble_moments(cfg, x0, scenario.mc_paths, sys, n_workers=mc_workers, record=ks) if "mc" in methods
+          else contextlib.nullcontext()) as stats:
         # The EKF needs nothing the caller makes: with mc_workers above one
         # it runs in a child while the caller makes the true and physical paths.
-        ekf = [("ekf_predict", ekf_or_its_failure)] if "ekf" in methods else []
-        for value in _fork_map(ekf, mc_workers, true_and_physical):
-            keep("ekf", run("ekf", lambda: _raise_if_exception(value)))
+        with _fork_map([("ekf_predict", ekf_or_its_failure)] if "ekf" in methods else [], mc_workers) as join:
+            # One seeded realization of the exact SDE is the error reference.
+            report.true_path = run("true", lambda: simulate_path(cfg, x0, p))
+            if "carleman" in methods:
+                keep("carleman", run("carleman", lambda: integrate_physical(p, x0, cov0, dt, t_end)))
+            for value in join():
+                keep("ekf", run("ekf", lambda: _raise_if_exception(value)))
         if "mc" in methods:
-            references = run("mc", lambda: _mc_references(scenario, sys, x0, ks))
+            ode, euler = run("mc", lambda: _mc_references(scenario, sys, x0, ks))
             # The true path is the nonlinear half of the shared-noise pair.
             report.coupled_xi = run("mc", lambda: simulate_shared_noise(sys, x0, dt, t_end, scenario.seed))
             report.tracking_max_abs_dx1 = float(np.abs(report.true_path[:, 0] - report.coupled_xi[:, 0]).max())
             logger.info("shared-noise pair: max |x1 difference| = %.6g over [0, %g]",
                         report.tracking_max_abs_dx1, t_end)
-        if meanwhile is not None:
-            meanwhile(report)
+        yield report
         if "mc" in methods:
-            mc_references.append(references)
+            report.mc = _mc_result(scenario, run("mc", stats), ode, euler)
 
-    if "mc" not in methods:
-        beside_the_ensemble()
-        return report
-    try:
-        stats = ensemble_moments(cfg, x0, scenario.mc_paths, sys, n_workers=mc_workers, record=ks,
-                                 meanwhile=beside_the_ensemble)
-    except (IntegrationError, RuntimeError) as exc:
-        if not mc_references:  # raised beside the ensemble, and named there
-            raise
-        raise RuntimeError(f"method 'mc' failed: {exc}") from exc
-    report.mc = _mc_result(scenario, stats, *mc_references[0])
+
+def run_scenario(scenario: Scenario, methods, mc_workers: int = 1) -> ComparisonReport:
+    """The report of `scenario_run` with an empty block: everything the selected methods make."""
+    with scenario_run(scenario, methods, mc_workers) as report:
+        pass
     return report
 
 
@@ -507,10 +499,13 @@ def emit_csv(report: ComparisonReport, out_dir: str) -> list[str]:
 
     Every number is written byte for byte as '%.10e' % x, with '.'
     decimal separator and UNIX newlines.  ``run`` calls the two halves,
-    `emit_trajectories` and `emit_summary`, apart; each writes all of its
-    files or, failing, removes them.
+    `emit_trajectories` and `emit_summary`, apart; each, and this call,
+    writes all of its files or, failing, removes them.
     """
-    return emit_trajectories(report, out_dir) + emit_summary(report, out_dir)
+    written = []
+    with removed_on_failure(written):
+        written += emit_trajectories(report, out_dir)
+        return written + emit_summary(report, out_dir)
 
 
 def emit_trajectories(report: ComparisonReport, out_dir: str) -> list[str]:

@@ -23,8 +23,8 @@ return its states alone.  Reproducibility contract:
   runs in the calling process; two or more run each in a child of it
   made by ``os.fork`` (one after another in the calling process where
   there is no fork), through `_fork_map`, the one place where this
-  package forks, waits and kills, while the caller does the work it was
-  handed as ``meanwhile``.  A worker holds its range as one
+  package forks, waits and kills, as a ``with`` block whose body, the
+  caller's own work, runs beside them.  A worker holds its range as one
   C-contiguous (d, count) array, one column per path, and steps it in
   place with buffers made once per call.  The bilinear step pays for
   the nonzeros of the system: the drift is ``a @ X`` plus ``a0`` on its
@@ -61,6 +61,7 @@ CPU (`_usable_cpus`, also the default worker count of ``run``), and
 """
 from __future__ import annotations
 
+import contextlib
 import logging
 import mmap
 import operator
@@ -354,60 +355,62 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _fork_map(tasks, n_procs: int, meanwhile=None) -> list:
-    """The values of ``tasks``, (name, callable) pairs, in task order, each called in a forked child.
+@contextlib.contextmanager
+def _fork_map(tasks, n_procs: int):
+    """Fork ``tasks``, (name, callable) pairs, for a ``with`` block; its ``join()`` returns their values.
 
-    At most ``n_procs`` children run at once, and the next task is forked
-    as soon as one of them is done.  Once the first children are forked
-    (as many as ``n_procs`` allows), the caller calls ``meanwhile()``, if
-    given, before it reads any pipe, so its own work overlaps theirs.  A child sends its value back pickled,
-    through a pipe of its own, and leaves by ``os._exit``: 0 once its value
-    is written, 1 on any exception, after writing its traceback to the
-    pipe instead.  A child may log through the handlers it inherited, but
-    it never flushes inherited stdio buffers or runs the caller's exit
-    handlers.  The caller reads each pipe to EOF and then waits on that
-    child's pid alone; a non-zero exit is a `RuntimeError` naming the task,
-    followed by the child's traceback.  A child still running when the
-    caller leaves, on an exception or an interrupt (from ``meanwhile``
-    too), is killed and reaped, so no process outlives the call.  With
-    ``n_procs == 1``, no tasks, or where there is no ``os.fork``,
-    ``meanwhile()`` runs first and then the tasks, in the caller, in order.
+    Entering the block forks the first children, as many as ``n_procs``
+    allows, so the body of the block, the caller's own work, overlaps
+    theirs; ``join()`` reaps them, forks each queued task as soon as a
+    child is done, and returns the values in task order.  A child sends
+    its value back pickled, through a pipe of its own, and leaves by
+    ``os._exit``: 0 once its value is written, 1 on any exception, after
+    writing its traceback to the pipe instead.  A child may log through
+    the handlers it inherited, but it never flushes inherited stdio
+    buffers or runs the caller's exit handlers.  The caller reads each
+    pipe to EOF and then waits on that child's pid alone; a non-zero exit
+    is a `RuntimeError` naming the task, followed by the child's
+    traceback.  A child still running when the block is left, on an
+    exception, an interrupt or without ``join()``, is killed and reaped,
+    so no process outlives the block.  With ``n_procs == 1``, no tasks,
+    or where there is no ``os.fork``, ``join()`` calls the tasks in the
+    caller, in order, after the body.
     """
     if n_procs == 1 or not tasks or not hasattr(os, "fork"):
-        if meanwhile is not None:
-            meanwhile()
-        return [fn() for _, fn in tasks]
+        yield lambda: [fn() for _, fn in tasks]
+        return
     values, todo = [None] * len(tasks), list(enumerate(tasks))[::-1]
     running = {}  # read end of a child's pipe -> (task index, pid, bytes read)
-    try:
-        while todo or running:
-            while todo and len(running) < n_procs:
-                i, (_, fn) = todo.pop()
-                r, w = os.pipe()
-                try:
-                    pid = os.fork()
-                except BaseException:
-                    os.close(r)
-                    os.close(w)
-                    raise
-                if pid == 0:
-                    code = 1
-                    try:
-                        with open(w, "wb") as out:
-                            try:
-                                value = pickle.dumps(fn(), pickle.HIGHEST_PROTOCOL)
-                            except BaseException:
-                                out.write(traceback.format_exc().encode())
-                                raise
-                            out.write(value)
-                        code = 0
-                    finally:
-                        os._exit(code)
-                running[r] = (i, pid, [])
+
+    def start():
+        while todo and len(running) < n_procs:
+            i, (_, fn) = todo.pop()
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
                 os.close(w)
-            if meanwhile is not None:
-                work, meanwhile = meanwhile, None
-                work()
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    with open(w, "wb") as out:
+                        try:
+                            value = pickle.dumps(fn(), pickle.HIGHEST_PROTOCOL)
+                        except BaseException:
+                            out.write(traceback.format_exc().encode())
+                            raise
+                        out.write(value)
+                    code = 0
+                finally:
+                    os._exit(code)
+            running[r] = (i, pid, [])
+            os.close(w)
+
+    def join():
+        while todo or running:
+            start()
             for r in select.select(list(running), [], [])[0]:
                 i, pid, chunks = running[r]
                 chunk = os.read(r, 1 << 16)
@@ -423,26 +426,29 @@ def _fork_map(tasks, n_procs: int, meanwhile=None) -> list:
                     told = sent.decode(errors="replace")
                     raise RuntimeError(f"{tasks[i][0]} exited with status {code}" + (f"\n{told}" if told else ""))
                 values[i] = pickle.loads(sent)
+        return values
+
+    try:
+        start()
+        yield join
     finally:
         for r, (_, pid, _) in running.items():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             os.close(r)
-    return values
 
 
-def ensemble_moments(
-    cfg: PathConfig, x0, n_paths: int, sys: BilinearSystem, n_workers: int = 1, *, record, meanwhile=None
-) -> EnsembleStats:
-    """Sample mean and unbiased variance over a seeded ensemble of the bilinear system ``sys``.
+@contextlib.contextmanager
+def ensemble_moments(cfg: PathConfig, x0, n_paths: int, sys: BilinearSystem, n_workers: int = 1, *, record):
+    """Fork a seeded ensemble of the bilinear system ``sys`` for a ``with`` block; ``stats()`` reduces it.
 
     Path i uses the substream seed ``substream_seed(cfg.seed, i)``.
     ``n_workers`` splits the paths into contiguous ranges, each advanced
-    in lockstep by one process.  One range runs in the caller; two or
-    more run each in a child forked for it by `_fork_map`, while the
-    caller calls ``meanwhile()``, if given, and then only reaps (where
-    ``os.fork`` is missing, the caller advances the ranges one after
-    another).  With one range, ``meanwhile()`` runs before it.
+    in lockstep by one process.  One range runs in the caller, in
+    ``stats()``, after the body of the block; two or more run each in a
+    child forked for it by `_fork_map` as the block is entered, and
+    ``stats()`` only reaps them (where ``os.fork`` is missing, it advances
+    the ranges one after another).
     ``record`` lists the grid indices at which statistics are kept; row r
     of the result belongs to grid index ``record[r]``.  Every range writes
     its states at those indices into one (n_record, d, n_paths) snapshot,
@@ -455,9 +461,9 @@ def ensemble_moments(
 
     A nonlinear ``ReactorParams`` is a `TypeError`: only its single path,
     `simulate_path`, is simulated.  A range whose child fails is a
-    `RuntimeError` naming its paths, and no child outlives the call (see
+    `RuntimeError` naming its paths, and no child outlives the block (see
     `_fork_map`).  Progress goes to the log from range 0, every line
-    tagged with the path count and seed; the last line, from the caller,
+    tagged with the path count and seed; the last line, from ``stats()``,
     adds the path-steps made and the wall time of the slowest range, in
     total and per path-step.
     """
@@ -501,29 +507,33 @@ def ensemble_moments(
 
         return f"ensemble worker for paths [{first}, {last})", run
 
-    ranges = _fork_map([task(w) for w in range(n_ranges)], n_ranges, meanwhile)
-    failed = [f for _, f in ranges if f is not None]
-    if failed:
-        step, path = min(failed)
-        raise SimulationError(f"path {path} non-finite at step {step} (t={step * cfg.dt:.6g})")
+    with _fork_map([task(w) for w in range(n_ranges)], n_ranges) as join:
+        def stats() -> EnsembleStats:
+            ranges = join()
+            failed = [f for _, f in ranges if f is not None]
+            if failed:
+                step, path = min(failed)
+                raise SimulationError(f"path {path} non-finite at step {step} (t={step * cfg.dt:.6g})")
 
-    # One recorded index at a time, and the pages of the rows reduced so far
-    # given back: the caller may hold the rest of a run by now, which the
-    # whole snapshot mapped in at once would add to.
-    mean, var = np.empty((2, steps.size, x0.size))
-    given_back = 0
-    for r, row in enumerate(snap):
-        mean[r], var[r] = row.mean(axis=1), row.var(axis=1, ddof=1)
-        end = (r + 1) * row.nbytes // mmap.PAGESIZE * mmap.PAGESIZE
-        if end > given_back and hasattr(mmap, "MADV_DONTNEED"):
-            shared.madvise(mmap.MADV_DONTNEED, given_back, end - given_back)
-            given_back = end
-    mean, var = mean[rows], var[rows]
-    path_steps = n_paths * n_steps
-    elapsed = max(t for t, _ in ranges)
-    logger.info("%s: step %d/%d (100%%), ETA 0.0 s; %d path-steps in %.2f s, %.1f ns per path-step",
-                tag, n_steps, n_steps, path_steps, elapsed, 1e9 * elapsed / max(path_steps, 1))
-    return EnsembleStats(n_paths=n_paths, mean=mean, var=var, stderr=np.sqrt(var / n_paths))
+            # One recorded index at a time, and the pages of the rows reduced so far
+            # given back: the caller may hold the rest of a run by now, which the
+            # whole snapshot mapped in at once would add to.
+            mean, var = np.empty((2, steps.size, x0.size))
+            given_back = 0
+            for r, row in enumerate(snap):
+                mean[r], var[r] = row.mean(axis=1), row.var(axis=1, ddof=1)
+                end = (r + 1) * row.nbytes // mmap.PAGESIZE * mmap.PAGESIZE
+                if end > given_back and hasattr(mmap, "MADV_DONTNEED"):
+                    shared.madvise(mmap.MADV_DONTNEED, given_back, end - given_back)
+                    given_back = end
+            mean, var = mean[rows], var[rows]
+            path_steps = n_paths * n_steps
+            elapsed = max(t for t, _ in ranges)
+            logger.info("%s: step %d/%d (100%%), ETA 0.0 s; %d path-steps in %.2f s, %.1f ns per path-step",
+                        tag, n_steps, n_steps, path_steps, elapsed, 1e9 * elapsed / max(path_steps, 1))
+            return EnsembleStats(n_paths=n_paths, mean=mean, var=var, stderr=np.sqrt(var / n_paths))
+
+        yield stats
 
 
 def em_mean_reference(sys: BilinearSystem, x0, dt: float, t_end: float) -> np.ndarray:

@@ -314,9 +314,9 @@ def run_all() -> list[CheckResult]:
     checks = ALL_CHECKS
     rank = {check: i for i, check in enumerate(SLOWEST_FIRST)}
     order = sorted(range(len(checks)), key=lambda i: rank.get(checks[i], len(rank)))
-    started = _fork_map([(f"acceptance check {checks[i].__name__}", _timed(checks[i])) for i in order],
-                        _usable_cpus())
-    timed = [value for _, value in sorted(zip(order, started))]
+    with _fork_map([(f"acceptance check {checks[i].__name__}", _timed(checks[i])) for i in order],
+                   _usable_cpus()) as join:
+        timed = [value for _, value in sorted(zip(order, join()))]
     for result, elapsed in timed:
         logger.info("criterion %d ran in %.3f s", result.number, elapsed)
     return [result for result, _ in timed]

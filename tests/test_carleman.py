@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -255,6 +257,14 @@ def test_write_blocks_nontrivial_set(tmp_path):
     # round-trip the dump
     loaded = np.array([[float(v) for v in line.split()] for line in a11.splitlines()])
     assert np.allclose(loaded, sys.blocks()["a11"], rtol=1e-12)
+
+
+def test_write_blocks_leaves_none_of_its_files_when_one_fails(tmp_path):
+    # g1.txt, the last block written, cannot be opened: the five before it go.
+    (tmp_path / "g1.txt").mkdir()
+    with pytest.raises(IsADirectoryError):
+        write_blocks(build_vandevusse(PARAM_SET1), str(tmp_path))
+    assert os.listdir(tmp_path) == ["g1.txt"]
 
 
 @st.composite

@@ -32,9 +32,10 @@ from vdvcarleman.experiments import (
 from vdvcarleman.carleman import build_vandevusse, point_lift
 from vdvcarleman.model import PARAM_SET1, PhysicalState, ReactorParams
 from vdvcarleman.moments import IntegrationError, augmented_mean_path, grid_index, grid_steps
-from vdvcarleman.montecarlo import PathConfig, ensemble_moments
+from vdvcarleman.montecarlo import PathConfig
 
-from test_montecarlo import _assert_reaped, _recording_fork
+from test_moments import bits
+from test_montecarlo import _assert_reaped, _recording_fork, ensemble_stats
 
 
 def small_scenario(**overrides):
@@ -485,7 +486,7 @@ def test_a_configuration_error_is_a_one_line_usage_error(tmp_path, capsys, monke
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the usage error")
 
-    monkeypatch.setattr(cli, "run_scenario", no_work)
+    monkeypatch.setattr(cli, "scenario_run", no_work)
     monkeypatch.setattr(cli, "write_blocks", no_work)
     with pytest.raises(SystemExit) as exited:
         cli.main([*argv, "--out", str(out)])
@@ -755,8 +756,8 @@ def test_mc_rows_read_the_ensemble_at_each_checkpoint():
     s = small_scenario(checkpoints=(5.0, 0.5, 5.0))
     report = run_scenario(s, methods=("mc",))
     cfg = PathConfig(dt=s.dt, t_end=s.t_end, seed=s.seed)
-    full = ensemble_moments(cfg, s.x0.as_array(), s.mc_paths, build_vandevusse(s.params),
-                            record=np.arange(cfg.n_steps + 1))
+    full = ensemble_stats(cfg, s.x0.as_array(), s.mc_paths, build_vandevusse(s.params),
+                          record=np.arange(cfg.n_steps + 1))
     mc = report.mc
     assert mc["t"].tolist() == [c for c in (5.0, 0.5, 5.0) for _ in range(9)]
     k = [grid_index(s.dt, t) for t in mc["t"]]
@@ -996,6 +997,36 @@ def test_a_method_failing_beside_the_ensemble_keeps_its_name(mc_paths, workers):
     bad = small_scenario(x0=PhysicalState(1e103, 1.0, 0.01), t_end=0.01, checkpoints=(0.01,), mc_paths=mc_paths)
     with pytest.raises(RuntimeError, match=r"^method 'carleman' failed: non-finite state at t=0\.01$"):
         run_scenario(bad, methods=("carleman", "ekf", "mc"), mc_workers=workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_scenario_run_block_holds_everything_but_the_mc_rows(workers):
+    # With 600 paths and two workers the block runs beside two forked ranges.
+    s = small_scenario(mc_paths=600)
+    methods = ("carleman", "ekf", "mc")
+    want = run_scenario(s, methods, mc_workers=workers)
+    with experiments.scenario_run(s, methods, workers) as report:
+        assert report.mc is None
+        for name in ("t", "true_path", "coupled_xi"):
+            assert np.array_equal(bits(getattr(report, name)), bits(getattr(want, name)))
+        for method in ("carleman", "ekf"):
+            got, ref = getattr(report, method), getattr(want, method)
+            assert np.array_equal(bits(got.mean), bits(ref.mean)) and np.array_equal(bits(got.cov), bits(ref.cov))
+            assert np.array_equal(bits(report.errors[method]), bits(want.errors[method]))
+        assert report.psd_min_eig == want.psd_min_eig and report.notes == want.notes
+        assert report.tracking_max_abs_dx1 == want.tracking_max_abs_dx1
+    assert report.mc.keys() == want.mc.keys()
+    for key, column in want.mc.items():
+        assert report.mc[key].dtype == column.dtype and report.mc[key].tobytes() == column.tobytes()
+
+
+def test_emit_csv_leaves_none_of_its_files_when_the_summary_fails(tmp_path):
+    # report.json, the last file written, cannot be opened: the three CSVs go.
+    out = tmp_path / "out"
+    (out / "report.json").mkdir(parents=True)
+    with pytest.raises(IsADirectoryError):
+        emit_csv(run_scenario(small_scenario(), methods=("carleman", "ekf", "mc")), str(out))
+    assert os.listdir(out) == ["report.json"] and not os.listdir(out / "report.json")
 
 
 def test_report_is_plain_dataclass_of_results():

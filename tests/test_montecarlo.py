@@ -45,6 +45,18 @@ SYS1 = build_vandevusse(PARAM_SET1)
 SYS2 = build_vandevusse(PARAM_SET2)
 
 
+def ensemble_stats(*args, **kwargs):
+    """The statistics of `ensemble_moments` with an empty block."""
+    with ensemble_moments(*args, **kwargs) as stats:
+        return stats()
+
+
+def fork_values(tasks, n_procs):
+    """The values of `montecarlo._fork_map` with an empty block."""
+    with montecarlo._fork_map(tasks, n_procs) as join:
+        return join()
+
+
 def em_path_oracle(cfg, x0, p, increments=None):
     """Euler-Maruyama path of the nonlinear reactor on numpy arrays, checking
     every step: the array loop the float loop of `simulate_path` must match."""
@@ -187,7 +199,7 @@ _CFG = PathConfig(dt=0.01, t_end=0.1, seed=1)
 @pytest.mark.parametrize("start", [
     lambda x0: simulate_path(_CFG, x0, PARAM_SET1),
     lambda x0: simulate_path(_CFG, x0, SYS1),
-    lambda x0: ensemble_moments(_CFG, x0, 4, SYS1, record=[10]),
+    lambda x0: ensemble_stats(_CFG, x0, 4, SYS1, record=[10]),
     lambda x0: em_mean_reference(SYS1, x0, _CFG.dt, _CFG.t_end),
 ], ids=["path-nonlinear", "path-bilinear", "ensemble-bilinear", "em-mean"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -233,7 +245,7 @@ def test_divergence_inside_a_block_matches_array_oracle():
 def test_ensemble_matches_individually_simulated_paths():
     cfg = PathConfig(dt=0.01, t_end=1.0, seed=77)
     n = 5
-    stats = ensemble_moments(cfg, X0, n, SYS1, record=np.arange(cfg.n_steps + 1))
+    stats = ensemble_stats(cfg, X0, n, SYS1, record=np.arange(cfg.n_steps + 1))
     paths = []
     for i in range(n):
         single = PathConfig(dt=cfg.dt, t_end=cfg.t_end, seed=substream_seed(cfg.seed, i))
@@ -249,14 +261,14 @@ def test_an_ensemble_takes_only_a_bilinear_system(dynamics):
     # The nonlinear reactor is simulated one path at a time (`simulate_path`).
     name = type(dynamics).__name__
     with pytest.raises(TypeError, match=f"^an ensemble steps a BilinearSystem, got {name}$"):
-        ensemble_moments(PathConfig(dt=0.01, t_end=1.0, seed=0), X0, 4, dynamics, record=[])
+        ensemble_stats(PathConfig(dt=0.01, t_end=1.0, seed=0), X0, 4, dynamics, record=[])
 
 
 def test_ensemble_requires_two_paths_and_nonneg_variance():
     cfg = PathConfig(dt=0.01, t_end=0.2, seed=5)
     with pytest.raises(ValueError):
-        ensemble_moments(cfg, X0, 1, SYS1, record=[0])
-    stats = ensemble_moments(cfg, X0, 30, SYS1, record=np.arange(cfg.n_steps + 1))
+        ensemble_stats(cfg, X0, 1, SYS1, record=[0])
+    stats = ensemble_stats(cfg, X0, 30, SYS1, record=np.arange(cfg.n_steps + 1))
     assert np.all(stats.var >= 0.0)
     # All paths share the initial point; the sample mean of n identical
     # values rounds in the last bit for non-power-of-two n, so the t=0
@@ -268,7 +280,7 @@ def test_zero_noise_ensemble_has_zero_variance():
     quiet = build_vandevusse(ReactorParams(k1=0.01388, k2=0.02778, k3=0.002778, caf=0.0027, v=10.0, alpha=0.1,
                                            beta=0.0))
     cfg = PathConfig(dt=0.01, t_end=1.0, seed=2)
-    stats = ensemble_moments(cfg, X0, 2, quiet, record=np.arange(cfg.n_steps + 1))
+    stats = ensemble_stats(cfg, X0, 2, quiet, record=np.arange(cfg.n_steps + 1))
     assert np.abs(stats.var).max() == 0.0
     path = simulate_path(cfg, X0, quiet)
     assert np.allclose(stats.mean, path, atol=1e-300)
@@ -279,8 +291,8 @@ def test_worker_count_does_not_change_results():
     # a lost or misplaced column would move the statistics.
     cfg = PathConfig(dt=0.01, t_end=1.0, seed=6)
     n = 4 * RANGE_PATHS + 37  # an uneven four-range split
-    a = ensemble_moments(cfg, X0, n, SYS1, n_workers=1, record=[0, 50, 100])
-    b = ensemble_moments(cfg, X0, n, SYS1, n_workers=4, record=[0, 50, 100])
+    a = ensemble_stats(cfg, X0, n, SYS1, n_workers=1, record=[0, 50, 100])
+    b = ensemble_stats(cfg, X0, n, SYS1, n_workers=4, record=[0, 50, 100])
     assert np.array_equal(a.mean, b.mean)
     assert np.array_equal(a.var, b.var)
 
@@ -334,7 +346,7 @@ def test_failed_worker_process_raises_naming_its_paths(monkeypatch):
     monkeypatch.setattr(montecarlo, "_lockstep", failing)
     cfg = PathConfig(dt=0.01, t_end=0.5, seed=2)
     with pytest.raises(RuntimeError, match=r"^ensemble worker for paths \[256, 512\) exited with status 1\n") as got:
-        ensemble_moments(cfg, X0, 3 * RANGE_PATHS, SYS1, n_workers=3, record=[50])
+        ensemble_stats(cfg, X0, 3 * RANGE_PATHS, SYS1, n_workers=3, record=[50])
     assert str(got.value).endswith("ValueError: worker range failed\n")
     assert len(pids) == 3
     _assert_reaped(pids)
@@ -353,7 +365,7 @@ def test_an_error_while_waiting_kills_and_reaps_the_workers(monkeypatch, error):
     cfg = PathConfig(dt=0.01, t_end=0.5, seed=2)
     t0 = time.perf_counter()
     with pytest.raises(error, match="interrupted while waiting"), _raising_after(0.2, error):
-        ensemble_moments(cfg, X0, 3 * RANGE_PATHS, SYS1, n_workers=3, record=[50])
+        ensemble_stats(cfg, X0, 3 * RANGE_PATHS, SYS1, n_workers=3, record=[50])
     assert time.perf_counter() - t0 < 30.0
     assert len(pids) == 3
     _assert_reaped(pids)
@@ -368,7 +380,7 @@ def test_fork_map_returns_values_in_task_order_when_tasks_finish_out_of_order():
 
         return f"task {i}", run
 
-    values = montecarlo._fork_map([task(i) for i in range(4)], 4)
+    values = fork_values([task(i) for i in range(4)], 4)
     assert [v[0] for v in values] == [0, 1, 2, 3]
     done = [v[1] for v in values]
     assert done == sorted(done, reverse=True)
@@ -395,7 +407,7 @@ def test_fork_map_never_has_more_than_n_procs_children(monkeypatch):
     monkeypatch.setattr(os, "fork", counted_fork)
     monkeypatch.setattr(os, "waitpid", counted_waitpid)
     tasks = [(f"task {i}", functools.partial(time.sleep, 0.05 * (i % 3))) for i in range(7)]
-    assert montecarlo._fork_map(tasks, 2) == [None] * 7
+    assert fork_values(tasks, 2) == [None] * 7
     assert len(most) == 7 and max(most) == 2 and not alive
 
 
@@ -408,7 +420,7 @@ def test_fork_map_names_a_raising_task_and_kills_and_reaps_the_others(monkeypatc
     sleep = functools.partial(time.sleep, 60.0)
     t0 = time.perf_counter()
     with pytest.raises(RuntimeError, match=r"^the failing task exited with status 1\nTraceback ") as got:
-        montecarlo._fork_map([("sleeper", sleep), ("the failing task", fail), ("sleeper", sleep)], 3)
+        fork_values([("sleeper", sleep), ("the failing task", fail), ("sleeper", sleep)], 3)
     assert str(got.value).endswith("ValueError: task failed\n")
     assert time.perf_counter() - t0 < 30.0
     assert len(pids) == 3
@@ -420,7 +432,7 @@ def test_fork_map_interrupted_while_waiting_kills_and_reaps_every_child(monkeypa
     tasks = [(f"sleeper {i}", functools.partial(time.sleep, 60.0)) for i in range(2)]
     t0 = time.perf_counter()
     with pytest.raises(KeyboardInterrupt), _raising_after(0.2, KeyboardInterrupt):
-        montecarlo._fork_map(tasks, 2)
+        fork_values(tasks, 2)
     assert time.perf_counter() - t0 < 30.0
     assert len(pids) == 2
     _assert_reaped(pids)
@@ -436,23 +448,23 @@ def test_fork_map_without_fork_or_with_one_process_runs_the_tasks_in_the_caller(
 
         return f"task {i}", run
 
-    forked = montecarlo._fork_map([task(i) for i in range(3)], 3)
+    forked = fork_values([task(i) for i in range(3)], 3)
     assert ran == [] and all(pid != os.getpid() for _, pid in forked)
-    assert montecarlo._fork_map([task(i) for i in range(3)], 1) == [(i * i, os.getpid()) for i in range(3)]
+    assert fork_values([task(i) for i in range(3)], 1) == [(i * i, os.getpid()) for i in range(3)]
     monkeypatch.delattr(os, "fork")
-    alone = montecarlo._fork_map([task(i) for i in range(3)], 3)
+    alone = fork_values([task(i) for i in range(3)], 3)
     assert ran == [0, 1, 2, 0, 1, 2]
     assert alone == [(i * i, os.getpid()) for i in range(3)]
     assert [v for v, _ in alone] == [v for v, _ in forked]
 
 
-def test_fork_map_calls_meanwhile_while_the_children_run(monkeypatch):
+def test_an_ensemble_block_runs_while_the_ranges_are_alive(monkeypatch):
     # Every ensemble range blocks on a pipe until it reads a byte, and only
-    # the caller's meanwhile writes them: the call can end only if meanwhile
+    # the body of the block writes them: stats() can return only if the body
     # runs while the ranges are alive.
     cfg = PathConfig(dt=0.05, t_end=1.0, seed=12)
     n = 3 * RANGE_PATHS + 5
-    want = ensemble_moments(cfg, X0, n, SYS1, n_workers=3, record=[0, 10, 20])
+    want = ensemble_stats(cfg, X0, n, SYS1, n_workers=3, record=[0, 10, 20])
     pids = _recording_fork(monkeypatch)
     gate_r, gate_w = os.pipe()
     lockstep = montecarlo._lockstep
@@ -461,16 +473,15 @@ def test_fork_map_calls_meanwhile_while_the_children_run(monkeypatch):
         assert os.read(gate_r, 1) == b"g"
         return lockstep(*args)
 
-    def meanwhile():
-        assert len(pids) == 3
-        for pid in pids:
-            assert os.waitpid(pid, os.WNOHANG) == (0, 0)  # still running
-        os.write(gate_w, b"ggg")
-
     monkeypatch.setattr(montecarlo, "_lockstep", gated)
     try:
-        with _raising_after(30.0, TimeoutError):
-            got = ensemble_moments(cfg, X0, n, SYS1, n_workers=3, record=[0, 10, 20], meanwhile=meanwhile)
+        with _raising_after(30.0, TimeoutError), \
+                ensemble_moments(cfg, X0, n, SYS1, n_workers=3, record=[0, 10, 20]) as stats:
+            assert len(pids) == 3
+            for pid in pids:
+                assert os.waitpid(pid, os.WNOHANG) == (0, 0)  # still running
+            os.write(gate_w, b"ggg")
+            got = stats()
     finally:
         os.close(gate_r)
         os.close(gate_w)
@@ -479,30 +490,48 @@ def test_fork_map_calls_meanwhile_while_the_children_run(monkeypatch):
 
 
 @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
-def test_fork_map_kills_and_reaps_every_child_when_meanwhile_raises(monkeypatch, error):
+def test_fork_map_kills_and_reaps_every_child_when_its_block_raises(monkeypatch, error):
     pids = _recording_fork(monkeypatch)
-
-    def meanwhile():
-        raise error("raised in meanwhile")
-
     tasks = [(f"sleeper {i}", functools.partial(time.sleep, 60.0)) for i in range(3)]
     t0 = time.perf_counter()
-    with pytest.raises(error, match="^raised in meanwhile$"):
-        montecarlo._fork_map(tasks, 2, meanwhile)
+    with pytest.raises(error, match="^raised in the block$"):
+        with montecarlo._fork_map(tasks, 2):
+            raise error("raised in the block")
     assert time.perf_counter() - t0 < 30.0
     assert len(pids) == 2
     _assert_reaped(pids)
 
 
-def test_fork_map_calls_meanwhile_first_where_nothing_is_forked(monkeypatch):
+def test_a_block_left_without_join_leaves_no_child_running(monkeypatch):
+    # The children would sleep for a minute; the queued third task is never forked.
+    pids = _recording_fork(monkeypatch)
+    monkeypatch.setattr(montecarlo, "_lockstep", lambda *args: time.sleep(60.0))
+    tasks = [(f"sleeper {i}", functools.partial(time.sleep, 60.0)) for i in range(3)]
+    t0 = time.perf_counter()
+    with montecarlo._fork_map(tasks, 2):
+        assert len(pids) == 2
+    with ensemble_moments(PathConfig(dt=0.01, t_end=0.5, seed=2), X0, 3 * RANGE_PATHS, SYS1, n_workers=3,
+                          record=[50]):
+        assert len(pids) == 5
+    assert time.perf_counter() - t0 < 30.0
+    _assert_reaped(pids)
+
+
+def test_fork_map_runs_its_block_first_where_nothing_is_forked(monkeypatch):
     calls = []
     tasks = [(f"task {i}", functools.partial(calls.append, i)) for i in range(3)]
-    montecarlo._fork_map(tasks, 1, lambda: calls.append("meanwhile"))
-    assert calls == ["meanwhile", 0, 1, 2]
-    assert montecarlo._fork_map([], 2, lambda: calls.append("no tasks")) == []
+    with montecarlo._fork_map(tasks, 1) as join:
+        calls.append("block")
+        assert join() == [None] * 3
+    assert calls == ["block", 0, 1, 2]
+    with montecarlo._fork_map([], 2) as join:
+        calls.append("no tasks")
+        assert join() == []
     monkeypatch.delattr(os, "fork")
-    montecarlo._fork_map(tasks, 3, lambda: calls.append("no fork"))
-    assert calls == ["meanwhile", 0, 1, 2, "no tasks", "no fork", 0, 1, 2]
+    with montecarlo._fork_map(tasks, 3) as join:
+        calls.append("no fork")
+        join()
+    assert calls == ["block", 0, 1, 2, "no tasks", "no fork", 0, 1, 2]
 
 
 def test_orphaned_worker_exits_at_its_next_draw_block():
@@ -524,33 +553,33 @@ def test_without_fork_the_ranges_run_in_the_caller_bit_for_bit(monkeypatch):
     cfg = PathConfig(dt=0.05, t_end=1.0, seed=12)
     n = 3 * RANGE_PATHS + 5
     record = np.arange(cfg.n_steps + 1)
-    forked = ensemble_moments(cfg, X0, n, SYS1, n_workers=3, record=record)
+    forked = ensemble_stats(cfg, X0, n, SYS1, n_workers=3, record=record)
     monkeypatch.delattr(os, "fork")
-    alone = ensemble_moments(cfg, X0, n, SYS1, n_workers=3, record=record)
+    alone = ensemble_stats(cfg, X0, n, SYS1, n_workers=3, record=record)
     assert np.array_equal(bits(alone.mean), bits(forked.mean))
     assert np.array_equal(bits(alone.var), bits(forked.var))
 
 
 def test_path_count_is_normalized_at_the_boundary():
     cfg = PathConfig(dt=0.05, t_end=0.5, seed=3)
-    want = ensemble_moments(cfg, X0, 300, SYS1, record=[10])
-    got = ensemble_moments(cfg, X0, np.int64(300), SYS1, n_workers=np.int32(2), record=[10])
+    want = ensemble_stats(cfg, X0, 300, SYS1, record=[10])
+    got = ensemble_stats(cfg, X0, np.int64(300), SYS1, n_workers=np.int32(2), record=[10])
     assert got.n_paths == 300 and type(got.n_paths) is int
     assert np.array_equal(got.mean, want.mean) and np.array_equal(got.var, want.var)
     for bad in (300.0, 2.5, True, "300", None):
         with pytest.raises(ValueError, match=r"^n_paths must be an integer"):
-            ensemble_moments(cfg, X0, bad, SYS1, record=[10])
+            ensemble_stats(cfg, X0, bad, SYS1, record=[10])
     with pytest.raises(ValueError, match=r"^n_workers must be an integer"):
-        ensemble_moments(cfg, X0, 300, SYS1, n_workers=2.0, record=[10])
+        ensemble_stats(cfg, X0, 300, SYS1, n_workers=2.0, record=[10])
     with pytest.raises(ValueError, match=r"^n_paths must be at least 2"):
-        ensemble_moments(cfg, X0, np.int64(1), SYS1, record=[10])
+        ensemble_stats(cfg, X0, np.int64(1), SYS1, record=[10])
 
 
 def test_worker_count_below_one_is_rejected():
     cfg = PathConfig(dt=0.01, t_end=0.1, seed=6)
     for bad in (0, -3):
         with pytest.raises(ValueError, match="n_workers"):
-            ensemble_moments(cfg, X0, 4, SYS1, n_workers=bad, record=[10])
+            ensemble_stats(cfg, X0, 4, SYS1, n_workers=bad, record=[10])
 
 
 def test_nonlinear_ensemble_flow_rate_statistics():
@@ -559,7 +588,7 @@ def test_nonlinear_ensemble_flow_rate_statistics():
     # analytic mean and variance are an independent oracle for the sampler.
     p = PARAM_SET1
     cfg = PathConfig(dt=0.01, t_end=20.0, seed=2024)
-    stats = ensemble_moments(cfg, X0, 10000, SYS1, record=[grid_index(cfg.dt, 10.0), grid_index(cfg.dt, 20.0)])
+    stats = ensemble_stats(cfg, X0, 10000, SYS1, record=[grid_index(cfg.dt, 10.0), grid_index(cfg.dt, 20.0)])
     mean_exact = float(ou_mean(X0[2], p.alpha, np.array([10.0]))[0])
     assert abs(stats.mean[0, 2] - mean_exact) <= 3.0 * stats.stderr[0, 2]
     var_exact = float(ou_variance(0.0, p.alpha, p.beta, np.array([20.0]))[0])
@@ -595,7 +624,7 @@ def test_em_mean_reference_is_exact_expectation():
     # Euler-discretized mean ODE exactly, up to sampling noise.
     cfg = PathConfig(dt=0.01, t_end=2.0, seed=99)
     k = grid_index(cfg.dt, 2.0)
-    stats = ensemble_moments(cfg, X0, 4000, SYS1, record=[k])
+    stats = ensemble_stats(cfg, X0, 4000, SYS1, record=[k])
     euler = em_mean_reference(SYS1, X0, cfg.dt, cfg.t_end)
     assert np.all(np.abs(stats.mean[0] - euler[k]) <= 4.0 * stats.stderr[0] + 1e-15)
 
@@ -622,7 +651,7 @@ def test_bilinear_x1_slot_mean_matches_mean_ode():
     # mean matches even the exact mean ODE within plain standard errors.
     cfg = PathConfig(dt=0.01, t_end=10.0, seed=42)
     ks = [grid_index(cfg.dt, 5.0), grid_index(cfg.dt, 10.0)]
-    stats = ensemble_moments(cfg, X0, 2500, SYS1, record=ks)
+    stats = ensemble_stats(cfg, X0, 2500, SYS1, record=ks)
     xi0 = point_lift(X0)
     ode = augmented_mean_path(SYS1, xi0, cfg.dt, cfg.t_end)
     for r, k in enumerate(ks):
@@ -635,7 +664,7 @@ def test_bilinear_ensemble_mean_tracks_mean_ode_with_bias_floor():
     # validation (bias-free reference) runs in the acceptance suite.
     cfg = PathConfig(dt=0.01, t_end=5.0, seed=12)
     ks = [grid_index(cfg.dt, 1.0), grid_index(cfg.dt, 5.0)]
-    stats = ensemble_moments(cfg, X0, 2000, SYS1, record=ks)
+    stats = ensemble_stats(cfg, X0, 2000, SYS1, record=ks)
     xi0 = point_lift(X0)
     ode = augmented_mean_path(SYS1, xi0, cfg.dt, cfg.t_end)
     rates = SYS1.a0 + ode[::50] @ SYS1.a.T
@@ -660,7 +689,7 @@ def test_shared_noise_pair_tracks():
 
 def test_ensemble_stats_container_shape():
     cfg = PathConfig(dt=0.1, t_end=1.0, seed=0)
-    stats = ensemble_moments(cfg, X0, 8, SYS1, record=np.arange(cfg.n_steps + 1))
+    stats = ensemble_stats(cfg, X0, 8, SYS1, record=np.arange(cfg.n_steps + 1))
     assert isinstance(stats, EnsembleStats)
     assert stats.n_paths == 8
     assert stats.mean.shape == stats.var.shape == stats.stderr.shape == (11, 9)
@@ -710,7 +739,7 @@ def test_lockstep_ensemble_is_bit_identical_to_chunk_loop(monkeypatch, sys, n_pa
     cfg = PathConfig(dt=0.05, t_end=3.0, seed=17)
     mean, var = _oracle_ensemble(cfg, X0, n_paths, sys)
     for workers in (1, 2, 3, 4):
-        stats = ensemble_moments(cfg, X0, n_paths, sys, n_workers=workers, record=np.arange(cfg.n_steps + 1))
+        stats = ensemble_stats(cfg, X0, n_paths, sys, n_workers=workers, record=np.arange(cfg.n_steps + 1))
         assert np.array_equal(stats.mean, mean)
         assert np.array_equal(stats.var, var)
 
@@ -730,7 +759,7 @@ def test_lockstep_ensemble_equals_chunk_loop_property(system, n_paths, workers, 
     mean, var = _oracle_ensemble(cfg, X0, n_paths, sys)
     rows = np.asarray(record, dtype=int)
     with mock.patch.object(montecarlo, "DRAW_BUFFER", block * n_paths):
-        stats = ensemble_moments(cfg, X0, n_paths, sys, n_workers=workers, record=record)
+        stats = ensemble_stats(cfg, X0, n_paths, sys, n_workers=workers, record=record)
     assert np.array_equal(stats.mean, mean[rows])
     assert np.array_equal(stats.var, var[rows])
 
@@ -778,7 +807,7 @@ def test_default_draw_block_is_bit_identical_to_chunk_loop():
     cfg = PathConfig(dt=0.01, t_end=2.0, seed=5)
     n = 2 * RANGE_PATHS + 1
     mean, var = _oracle_ensemble(cfg, X0, n, SYS1)
-    stats = ensemble_moments(cfg, X0, n, SYS1, n_workers=2, record=np.arange(cfg.n_steps + 1))
+    stats = ensemble_stats(cfg, X0, n, SYS1, n_workers=2, record=np.arange(cfg.n_steps + 1))
     assert np.array_equal(stats.mean, mean)
     assert np.array_equal(stats.var, var)
 
@@ -797,7 +826,7 @@ def test_signed_zero_starts_are_bit_identical_to_chunk_loop(start):
     n = 2 * RANGE_PATHS + 37
     mean, var = _oracle_ensemble(cfg, start, n, SYS1)
     for workers in (1, 3):
-        stats = ensemble_moments(cfg, start, n, SYS1, n_workers=workers, record=np.arange(cfg.n_steps + 1))
+        stats = ensemble_stats(cfg, start, n, SYS1, n_workers=workers, record=np.arange(cfg.n_steps + 1))
         assert np.array_equal(bits(stats.mean), bits(mean))
         assert np.array_equal(bits(stats.var), bits(var))
     # numpy sums -0.0 entries to +0.0, so the statistics cannot show the sign
@@ -834,7 +863,7 @@ def test_general_bilinear_ensembles_are_bit_identical_to_chunk_loop(sys):
     paths = 2 * RANGE_PATHS + 37
     mean, var = _oracle_ensemble(cfg, x0, paths, sys)
     for workers in (1, 3):
-        stats = ensemble_moments(cfg, x0, paths, sys, n_workers=workers, record=np.arange(cfg.n_steps + 1))
+        stats = ensemble_stats(cfg, x0, paths, sys, n_workers=workers, record=np.arange(cfg.n_steps + 1))
         assert np.array_equal(bits(stats.mean), bits(mean))
         assert np.array_equal(bits(stats.var), bits(var))
 
@@ -842,14 +871,14 @@ def test_general_bilinear_ensembles_are_bit_identical_to_chunk_loop(sys):
 def test_recorded_rows_equal_full_grid_rows():
     cfg = PathConfig(dt=0.05, t_end=3.0, seed=8)
     n = RANGE_PATHS + 37
-    full = ensemble_moments(cfg, X0, n, SYS1, record=np.arange(cfg.n_steps + 1))
+    full = ensemble_stats(cfg, X0, n, SYS1, record=np.arange(cfg.n_steps + 1))
     record = [60, 0, 17, 17, 33]
     for workers in (1, 2):
-        part = ensemble_moments(cfg, X0, n, SYS1, n_workers=workers, record=record)
+        part = ensemble_stats(cfg, X0, n, SYS1, n_workers=workers, record=record)
         assert np.array_equal(part.mean, full.mean[record])
         assert np.array_equal(part.var, full.var[record])
         assert np.array_equal(part.stderr, full.stderr[record])
-    empty = ensemble_moments(cfg, X0, n, SYS1, record=[])
+    empty = ensemble_stats(cfg, X0, n, SYS1, record=[])
     assert empty.mean.shape == empty.var.shape == empty.stderr.shape == (0, 9)
 
 
@@ -857,7 +886,7 @@ def test_record_rejects_bad_indices():
     cfg = PathConfig(dt=0.05, t_end=3.0, seed=8)
     for bad in ([61], [-1], [0.5], [[1, 2]], 5, None, np.int64(3), np.array(4)):
         with pytest.raises(ValueError, match="record"):
-            ensemble_moments(cfg, X0, 4, SYS1, record=bad)
+            ensemble_stats(cfg, X0, 4, SYS1, record=bad)
 
 
 def test_blocked_draws_equal_one_long_draw():
@@ -907,7 +936,7 @@ def test_ensemble_blowup_reports_earliest_step_over_all_chunks():
     assert path >= n // 3 and step < first[:n // 3].min()
     for workers in (1, 3):
         with pytest.raises(SimulationError, match=rf"path {path} non-finite at step {step} \("):
-            ensemble_moments(cfg, x0, n, UNSTABLE, n_workers=workers, record=[cfg.n_steps])
+            ensemble_stats(cfg, x0, n, UNSTABLE, n_workers=workers, record=[cfg.n_steps])
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
@@ -922,9 +951,9 @@ def test_blowups_in_several_ranges_report_as_one_range():
     for seed in (30, 31, 32, 33):
         cfg = PathConfig(dt=20.0, t_end=7000.0, seed=seed)
         with pytest.raises(SimulationError) as want:
-            ensemble_moments(cfg, x0, n, UNSTABLE, n_workers=1, record=[cfg.n_steps])
+            ensemble_stats(cfg, x0, n, UNSTABLE, n_workers=1, record=[cfg.n_steps])
         with pytest.raises(SimulationError, match=f"^{re.escape(str(want.value))}$"):
-            ensemble_moments(cfg, x0, n, UNSTABLE, n_workers=3, record=[cfg.n_steps])
+            ensemble_stats(cfg, x0, n, UNSTABLE, n_workers=3, record=[cfg.n_steps])
         ranges.add(int(re.search(r"^path (\d+)", str(want.value)).group(1)) * 3 // n)
     assert ranges == {0, 1, 2}
 
@@ -952,20 +981,21 @@ def test_bilinear_blowup_inside_a_draw_block_reports_earliest_step(monkeypatch):
     monkeypatch.setattr(montecarlo, "DRAW_BUFFER", block * n)
     for workers in (1, 3):
         with pytest.raises(SimulationError, match=rf"^path {path} non-finite at step {step} \("):
-            ensemble_moments(cfg, [1.0], n, sys, n_workers=workers, record=[step - 1, step + 1])
+            ensemble_stats(cfg, [1.0], n, sys, n_workers=workers, record=[step - 1, step + 1])
 
 
 def test_ensemble_progress_is_logged(caplog):
     # One range logs its progress in the caller; a forked range 0 logs in its
     # child, and the caller writes only the last line.  Every line names its
     # ensemble, and the cost on the last one is the ranges' own: it leaves
-    # out the second that the caller's meanwhile sleeps.
+    # out the second that the body of the block sleeps.
     cfg = PathConfig(dt=0.01, t_end=2.0, seed=1)
     for workers, n_lines in ((1, 10), (2, 1)):
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="vdvcarleman.montecarlo"):
-            ensemble_moments(cfg, X0, 2 * RANGE_PATHS, SYS1, n_workers=workers, record=[],
-                             meanwhile=functools.partial(time.sleep, 1.0))
+            with ensemble_moments(cfg, X0, 2 * RANGE_PATHS, SYS1, n_workers=workers, record=[]) as stats:
+                time.sleep(1.0)
+                stats()
         lines = [r.message for r in caplog.records if r.name == "vdvcarleman.montecarlo"]
         assert len(lines) == n_lines
         assert all(line.startswith("MC ensemble (512 paths, seed 1): step ") for line in lines)
@@ -992,6 +1022,6 @@ def test_fork_map_closes_the_pipe_of_a_fork_that_fails(monkeypatch):
     monkeypatch.setattr(os, "fork", fork)
     before = sorted(os.listdir("/proc/self/fd"))
     with pytest.raises(BlockingIOError):
-        montecarlo._fork_map([("sleeper", functools.partial(time.sleep, 30.0)), ("second", int)], 2)
+        fork_values([("sleeper", functools.partial(time.sleep, 30.0)), ("second", int)], 2)
     assert sorted(os.listdir("/proc/self/fd")) == before
     assert forks == [0, 1]

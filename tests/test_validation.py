@@ -98,10 +98,10 @@ def test_criterion_10_splits_its_ensemble_four_ways(monkeypatch):
     forked = []
 
     def recording(fork_map):
-        def call(tasks, n_procs, meanwhile=None):
+        def call(tasks, n_procs):
             if n_procs > 1:
                 forked.extend(name for name, _ in tasks)
-            return fork_map(tasks, n_procs, meanwhile)
+            return fork_map(tasks, n_procs)
 
         return call
 
