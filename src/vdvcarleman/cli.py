@@ -3,8 +3,8 @@
 Subcommands:
   run            execute a scenario and write CSV/SVG outputs, all but
                  the Monte Carlo ones while the ensemble runs; with
-                 --mc-workers above one, the ensemble's ranges, the EKF
-                 and the chart rendering run in forked children
+                 --mc-workers above one, the ensemble's ranges and the
+                 EKF run in forked children
   dump-scenario  print a builtin scenario as JSON
   matrices       dump the embedded system's coefficient blocks
   validate       run the acceptance checks (exit 0 only if all pass)
@@ -23,16 +23,15 @@ from .carleman import build_vandevusse, write_blocks
 from .experiments import (
     METHODS,
     builtin_scenario,
+    emit_charts,
     emit_summary,
     emit_trajectories,
     load_scenario,
     removed_on_failure,
-    render_charts,
     scenario_run,
-    write_charts,
 )
 from .moments import grid_index, grid_steps
-from .montecarlo import _fork_map, _usable_cpus
+from .montecarlo import _usable_cpus
 
 logger = logging.getLogger(__name__)
 
@@ -51,9 +50,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--mc-paths", type=int, default=None, help="override ensemble size")
     run.add_argument("--seed", type=int, default=None, help="override RNG seed")
     run.add_argument("--mc-workers", type=int, default=_usable_cpus(),
-                     help="worker processes: the ensemble's ranges, and the EKF and chart children "
-                          "beside them (default: the CPUs this process may use)")
-    run.add_argument("--out", type=_out_dir, required=True, help="output directory")
+                     help="worker processes for the ensemble's ranges; above one, the EKF also runs "
+                          "in a child of its own (default: the CPUs this process may use)")
+    run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--no-charts", action="store_true", help="skip SVG emission")
     run.set_defaults(parser=run)
 
@@ -62,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     mat = sub.add_parser("matrices", help="dump the bilinear system blocks as text")
     mat.add_argument("--scenario", default="builtin:set1")
-    mat.add_argument("--out", type=_out_dir, required=True, help="output directory")
+    mat.add_argument("--out", required=True, help="output directory")
     mat.set_defaults(parser=mat)
 
     sub.add_parser("validate", help="run the acceptance checks, one process per usable CPU")
@@ -91,11 +90,14 @@ def _apply_overrides(scenario, args):
     return replace(scenario, **updates)
 
 
-def _out_dir(path: str) -> str:
-    """An ``--out`` value: a directory, or a path where none exists yet."""
-    if os.path.exists(path) and not os.path.isdir(path):
-        raise argparse.ArgumentTypeError(f"{path} exists and is not a directory")
-    return path
+def _make_out_dir(args) -> None:
+    """Create the ``--out`` directory before any work; failing, end in a usage error naming ``--out``."""
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except FileExistsError:
+        args.parser.error(f"argument --out: {args.out} exists and is not a directory")
+    except OSError as exc:
+        args.parser.error(f"argument --out: {exc}")
 
 
 @contextlib.contextmanager
@@ -116,16 +118,13 @@ def _cmd_run(args) -> int:
         args.parser.error(f"--mc-workers must be at least 1, got {args.mc_workers}")
     with _usage_errors(args.parser):
         scenario = _apply_overrides(load_scenario(args.scenario), args)
+    _make_out_dir(args)
     paths, charts = [], []
     with removed_on_failure(paths, charts):  # a failed run leaves none of the files it wrote
         with scenario_run(scenario, methods, args.mc_workers) as report:
-            # Beside the ensemble, a child only renders the charts while the caller
-            # writes the CSVs: every file of the run is written, and so removed on failure, here.
-            render = [] if args.no_charts else [("chart rendering", lambda: render_charts(report))]
-            with _fork_map(render, args.mc_workers) as join:
-                paths += emit_trajectories(report, args.out)
-                for rendered in join():
-                    charts += write_charts(rendered, args.out)
+            paths += emit_trajectories(report, args.out)
+            if not args.no_charts:
+                charts += emit_charts(report, args.out)
         paths += emit_summary(report, args.out)
     for p in paths + charts:
         print(p)
@@ -140,6 +139,7 @@ def _cmd_dump(args) -> int:
 def _cmd_matrices(args) -> int:
     with _usage_errors(args.parser):
         scenario = load_scenario(args.scenario)
+    _make_out_dir(args)
     for p in write_blocks(build_vandevusse(scenario.params), args.out):
         print(p)
     return 0

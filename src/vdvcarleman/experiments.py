@@ -14,14 +14,13 @@ All methods are compared against one seeded realization of the nonlinear
 SDE ("true" path, simulated once); absolute prediction errors are
 e_i(t) = |x_i_true(t) - mean_i(t)| for the two concentrations.  Only the
 Monte Carlo rows read the ensemble statistics: everything else, and the
-body of the caller's block, runs while the ensemble's forked ranges do,
-and the EKF runs in a forked child of its own beside the true and
-physical paths (both through `montecarlo._fork_map`, within the
-``mc_workers`` budget).  Reports can be emitted as CSV files and
-standalone SVG charts; `emit_trajectories` and `emit_charts` need no
-ensemble statistics, `emit_summary` does, and `emit_csv` writes both CSV
-halves.  `emit_charts` is `render_charts`, which only makes the SVG
-text, then `write_charts`; ``run`` calls them apart.  Every CSV
+body of the caller's block, runs while the ensemble's forked ranges do
+(up to ``mc_workers`` of them), and with ``mc_workers`` above one the
+EKF runs in a forked child of its own beside the true and physical
+paths (both through `montecarlo._fork_map`); nothing else is forked.
+Reports can be emitted as CSV files and standalone SVG charts;
+`emit_trajectories` and `emit_charts` need no ensemble statistics,
+`emit_summary` does, and `emit_csv` writes both CSV halves.  Every CSV
 goes through one writer, which formats a block of rows at a time in
 numpy, byte for byte as Python's '%.10e' (`_format_fields`).
 """
@@ -239,8 +238,8 @@ def scenario_run(scenario: Scenario, methods, mc_workers: int):
     references and the shared-noise pair.  ``report.mc`` is filled in as
     the block ends.  With ``mc`` the ensemble's ranges are forked first
     (see `montecarlo.ensemble_moments`), so all of that, and the body of
-    the block, runs beside them.  ``mc_workers`` is the budget of worker
-    processes: above one, ``ekf_predict`` runs in a child forked by
+    the block, runs beside them.  ``mc_workers`` caps the ensemble's
+    ranges; above one, ``ekf_predict`` also runs in a child forked by
     `montecarlo._fork_map` while the caller makes the true and physical
     paths; with one, everything runs in the caller, in the order above.
     A failing method is a `RuntimeError` naming it; the true path fails
@@ -591,13 +590,9 @@ def emit_charts(report: ComparisonReport, out_dir: str) -> list[str]:
     variances; the second builtin uses the reference figure numbers
     5-7.  Line styles: solid = true, dashed = moment or bilinear path,
     dotted = EKF.  A panel whose series the report lacks is skipped
-    with a logged notice naming them.
+    with a logged notice naming them.  Every figure is drawn before any
+    file is opened, and the files are written all or none.
     """
-    return write_charts(render_charts(report), out_dir)
-
-
-def render_charts(report: ComparisonReport) -> list[tuple[str, str]]:
-    """(name, SVG text) of every figure `emit_charts` writes, in its order; nothing is written."""
     # series[key][i] is the path of state i: a row of a transposed array, or a variance.
     by_state = lambda a: None if a is None else a.T
     series = {"true path": by_state(report.true_path), "bilinear path": by_state(report.coupled_xi)}
@@ -606,7 +601,7 @@ def render_charts(report: ComparisonReport) -> list[tuple[str, str]]:
         series[f"{method} mean"] = None if s is None else s.mean.T
         series[f"{method} error"] = by_state(report.errors.get(method))
         series[f"{method} variance"] = None if s is None else [s.covariance(i, i) for i in range(3)]
-    rendered = []
+    charts = []
     for i, (state, suffix) in enumerate((("x1", "a"), ("x2", "b"))):
         for figs, title, ylabel, lines in _PANELS:
             name = f"fig{figs[report.scenario.name == 'set2']}{suffix}"
@@ -614,16 +609,11 @@ def render_charts(report: ComparisonReport) -> list[tuple[str, str]]:
             if missing:
                 logger.info("%s skipped: no %s series in report", name, " or ".join(missing))
                 continue
-            rendered.append((name, svgchart.line_chart(
+            chart = svgchart.line_chart(
                 [svgchart.Series(label, report.t, series[key][i], **style) for label, key, style in lines],
                 f"{report.scenario.name}: {title}, {state}",
                 "t [s]",
                 ylabel.format(state),
-            )))
-    return rendered
-
-
-def write_charts(rendered, out_dir: str) -> list[str]:
-    """Write each (name, SVG text) of `render_charts` as ``<name>.svg`` in ``out_dir``; their paths."""
-    return _write_files(out_dir, [(f"{name}.svg", lambda fh, text=chart: fh.write(text.encode()))
-                                  for name, chart in rendered])
+            )
+            charts.append((f"{name}.svg", lambda fh, text=chart: fh.write(text.encode())))
+    return _write_files(out_dir, charts)

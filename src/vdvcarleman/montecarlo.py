@@ -57,7 +57,8 @@ of the augmented mean ODE; `simulate_shared_noise` is the bilinear partner
 of a seed's nonlinear path, which a run simulates once.  `_fork_map`
 also runs the acceptance checks of `validation.run_all`, one per usable
 CPU (`_usable_cpus`, also the default worker count of ``run``), and
-``run``'s EKF and chart rendering beside the caller's work.
+``run``'s EKF beside the caller's work: an ``mc`` run forks up to its
+worker count of ranges plus that one child.
 """
 from __future__ import annotations
 

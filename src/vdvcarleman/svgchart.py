@@ -73,13 +73,16 @@ def line_chart(series: list[Series], title: str, xlabel: str, ylabel: str) -> st
     """
     if not series:
         raise ValueError("line_chart needs at least one series")
-    xs = np.concatenate([np.asarray(s.x, float) for s in series])
-    ys = np.concatenate([np.asarray(s.y, float) for s in series])
-    finite = np.isfinite(xs) & np.isfinite(ys)
-    if not np.any(finite):
+    xs = [np.asarray(s.x, float) for s in series]
+    ys = [np.asarray(s.y, float) for s in series]
+    finite = [np.isfinite(x) & np.isfinite(y) for x, y in zip(xs, ys)]
+    if not any(f.any() for f in finite):
         raise ValueError("no finite data to plot")
-    x_lo, x_hi = float(xs[finite].min()), float(xs[finite].max())
-    y_lo, y_hi = float(ys[finite].min()), float(ys[finite].max())
+    # The ranges over the points finite in x and y, one series at a time.
+    x_lo = min(float(np.min(x, where=f, initial=np.inf)) for x, f in zip(xs, finite))
+    x_hi = max(float(np.max(x, where=f, initial=-np.inf)) for x, f in zip(xs, finite))
+    y_lo = min(float(np.min(y, where=f, initial=np.inf)) for y, f in zip(ys, finite))
+    y_hi = max(float(np.max(y, where=f, initial=-np.inf)) for y, f in zip(ys, finite))
     if y_hi == y_lo:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
     pad = 0.05 * (y_hi - y_lo)
@@ -136,11 +139,11 @@ def line_chart(series: list[Series], title: str, xlabel: str, ylabel: str) -> st
         f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2:.1f})">{ylabel.translate(_ESCAPES)}</text>'
     )
     # series
-    for s in series:
-        pts = _downsample(np.column_stack([np.asarray(s.x, float), np.asarray(s.y, float)]))
-        x, y = pts[np.isfinite(pts).all(axis=1)].T
+    for s, x, y in zip(series, xs, ys):
+        x, y = _downsample(x), _downsample(y)
+        keep = np.isfinite(x) & np.isfinite(y)
         # px and py on whole rows: each point sees the operations of the scalar form.
-        coords = " ".join(["%.2f,%.2f" % xy for xy in zip(px(x).tolist(), py(y).tolist())])
+        coords = " ".join(["%.2f,%.2f" % xy for xy in zip(px(x[keep]).tolist(), py(y[keep]).tolist())])
         dash = DASH.get(s.style)
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         out.append(

@@ -250,7 +250,7 @@ def test_run_defaults_to_one_worker_per_usable_cpu(tmp_path):
 
 def test_run_with_the_default_workers_writes_the_bytes_of_one_worker(tmp_path, capsys, monkeypatch):
     # 600 paths allow three ranges, so two default workers fork two ranges;
-    # the EKF and the chart rendering are forked with or without them.
+    # the EKF is forked with or without them, and nothing else is.
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     pids = _recording_fork(monkeypatch)
     for methods in ("carleman,ekf,mc", "carleman,ekf"):
@@ -261,10 +261,10 @@ def test_run_with_the_default_workers_writes_the_bytes_of_one_worker(tmp_path, c
             mc = methods.endswith(",mc")
             del pids[:]
             cli.main([*argv, "--out", str(case / "default")])
-            assert len(pids) == 2 * mc + 1 + charts
+            assert len(pids) == 2 * mc + 1
             printed = capsys.readouterr().out
             cli.main([*argv, "--mc-workers", "1", "--out", str(case / "one")])
-            assert len(pids) == 2 * mc + 1 + charts
+            assert len(pids) == 2 * mc + 1
             assert capsys.readouterr().out == printed.replace(str(case / "default"), str(case / "one"))
             names = sorted(os.listdir(case / "one"))
             assert names == sorted(os.listdir(case / "default"))
@@ -293,7 +293,7 @@ def test_a_run_whose_ensemble_fails_leaves_none_of_its_files(tmp_path, monkeypat
         return call
 
     monkeypatch.setattr(cli, "emit_trajectories", emitted(cli.emit_trajectories))
-    monkeypatch.setattr(cli, "write_charts", emitted(cli.write_charts))
+    monkeypatch.setattr(cli, "emit_charts", emitted(cli.emit_charts))
     monkeypatch.setattr(montecarlo, "_lockstep", lambda *args: (3, 7))
     argv = ["run", "--t-end", "1", "--mc-paths", "600", "--mc-workers", str(workers), "--out", str(out)]
     with pytest.raises(RuntimeError, match=r"^method 'mc' failed: path 7 non-finite at step 3 \(t=0\.03\)$"):
@@ -304,8 +304,8 @@ def test_a_run_whose_ensemble_fails_leaves_none_of_its_files(tmp_path, monkeypat
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_run_whose_chart_rendering_fails_leaves_none_of_its_files(tmp_path, monkeypatch, workers):
-    # The charts are rendered in a child beside the CSV writes; the CSVs the
-    # caller wrote are removed once the child's failure is read.
+    # The caller draws the charts after the CSV writes: the chart's own error
+    # comes through whatever the worker count, and the CSVs are removed.
     out = tmp_path / "out"
     out.mkdir()
     (out / "earlier.txt").write_text("kept")
@@ -316,21 +316,19 @@ def test_a_run_whose_chart_rendering_fails_leaves_none_of_its_files(tmp_path, mo
         written.extend(paths)
         return paths
 
-    def broken(report):
+    def broken(*args):
         raise ValueError("no chart today")
 
     monkeypatch.setattr(cli, "emit_trajectories", emitted)
-    monkeypatch.setattr(cli, "render_charts", broken)
+    monkeypatch.setattr(svgchart, "line_chart", broken)
     pids = _recording_fork(monkeypatch)
     argv = ["run", "--t-end", "1", "--methods", "carleman,ekf", "--mc-workers", str(workers), "--out", str(out)]
+    with pytest.raises(ValueError, match="^no chart today$"):
+        cli.main(argv)
     if workers == 1:
-        with pytest.raises(ValueError, match="^no chart today$"):
-            cli.main(argv)
         assert not pids
     else:
-        with pytest.raises(RuntimeError, match=r"^chart rendering exited with status 1\n(.|\n)*"
-                                               r"ValueError: no chart today\n$"):
-            cli.main(argv)
+        assert len(pids) == 1  # the EKF
         _assert_reaped(pids)
     assert len(written) == 2
     assert os.listdir(out) == ["earlier.txt"]
@@ -353,8 +351,8 @@ def test_a_file_that_cannot_be_opened_leaves_none_of_the_run_files(tmp_path, wor
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_csv_failure_beside_the_chart_child_leaves_none_of_its_files(tmp_path, monkeypatch, workers):
-    # The CSV write fails in the caller while the child renders: the child is
-    # killed and reaped, and no chart is written.
+    # The CSV write fails in the caller once the EKF child is reaped: no
+    # chart is written, and nothing else was forked.
     out = tmp_path / "out"
     out.mkdir()
     (out / "earlier.txt").write_text("kept")
@@ -370,7 +368,7 @@ def test_a_csv_failure_beside_the_chart_child_leaves_none_of_its_files(tmp_path,
     if workers == 1:
         assert not pids
     else:
-        assert len(pids) == 2  # the EKF, then the chart rendering
+        assert len(pids) == 1  # the EKF
         _assert_reaped(pids)
     assert os.listdir(out) == ["earlier.txt"]
 
@@ -495,6 +493,32 @@ def test_a_configuration_error_is_a_one_line_usage_error(tmp_path, capsys, monke
     assert "Traceback" not in err
     last = err.splitlines()[-1]
     assert last.startswith(f"vdvcarleman {argv[0]}: error: ") and message in last
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--t-end", "1", "--mc-paths", "600", "--mc-workers", "2"],
+    ["matrices"],
+], ids=["run", "matrices"])
+@pytest.mark.parametrize("out", ["file/sub", ""], ids=["under_a_file", "empty"])
+def test_an_out_that_cannot_be_a_directory_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypatch,
+                                                                           command, out):
+    (tmp_path / "file").write_text("kept")
+    monkeypatch.chdir(tmp_path)
+    before = _tree(tmp_path)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the usage error")
+
+    monkeypatch.setattr(experiments, "simulate_path", no_work)
+    monkeypatch.setattr(cli, "build_vandevusse", no_work)
+    pids = _recording_fork(monkeypatch)
+    with pytest.raises(SystemExit) as exited:
+        cli.main([*command, "--out", out])
+    assert exited.value.code == 2 and not pids
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith(f"vdvcarleman {command[0]}: error: argument --out: ")
     assert _tree(tmp_path) == before
 
 
@@ -883,6 +907,140 @@ def _polyline_points_per_point(series):
         keep = np.isfinite(pts).all(axis=1)
         points.append(" ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts[keep]))
     return points
+
+
+def _line_chart_concatenated(series, title, xlabel, ylabel):
+    """`svgchart.line_chart` with its ranges over every series concatenated,
+    and each series downsampled as full-length (x, y) rows: the oracle."""
+    from vdvcarleman.svgchart import (
+        DASH, HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, WIDTH, _ESCAPES, _downsample, _fmt, _nice_ticks,
+    )
+    if not series:
+        raise ValueError("line_chart needs at least one series")
+    xs = np.concatenate([np.asarray(s.x, float) for s in series])
+    ys = np.concatenate([np.asarray(s.y, float) for s in series])
+    finite = np.isfinite(xs) & np.isfinite(ys)
+    if not np.any(finite):
+        raise ValueError("no finite data to plot")
+    x_lo, x_hi = float(xs[finite].min()), float(xs[finite].max())
+    y_lo, y_hi = float(ys[finite].min()), float(ys[finite].max())
+    if y_hi == y_lo:
+        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+
+    plot_w = WIDTH - MARGIN_L - MARGIN_R
+    plot_h = HEIGHT - MARGIN_T - MARGIN_B
+
+    def px(x):
+        return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
+
+    def py(y):
+        return MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
+
+    out = []
+    out.append(
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">'
+    )
+    out.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>')
+    out.append(
+        f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="15">{title.translate(_ESCAPES)}</text>'
+    )
+    # axes
+    x0, y0 = MARGIN_L, MARGIN_T + plot_h
+    out.append(
+        f'<path d="M {x0} {MARGIN_T} L {x0} {y0} L {x0 + plot_w} {y0}" '
+        f'stroke="#000000" fill="none" stroke-width="1"/>'
+    )
+    for tx in _nice_ticks(x_lo, x_hi):
+        X = px(tx)
+        out.append(f'<line x1="{X:.2f}" y1="{y0}" x2="{X:.2f}" y2="{y0 + 5}" stroke="#000000"/>')
+        out.append(
+            f'<text x="{X:.2f}" y="{y0 + 20}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="11">{_fmt(tx)}</text>'
+        )
+    for ty in _nice_ticks(y_lo, y_hi):
+        Y = py(ty)
+        out.append(f'<line x1="{x0 - 5}" y1="{Y:.2f}" x2="{x0}" y2="{Y:.2f}" stroke="#000000"/>')
+        out.append(
+            f'<text x="{x0 - 8}" y="{Y + 4:.2f}" text-anchor="end" '
+            f'font-family="sans-serif" font-size="11">{_fmt(ty)}</text>'
+        )
+    out.append(
+        f'<text x="{MARGIN_L + plot_w / 2:.1f}" y="{HEIGHT - 14}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12">{xlabel.translate(_ESCAPES)}</text>'
+    )
+    out.append(
+        f'<text x="18" y="{MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12" '
+        f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2:.1f})">{ylabel.translate(_ESCAPES)}</text>'
+    )
+    # series
+    for s in series:
+        pts = _downsample(np.column_stack([np.asarray(s.x, float), np.asarray(s.y, float)]))
+        x, y = pts[np.isfinite(pts).all(axis=1)].T
+        # px and py on whole rows: each point sees the operations of the scalar form.
+        coords = " ".join(["%.2f,%.2f" % xy for xy in zip(px(x).tolist(), py(y).tolist())])
+        dash = DASH.get(s.style)
+        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+        out.append(
+            f'<polyline points="{coords}" fill="none" stroke="{s.color}" '
+            f'stroke-width="1.5"{dash_attr}/>'
+        )
+    # legend
+    lx, ly = MARGIN_L + plot_w - 180, MARGIN_T + 10
+    out.append(
+        f'<rect x="{lx - 8}" y="{ly - 14}" width="186" height="{18 * len(series) + 8}" '
+        f'fill="#ffffff" stroke="#999999"/>'
+    )
+    for i, s in enumerate(series):
+        Y = ly + 18 * i
+        dash = DASH.get(s.style)
+        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+        out.append(
+            f'<line x1="{lx}" y1="{Y - 4}" x2="{lx + 30}" y2="{Y - 4}" '
+            f'stroke="{s.color}" stroke-width="1.5"{dash_attr}/>'
+        )
+        out.append(
+            f'<text x="{lx + 36}" y="{Y}" font-family="sans-serif" font-size="11">{s.label.translate(_ESCAPES)}</text>'
+        )
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
+def _chart_cases():
+    """Inputs whose ranges and kept rows depend on which points are finite."""
+    n = 3 * svgchart.MAX_POINTS + 7
+    stride = -(-n // svgchart.MAX_POINTS)  # every stride-th row and the last are kept
+    x = np.linspace(-1.0, 4.0, n)
+    holed = np.sin(x)
+    holed[[0, stride, 2 * stride, n - 1]] = np.nan, np.inf, -np.inf, np.nan
+    x_holed = x.copy()
+    x_holed[[3 * stride, 3 * stride + 1]] = -np.inf, np.nan
+    short = np.arange(6.0)
+    return {
+        "non_finite_points": [
+            svgchart.Series("a", short, np.array([1.0, np.nan, -2.5, np.inf, 0.25, -np.inf])),
+            svgchart.Series("b", np.array([np.nan, 1.0, np.inf, 3.0, -np.inf, 5.0]), -short),
+        ],
+        "no_finite_point_beside_finite_ones": [
+            svgchart.Series("none", short, np.array([np.nan, np.inf, -np.inf, np.nan, np.nan, np.inf])),
+            svgchart.Series("some", short + 10.0, short ** 2),
+            svgchart.Series("x_none", np.full(6, np.nan), short),
+        ],
+        "constant": [svgchart.Series("c", short, np.full(6, -0.75))],
+        "longer_than_max_points": [svgchart.Series("long", x, holed), svgchart.Series("x_holed", x_holed, np.cos(x))],
+    }
+
+
+@pytest.mark.parametrize("case", list(_chart_cases()))
+def test_line_chart_equals_the_concatenated_form(case):
+    series = _chart_cases()[case]
+    assert svgchart.line_chart(series, "t", "x", "y") == _line_chart_concatenated(series, "t", "x", "y")
 
 
 def _polyline_points(series):
