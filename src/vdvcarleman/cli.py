@@ -54,17 +54,19 @@ def _build_parser() -> argparse.ArgumentParser:
                           "in a child of its own (default: the CPUs this process may use)")
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--no-charts", action="store_true", help="skip SVG emission")
-    run.set_defaults(parser=run)
+    run.set_defaults(parser=run, func=_cmd_run)
 
     dump = sub.add_parser("dump-scenario", help="print a builtin scenario as JSON")
     dump.add_argument("name", choices=("set1", "set2"))
+    dump.set_defaults(func=_cmd_dump)
 
     mat = sub.add_parser("matrices", help="dump the bilinear system blocks as text")
     mat.add_argument("--scenario", default="builtin:set1")
     mat.add_argument("--out", required=True, help="output directory")
-    mat.set_defaults(parser=mat)
+    mat.set_defaults(parser=mat, func=_cmd_matrices)
 
-    sub.add_parser("validate", help="run the acceptance checks, one process per usable CPU")
+    check = sub.add_parser("validate", help="run the acceptance checks, one process per usable CPU")
+    check.set_defaults(func=_cmd_validate)
     return parser
 
 
@@ -145,7 +147,7 @@ def _cmd_matrices(args) -> int:
     return 0
 
 
-def _cmd_validate() -> int:
+def _cmd_validate(args) -> int:
     from .validation import run_all  # only validate loads the acceptance checks
 
     results = run_all()
@@ -161,15 +163,7 @@ def _cmd_validate() -> int:
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "dump-scenario":
-        return _cmd_dump(args)
-    if args.command == "matrices":
-        return _cmd_matrices(args)
-    if args.command == "validate":
-        return _cmd_validate()
-    raise AssertionError(f"unhandled command {args.command!r}")
+    return args.func(args)
 
 
 if __name__ == "__main__":

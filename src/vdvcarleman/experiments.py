@@ -49,7 +49,6 @@ from .model import (
     _is_real,
 )
 from .moments import (
-    IntegrationError,
     MomentSeries,
     augmented_mean_path,
     grid_index,
@@ -99,6 +98,9 @@ class Scenario:
     def __post_init__(self):
         if not isinstance(self.name, str):
             raise ValueError(f"name must be a string, got {self.name!r}")
+        for name, kind in (("params", ReactorParams), ("x0", PhysicalState)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {type(getattr(self, name)).__name__}")
         for name in ("dt", "t_end"):
             value = getattr(self, name)
             if not _is_real(value):
@@ -242,10 +244,10 @@ def scenario_run(scenario: Scenario, methods, mc_workers: int):
     ranges; above one, ``ekf_predict`` also runs in a child forked by
     `montecarlo._fork_map` while the caller makes the true and physical
     paths; with one, everything runs in the caller, in the order above.
-    A failing method is a `RuntimeError` naming it; the true path fails
-    first, then ``carleman``, ``ekf`` and ``mc`` (an EKF child is killed
-    when the true or physical path fails, and its own failure comes back
-    as its value and is raised after them).
+    A failing method is a `RuntimeError` naming it, the same at every
+    ``mc_workers``; the true path fails first, then ``carleman``, ``ekf``
+    and ``mc`` (an EKF child is killed when the true or physical path
+    fails, and its own failure is raised by ``join()``, after them).
     """
     requested = set(methods)
     unknown = requested - set(METHODS)
@@ -273,7 +275,7 @@ def scenario_run(scenario: Scenario, methods, mc_workers: int):
     def run(name, fn):
         try:
             return fn()
-        except (IntegrationError, RuntimeError) as exc:
+        except RuntimeError as exc:
             raise RuntimeError(f"method {name!r} failed: {exc}") from exc
 
     def keep(name, series):
@@ -281,23 +283,18 @@ def scenario_run(scenario: Scenario, methods, mc_workers: int):
         report.errors[name] = np.abs(report.true_path[:, :2] - series.mean[:, :2])
         report.psd_min_eig[name] = _psd_at_checkpoints(series, scenario)
 
-    def ekf_or_its_failure():
-        try:
-            return ekf_predict(p, x0, cov0, dt, t_end)
-        except (IntegrationError, RuntimeError) as exc:
-            return exc  # raised by the caller, after the true and physical paths
-
     with (ensemble_moments(cfg, x0, scenario.mc_paths, sys, n_workers=mc_workers, record=ks) if "mc" in methods
           else contextlib.nullcontext()) as stats:
         # The EKF needs nothing the caller makes: with mc_workers above one
         # it runs in a child while the caller makes the true and physical paths.
-        with _fork_map([("ekf_predict", ekf_or_its_failure)] if "ekf" in methods else [], mc_workers) as join:
+        ekf = [("ekf_predict", lambda: ekf_predict(p, x0, cov0, dt, t_end))] if "ekf" in methods else []
+        with _fork_map(ekf, mc_workers) as join:
             # One seeded realization of the exact SDE is the error reference.
             report.true_path = run("true", lambda: simulate_path(cfg, x0, p))
             if "carleman" in methods:
                 keep("carleman", run("carleman", lambda: integrate_physical(p, x0, cov0, dt, t_end)))
-            for value in join():
-                keep("ekf", run("ekf", lambda: _raise_if_exception(value)))
+            for value in run("ekf", join):
+                keep("ekf", value)
         if "mc" in methods:
             ode, euler = run("mc", lambda: _mc_references(scenario, sys, x0, ks))
             # The true path is the nonlinear half of the shared-noise pair.
@@ -315,13 +312,6 @@ def run_scenario(scenario: Scenario, methods, mc_workers: int = 1) -> Comparison
     with scenario_run(scenario, methods, mc_workers) as report:
         pass
     return report
-
-
-def _raise_if_exception(value):
-    """``value``, unless it is an exception a task returned in place of raising it."""
-    if isinstance(value, BaseException):
-        raise value
-    return value
 
 
 def _psd_at_checkpoints(series: MomentSeries, scenario: Scenario) -> dict:

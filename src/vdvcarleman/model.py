@@ -27,6 +27,15 @@ def _is_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
+def _hold_floats(obj) -> None:
+    """Hold every field of the frozen dataclass ``obj`` as a float, or raise a ValueError naming it."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if not _is_real(value):
+            raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+        object.__setattr__(obj, f.name, float(value))
+
+
 @dataclass(frozen=True)
 class ReactorParams:
     """Rate constants, feed, volume, and OU flow-rate parameters.
@@ -46,11 +55,7 @@ class ReactorParams:
     beta: float
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not _is_real(value):
-                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
-            object.__setattr__(self, f.name, float(value))
+        _hold_floats(self)
         for name in ("k1", "k2", "k3", "v", "alpha"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be strictly positive")
@@ -68,10 +73,7 @@ class PhysicalState:
     x3: float
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.x1, self.x2, self.x3])):
-            raise ValueError("state components must be finite")
-        for f in fields(self):
-            object.__setattr__(self, f.name, float(getattr(self, f.name)))
+        _hold_floats(self)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x1, self.x2, self.x3])

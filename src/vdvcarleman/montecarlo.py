@@ -364,24 +364,25 @@ def _fork_map(tasks, n_procs: int):
     allows, so the body of the block, the caller's own work, overlaps
     theirs; ``join()`` reaps them, forks each queued task as soon as a
     child is done, and returns the values in task order.  A child sends
-    its value back pickled, through a pipe of its own, and leaves by
-    ``os._exit``: 0 once its value is written, 1 on any exception, after
-    writing its traceback to the pipe instead.  A child may log through
-    the handlers it inherited, but it never flushes inherited stdio
-    buffers or runs the caller's exit handlers.  The caller reads each
-    pipe to EOF and then waits on that child's pid alone; a non-zero exit
-    is a `RuntimeError` naming the task, followed by the child's
-    traceback.  A child still running when the block is left, on an
-    exception, an interrupt or without ``join()``, is killed and reaped,
-    so no process outlives the block.  With ``n_procs == 1``, no tasks,
-    or where there is no ``os.fork``, ``join()`` calls the tasks in the
-    caller, in order, after the body.
+    its value, or its exception and traceback, as one pickle through a
+    pipe of its own and leaves by ``os._exit``, 0 once it is sent; it may
+    log, but never flushes inherited stdio buffers or runs exit handlers.
+    The caller reads each pipe to EOF and waits on that child's pid alone.
+    A task that raises raises the same exception at every ``n_procs``:
+    from a child, its ``__cause__`` is a `RuntimeError` naming the task,
+    with the child's traceback; only an exception whose message a pickle
+    loses is that `RuntimeError` alone, and a child that ends without
+    sending is one naming its exit status or signal.  A child still
+    running when the block is left, on an exception, an interrupt or
+    without ``join()``, is killed and reaped.  With ``n_procs == 1``, no
+    tasks, or no ``os.fork``, ``join()`` calls them in the caller, in order.
     """
     if n_procs == 1 or not tasks or not hasattr(os, "fork"):
         yield lambda: [fn() for _, fn in tasks]
         return
     values, todo = [None] * len(tasks), list(enumerate(tasks))[::-1]
     running = {}  # read end of a child's pipe -> (task index, pid, bytes read)
+    poller = select.poll()  # unlike select.select, takes descriptors above FD_SETSIZE
 
     def start():
         while todo and len(running) < n_procs:
@@ -398,35 +399,47 @@ def _fork_map(tasks, n_procs: int):
                 try:
                     with open(w, "wb") as out:
                         try:
-                            value = pickle.dumps(fn(), pickle.HIGHEST_PROTOCOL)
-                        except BaseException:
-                            out.write(traceback.format_exc().encode())
-                            raise
-                        out.write(value)
+                            sent = pickle.dumps((fn(), None), pickle.HIGHEST_PROTOCOL)
+                        except BaseException as exc:  # sent to the caller, which raises it
+                            told = traceback.format_exc()
+                            sent = pickle.dumps((None, told), pickle.HIGHEST_PROTOCOL)
+                            with contextlib.suppress(Exception):  # a pickle that loses the message sends None
+                                kept = pickle.dumps((exc, told), pickle.HIGHEST_PROTOCOL)
+                                if str(pickle.loads(kept)[0]) == str(exc):
+                                    sent = kept
+                        out.write(sent)
                     code = 0
                 finally:
                     os._exit(code)
             running[r] = (i, pid, [])
+            poller.register(r, select.POLLIN)
             os.close(w)
 
     def join():
         while todo or running:
             start()
-            for r in select.select(list(running), [], [])[0]:
+            for r, _ in poller.poll():
                 i, pid, chunks = running[r]
                 chunk = os.read(r, 1 << 16)
                 if chunk:
                     chunks.append(chunk)
                     continue
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                poller.unregister(r)
                 del running[r]
                 os.close(r)
                 sent = b"".join(chunks)
                 chunks.clear()  # only the joined copy is held while it is unpickled
+                name = tasks[i][0]
                 if code:
-                    told = sent.decode(errors="replace")
-                    raise RuntimeError(f"{tasks[i][0]} exited with status {code}" + (f"\n{told}" if told else ""))
-                values[i] = pickle.loads(sent)
+                    raise RuntimeError(f"{name} killed by signal {-code}" if code < 0
+                                       else f"{name} exited with status {code}")
+                values[i], told = pickle.loads(sent)
+                if told is not None:
+                    failure = RuntimeError(f"{name} raised in a child process\n{told}")
+                    if values[i] is None:
+                        raise failure
+                    raise values[i] from failure
         return values
 
     try:
@@ -461,9 +474,9 @@ def ensemble_moments(cfg: PathConfig, x0, n_paths: int, sys: BilinearSystem, n_w
     it reduces them, so they do not add to its peak memory.
 
     A nonlinear ``ReactorParams`` is a `TypeError`: only its single path,
-    `simulate_path`, is simulated.  A range whose child fails is a
-    `RuntimeError` naming its paths, and no child outlives the block (see
-    `_fork_map`).  Progress goes to the log from range 0, every line
+    `simulate_path`, is simulated.  A range that raises raises the same
+    exception at every ``n_workers``; from a child, its cause names the
+    range's paths, and no child outlives the block (see `_fork_map`).  Progress goes to the log from range 0, every line
     tagged with the path count and seed; the last line, from ``stats()``,
     adds the path-steps made and the wall time of the slowest range, in
     total and per path-step.

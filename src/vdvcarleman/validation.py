@@ -308,8 +308,8 @@ def run_all() -> list[CheckResult]:
 
     `ALL_CHECKS` is read at call time.  The checks of `SLOWEST_FIRST`
     start first, in its order, and the others follow in criterion order.
-    With more than one CPU each check runs in a forked child, and a check
-    that raises there is a `RuntimeError` naming it, with its traceback.
+    With more than one CPU each check runs in a forked child; a check that
+    raises raises its own exception, caused there by one naming it.
     """
     checks = ALL_CHECKS
     rank = {check: i for i, check in enumerate(SLOWEST_FIRST)}

@@ -149,6 +149,18 @@ def test_scenario_rejects_bad_p0_diag(p0_diag):
         Scenario.from_dict({**small_scenario().to_dict(), "p0_diag": p0_diag})
 
 
+@pytest.mark.parametrize("field, value, want", [
+    ("params", asdict(PARAM_SET1), "a ReactorParams, got dict"),
+    ("params", None, "a ReactorParams, got NoneType"),
+    ("x0", [3.0, 1.12, 0.0095], "a PhysicalState, got list"),
+    ("x0", np.array([3.0, 1.12, 0.0095]), "a PhysicalState, got ndarray"),
+])
+def test_scenario_rejects_params_and_x0_of_another_type(field, value, want):
+    # Caught here, not as an AttributeError deep inside run_scenario.
+    with pytest.raises(ValueError, match=rf"^{field} must be {want}$"):
+        small_scenario(**{field: value})
+
+
 def test_scenario_accepts_zero_p0_diag_as_tuple():
     s = small_scenario(p0_diag=[0.0, 0, 0.5])
     assert s.p0_diag == (0.0, 0, 0.5)
@@ -1108,8 +1120,8 @@ def test_physical_overflow_is_a_method_failure():
 @pytest.mark.parametrize("methods", [("ekf",), ("carleman", "ekf", "mc")], ids=["ekf", "all"])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_an_ekf_failing_in_its_child_reads_as_with_one_worker(monkeypatch, workers, methods):
-    # ekf_predict raises in the forked child; the caller raises the returned
-    # error, with its grid index, as the EKF's failure.
+    # ekf_predict raises in the forked child; ``join()`` raises the child's
+    # error, with its grid index, and the caller reports it as the EKF's failure.
     def blows_up(*args):
         raise IntegrationError("non-finite state at t=0.03", step=3)
 

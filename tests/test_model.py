@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -53,6 +54,15 @@ def test_physical_state_roundtrip_and_validation():
     assert PhysicalState(*s.as_array().tolist()) == s
     with pytest.raises(ValueError):
         PhysicalState(np.inf, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("index", range(3))
+@pytest.mark.parametrize("bad", [float("nan"), -float("inf"), "1.0", None, True])
+def test_physical_state_component_must_be_finite_number(index, bad):
+    values = [1.0, 2.0, 3.0]
+    values[index] = bad
+    with pytest.raises(ValueError, match=rf"^x{index + 1} must be a finite number, got {re.escape(repr(bad))}$"):
+        PhysicalState(*values)
 
 
 def test_drift_origin_is_equilibrium():

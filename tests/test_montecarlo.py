@@ -4,6 +4,7 @@ import functools
 import logging
 import os
 import re
+import resource
 import signal
 import time
 from unittest import mock
@@ -334,7 +335,8 @@ def _raising_after(seconds, error):
 
 def test_failed_worker_process_raises_naming_its_paths(monkeypatch):
     # Every range runs in a child; the middle one raises, and the other two
-    # are done or killed and reaped as the caller leaves.
+    # are done or killed and reaped as the caller leaves.  The caller raises
+    # the child's exception, caused by one naming the range, with its traceback.
     pids = _recording_fork(monkeypatch)
     lockstep = montecarlo._lockstep
 
@@ -345,9 +347,11 @@ def test_failed_worker_process_raises_naming_its_paths(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_lockstep", failing)
     cfg = PathConfig(dt=0.01, t_end=0.5, seed=2)
-    with pytest.raises(RuntimeError, match=r"^ensemble worker for paths \[256, 512\) exited with status 1\n") as got:
+    with pytest.raises(ValueError, match="^worker range failed$") as got:
         ensemble_stats(cfg, X0, 3 * RANGE_PATHS, SYS1, n_workers=3, record=[50])
-    assert str(got.value).endswith("ValueError: worker range failed\n")
+    cause = str(got.value.__cause__)
+    assert cause.startswith("ensemble worker for paths [256, 512) raised in a child process\nTraceback ")
+    assert cause.endswith("ValueError: worker range failed\n")
     assert len(pids) == 3
     _assert_reaped(pids)
 
@@ -419,12 +423,29 @@ def test_fork_map_names_a_raising_task_and_kills_and_reaps_the_others(monkeypatc
 
     sleep = functools.partial(time.sleep, 60.0)
     t0 = time.perf_counter()
-    with pytest.raises(RuntimeError, match=r"^the failing task exited with status 1\nTraceback ") as got:
+    with pytest.raises(ValueError, match="^task failed$") as got:
         fork_values([("sleeper", sleep), ("the failing task", fail), ("sleeper", sleep)], 3)
-    assert str(got.value).endswith("ValueError: task failed\n")
+    cause = str(got.value.__cause__)
+    assert cause.startswith("the failing task raised in a child process\nTraceback ")
+    assert cause.endswith("ValueError: task failed\n")
     assert time.perf_counter() - t0 < 30.0
     assert len(pids) == 3
     _assert_reaped(pids)
+
+
+def test_fork_map_waits_on_descriptors_above_fd_setsize():
+    # select.select takes no descriptor above FD_SETSIZE (1024); with 1100
+    # others open, the children's pipes are above it.
+    if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1200:
+        pytest.skip("fewer than 1200 open descriptors allowed")
+    held = []
+    try:
+        for _ in range(550):
+            held.extend(os.pipe())
+        assert fork_values([("a", functools.partial(int, 1)), ("b", functools.partial(int, 2))], 2) == [1, 2]
+    finally:
+        for fd in held:
+            os.close(fd)
 
 
 def test_fork_map_interrupted_while_waiting_kills_and_reaps_every_child(monkeypatch):

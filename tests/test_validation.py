@@ -83,12 +83,15 @@ def test_a_check_that_raises_in_a_child_is_named_with_its_traceback(monkeypatch)
         raise ValueError("broken check")
 
     monkeypatch.setattr(validation, "ALL_CHECKS", (_stub(1), check_broken))
-    with pytest.raises(RuntimeError, match=r"^acceptance check check_broken exited with status 1\n") as got:
+    # The child's exception is raised, caused by one naming the check, with its traceback.
+    with pytest.raises(ValueError, match="^broken check$") as got:
         _run_all_on(monkeypatch, 2)
-    assert "in check_broken\n" in str(got.value)
-    assert str(got.value).endswith("ValueError: broken check\n")
-    with pytest.raises(ValueError, match="broken check"):
+    cause = str(got.value.__cause__)
+    assert cause.startswith("acceptance check check_broken raised in a child process\n")
+    assert "in check_broken\n" in cause and cause.endswith("ValueError: broken check\n")
+    with pytest.raises(ValueError, match="^broken check$") as got:
         _run_all_on(monkeypatch, 1)
+    assert got.value.__cause__ is None
 
 
 def test_criterion_10_splits_its_ensemble_four_ways(monkeypatch):
