@@ -2,9 +2,9 @@
 
 Subcommands:
   run            execute a scenario and write CSV/SVG outputs, all but
-                 the Monte Carlo ones while the ensemble runs; with
-                 --mc-workers above one, the ensemble's ranges and the
-                 EKF run in forked children
+                 the Monte Carlo ones while the ensemble runs; with two
+                 or more usable CPUs, the ensemble's ranges and the EKF
+                 run in forked children, one range per CPU
   dump-scenario  print a builtin scenario as JSON
   matrices       dump the embedded system's coefficient blocks
   validate       run the acceptance checks (exit 0 only if all pass)
@@ -49,9 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--t-end", type=float, default=None, help="override horizon [s]")
     run.add_argument("--mc-paths", type=int, default=None, help="override ensemble size")
     run.add_argument("--seed", type=int, default=None, help="override RNG seed")
-    run.add_argument("--mc-workers", type=int, default=_usable_cpus(),
-                     help="worker processes for the ensemble's ranges; above one, the EKF also runs "
-                          "in a child of its own (default: the CPUs this process may use)")
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--no-charts", action="store_true", help="skip SVG emission")
     run.set_defaults(parser=run, func=_cmd_run)
@@ -116,14 +113,12 @@ def _cmd_run(args) -> int:
     unknown = sorted(set(methods) - set(METHODS))
     if unknown:
         args.parser.error(f"unknown methods: {', '.join(unknown)} (choose from {', '.join(METHODS)})")
-    if args.mc_workers < 1:
-        args.parser.error(f"--mc-workers must be at least 1, got {args.mc_workers}")
     with _usage_errors(args.parser):
         scenario = _apply_overrides(load_scenario(args.scenario), args)
     _make_out_dir(args)
     paths, charts = [], []
     with removed_on_failure(paths, charts):  # a failed run leaves none of the files it wrote
-        with scenario_run(scenario, methods, args.mc_workers) as report:
+        with scenario_run(scenario, methods, _usable_cpus()) as report:
             paths += emit_trajectories(report, args.out)
             if not args.no_charts:
                 charts += emit_charts(report, args.out)
@@ -163,7 +158,13 @@ def _cmd_validate(args) -> int:
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a reader gone from stdout raises here, not at exit
+    except BrokenPipeError:  # as the `signal` docs advise: what the exit flushes goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

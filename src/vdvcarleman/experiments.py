@@ -244,6 +244,7 @@ def scenario_run(scenario: Scenario, methods, mc_workers: int):
     ranges; above one, ``ekf_predict`` also runs in a child forked by
     `montecarlo._fork_map` while the caller makes the true and physical
     paths; with one, everything runs in the caller, in the order above.
+    The log gets ``ekf ran in T s``, timed in the process that ran it.
     A failing method is a `RuntimeError` naming it, the same at every
     ``mc_workers``; the true path fails first, then ``carleman``, ``ekf``
     and ``mc`` (an EKF child is killed when the true or physical path
@@ -293,8 +294,9 @@ def scenario_run(scenario: Scenario, methods, mc_workers: int):
             report.true_path = run("true", lambda: simulate_path(cfg, x0, p))
             if "carleman" in methods:
                 keep("carleman", run("carleman", lambda: integrate_physical(p, x0, cov0, dt, t_end)))
-            for value in run("ekf", join):
-                keep("ekf", value)
+            for series, seconds in run("ekf", join):
+                logger.info("ekf ran in %.3f s", seconds)
+                keep("ekf", series)
         if "mc" in methods:
             ode, euler = run("mc", lambda: _mc_references(scenario, sys, x0, ks))
             # The true path is the nonlinear half of the shared-noise pair.

@@ -56,9 +56,9 @@ return its states alone.  Reproducibility contract:
 of the augmented mean ODE; `simulate_shared_noise` is the bilinear partner
 of a seed's nonlinear path, which a run simulates once.  `_fork_map`
 also runs the acceptance checks of `validation.run_all`, one per usable
-CPU (`_usable_cpus`, also the default worker count of ``run``), and
-``run``'s EKF beside the caller's work: an ``mc`` run forks up to its
-worker count of ranges plus that one child.
+CPU (`_usable_cpus`, also the worker count of ``run``), and ``run``'s
+EKF beside the caller's work: an ``mc`` run forks up to its worker count
+of ranges plus that one child.
 """
 from __future__ import annotations
 
@@ -356,17 +356,25 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _timed(fn):
+    """``(fn(), its wall time in seconds)``, measured in the process that calls it."""
+    t0 = time.perf_counter()
+    value = fn()
+    return value, time.perf_counter() - t0
+
+
 @contextlib.contextmanager
 def _fork_map(tasks, n_procs: int):
-    """Fork ``tasks``, (name, callable) pairs, for a ``with`` block; its ``join()`` returns their values.
+    """Fork ``tasks``, (name, callable) pairs, for a ``with`` block; ``join()`` returns (value, seconds) pairs.
 
     Entering the block forks the first children, as many as ``n_procs``
     allows, so the body of the block, the caller's own work, overlaps
     theirs; ``join()`` reaps them, forks each queued task as soon as a
-    child is done, and returns the values in task order.  A child sends
-    its value, or its exception and traceback, as one pickle through a
-    pipe of its own and leaves by ``os._exit``, 0 once it is sent; it may
-    log, but never flushes inherited stdio buffers or runs exit handlers.
+    child is done, and returns the pairs in task order, each timed by
+    `_timed` where it ran.  A child sends its pair, or its exception and
+    traceback, as one pickle through a pipe of its own and leaves by
+    ``os._exit``, 0 once it is sent; it may log, but never flushes
+    inherited stdio buffers or runs exit handlers.
     The caller reads each pipe to EOF and waits on that child's pid alone.
     A task that raises raises the same exception at every ``n_procs``:
     from a child, its ``__cause__`` is a `RuntimeError` naming the task,
@@ -378,7 +386,7 @@ def _fork_map(tasks, n_procs: int):
     tasks, or no ``os.fork``, ``join()`` calls them in the caller, in order.
     """
     if n_procs == 1 or not tasks or not hasattr(os, "fork"):
-        yield lambda: [fn() for _, fn in tasks]
+        yield lambda: [_timed(fn) for _, fn in tasks]
         return
     values, todo = [None] * len(tasks), list(enumerate(tasks))[::-1]
     running = {}  # read end of a child's pipe -> (task index, pid, bytes read)
@@ -399,7 +407,7 @@ def _fork_map(tasks, n_procs: int):
                 try:
                     with open(w, "wb") as out:
                         try:
-                            sent = pickle.dumps((fn(), None), pickle.HIGHEST_PROTOCOL)
+                            sent = pickle.dumps((_timed(fn), None), pickle.HIGHEST_PROTOCOL)
                         except BaseException as exc:  # sent to the caller, which raises it
                             told = traceback.format_exc()
                             sent = pickle.dumps((None, told), pickle.HIGHEST_PROTOCOL)
@@ -467,7 +475,7 @@ def ensemble_moments(cfg: PathConfig, x0, n_paths: int, sys: BilinearSystem, n_w
     of the result belongs to grid index ``record[r]``.  Every range writes
     its states at those indices into one (n_record, d, n_paths) snapshot,
     held in an anonymous shared mapping made before the forks, and returns
-    its wall time and the (step, path) of its earliest blow-up, or None.
+    the (step, path) of its earliest blow-up, or None, timed by `_fork_map`.
     The mean and ``ddof=1`` variance are taken over the snapshot's paths
     axis once every range is done, so the result is independent of
     ``n_workers``; the caller gives back the snapshot's pages row by row as
@@ -479,7 +487,7 @@ def ensemble_moments(cfg: PathConfig, x0, n_paths: int, sys: BilinearSystem, n_w
     range's paths, and no child outlives the block (see `_fork_map`).  Progress goes to the log from range 0, every line
     tagged with the path count and seed; the last line, from ``stats()``,
     adds the path-steps made and the wall time of the slowest range, in
-    total and per path-step.
+    total and, if there are any, per path-step.
     """
     n_paths, n_workers = as_int("n_paths", n_paths), as_int("n_workers", n_workers)
     if n_paths < 2:
@@ -514,17 +522,15 @@ def ensemble_moments(cfg: PathConfig, x0, n_paths: int, sys: BilinearSystem, n_w
 
         def run():
             parent = None if os.getpid() == caller else caller
-            t0 = time.perf_counter()
-            failed = _lockstep(cfg, x0, sys, first, snap[:, :, first:last], steps, block,
-                               tag if w == 0 else None, parent)
-            return time.perf_counter() - t0, failed
+            return _lockstep(cfg, x0, sys, first, snap[:, :, first:last], steps, block,
+                             tag if w == 0 else None, parent)
 
         return f"ensemble worker for paths [{first}, {last})", run
 
     with _fork_map([task(w) for w in range(n_ranges)], n_ranges) as join:
         def stats() -> EnsembleStats:
             ranges = join()
-            failed = [f for _, f in ranges if f is not None]
+            failed = [f for f, _ in ranges if f is not None]
             if failed:
                 step, path = min(failed)
                 raise SimulationError(f"path {path} non-finite at step {step} (t={step * cfg.dt:.6g})")
@@ -541,10 +547,10 @@ def ensemble_moments(cfg: PathConfig, x0, n_paths: int, sys: BilinearSystem, n_w
                     shared.madvise(mmap.MADV_DONTNEED, given_back, end - given_back)
                     given_back = end
             mean, var = mean[rows], var[rows]
-            path_steps = n_paths * n_steps
-            elapsed = max(t for t, _ in ranges)
-            logger.info("%s: step %d/%d (100%%), ETA 0.0 s; %d path-steps in %.2f s, %.1f ns per path-step",
-                        tag, n_steps, n_steps, path_steps, elapsed, 1e9 * elapsed / max(path_steps, 1))
+            path_steps, elapsed = n_paths * n_steps, max(t for _, t in ranges)
+            per_step = f", {1e9 * elapsed / path_steps:.1f} ns per path-step" if path_steps else ""
+            logger.info("%s: step %d/%d (100%%), ETA 0.0 s; %d path-steps in %.2f s%s",
+                        tag, n_steps, n_steps, path_steps, elapsed, per_step)
             return EnsembleStats(n_paths=n_paths, mean=mean, var=var, stderr=np.sqrt(var / n_paths))
 
         yield stats

@@ -278,17 +278,6 @@ ALL_CHECKS = (
 )
 
 
-def _timed(check):
-    """A task that runs ``check`` and returns its result with its wall time in seconds."""
-
-    def run():
-        t0 = time.perf_counter()
-        result = check()
-        return result, time.perf_counter() - t0
-
-    return run
-
-
 # The checks that take most of a run, slowest first: about 1.9, 1.4, 1.0,
 # 0.5 and 0.25 s of one CPU (criteria 7, 6, 4, 10 and 9).  `run_all`
 # starts them before the rest, so the short checks fill in beside them.
@@ -306,16 +295,15 @@ SLOWEST_FIRST = (
 def run_all() -> list[CheckResult]:
     """Run every check of `ALL_CHECKS`, one process per usable CPU, and return the results in order.
 
-    `ALL_CHECKS` is read at call time.  The checks of `SLOWEST_FIRST`
-    start first, in its order, and the others follow in criterion order.
+    `ALL_CHECKS` is read at call time and timed by `_fork_map`.  The checks
+    of `SLOWEST_FIRST` start first, then the others in criterion order.
     With more than one CPU each check runs in a forked child; a check that
     raises raises its own exception, caused there by one naming it.
     """
     checks = ALL_CHECKS
     rank = {check: i for i, check in enumerate(SLOWEST_FIRST)}
     order = sorted(range(len(checks)), key=lambda i: rank.get(checks[i], len(rank)))
-    with _fork_map([(f"acceptance check {checks[i].__name__}", _timed(checks[i])) for i in order],
-                   _usable_cpus()) as join:
+    with _fork_map([(f"acceptance check {checks[i].__name__}", checks[i]) for i in order], _usable_cpus()) as join:
         timed = [value for _, value in sorted(zip(order, join()))]
     for result, elapsed in timed:
         logger.info("criterion %d ran in %.3f s", result.number, elapsed)

@@ -5,6 +5,8 @@ import os
 import pickle
 import re
 import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 from xml.dom import minidom
@@ -17,6 +19,7 @@ from dataclasses import asdict, replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vdvcarleman
 from vdvcarleman import cli, experiments, montecarlo, svgchart
 from vdvcarleman.experiments import (
     ComparisonReport,
@@ -36,6 +39,12 @@ from vdvcarleman.montecarlo import PathConfig
 
 from test_moments import bits
 from test_montecarlo import _assert_reaped, _recording_fork, ensemble_stats
+
+
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """``usable_cpus(n)`` makes ``run`` see ``n`` CPUs, the process count it forks by."""
+    return lambda n: monkeypatch.setattr(cli, "_usable_cpus", lambda: n)
 
 
 def small_scenario(**overrides):
@@ -255,15 +264,30 @@ def test_worker_count_must_be_an_integer_before_any_work(monkeypatch, methods, b
         run_scenario(small_scenario(), methods=methods, mc_workers=bad)
 
 
-def test_run_defaults_to_one_worker_per_usable_cpu(tmp_path):
-    args = cli._build_parser().parse_args(["run", "--out", str(tmp_path)])
-    assert args.mc_workers == len(os.sched_getaffinity(0))
+def test_run_defaults_to_one_worker_per_usable_cpu(tmp_path, capsys, monkeypatch, usable_cpus):
+    # The count is read as `run` runs, and no option sets it.
+    asked, scenario_run = [], cli.scenario_run
+
+    def recorded(scenario, methods, mc_workers):
+        asked.append(mc_workers)
+        return scenario_run(scenario, methods, mc_workers)
+
+    monkeypatch.setattr(cli, "scenario_run", recorded)
+    argv = ["run", "--methods", "", "--out", str(tmp_path)]
+    cli.main(argv)
+    usable_cpus(3)
+    cli.main(argv)
+    assert asked == [len(os.sched_getaffinity(0)), 3]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exited:
+        cli.main([*argv, "--mc-workers", "2"])
+    assert exited.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith("error: unrecognized arguments: --mc-workers 2")
 
 
-def test_run_with_the_default_workers_writes_the_bytes_of_one_worker(tmp_path, capsys, monkeypatch):
-    # 600 paths allow three ranges, so two default workers fork two ranges;
+def test_run_with_the_default_workers_writes_the_bytes_of_one_worker(tmp_path, capsys, monkeypatch, usable_cpus):
+    # 600 paths allow three ranges, so two usable CPUs fork two ranges;
     # the EKF is forked with or without them, and nothing else is.
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     pids = _recording_fork(monkeypatch)
     for methods in ("carleman,ekf,mc", "carleman,ekf"):
         for charts in (False, True):
@@ -272,10 +296,12 @@ def test_run_with_the_default_workers_writes_the_bytes_of_one_worker(tmp_path, c
                     *([] if charts else ["--no-charts"])]
             mc = methods.endswith(",mc")
             del pids[:]
+            usable_cpus(2)
             cli.main([*argv, "--out", str(case / "default")])
             assert len(pids) == 2 * mc + 1
             printed = capsys.readouterr().out
-            cli.main([*argv, "--mc-workers", "1", "--out", str(case / "one")])
+            usable_cpus(1)
+            cli.main([*argv, "--out", str(case / "one")])
             assert len(pids) == 2 * mc + 1
             assert capsys.readouterr().out == printed.replace(str(case / "default"), str(case / "one"))
             names = sorted(os.listdir(case / "one"))
@@ -285,8 +311,36 @@ def test_run_with_the_default_workers_writes_the_bytes_of_one_worker(tmp_path, c
             assert match == names and not mismatch and not errors
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_run_logs_the_ekf_wall_time_once(tmp_path, caplog, usable_cpus, cpus):
+    usable_cpus(cpus)
+    with caplog.at_level(logging.INFO, logger="vdvcarleman.experiments"):
+        cli.main(["run", "--t-end", "1", "--methods", "carleman,ekf", "--no-charts", "--out", str(tmp_path)])
+    times = [re.fullmatch(r"ekf ran in ([0-9.]+) s", r.message) for r in caplog.records]
+    assert len([m for m in times if m]) == 1
+
+
+@pytest.mark.parametrize("command", [["dump-scenario", "set1"], ["run", "--methods", ""]], ids=["dump", "run"])
+def test_a_reader_gone_from_stdout_ends_the_call_with_status_1_and_no_traceback(tmp_path, command):
+    # The read end of the pipe is closed before the call writes, so its every write fails.
+    src = os.path.dirname(os.path.dirname(vdvcarleman.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "out"
+    argv = [sys.executable, "-m", "vdvcarleman", *command, *(["--out", str(out)] if command[0] == "run" else [])]
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        done = subprocess.run(argv, stdout=w, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(w)
+    err = done.stderr.decode()
+    assert done.returncode == 1 and "Traceback" not in err and "Exception ignored" not in err
+    if command[0] == "run":  # the paths are printed once the files are complete
+        assert sorted(os.listdir(out)) == ["checkpoints.csv", "mc_validation.csv", "report.json", "trajectories.csv"]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
-def test_a_run_whose_ensemble_fails_leaves_none_of_its_files(tmp_path, monkeypatch, workers):
+def test_a_run_whose_ensemble_fails_leaves_none_of_its_files(tmp_path, monkeypatch, usable_cpus, workers):
     # Every range reports a blow-up once the files that need no ensemble
     # statistics are written; the run fails as the mc method, and removes
     # them but nothing else.
@@ -307,7 +361,8 @@ def test_a_run_whose_ensemble_fails_leaves_none_of_its_files(tmp_path, monkeypat
     monkeypatch.setattr(cli, "emit_trajectories", emitted(cli.emit_trajectories))
     monkeypatch.setattr(cli, "emit_charts", emitted(cli.emit_charts))
     monkeypatch.setattr(montecarlo, "_lockstep", lambda *args: (3, 7))
-    argv = ["run", "--t-end", "1", "--mc-paths", "600", "--mc-workers", str(workers), "--out", str(out)]
+    usable_cpus(workers)
+    argv = ["run", "--t-end", "1", "--mc-paths", "600", "--out", str(out)]
     with pytest.raises(RuntimeError, match=r"^method 'mc' failed: path 7 non-finite at step 3 \(t=0\.03\)$"):
         cli.main(argv)
     assert len(written) == 2 + 8
@@ -315,7 +370,7 @@ def test_a_run_whose_ensemble_fails_leaves_none_of_its_files(tmp_path, monkeypat
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_a_run_whose_chart_rendering_fails_leaves_none_of_its_files(tmp_path, monkeypatch, workers):
+def test_a_run_whose_chart_rendering_fails_leaves_none_of_its_files(tmp_path, monkeypatch, usable_cpus, workers):
     # The caller draws the charts after the CSV writes: the chart's own error
     # comes through whatever the worker count, and the CSVs are removed.
     out = tmp_path / "out"
@@ -334,7 +389,8 @@ def test_a_run_whose_chart_rendering_fails_leaves_none_of_its_files(tmp_path, mo
     monkeypatch.setattr(cli, "emit_trajectories", emitted)
     monkeypatch.setattr(svgchart, "line_chart", broken)
     pids = _recording_fork(monkeypatch)
-    argv = ["run", "--t-end", "1", "--methods", "carleman,ekf", "--mc-workers", str(workers), "--out", str(out)]
+    usable_cpus(workers)
+    argv = ["run", "--t-end", "1", "--methods", "carleman,ekf", "--out", str(out)]
     with pytest.raises(ValueError, match="^no chart today$"):
         cli.main(argv)
     if workers == 1:
@@ -348,13 +404,14 @@ def test_a_run_whose_chart_rendering_fails_leaves_none_of_its_files(tmp_path, mo
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("blocked", ["checkpoints.csv", "fig2b.svg", "report.json"])
-def test_a_file_that_cannot_be_opened_leaves_none_of_the_run_files(tmp_path, workers, blocked):
+def test_a_file_that_cannot_be_opened_leaves_none_of_the_run_files(tmp_path, usable_cpus, workers, blocked):
     # A directory stands where the run writes ``blocked``: the files written
     # before it, in the same emitting call or earlier, are all removed.
     out = tmp_path / "out"
     (out / blocked).mkdir(parents=True)
     (out / "earlier.txt").write_text("kept")
-    argv = ["run", "--methods", "carleman,ekf", "--t-end", "10", "--mc-workers", str(workers), "--out", str(out)]
+    usable_cpus(workers)
+    argv = ["run", "--methods", "carleman,ekf", "--t-end", "10", "--out", str(out)]
     with pytest.raises(IsADirectoryError):
         cli.main(argv)
     assert sorted(os.listdir(out)) == sorted([blocked, "earlier.txt"])
@@ -362,7 +419,7 @@ def test_a_file_that_cannot_be_opened_leaves_none_of_the_run_files(tmp_path, wor
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_a_csv_failure_beside_the_chart_child_leaves_none_of_its_files(tmp_path, monkeypatch, workers):
+def test_a_csv_failure_beside_the_chart_child_leaves_none_of_its_files(tmp_path, monkeypatch, usable_cpus, workers):
     # The CSV write fails in the caller once the EKF child is reaped: no
     # chart is written, and nothing else was forked.
     out = tmp_path / "out"
@@ -374,7 +431,8 @@ def test_a_csv_failure_beside_the_chart_child_leaves_none_of_its_files(tmp_path,
 
     monkeypatch.setattr(cli, "emit_trajectories", full_disk)
     pids = _recording_fork(monkeypatch)
-    argv = ["run", "--t-end", "1", "--methods", "carleman,ekf", "--mc-workers", str(workers), "--out", str(out)]
+    usable_cpus(workers)
+    argv = ["run", "--t-end", "1", "--methods", "carleman,ekf", "--out", str(out)]
     with pytest.raises(OSError, match="No space left on device"):
         cli.main(argv)
     if workers == 1:
@@ -482,12 +540,10 @@ def _tree(root):
     (lambda tmp: ["matrices", "--scenario", "builtin:set3"], "unknown builtin scenario 'set3'"),
     (lambda tmp: ["run", "--scenario", str(tmp / "missing.json")], "No such file or directory"),
     (off_grid_scenario, "time 0.7 is not on the dt=0.2 grid"),
-    (lambda tmp: ["run", "--mc-workers", "0", "--t-end", "1"], "--mc-workers must be at least 1, got 0"),
-    (lambda tmp: ["run", "--mc-workers", "-3", "--methods", ""], "--mc-workers must be at least 1, got -3"),
     (out_is_a_file("run"), "out exists and is not a directory"),
     (out_is_a_file("matrices"), "out exists and is not a directory"),
-], ids=["dt", "methods", "builtin", "matrices_builtin", "missing_file", "off_grid_checkpoint", "mc_workers_0",
-        "mc_workers_negative", "out_is_a_file", "matrices_out_is_a_file"])
+], ids=["dt", "methods", "builtin", "matrices_builtin", "missing_file", "off_grid_checkpoint", "out_is_a_file",
+        "matrices_out_is_a_file"])
 def test_a_configuration_error_is_a_one_line_usage_error(tmp_path, capsys, monkeypatch, argv, message):
     argv = argv(tmp_path)
     out = tmp_path / "out"
@@ -509,12 +565,13 @@ def test_a_configuration_error_is_a_one_line_usage_error(tmp_path, capsys, monke
 
 
 @pytest.mark.parametrize("command", [
-    ["run", "--t-end", "1", "--mc-paths", "600", "--mc-workers", "2"],
+    ["run", "--t-end", "1", "--mc-paths", "600"],
     ["matrices"],
 ], ids=["run", "matrices"])
 @pytest.mark.parametrize("out", ["file/sub", ""], ids=["under_a_file", "empty"])
 def test_an_out_that_cannot_be_a_directory_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypatch,
-                                                                           command, out):
+                                                                           usable_cpus, command, out):
+    usable_cpus(2)
     (tmp_path / "file").write_text("kept")
     monkeypatch.chdir(tmp_path)
     before = _tree(tmp_path)

@@ -53,7 +53,7 @@ def ensemble_stats(*args, **kwargs):
 
 
 def fork_values(tasks, n_procs):
-    """The values of `montecarlo._fork_map` with an empty block."""
+    """The (value, seconds) pairs of `montecarlo._fork_map` with an empty block."""
     with montecarlo._fork_map(tasks, n_procs) as join:
         return join()
 
@@ -384,7 +384,7 @@ def test_fork_map_returns_values_in_task_order_when_tasks_finish_out_of_order():
 
         return f"task {i}", run
 
-    values = fork_values([task(i) for i in range(4)], 4)
+    values = [value for value, _ in fork_values([task(i) for i in range(4)], 4)]
     assert [v[0] for v in values] == [0, 1, 2, 3]
     done = [v[1] for v in values]
     assert done == sorted(done, reverse=True)
@@ -411,7 +411,7 @@ def test_fork_map_never_has_more_than_n_procs_children(monkeypatch):
     monkeypatch.setattr(os, "fork", counted_fork)
     monkeypatch.setattr(os, "waitpid", counted_waitpid)
     tasks = [(f"task {i}", functools.partial(time.sleep, 0.05 * (i % 3))) for i in range(7)]
-    assert fork_values(tasks, 2) == [None] * 7
+    assert [value for value, _ in fork_values(tasks, 2)] == [None] * 7
     assert len(most) == 7 and max(most) == 2 and not alive
 
 
@@ -442,7 +442,8 @@ def test_fork_map_waits_on_descriptors_above_fd_setsize():
     try:
         for _ in range(550):
             held.extend(os.pipe())
-        assert fork_values([("a", functools.partial(int, 1)), ("b", functools.partial(int, 2))], 2) == [1, 2]
+        pairs = fork_values([("a", functools.partial(int, 1)), ("b", functools.partial(int, 2))], 2)
+        assert [value for value, _ in pairs] == [1, 2]
     finally:
         for fd in held:
             os.close(fd)
@@ -469,14 +470,26 @@ def test_fork_map_without_fork_or_with_one_process_runs_the_tasks_in_the_caller(
 
         return f"task {i}", run
 
-    forked = fork_values([task(i) for i in range(3)], 3)
+    forked = [value for value, _ in fork_values([task(i) for i in range(3)], 3)]
     assert ran == [] and all(pid != os.getpid() for _, pid in forked)
-    assert fork_values([task(i) for i in range(3)], 1) == [(i * i, os.getpid()) for i in range(3)]
+    in_caller = [value for value, _ in fork_values([task(i) for i in range(3)], 1)]
+    assert in_caller == [(i * i, os.getpid()) for i in range(3)]
     monkeypatch.delattr(os, "fork")
-    alone = fork_values([task(i) for i in range(3)], 3)
+    alone = [value for value, _ in fork_values([task(i) for i in range(3)], 3)]
     assert ran == [0, 1, 2, 0, 1, 2]
     assert alone == [(i * i, os.getpid()) for i in range(3)]
     assert [v for v, _ in alone] == [v for v, _ in forked]
+
+
+@pytest.mark.parametrize("n_procs", [1, 2])
+def test_fork_map_returns_each_tasks_wall_time_measured_where_it_ran(n_procs):
+    # A forked task's time leaves out the half second the block sleeps before join().
+    tasks = [("sleeper", functools.partial(time.sleep, 0.2)), ("pid", os.getpid)]
+    with montecarlo._fork_map(tasks, n_procs) as join:
+        time.sleep(0.5)
+        (slept, sleep_s), (pid, pid_s) = join()
+    assert slept is None and (pid == os.getpid()) == (n_procs == 1)
+    assert 0.2 <= sleep_s < 0.5 and 0.0 <= pid_s < 0.2
 
 
 def test_an_ensemble_block_runs_while_the_ranges_are_alive(monkeypatch):
@@ -543,7 +556,7 @@ def test_fork_map_runs_its_block_first_where_nothing_is_forked(monkeypatch):
     tasks = [(f"task {i}", functools.partial(calls.append, i)) for i in range(3)]
     with montecarlo._fork_map(tasks, 1) as join:
         calls.append("block")
-        assert join() == [None] * 3
+        assert [value for value, _ in join()] == [None] * 3
     assert calls == ["block", 0, 1, 2]
     with montecarlo._fork_map([], 2) as join:
         calls.append("no tasks")
@@ -1026,6 +1039,14 @@ def test_ensemble_progress_is_logged(caplog):
         assert m and int(m.group(1)) == 2 * RANGE_PATHS * 200
         assert 0.0 < float(m.group(3)) and float(m.group(2)) < 1.0
         assert all("path-steps" not in line for line in lines[:-1])
+
+
+def test_an_ensemble_without_steps_logs_no_time_per_path_step(caplog):
+    with caplog.at_level(logging.INFO, logger="vdvcarleman.montecarlo"):
+        stats = ensemble_stats(PathConfig(dt=0.01, t_end=0.0, seed=1), X0, 8, SYS1, record=[0])
+    lines = [r.message for r in caplog.records if r.name == "vdvcarleman.montecarlo"]
+    assert len(lines) == 1 and re.search(r"step 0/0 \(100%\), ETA 0\.0 s; 0 path-steps in [0-9.]+ s$", lines[0])
+    assert np.array_equal(stats.mean[0], point_lift(X0)) and not stats.var.any()
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
