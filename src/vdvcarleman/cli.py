@@ -19,7 +19,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .carleman import build_vandevusse, write_blocks
+from .carleman import write_blocks
 from .experiments import (
     METHODS,
     builtin_scenario,
@@ -137,7 +137,7 @@ def _cmd_matrices(args) -> int:
     with _usage_errors(args.parser):
         scenario = load_scenario(args.scenario)
     _make_out_dir(args)
-    for p in write_blocks(build_vandevusse(scenario.params), args.out):
+    for p in write_blocks(scenario.system, args.out):
         print(p)
     return 0
 

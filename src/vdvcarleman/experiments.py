@@ -1,8 +1,11 @@
 """Scenario management, metrics, and comparison reports.
 
 A scenario bundles parameters, initial moments, grid, checkpoint times,
-and Monte Carlo settings.  `scenario_run` executes the selected methods
-on one shared time grid, around the caller's ``with`` block, and
+and Monte Carlo settings, and derives once, as it is made, what they
+determine: the step count, the checkpoints' grid indices and the
+bilinear system (a `ValueError` naming ``params`` if it overflows);
+everything below reads those.  `scenario_run` executes the selected
+methods on one shared time grid, around the caller's ``with`` block, and
 `run_scenario` is it with an empty block:
 
 * ``carleman`` - the physical moment ODEs (reporting path);
@@ -35,7 +38,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import svgchart
-from .carleman import BilinearSystem, build_vandevusse, point_lift
+from .carleman import build_vandevusse, point_lift
 from .ekf import ekf_predict
 from .model import (
     P33_0_SET1,
@@ -83,7 +86,16 @@ TABLE_NOTE_SET1 = (
 
 @dataclass(frozen=True)
 class Scenario:
-    """One complete experiment definition."""
+    """One complete experiment definition.
+
+    Construction also derives, once, what the fields determine, held as
+    plain attributes outside the dataclass fields (so equality, `to_dict`
+    and ``replace``, which derives them anew, see only the fields):
+    ``n_steps``, the grid's step count; ``checkpoint_steps``, the grid
+    index of each checkpoint, a read-only integer array; and ``system``,
+    ``build_vandevusse(params)``.  A coefficient of ``system`` that
+    overflows is a `ValueError` naming ``params``.
+    """
 
     name: str
     params: ReactorParams
@@ -109,10 +121,13 @@ class Scenario:
         if not (isinstance(self.checkpoints, (list, tuple)) and all(map(_is_real, self.checkpoints))):
             raise ValueError(f"checkpoints must be a list of finite real numbers, got {self.checkpoints!r}")
         object.__setattr__(self, "checkpoints", tuple(map(float, self.checkpoints)))
-        n_steps = grid_steps(self.dt, self.t_end)  # validates dt > 0 and t_end on the grid
-        for c in self.checkpoints:
-            if grid_index(self.dt, c) > n_steps:  # raises off-grid
+        object.__setattr__(self, "n_steps", grid_steps(self.dt, self.t_end))  # validates dt > 0 and t_end on the grid
+        object.__setattr__(self, "checkpoint_steps", np.empty(len(self.checkpoints), np.intp))
+        for r, c in enumerate(self.checkpoints):
+            self.checkpoint_steps[r] = grid_index(self.dt, c)  # raises off-grid
+            if self.checkpoint_steps[r] > self.n_steps:
                 raise ValueError(f"checkpoint {c} beyond t_end={self.t_end}")
+        self.checkpoint_steps.setflags(write=False)
         object.__setattr__(self, "mc_paths", as_int("mc_paths", self.mc_paths))
         object.__setattr__(self, "seed", as_int("seed", self.seed))
         if self.mc_paths < 2:
@@ -122,6 +137,10 @@ class Scenario:
         if not _is_triple(self.p0_diag, nonnegative=True):
             raise ValueError(f"p0_diag must be three finite nonnegative numbers, got {self.p0_diag!r}")
         object.__setattr__(self, "p0_diag", tuple(map(float, self.p0_diag)))
+        try:
+            object.__setattr__(self, "system", build_vandevusse(self.params))
+        except ValueError as exc:  # a coefficient formed from finite params overflowed
+            raise ValueError(f"params overflow the embedded system: {exc}") from None
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -234,6 +253,8 @@ _COMPONENTS = (*(f"x{i + 1}" for i in range(3)),
 def scenario_run(scenario: Scenario, methods, mc_workers: int):
     """Execute the selected methods on the scenario's shared grid, around a ``with`` block.
 
+    The grid, the checkpoint steps and the bilinear system are the ones
+    the scenario derived as it was made; nothing here derives them again.
     The block gets the report with everything but the ensemble
     statistics: the true path, ``carleman`` and ``ekf`` with their errors
     and PSD minima and, for ``mc``, the augmented and Euler mean
@@ -244,7 +265,8 @@ def scenario_run(scenario: Scenario, methods, mc_workers: int):
     ranges; above one, ``ekf_predict`` also runs in a child forked by
     `montecarlo._fork_map` while the caller makes the true and physical
     paths; with one, everything runs in the caller, in the order above.
-    The log gets ``ekf ran in T s``, timed in the process that ran it.
+    The log gets ``ekf (scenario NAME, mc_workers N) ran in T s``, timed
+    in the process that ran it.
     A failing method is a `RuntimeError` naming it, the same at every
     ``mc_workers``; the true path fails first, then ``carleman``, ``ekf``
     and ``mc`` (an EKF child is killed when the true or physical path
@@ -258,7 +280,7 @@ def scenario_run(scenario: Scenario, methods, mc_workers: int):
     if mc_workers < 1:
         raise ValueError(f"ensemble n_workers (mc_workers) must be at least 1, got {mc_workers}")
     methods = tuple(m for m in METHODS if m in requested)
-    p = scenario.params
+    p, sys, ks = scenario.params, scenario.system, scenario.checkpoint_steps
     dt, t_end = scenario.dt, scenario.t_end
     report = ComparisonReport(scenario=scenario, methods=methods)
     if scenario.name == "set1":
@@ -267,11 +289,9 @@ def scenario_run(scenario: Scenario, methods, mc_workers: int):
         yield report
         return
 
-    report.t = np.arange(grid_steps(dt, t_end) + 1) * dt
-    sys = build_vandevusse(p)
+    report.t = np.arange(scenario.n_steps + 1) * dt
     x0, cov0 = scenario.x0.as_array(), np.diag(scenario.p0_diag)
     cfg = PathConfig(dt=dt, t_end=t_end, seed=scenario.seed)
-    ks = [grid_index(dt, c) for c in scenario.checkpoints]
 
     def run(name, fn):
         try:
@@ -295,10 +315,10 @@ def scenario_run(scenario: Scenario, methods, mc_workers: int):
             if "carleman" in methods:
                 keep("carleman", run("carleman", lambda: integrate_physical(p, x0, cov0, dt, t_end)))
             for series, seconds in run("ekf", join):
-                logger.info("ekf ran in %.3f s", seconds)
+                logger.info("ekf (scenario %s, mc_workers %d) ran in %.3f s", scenario.name, mc_workers, seconds)
                 keep("ekf", series)
         if "mc" in methods:
-            ode, euler = run("mc", lambda: _mc_references(scenario, sys, x0, ks))
+            ode, euler = run("mc", lambda: _mc_references(scenario, x0))
             # The true path is the nonlinear half of the shared-noise pair.
             report.coupled_xi = run("mc", lambda: simulate_shared_noise(sys, x0, dt, t_end, scenario.seed))
             report.tracking_max_abs_dx1 = float(np.abs(report.true_path[:, 0] - report.coupled_xi[:, 0]).max())
@@ -320,9 +340,9 @@ def _psd_at_checkpoints(series: MomentSeries, scenario: Scenario) -> dict:
     return {c: float(np.linalg.eigvalsh(series.at_time(c)[1]).min()) for c in scenario.checkpoints}
 
 
-def _mc_references(scenario: Scenario, sys: BilinearSystem, x0: np.ndarray, ks: list) -> tuple:
-    """(ode, euler): the augmented mean path and the Euler mean, each at the grid indices ``ks``."""
-    dt, t_end = scenario.dt, scenario.t_end
+def _mc_references(scenario: Scenario, x0: np.ndarray) -> tuple:
+    """(ode, euler): the augmented mean path and the Euler mean of the scenario's system, at its checkpoints."""
+    sys, dt, t_end, ks = scenario.system, scenario.dt, scenario.t_end, scenario.checkpoint_steps
     # The bilinear mean obeys the augmented mean ODE exactly; paths start
     # at a point, so the ODE starts from the lifted state with no spread.
     # The Euler mean is the bias-free one: the exact expectation of the simulated chain.
@@ -509,10 +529,9 @@ def emit_trajectories(report: ComparisonReport, out_dir: str) -> list[str]:
     """
     traj, ckpt = [], []
     if report.true_path is not None:
-        scenario = report.scenario
-        ks = [grid_index(scenario.dt, c) for c in scenario.checkpoints]
+        ks = report.scenario.checkpoint_steps
         traj = [report.t, *report.true_path.T]
-        ckpt = [np.array(scenario.checkpoints, dtype=float)]
+        ckpt = [np.array(report.scenario.checkpoints, dtype=float)]
         for s in (report.carleman, report.ekf):
             traj += [None] * 9 if s is None else [*s.mean.T, *(s.covariance(i, j) for i, j in _COV_ENTRIES)]
         for method in ("carleman", "ekf"):
@@ -534,8 +553,7 @@ def emit_summary(report: ComparisonReport, out_dir: str) -> list[str]:
         "scenario": report.scenario.to_dict(),
         "methods": list(report.methods),
         "seed": report.scenario.seed,
-        "grid": {"dt": report.scenario.dt, "t_end": report.scenario.t_end,
-                 "n_points": grid_steps(report.scenario.dt, report.scenario.t_end) + 1},
+        "grid": {"dt": report.scenario.dt, "t_end": report.scenario.t_end, "n_points": report.scenario.n_steps + 1},
         "notes": list(report.notes),
         "psd_min_eig_at_checkpoints": {
             m: {str(t): v for t, v in d.items()} for m, d in report.psd_min_eig.items()

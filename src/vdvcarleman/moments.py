@@ -189,14 +189,15 @@ def _checked_moments(mean, cov, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Initial mean and covariance of an n-state system as float arrays.
 
     Rejects wrong shapes and non-finite entries; the covariance is
-    replaced by its symmetric part 0.5 * (cov + cov^T).
+    replaced by its symmetric part 0.5 * cov + 0.5 * cov^T, which does
+    not overflow for finite entries.
     """
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
     if mean.shape != (n,) or cov.shape != (n, n):
         raise ValueError(f"initial moments need a {n}-vector mean and a {n}x{n} covariance, "
                          f"got shapes {mean.shape} and {cov.shape}")
-    cov = 0.5 * (cov + cov.T)
+    cov = 0.5 * cov + 0.5 * cov.T
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
         raise ValueError("moments must be finite")
     return mean, cov

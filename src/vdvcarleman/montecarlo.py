@@ -384,13 +384,14 @@ def _fork_map(tasks, n_procs: int):
     running when the block is left, on an exception, an interrupt or
     without ``join()``, is killed and reaped.  With ``n_procs == 1``, no
     tasks, or no ``os.fork``, ``join()`` calls them in the caller, in order.
+    ``join()`` after the block has closed is a `RuntimeError`, at every
+    ``n_procs``; it forks, calls and reads nothing.
     """
-    if n_procs == 1 or not tasks or not hasattr(os, "fork"):
-        yield lambda: [_timed(fn) for _, fn in tasks]
-        return
-    values, todo = [None] * len(tasks), list(enumerate(tasks))[::-1]
+    in_caller = n_procs == 1 or not tasks or not hasattr(os, "fork")
+    values, todo = [None] * len(tasks), [] if in_caller else list(enumerate(tasks))[::-1]
     running = {}  # read end of a child's pipe -> (task index, pid, bytes read)
-    poller = select.poll()  # unlike select.select, takes descriptors above FD_SETSIZE
+    poller = None if in_caller else select.poll()  # unlike select.select, takes descriptors above FD_SETSIZE
+    closed = False  # set as the block is left
 
     def start():
         while todo and len(running) < n_procs:
@@ -424,6 +425,10 @@ def _fork_map(tasks, n_procs: int):
             os.close(w)
 
     def join():
+        if closed:
+            raise RuntimeError("join() called after its _fork_map block has closed")
+        if in_caller:
+            return [_timed(fn) for _, fn in tasks]
         while todo or running:
             start()
             for r, _ in poller.poll():
@@ -454,6 +459,7 @@ def _fork_map(tasks, n_procs: int):
         start()
         yield join
     finally:
+        closed = True
         for r, (_, pid, _) in running.items():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)

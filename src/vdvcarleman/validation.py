@@ -24,8 +24,8 @@ import numpy as np
 from .carleman import QuadraticSde, build_vandevusse, embed_order2, point_lift, vandevusse_coefficients
 from .ekf import ekf_predict
 from .model import PARAM_SET1, PARAM_SET2
-from .moments import (augmented_mean_path, crosscheck_mean_paths, grid_steps, integrate_augmented,
-                      integrate_physical, ou_variance)
+from .moments import (augmented_mean_path, crosscheck_mean_paths, integrate_augmented, integrate_physical,
+                      ou_variance)
 from .experiments import builtin_scenario, emit_csv, run_scenario
 from .montecarlo import _fork_map, _usable_cpus
 
@@ -103,12 +103,11 @@ def check_ou_analytic() -> CheckResult:
     where = ""
     for name in ("set1", "set2"):
         s, p, x0, p0 = _scenario_pieces(name)
-        sys = build_vandevusse(p)
-        exact = ou_variance(s.p0_diag[2], p.alpha, p.beta, np.arange(grid_steps(s.dt, s.t_end) + 1) * s.dt)
+        exact = ou_variance(s.p0_diag[2], p.alpha, p.beta, np.arange(s.n_steps + 1) * s.dt)
         # Each series is built and reduced to its float before the next one.
         paths = {
             "physical": lambda: integrate_physical(p, x0, p0, s.dt, s.t_end),
-            "augmented": lambda: integrate_augmented(sys, x0, p0, s.dt, s.t_end),
+            "augmented": lambda: integrate_augmented(s.system, x0, p0, s.dt, s.t_end),
             "ekf": lambda: ekf_predict(p, x0, p0, s.dt, s.t_end),
         }
         for path_name, path in paths.items():
@@ -164,7 +163,7 @@ def check_mc_mean_validation() -> CheckResult:
     """
     s = replace(builtin_scenario("set1"), dt=0.005, t_end=10.0, checkpoints=(1.0, 5.0, 10.0), mc_paths=10000)
     mc = run_scenario(s, ("mc",)).mc
-    sys = build_vandevusse(s.params)
+    sys = s.system
     ode = augmented_mean_path(sys, point_lift(s.x0.as_array()), s.dt, s.t_end)
     rates = np.abs(sys.a0 + ode[::100] @ sys.a.T)
     bias_floor = 2.0 * s.dt * rates.max(axis=0)

@@ -316,8 +316,19 @@ def test_run_logs_the_ekf_wall_time_once(tmp_path, caplog, usable_cpus, cpus):
     usable_cpus(cpus)
     with caplog.at_level(logging.INFO, logger="vdvcarleman.experiments"):
         cli.main(["run", "--t-end", "1", "--methods", "carleman,ekf", "--no-charts", "--out", str(tmp_path)])
-    times = [re.fullmatch(r"ekf ran in ([0-9.]+) s", r.message) for r in caplog.records]
+    times = [re.fullmatch(rf"ekf \(scenario set1, mc_workers {cpus}\) ran in ([0-9.]+) s", r.message)
+             for r in caplog.records]
     assert len([m for m in times if m]) == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_ekf_time_names_the_scenario_and_the_process_count(caplog, workers):
+    # Criterion 10 runs one scenario at 1 and at 4 workers: its two lines must differ.
+    with caplog.at_level(logging.INFO, logger="vdvcarleman.experiments"):
+        run_scenario(small_scenario(name="tagged", t_end=1.0, checkpoints=(0.5,)), ("ekf",), mc_workers=workers)
+    lines = [r.message for r in caplog.records if " ran in " in r.message]
+    assert len(lines) == 1
+    assert re.fullmatch(rf"ekf \(scenario tagged, mc_workers {workers}\) ran in [0-9.]+ s", lines[0])
 
 
 @pytest.mark.parametrize("command", [["dump-scenario", "set1"], ["run", "--methods", ""]], ids=["dump", "run"])
@@ -528,6 +539,17 @@ def out_is_a_file(command):
     return argv
 
 
+def overflowing_scenario(command, field, value, *extra):
+    """The ``command`` arguments on a scenario file whose finite ``params.<field>`` overflows the embedded system."""
+    def argv(tmp_path):
+        d = small_scenario().to_dict()
+        d["params"][field] = value
+        (tmp_path / "overflow.json").write_text(json.dumps(d))
+        return [command, "--scenario", str(tmp_path / "overflow.json"), *extra]
+
+    return argv
+
+
 def _tree(root):
     """Every path under ``root``, with the bytes of each file."""
     return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
@@ -542,8 +564,15 @@ def _tree(root):
     (off_grid_scenario, "time 0.7 is not on the dt=0.2 grid"),
     (out_is_a_file("run"), "out exists and is not a directory"),
     (out_is_a_file("matrices"), "out exists and is not a directory"),
+    # beta^2 and 1/v are inf: entries of a0 and of a.
+    (overflowing_scenario("run", "beta", 1e160), "params overflow the embedded system: non-finite entries in a0"),
+    (overflowing_scenario("run", "v", 1e-310), "params overflow the embedded system: non-finite entries in a"),
+    (overflowing_scenario("run", "beta", 1e160, "--methods", ""), "params overflow the embedded system"),
+    (overflowing_scenario("matrices", "beta", 1e160), "params overflow the embedded system: non-finite entries in a0"),
+    (overflowing_scenario("matrices", "v", 1e-310), "params overflow the embedded system: non-finite entries in a"),
 ], ids=["dt", "methods", "builtin", "matrices_builtin", "missing_file", "off_grid_checkpoint", "out_is_a_file",
-        "matrices_out_is_a_file"])
+        "matrices_out_is_a_file", "params_beta", "params_v", "params_beta_no_methods", "matrices_params_beta",
+        "matrices_params_v"])
 def test_a_configuration_error_is_a_one_line_usage_error(tmp_path, capsys, monkeypatch, argv, message):
     argv = argv(tmp_path)
     out = tmp_path / "out"
@@ -554,9 +583,10 @@ def test_a_configuration_error_is_a_one_line_usage_error(tmp_path, capsys, monke
 
     monkeypatch.setattr(cli, "scenario_run", no_work)
     monkeypatch.setattr(cli, "write_blocks", no_work)
+    pids = _recording_fork(monkeypatch)
     with pytest.raises(SystemExit) as exited:
         cli.main([*argv, "--out", str(out)])
-    assert exited.value.code == 2
+    assert exited.value.code == 2 and not pids
     err = capsys.readouterr().err
     assert "Traceback" not in err
     last = err.splitlines()[-1]
@@ -580,7 +610,7 @@ def test_an_out_that_cannot_be_a_directory_is_a_usage_error_before_any_work(tmp_
         raise AssertionError("work started before the usage error")
 
     monkeypatch.setattr(experiments, "simulate_path", no_work)
-    monkeypatch.setattr(cli, "build_vandevusse", no_work)
+    monkeypatch.setattr(cli, "write_blocks", no_work)
     pids = _recording_fork(monkeypatch)
     with pytest.raises(SystemExit) as exited:
         cli.main([*command, "--out", out])
@@ -604,6 +634,32 @@ def test_scenario_inputs_are_held_as_python_floats(tmp_path):
     echoed = json.loads((tmp_path / "report.json").read_text())["scenario"]
     assert type(echoed["params"]["v"]) is float and type(echoed["x0"][1]) is float
     assert echoed["params"]["k1"] == float(k1) and echoed["p0_diag"] == [1.0, 1.0, 0.01]
+
+
+def test_a_scenario_derives_its_grid_and_system_outside_its_fields():
+    s = small_scenario()
+    assert s.n_steps == 500 and s.checkpoint_steps.dtype == np.intp and s.checkpoint_steps.tolist() == [50, 500]
+    with pytest.raises(ValueError, match="read-only"):
+        s.checkpoint_steps[0] = 0
+    built = build_vandevusse(s.params)
+    assert all(np.array_equal(getattr(s.system, f), getattr(built, f)) for f in ("a0", "a", "d", "g"))
+    # Not fields: the echo and equality see only what the scenario was given, and replace derives anew.
+    assert set(s.to_dict()) == {"name", "params", "x0", "p0_diag", "dt", "t_end", "checkpoints", "seed", "mc_paths"}
+    coarse = replace(s, dt=0.5)
+    assert coarse.n_steps == 10 and coarse.checkpoint_steps.tolist() == [1, 10] and coarse != s
+    assert replace(coarse, dt=0.01) == s
+
+
+def test_a_covariance_of_huge_finite_entries_reaches_the_methods(tmp_path, usable_cpus):
+    # 1e308 + 1e308 overflows, so symmetrizing p0 as a sum ended both methods in a ValueError.
+    d = small_scenario().to_dict()
+    d["p0_diag"] = [1e308, 1.0, 0.01]
+    (tmp_path / "huge.json").write_text(json.dumps(d))
+    argv = ["run", "--scenario", str(tmp_path / "huge.json"), "--no-charts", "--out"]
+    usable_cpus(2)  # the EKF runs in a child
+    assert cli.main([*argv, str(tmp_path / "ekf"), "--methods", "ekf"]) == 0
+    with pytest.raises(RuntimeError, match=r"^method 'carleman' failed: non-finite state at t=0\.01$"):
+        cli.main([*argv, str(tmp_path / "carleman"), "--methods", "carleman"])
 
 
 def test_a_run_of_no_method_builds_no_time_grid(tmp_path):

@@ -220,6 +220,21 @@ def test_physical_moments_symmetric_storage():
     assert first[0, 1] == first[1, 0] == 0.1
 
 
+def test_symmetrizing_a_finite_covariance_does_not_overflow():
+    # cov + cov^T is inf at a 1e308 entry; each half of it is finite.
+    huge = np.diag([1e308, 1.0, 0.01])
+    assert np.array_equal(moments._checked_moments(SET1_X0, huge, 3)[1], huge)
+    with pytest.raises(IntegrationError, match=r"^non-finite state at t=0\.01$"):
+        integrate_physical(PARAM_SET1, SET1_X0, huge, 0.01, 1.0)
+    assert np.all(np.isfinite(ekf_predict(PARAM_SET1, SET1_X0, huge, 0.01, 1.0).cov))
+    # Halving is exact for a result above the subnormals, and scaling by
+    # 1/2 commutes with rounding: the bits of 0.5 * (cov + cov^T).
+    rng = np.random.default_rng(36)
+    for _ in range(200):
+        cov = rng.standard_normal((3, 3)) * 10.0 ** rng.integers(-300, 300, (3, 3))
+        assert np.array_equal(bits(moments._checked_moments(SET1_X0, cov, 3)[1]), bits(0.5 * (cov + cov.T)))
+
+
 @pytest.mark.parametrize("path", ["physical", "augmented", "ekf"])
 def test_covariance_entry_is_a_view_of_its_packed_slot(path):
     cov0 = SET1_P0 + 0.1  # every entry nonzero from the start

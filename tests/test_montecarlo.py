@@ -551,6 +551,43 @@ def test_a_block_left_without_join_leaves_no_child_running(monkeypatch):
     _assert_reaped(pids)
 
 
+@pytest.mark.parametrize("n_procs", [1, 2])
+def test_join_after_its_block_has_closed_forks_runs_and_reads_nothing(monkeypatch, n_procs):
+    # Two of the three tasks are forked as the block is entered, and killed as it is left.
+    pids = _recording_fork(monkeypatch)
+    ran = []
+    tasks = [(f"task {i}", functools.partial(ran.append, i)) for i in range(3)]
+    with montecarlo._fork_map(tasks, n_procs) as join:
+        pass
+    forked = list(pids)
+    monkeypatch.setattr(os, "read", mock.Mock(side_effect=AssertionError("read after the block")))
+    with pytest.raises(RuntimeError, match=r"^join\(\) called after its _fork_map block has closed$"):
+        join()
+    assert pids == forked and len(pids) == (0 if n_procs == 1 else 2) and ran == []
+    os.read.assert_not_called()
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_stats_after_its_ensemble_block_has_closed_runs_no_range(monkeypatch, n_workers):
+    caller = os.getpid()
+
+    def lockstep(*args):
+        assert os.getpid() != caller, "a range ran in the caller"
+        time.sleep(60.0)  # a child is killed as the block is left
+
+    monkeypatch.setattr(montecarlo, "_lockstep", lockstep)
+    pids = _recording_fork(monkeypatch)
+    with ensemble_moments(PathConfig(dt=0.01, t_end=0.5, seed=2), X0, 2 * RANGE_PATHS, SYS1, n_workers=n_workers,
+                          record=[50]) as stats:
+        pass
+    forked = list(pids)
+    with pytest.raises(RuntimeError, match=r"^join\(\) called after its _fork_map block has closed$"):
+        stats()
+    assert pids == forked and len(pids) == (0 if n_workers == 1 else 2)
+    if pids:
+        _assert_reaped(pids)
+
+
 def test_fork_map_runs_its_block_first_where_nothing_is_forked(monkeypatch):
     calls = []
     tasks = [(f"task {i}", functools.partial(calls.append, i)) for i in range(3)]
